@@ -12,6 +12,7 @@ from .hilbert import (
     StateVector,
     Operator,
     DensityMatrix,
+    InvariantError,
     basis_state,
     density_matrix,
     tensor,
@@ -66,7 +67,7 @@ from .basis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HilbertSpace", "StateVector", "Operator", "DensityMatrix",
+    "HilbertSpace", "StateVector", "Operator", "DensityMatrix", "InvariantError",
     "basis_state", "density_matrix", "tensor", "embed", "inner",
     "partial_trace", "eig_hermitian", "unitary_exp", "equal_up_to_global_phase",
     "SchemeParams", "PhysicalParams", "DetectionOutcome",

@@ -24,6 +24,7 @@ from .hilbert import (
     STRUCT_TOL,
     PAULIS,
     HilbertSpace,
+    InvariantError,
     Operator,
     StateVector,
     embed,
@@ -211,7 +212,7 @@ def decompose(state: StateVector, basis: GesBasis) -> Decomposition:
 
     Completeness makes the residual vanish for any input; both the
     reconstruction and the norm identity sum(|c|^2) + residual^2 = 1 are
-    asserted to structural tolerance.
+    required to structural tolerance (InvariantError otherwise).
     """
     if state.space != ATOMIC_SPACE:
         raise ValueError("state must live on the four-qubit space")
@@ -223,8 +224,10 @@ def decompose(state: StateVector, basis: GesBasis) -> Decomposition:
         recon += c * basis.states[idx].amp
     residual = float(np.linalg.norm(state.amp - recon))
     weight = sum(abs(c)**2 for c in coeffs.values())
-    assert abs(weight + residual**2 - 1.0) <= STRUCT_TOL
-    assert residual <= STRUCT_TOL
+    if abs(weight + residual**2 - 1.0) > STRUCT_TOL:
+        raise InvariantError(f"sum |c|^2 + residual^2 = {weight + residual**2}, not 1")
+    if residual > STRUCT_TOL:
+        raise InvariantError(f"reconstruction residual {residual} exceeds {STRUCT_TOL}")
     return Decomposition(coeffs, residual)
 
 

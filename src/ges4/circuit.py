@@ -9,6 +9,15 @@ post-selects an entangled four-qubit state.
 Photonic modes are truncated at one photon per mode (dimension-4 sector).
 Truncation is exact here: every circuit generator conserves total photon
 number, so the one-photon input never leaks into |00> or |11>.
+
+The circuit is computed along two independent paths. `evolve`, the fast
+path used everywhere, exploits the structure: on the one-photon sector the
+interferometer is the 2x2 splitter block, then the diagonal phase
+exp(-i phi n0) on arm U and exp(-i phi n1) on arm L (n0 and n1 count the
+qubits in |0> and |1>), then the splitter block again. `mz_circuit` builds
+the dense 64x64 unitary from the cavity generators; it is the oracle the
+verification suite checks the fast path against, together with the closed
+forms of `closed_form_pair`.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from .hilbert import (
     EIG_TOL,
     PAULIS,
     HilbertSpace,
+    InvariantError,
     StateVector,
     Operator,
     basis_state,
@@ -212,13 +222,22 @@ def atom_photon_unitary(qubit_index: int, phi: float) -> Operator:
     return unitary_exp(Operator(FULL_SPACE, float(phi) * gen))
 
 
-def mz_circuit(phi: float) -> Operator:
-    """Full interferometer: splitter, four cavity interactions, splitter."""
-    bs = embed(beam_splitter(), ["U", "L"], FULL_SPACE)
+def _dense_circuit(phi: float, splitter: Operator) -> Operator:
+    """Dense 64x64 interferometer with a given photonic splitter."""
+    bs = embed(splitter, ["U", "L"], FULL_SPACE)
     u = bs
     for i in (1, 2, 3, 4):
         u = atom_photon_unitary(i, phi) @ u
     return bs @ u
+
+
+def mz_circuit(phi: float) -> Operator:
+    """Full interferometer as a dense unitary: splitter, four cavities, splitter.
+
+    This is the slow oracle built from the cavity generators; `evolve` does
+    not use it.
+    """
+    return _dense_circuit(phi, beam_splitter())
 
 
 def initial_state(thetas: Sequence[float]) -> StateVector:
@@ -234,21 +253,65 @@ def initial_state(thetas: Sequence[float]) -> StateVector:
     return psi
 
 
+# Photonic basis indices of the one-photon sector, photon in arm U then L.
+_ONE_PHOTON = [2, 1]    # |10>, |01>
+# Per four-qubit basis string (first qubit most significant): its bits and
+# the number of qubits in |1> and in |0>.
+_BITS = ((np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1).astype(bool)
+_N1 = _BITS.sum(axis=1)
+_N0 = 4 - _N1
+
+
+def _branch_slice(n_u: int, n_l: int) -> slice:
+    base = (n_u * 2 + n_l) * ATOMIC_SPACE.dim
+    return slice(base, base + ATOMIC_SPACE.dim)
+
+
+def _one_photon_block(splitter: Operator) -> np.ndarray:
+    """2x2 action of a photon-number-conserving splitter on (|10>, |01>)."""
+    return splitter.mat[np.ix_(_ONE_PHOTON, _ONE_PHOTON)]
+
+
+_BS_BLOCK = _one_photon_block(beam_splitter())
+
+
+def _one_photon_output(phi: float, thetas: Sequence[float], splitter: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Four-qubit amplitudes of the output photon in arms (U, L).
+
+    The input photon enters arm U with the atoms in the product state
+    (x)_i (cos theta_i, sin theta_i). `splitter` is the 2x2 one-photon block
+    of the beam splitter, applied before and after the cavity phases.
+    """
+    th = np.asarray(thetas, dtype=float)
+    product = np.prod(np.where(_BITS, np.sin(th), np.cos(th)), axis=1)
+    phases = np.exp(-1j * phi * np.arange(5))
+    arm_u = splitter[0, 0] * phases[_N0] * product
+    arm_l = splitter[1, 0] * phases[_N1] * product
+    return (splitter[0, 0] * arm_u + splitter[0, 1] * arm_l,
+            splitter[1, 0] * arm_u + splitter[1, 1] * arm_l)
+
+
 def evolve(params: SchemeParams) -> StateVector:
-    """Run the circuit on the standard input state.
+    """Run the circuit on the standard input state (the fast path).
 
     The output has support only on the one-photon sector and splits as
-    |01> (x) chi' + |10> (x) chi'' up to a global phase.
+    |01> (x) chi' + |10> (x) chi'' up to a global phase. It is computed from
+    the circuit's structure without building the dense unitary; the result
+    equals `mz_circuit(phi) @ initial_state(thetas)` to roundoff.
     """
-    return mz_circuit(params.phi) @ initial_state(params.thetas)
+    out_u, out_l = _one_photon_output(params.phi, params.thetas, _BS_BLOCK)
+    amp = np.zeros(FULL_SPACE.dim, dtype=complex)
+    amp[_branch_slice(0, 1)] = out_l
+    amp[_branch_slice(1, 0)] = out_u
+    return StateVector(FULL_SPACE, amp)
 
 
 def photon_branch(psi: StateVector, n_u: int, n_l: int) -> StateVector:
     """Unnormalized four-qubit component of a full-space state at |n_U n_L>."""
     if psi.space != FULL_SPACE:
         raise ValueError("state must live on the full photonic+atomic space")
-    base = (n_u * 2 + n_l) * ATOMIC_SPACE.dim
-    return StateVector(ATOMIC_SPACE, psi.amp[base:base + ATOMIC_SPACE.dim])
+    return StateVector(ATOMIC_SPACE, psi.amp[_branch_slice(n_u, n_l)])
 
 
 def _string_amplitude(bits: str, thetas: Sequence[float]) -> float:
@@ -264,8 +327,9 @@ def closed_form_pair(params: SchemeParams) -> tuple[StateVector, StateVector]:
     Writing z for the excitation number of a basis string, the weights are
     cos(2phi), cos(phi), 1, cos(phi), cos(2phi) on chi' and sin(2phi),
     sin(phi), 0, -sin(phi), -sin(2phi) on chi'' for z = 0..4. The branch
-    weights already satisfy ||chi'||^2 + ||chi''||^2 = 1 (asserted), which
-    fixes the discarded global factor of the raw circuit output.
+    weights already satisfy ||chi'||^2 + ||chi''||^2 = 1 (checked), which
+    fixes the discarded global factor of the raw circuit output; a sum off
+    by more than STRUCT_TOL raises InvariantError.
     """
     phi, th = params.phi, params.thetas
     prime = np.zeros(ATOMIC_SPACE.dim, dtype=complex)
@@ -285,7 +349,8 @@ def closed_form_pair(params: SchemeParams) -> tuple[StateVector, StateVector]:
     put(_STRINGS_W2, 1.0, 0.0)
 
     total = float(np.linalg.norm(prime)**2 + np.linalg.norm(dprime)**2)
-    assert abs(total - 1.0) <= STRUCT_TOL, f"branch weights sum to {total}, not 1"
+    if abs(total - 1.0) > STRUCT_TOL:
+        raise InvariantError(f"branch weights sum to {total}, not 1")
     return StateVector(ATOMIC_SPACE, prime), StateVector(ATOMIC_SPACE, dprime)
 
 
@@ -357,11 +422,9 @@ def detect(state: StateVector, outcome: DetectionOutcome, eta: float
     if probability < 1e-14 or not weighted:
         return None, float(probability)
 
-    stack = np.array(weighted)
-    s = np.linalg.svd(stack, compute_uv=False)
+    _, s, vh = np.linalg.svd(np.array(weighted), full_matrices=False)
     if len(s) > 1 and s[1] > EIG_TOL:
         return None, float(probability)   # conditional state is mixed
-    _, _, vh = np.linalg.svd(stack)
     post = canonical_phase(vh[0])
     return StateVector(ATOMIC_SPACE, post), float(probability)
 
@@ -383,8 +446,9 @@ def prepare_ges(params: SchemeParams,
     success probability is the sum of both click probabilities (eta).
 
     `outcome` forces a specific click branch; by default the more probable
-    one is used (ties go to D2). The reported probability is always the
-    combined click probability.
+    one is used. Probabilities within STRUCT_TOL of each other are a tie,
+    which goes to D2, so roundoff cannot pick the branch. The reported
+    probability is always the combined click probability.
     """
     if abs(params.phi - math.pi / 2.0) > 1e-9:
         warnings.warn("prepare_ges expects phi = pi/2; the conditioned states "
@@ -395,7 +459,7 @@ def prepare_ges(params: SchemeParams,
     total = p_d1 + p_d2
 
     if outcome is None:
-        outcome = (DetectionOutcome.D1_CLICK_D2_NULL if p_d1 > p_d2
+        outcome = (DetectionOutcome.D1_CLICK_D2_NULL if p_d1 - p_d2 > STRUCT_TOL
                    else DetectionOutcome.D2_CLICK_D1_NULL)
     if outcome not in (DetectionOutcome.D1_CLICK_D2_NULL,
                        DetectionOutcome.D2_CLICK_D1_NULL):
@@ -406,7 +470,7 @@ def prepare_ges(params: SchemeParams,
         raise ValueError(f"outcome {outcome.value} has zero probability at these parameters")
 
     if outcome is DetectionOutcome.D1_CLICK_D2_NULL:
-        sy4 = embed(Operator(HilbertSpace.of(("q4", 2)), PAULIS[2]),
-                    ["q4"], ATOMIC_SPACE)
-        post = StateVector(ATOMIC_SPACE, canonical_phase((sy4 @ post).amp))
+        # q4 is the least significant digit: act on the last axis.
+        flipped = (post.amp.reshape(8, 2) @ PAULIS[2].T).reshape(-1)
+        post = StateVector(ATOMIC_SPACE, canonical_phase(flipped))
     return PreparedGes(post, outcome, float(total))

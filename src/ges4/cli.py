@@ -1,9 +1,10 @@
 """Command-line front end: simulate, sweep, basis, decompose, verify.
 
 Data goes to stdout (or ``--out``); diagnostics go to stderr.  Exit codes:
-0 on success, 1 when a verification run reports failures, 2 on usage or
-input errors.  Angles are accepted as decimal radians or as exact fractions
-of pi ("pi/4", "3pi/8", "-pi/2").  All structured output is deterministic:
+0 on success, 1 when a verification run reports failures or an internal
+invariant breaks (``InvariantError``), 2 on usage or input errors.  Angles
+are accepted as decimal radians or as exact fractions of pi ("pi/4",
+"3pi/8", "-pi/2").  All structured output is deterministic:
 re-running a command with identical flags and seed reproduces it byte for
 byte.
 
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hilbert import StateVector, density_matrix, partial_trace
+from .hilbert import InvariantError, StateVector, density_matrix, partial_trace
 from .circuit import (
     ATOMIC_SPACE,
     BRANCHES,
@@ -280,8 +281,10 @@ def cmd_simulate(args) -> int:
         payload.update(_outcome_entry(state, prob, args.measures, args.tol))
     else:
         payload["outcomes"] = {}
+        post_states = {}
         for outcome in DetectionOutcome:
             state, prob = detect(psi, outcome, params.eta)
+            post_states[outcome] = state
             payload["outcomes"][outcome.value] = _outcome_entry(
                 state, prob, args.measures, args.tol)
 
@@ -331,11 +334,9 @@ def cmd_simulate(args) -> int:
     elif args.outcome:
         lines.append(f"outcome {payload['outcome']}: probability "
                      f"{payload['probability']:.12f}")
-        if payload["state"] is None:
+        if state is None:
             lines.append("  (no pure conditional state)")
         else:
-            state, _ = detect(psi, DetectionOutcome.from_string(args.outcome),
-                              params.eta)
             lines.append("state:")
             lines.extend(_state_lines(state, args.tol))
             if args.measures:
@@ -345,10 +346,10 @@ def cmd_simulate(args) -> int:
             entry = payload["outcomes"][outcome.value]
             lines.append(f"outcome {outcome.value}: probability "
                          f"{entry['probability']:.12f}")
-            if entry["state"] is None:
+            state = post_states[outcome]
+            if state is None:
                 lines.append("  (no pure conditional state)")
             else:
-                state, _ = detect(psi, outcome, params.eta)
                 lines.extend(_state_lines(state, args.tol))
                 if args.measures:
                     lines.extend(_measures_lines(state, indent="    "))
@@ -368,10 +369,9 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _branch_measures(params: SchemeParams, branch: str) -> tuple:
-    """(closed C, numeric C, closed S, numeric S) for one branch; NaN when
-    the branch has no population."""
-    psi = evolve(params)
+def _branch_measures(psi: StateVector, params: SchemeParams, branch: str) -> tuple:
+    """(closed C, numeric C, closed S, numeric S) for one branch of the
+    circuit output `psi`; NaN when the branch has no population."""
     chi = photon_branch(psi, 0, 1) if branch == BRANCH_PRIME else photon_branch(psi, 1, 0)
     nan = float("nan")
     try:
@@ -426,10 +426,10 @@ def cmd_sweep(args) -> int:
     rows = []
     for phi in phis:
         for thetas in theta_tuples():
-            cache = {}
-            for branch in BRANCHES:
-                cache[branch] = _branch_measures(
-                    SchemeParams(phi=phi, thetas=thetas), branch)
+            params = SchemeParams(phi=phi, thetas=thetas)
+            psi = evolve(params)
+            cache = {branch: _branch_measures(psi, params, branch)
+                     for branch in BRANCHES}
             g1, g2 = gamma_factors(thetas)
             for eta in etas:
                 row = [phi, *thetas, eta, g1, g2, eta]
@@ -751,6 +751,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

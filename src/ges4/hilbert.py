@@ -22,6 +22,15 @@ import numpy as np
 STRUCT_TOL = 1e-12
 EIG_TOL = 1e-10
 
+
+class InvariantError(RuntimeError):
+    """A mathematical identity the computation guarantees failed to hold.
+
+    Raised instead of `assert` so the check also runs under `python -O`.
+    It signals a defect or a numerical breakdown, not bad input.
+    """
+
+
 # Pauli matrices, standard convention: sigma^0 = I, sigma^1 = X,
 # sigma^2 = Y = antidiag(-i, i), sigma^3 = Z.
 PAULIS = (

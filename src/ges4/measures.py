@@ -23,6 +23,7 @@ from .hilbert import (
     EIG_TOL,
     PAULIS,
     DensityMatrix,
+    InvariantError,
     StateVector,
     density_matrix,
     partial_trace,
@@ -170,12 +171,14 @@ def bipartition_entropy(state: StateVector, cut: Bipartition) -> float:
     """Entanglement entropy of a pure four-qubit state across a cut.
 
     Computed from the side_a reduction; the side_b value is recomputed and
-    required to agree (Schmidt symmetry) as a self-check.
+    required to agree (Schmidt symmetry) as a self-check that raises
+    InvariantError.
     """
     rho = density_matrix(state)
     s_a = von_neumann_entropy(partial_trace(rho, list(cut.side_a)))
     s_b = von_neumann_entropy(partial_trace(rho, list(cut.side_b)))
-    assert abs(s_a - s_b) <= EIG_TOL, f"Schmidt symmetry violated: {s_a} vs {s_b}"
+    if abs(s_a - s_b) > EIG_TOL:
+        raise InvariantError(f"Schmidt symmetry violated: {s_a} vs {s_b}")
     return s_a
 
 

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ges4 import circuit, cli
 from ges4.hilbert import PAULIS, HilbertSpace, Operator, StateVector, basis_state, embed, inner, tensor
 from ges4.circuit import (
     ATOMIC_SPACE,
@@ -16,6 +19,9 @@ from ges4.circuit import (
     DetectionOutcome,
     PhysicalParams,
     SchemeParams,
+    _dense_circuit,
+    _one_photon_block,
+    _one_photon_output,
     atom_photon_unitary,
     beam_splitter,
     check_branch,
@@ -294,3 +300,88 @@ def test_phase_from_physical():
         phase_from_physical(PhysicalParams(dipole=1.0, tau=1.0, detuning=1.0))
     with pytest.raises(ValueError):
         PhysicalParams(dipole=1.0, tau=1.0, detuning=0.0)
+
+
+# ---------------------------------------------------------------------------
+# fast kernel vs dense oracle vs closed form
+
+_PHIS = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, PI / 2, PI]))
+_THETAS = st.lists(st.one_of(st.floats(-10.0, 10.0),
+                             st.sampled_from([0.0, PI / 4, PI / 2])),
+                   min_size=4, max_size=4)
+
+
+def _conjugated_splitter():
+    return Operator(PHOTONIC_SPACE, beam_splitter().mat.conj())
+
+
+def _closed_form_output(params):
+    # the circuit output carries the closed-form pair under -i exp(-2 i phi)
+    prime, dprime = closed_form_pair(params)
+    phase = -1j * np.exp(-2j * params.phi)
+    return phase * prime.amp, phase * dprime.amp
+
+
+def _deviation(got_p, got_dp, params):
+    want_p, want_dp = _closed_form_output(params)
+    return max(np.max(np.abs(got_p - want_p)), np.max(np.abs(got_dp - want_dp)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(phi=_PHIS, thetas=_THETAS)
+def test_fast_evolve_matches_dense_circuit_and_closed_form(phi, thetas):
+    params = SchemeParams(phi=phi, thetas=thetas)
+    fast = evolve(params)
+    dense = mz_circuit(params.phi) @ initial_state(params.thetas)
+    np.testing.assert_allclose(fast.amp, dense.amp, rtol=0, atol=1e-12)
+    want_p, want_dp = _closed_form_output(params)
+    np.testing.assert_allclose(photon_branch(fast, 0, 1).amp, want_p, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(photon_branch(fast, 1, 0).amp, want_dp, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(phi=_PHIS, thetas=_THETAS)
+def test_conjugated_splitter_moves_dense_and_fast_alike(phi, thetas):
+    params = SchemeParams(phi=phi, thetas=thetas)
+    bad = _conjugated_splitter()
+    dense = _dense_circuit(params.phi, bad) @ initial_state(params.thetas)
+    fast_u, fast_l = _one_photon_output(params.phi, params.thetas,
+                                        _one_photon_block(bad))
+    dev_dense = _deviation(photon_branch(dense, 0, 1).amp,
+                           photon_branch(dense, 1, 0).amp, params)
+    dev_fast = _deviation(fast_l, fast_u, params)
+    assert abs(dev_dense - dev_fast) <= 1e-12
+
+
+def test_hot_paths_never_build_the_dense_circuit(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense circuit built on a hot path")
+
+    for name in ("mz_circuit", "_dense_circuit", "atom_photon_unitary"):
+        monkeypatch.setattr(circuit, name, forbidden)
+    evolve(SchemeParams(phi=0.4, thetas=(0.1, 0.5, 0.9, 1.3)))
+    prepare_ges(SchemeParams(phi=PI / 2))
+    rc = cli.main(["sweep", "--phi", "0:pi:3", "--thetas", "0:pi/2:3",
+                   "--eta", "0.5,1", "--csv"])
+    assert rc == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 3 * 2
+
+
+def test_prepare_ges_tie_ignores_roundoff(monkeypatch):
+    # a one-ulp excess on d1 at the symmetric point is still a tie
+    real_detect = circuit.detect
+
+    def skewed_detect(state, outcome, eta):
+        post, prob = real_detect(state, outcome, eta)
+        if outcome is DetectionOutcome.D1_CLICK_D2_NULL:
+            prob = math.nextafter(prob, 1.0)
+        return post, prob
+
+    monkeypatch.setattr(circuit, "detect", skewed_detect)
+    assert prepare_ges(SchemeParams(phi=PI / 2)).outcome is DetectionOutcome.D2_CLICK_D1_NULL
+
+
+def test_prepare_ges_default_picks_the_more_probable_click():
+    # prod cos(2 theta) < 0 makes the d1 branch (Gamma_2) the likelier one
+    prepared = prepare_ges(SchemeParams(phi=PI / 2, thetas=(0.3, 0.3, 0.3, 1.2)))
+    assert prepared.outcome is DetectionOutcome.D1_CLICK_D2_NULL

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from ges4 import cli
+from ges4 import cli, measures
 from ges4.cli import CliInputError, parse_angle, parse_axis, parse_thetas
 
 
@@ -358,6 +358,17 @@ def test_json_csv_mutually_exclusive():
     with pytest.raises(SystemExit) as err:
         cli.main(["simulate", "--json", "--csv"])
     assert err.value.code == 2
+
+
+def test_broken_invariant_exits_1_with_one_line(capsys, monkeypatch):
+    sides = iter([0.0, 1.0])
+    monkeypatch.setattr(measures, "von_neumann_entropy", lambda rho: next(sides))
+    rc = cli.main(["simulate", "--outcome", "d2", "--measures"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("internal check failed: Schmidt symmetry")
 
 
 def test_errors_go_to_stderr_not_stdout(capsys):

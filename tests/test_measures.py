@@ -1,11 +1,18 @@
 """Unit tests for concurrence, entropy, and the calibrated closed forms."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ges4.hilbert import HilbertSpace, StateVector, density_matrix, partial_trace, DensityMatrix
+from ges4 import measures
+
+from ges4.hilbert import (HilbertSpace, InvariantError, StateVector, density_matrix,
+                          partial_trace, DensityMatrix)
 from ges4.circuit import (
     ATOMIC_SPACE,
     BRANCHES,
@@ -183,3 +190,30 @@ def test_calibration_is_decisive():
         assert cal["matching_cuts"][branch] == ["q1q2|q3q4"]
     assert cal["formula_pair"] == "q3q4"
     assert cal["formula_cut"] == "q1q2|q3q4"
+
+
+def test_schmidt_symmetry_violation_raises(monkeypatch):
+    sides = iter([0.0, 1.0])
+    monkeypatch.setattr(measures, "von_neumann_entropy", lambda rho: next(sides))
+    with pytest.raises(InvariantError, match="Schmidt symmetry"):
+        bipartition_entropy(canonical_state("ghz4"), SINGLE_CUTS[0])
+
+
+def test_invariant_check_survives_optimized_mode():
+    # `python -O` strips asserts; the invariant must still raise there
+    code = (
+        "import sys\n"
+        "from ges4 import measures\n"
+        "from ges4.basis import canonical_state\n"
+        "sides = iter([0.0, 1.0])\n"
+        "measures.von_neumann_entropy = lambda rho: next(sides)\n"
+        "try:\n"
+        "    measures.bipartition_entropy(canonical_state('ghz4'), measures.SINGLE_CUTS[0])\n"
+        "except measures.InvariantError:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    src = str(Path(measures.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "raised 1", out.stderr

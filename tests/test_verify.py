@@ -2,8 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from ges4 import verify
+from ges4.circuit import mz_circuit
 from ges4.verify import (
     ENTROPY_SPOT_PI_8,
     FAULT_MODES,
@@ -77,6 +80,16 @@ def test_fault_injection_is_caught():
     assert not faulty.all_passed
     failed = [c.name for c in faulty.checks if not c.passed]
     assert failed == ["oracle_equivalence"]
+
+
+def test_fault_is_caught_on_the_fast_path_alone(monkeypatch):
+    # a healthy dense circuit leaves only the fast kernel to see the fault
+    monkeypatch.setattr(verify, "_dense_circuit",
+                        lambda phi, splitter: mz_circuit(phi))
+    rng = np.random.default_rng(0)
+    assert verify._check_oracle_equivalence(rng, None).passed
+    check = verify._check_oracle_equivalence(rng, "conjugate_bs")
+    assert not check.passed and check.measured > 0.1
 
 
 def test_unknown_fault_rejected():
