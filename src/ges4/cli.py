@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hilbert import InvariantError, StateVector, density_matrix, partial_trace
+from .hilbert import InvariantError, StateVector
 from .circuit import (
     ATOMIC_SPACE,
     BRANCHES,
@@ -36,6 +36,7 @@ from .circuit import (
     BRANCH_DOUBLE_PRIME,
     DetectionOutcome,
     SchemeParams,
+    _branch_slice,
     detect,
     evolve,
     gamma_factors,
@@ -46,8 +47,9 @@ from .measures import (
     FORMULA_CUT,
     FORMULA_PAIR,
     DegenerateBranchError,
-    bipartition_entropy,
-    concurrence,
+    _cut_entropy,
+    _pair_concurrence,
+    _qubits,
     concurrence_closed_form,
     entropy_closed_form,
     measure_report,
@@ -369,23 +371,19 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _branch_measures(psi: StateVector, params: SchemeParams, branch: str) -> tuple:
-    """(closed C, numeric C, closed S, numeric S) for one branch of the
-    circuit output `psi`; NaN when the branch has no population."""
-    chi = photon_branch(psi, 0, 1) if branch == BRANCH_PRIME else photon_branch(psi, 1, 0)
-    nan = float("nan")
+# Amplitude slices of the two branches in a full-space state, in BRANCHES order.
+_BRANCH_SLICES = (_branch_slice(0, 1), _branch_slice(1, 0))
+_FORMULA_PAIR_QUBITS = _qubits(FORMULA_PAIR)
+_FORMULA_CUT_QUBITS = _qubits(FORMULA_CUT.side_a)
+
+
+def _closed_forms(thetas, branch: str) -> tuple:
+    """(closed C, closed S) of one branch; NaN where the branch is degenerate."""
     try:
-        c_closed = concurrence_closed_form(params.thetas, branch)
-        s_closed = entropy_closed_form(params.thetas, branch)
+        return (concurrence_closed_form(thetas, branch),
+                entropy_closed_form(thetas, branch))
     except DegenerateBranchError:
-        c_closed = s_closed = nan
-    if chi.norm ** 2 < 1e-12:
-        return c_closed, nan, s_closed, nan
-    state = chi.normalized()
-    rho_pair = partial_trace(density_matrix(state), list(FORMULA_PAIR))
-    c_num = concurrence(rho_pair)
-    s_num = bipartition_entropy(state, FORMULA_CUT)
-    return c_closed, c_num, s_closed, s_num
+        return float("nan"), float("nan")
 
 
 def cmd_sweep(args) -> int:
@@ -423,21 +421,30 @@ def cmd_sweep(args) -> int:
                         for t4 in theta_axes[3]:
                             yield (t1, t2, t3, t4)
 
+    points = [(phi, thetas) for phi in phis for thetas in theta_tuples()]
+    amps = np.empty((len(points), len(BRANCHES), ATOMIC_SPACE.dim), dtype=complex)
+    closed = []
+    for k, (phi, thetas) in enumerate(points):
+        psi = evolve(SchemeParams(phi=phi, thetas=thetas)).amp
+        for j, sl in enumerate(_BRANCH_SLICES):
+            amps[k, j] = psi[sl]
+        closed.append([_closed_forms(thetas, branch) for branch in BRANCHES])
+
+    # Numeric measures of every branch state in two stacked kernel calls;
+    # a branch without population has none.
+    norms = np.linalg.norm(amps, axis=-1)
+    live = norms ** 2 >= 1e-12
+    states = amps / np.where(live, norms, 1.0)[..., None]
+    c_num = np.where(live, _pair_concurrence(states, _FORMULA_PAIR_QUBITS), np.nan)
+    s_num = np.where(live, _cut_entropy(states, _FORMULA_CUT_QUBITS), np.nan)
+
     rows = []
-    for phi in phis:
-        for thetas in theta_tuples():
-            params = SchemeParams(phi=phi, thetas=thetas)
-            psi = evolve(params)
-            cache = {branch: _branch_measures(psi, params, branch)
-                     for branch in BRANCHES}
-            g1, g2 = gamma_factors(thetas)
-            for eta in etas:
-                row = [phi, *thetas, eta, g1, g2, eta]
-                for branch in BRANCHES:
-                    c_cl, c_num, s_cl, s_num = cache[branch]
-                    row.extend([c_cl, c_num, abs(c_cl - c_num),
-                                s_cl, s_num, abs(s_cl - s_num)])
-                rows.append(row)
+    for (phi, thetas), cl, cs, ss in zip(points, closed, c_num.tolist(), s_num.tolist()):
+        g1, g2 = gamma_factors(thetas)
+        cells = []
+        for (c_cl, s_cl), c, s in zip(cl, cs, ss):
+            cells += [c_cl, c, abs(c_cl - c), s_cl, s, abs(s_cl - s)]
+        rows.extend([phi, *thetas, eta, g1, g2, eta, *cells] for eta in etas)
 
     if args.json:
         payload = {

@@ -53,6 +53,10 @@ class HilbertSpace:
             raise ValueError(f"duplicate factor labels in {labels}")
         if any(d < 1 for _, d in self.factors):
             raise ValueError("factor dimensions must be positive")
+        # Read on every state and operator construction; computed once here.
+        dims = tuple(d for _, d in self.factors)
+        object.__setattr__(self, "_dims", dims)
+        object.__setattr__(self, "_dim", int(np.prod(dims)) if dims else 1)
 
     @staticmethod
     def of(*factors: tuple[str, int]) -> "HilbertSpace":
@@ -64,11 +68,11 @@ class HilbertSpace:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.factors)
+        return self._dims
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims)) if self.factors else 1
+        return self._dim
 
     def axis(self, label: str) -> int:
         """Position of a labeled factor in the ordered factor list."""

@@ -1,9 +1,17 @@
 """Entanglement measures and their closed-form comparators.
 
-Numerical side: Wootters concurrence for arbitrary two-qubit density matrices
-and von Neumann entropy of arbitrary reductions. Closed-form side: the
-protocol's analytic expressions for the concurrence of one qubit pair and the
-entropy of one two-two cut of the post-selected branch states at phi = pi/2.
+Numerical side, two paths. The fast path is an amplitude kernel
+(`_pair_concurrence`, `_cut_entropy`): for a pure four-qubit state every cut
+entropy is a Schmidt spectrum and every pair's Wootters lambdas are singular
+values, both of reshapes of the 16 amplitudes, so stacked states are measured
+with one stacked SVD and no density matrix. `sweep`, the closed-form
+calibration and the concurrences of `measure_report` run on it. The oracle
+path is the density matrix: Wootters `concurrence` for arbitrary two-qubit
+density matrices and `von_neumann_entropy` of arbitrary reductions, reached
+through `density_matrix` and `partial_trace`; the tests check the kernel
+against it. Closed-form side: the protocol's analytic expressions for the
+concurrence of one qubit pair and the entropy of one two-two cut of the
+post-selected branch states at phi = pi/2.
 
 Which pair and which cut the closed forms describe is not guessed: the
 formulas are asymmetric in the theta indices, so `calibrate_closed_forms`
@@ -30,11 +38,12 @@ from .hilbert import (
 )
 from .circuit import (
     ATOMIC_SPACE,
+    BRANCHES,
     BRANCH_PRIME,
     QUBIT_LABELS,
     SchemeParams,
     check_branch,
-    closed_form_chi,
+    closed_form_pair,
 )
 
 # Genuine multipartite entanglement signature: every pairwise concurrence
@@ -182,6 +191,80 @@ def bipartition_entropy(state: StateVector, cut: Bipartition) -> float:
     return s_a
 
 
+# Amplitude kernel. Amplitudes are stacked as (..., 16) and qubits are given
+# as indices (q1 = 0). A side of k qubits is one index tuple, giving results
+# of shape (...); an (n, k) array of sides gives (..., n), in one SVD.
+
+_BITS = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1     # (16, 4)
+
+
+def _qubits(labels: Sequence[str]) -> tuple[int, ...]:
+    return tuple(QUBIT_LABELS.index(q) for q in labels)
+
+
+def _split(amps: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """Amplitudes (..., 16) as side-by-rest matrices (..., n, 2^k, 2^(4-k)).
+
+    `sides` is an (n, k) array of qubit indices. Row digits are the side's
+    qubits, column digits the other qubits, each in the given order, so a
+    matrix m has m m^dag as the side's reduced density matrix.
+    """
+    n, k = sides.shape
+    rest = [[q for q in range(4) if q not in side] for side in sides.tolist()]
+    order = np.concatenate([sides, rest], axis=1)
+    # Flat amplitude index behind each digit string of the reordered qubits.
+    index = (_BITS << (3 - order)[:, None, :]).sum(axis=-1)
+    return amps[..., index].reshape(*amps.shape[:-1], n, 1 << k, 1 << (4 - k))
+
+
+def _pair_concurrence(amps: np.ndarray, pair) -> np.ndarray:
+    """Wootters concurrence of a qubit pair of normalized pure states.
+
+    With m the pair-by-rest matrix, the singular values of m^T (sy x sy) m
+    are the Wootters lambdas of the pair's reduction m m^dag; the result is
+    max(0, l_0 - l_1 - l_2 - l_3), as in `concurrence`.
+    """
+    sides = np.asarray(pair, dtype=int)
+    m = _split(amps, sides.reshape(-1, 2))
+    lam = np.linalg.svd(np.swapaxes(m, -1, -2) @ _YY @ m, compute_uv=False)
+    c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return c if sides.ndim == 2 else c[..., 0]
+
+
+def _cut_entropy(amps: np.ndarray, side_a) -> np.ndarray:
+    """Entanglement entropy (bits) of normalized pure states across side_a | rest.
+
+    The Schmidt probabilities p = s^2 drop p <= 1e-15 and the entropy is
+    clamped at 0, as in `von_neumann_entropy`.
+    """
+    sides = np.asarray(side_a, dtype=int)
+    s = np.linalg.svd(_split(amps, sides.reshape(-1, sides.shape[-1])),
+                      compute_uv=False)
+    p = s * s
+    keep = p > 1e-15
+    h = -np.sum(np.where(keep, p * np.log2(np.where(keep, p, 1.0)), 0.0), axis=-1)
+    h = np.maximum(0.0, h)
+    return h if sides.ndim == 2 else h[..., 0]
+
+
+_PAIR_QUBITS = tuple(_qubits(pair) for pair in PAIRS)
+_PAIR_CUT_QUBITS = tuple(_qubits(cut.side_a) for cut in PAIR_CUTS)
+_SINGLE_CUT_QUBITS = tuple(_qubits(cut.side_a) for cut in SINGLE_CUTS)
+
+
+def _closed_form_branches(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form branches (chi', chi'') at phi = pi/2, one per row of thetas.
+
+    Returns the normalized amplitudes (n, 2, 16) and the norms (n, 2); a
+    zero branch stays zero.
+    """
+    pairs = [closed_form_pair(SchemeParams(math.pi / 2.0, tuple(th))) for th in thetas]
+    amps = np.array([[chi.amp for chi in pair] for pair in pairs],
+                    dtype=complex).reshape(len(pairs), 2, 16)
+    norms = np.linalg.norm(amps, axis=-1)
+    return amps / np.where(norms > 0.0, norms, 1.0)[..., None], norms
+
+
 def _binary_like_entropy(delta: float) -> float:
     # S = 1 - (1/2)[(1+d)log2(1+d) + (1-d)log2(1-d)], extended continuously
     # to |d| = 1 where it reaches 0.
@@ -218,8 +301,7 @@ def measure_report(state: StateVector) -> MeasureReport:
         raise ValueError("state must live on the four-qubit space")
     if not state.is_normalized:
         raise ValueError("state must be normalized")
-    rho = density_matrix(state)
-    pairwise = {pair: concurrence(partial_trace(rho, list(pair))) for pair in PAIRS}
+    pairwise = dict(zip(PAIRS, _pair_concurrence(state.amp, _PAIR_QUBITS).tolist()))
     pair_ent = {cut: bipartition_entropy(state, cut) for cut in PAIR_CUTS}
     single_ent = {cut.side_a[0]: bipartition_entropy(state, cut) for cut in SINGLE_CUTS}
     genuine = (all(c <= GENUINE_CONCURRENCE_TOL for c in pairwise.values())
@@ -239,23 +321,21 @@ def calibrate_closed_forms(n_samples: int = 40, seed: int = 20260823,
     stays below match_tol.
     """
     rng = np.random.default_rng(seed)
-    pair_dev = {branch: {pair: 0.0 for pair in PAIRS} for branch in ("prime", "double_prime")}
-    cut_dev = {branch: {str(cut): 0.0 for cut in PAIR_CUTS} for branch in ("prime", "double_prime")}
-
-    for _ in range(n_samples):
-        th = tuple(rng.uniform(0.1, 1.4, size=4))
-        for branch in ("prime", "double_prime"):
-            chi = closed_form_chi(SchemeParams(math.pi / 2.0, th), branch)
-            state = chi.normalized()
-            rho = density_matrix(state)
-            lam = concurrence_closed_form(th, branch)
-            s_closed = entropy_closed_form(th, branch)
-            for pair in PAIRS:
-                c = concurrence(partial_trace(rho, list(pair)))
-                pair_dev[branch][pair] = max(pair_dev[branch][pair], abs(c - lam))
-            for cut in PAIR_CUTS:
-                s = bipartition_entropy(state, cut)
-                cut_dev[branch][str(cut)] = max(cut_dev[branch][str(cut)], abs(s - s_closed))
+    thetas = rng.uniform(0.1, 1.4, size=(n_samples, 4))
+    states, _ = _closed_form_branches(thetas)
+    lam = np.empty((n_samples, 2))
+    s_closed = np.empty((n_samples, 2))
+    for i, th in enumerate(map(tuple, thetas)):
+        for j, branch in enumerate(BRANCHES):
+            lam[i, j] = concurrence_closed_form(th, branch)
+            s_closed[i, j] = entropy_closed_form(th, branch)
+    c_dev = np.abs(_pair_concurrence(states, _PAIR_QUBITS) - lam[..., None])
+    s_dev = np.abs(_cut_entropy(states, _PAIR_CUT_QUBITS) - s_closed[..., None])
+    c_dev, s_dev = c_dev.max(axis=0, initial=0.0), s_dev.max(axis=0, initial=0.0)
+    pair_dev = {branch: dict(zip(PAIRS, c_dev[j].tolist()))
+                for j, branch in enumerate(BRANCHES)}
+    cut_dev = {branch: dict(zip(map(str, PAIR_CUTS), s_dev[j].tolist()))
+               for j, branch in enumerate(BRANCHES)}
 
     matching_pairs = {
         branch: [pair for pair, dev in devs.items() if dev <= match_tol]

@@ -52,6 +52,9 @@ from .measures import (
     FORMULA_CUT,
     FORMULA_PAIR,
     SINGLE_CUTS,
+    _SINGLE_CUT_QUBITS,
+    _closed_form_branches,
+    _cut_entropy,
     bipartition_entropy,
     calibrate_closed_forms,
     concurrence_closed_form,
@@ -460,19 +463,14 @@ def _check_detection(rng: np.random.Generator) -> tuple:
 
 
 def _one_vs_three_entry(rng: np.random.Generator) -> dict:
-    worst = 0.0
-    for _ in range(25):
-        thetas = tuple(float(t) for t in rng.uniform(0.1, 1.4, size=4))
-        params = SchemeParams(phi=np.pi / 2.0, thetas=thetas)
-        for branch in BRANCHES:
-            chi = closed_form_chi(params, branch)
-            if chi.norm < 1e-6:
-                continue
-            state = chi.normalized()
-            formula = entropy_closed_form(thetas, branch)
-            for cut in SINGLE_CUTS:
-                dev = abs(bipartition_entropy(state, cut) - formula)
-                worst = max(worst, float(dev))
+    thetas = rng.uniform(0.1, 1.4, size=(25, 4))
+    states, norms = _closed_form_branches(thetas)
+    live = norms >= 1e-6
+    formula = np.zeros(live.shape)
+    for i, j in zip(*np.nonzero(live)):
+        formula[i, j] = entropy_closed_form(tuple(thetas[i]), BRANCHES[j])
+    dev = np.abs(_cut_entropy(states, _SINGLE_CUT_QUBITS) - formula[..., None])
+    worst = float(dev[live].max(initial=0.0))
     at_pi4 = bipartition_entropy(ges_target_state(BRANCH_PRIME), SINGLE_CUTS[0])
     return {
         "agrees": False,

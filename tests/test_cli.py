@@ -5,9 +5,11 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ges4 import cli, measures
+from ges4.hilbert import StateVector
 from ges4.cli import CliInputError, parse_angle, parse_axis, parse_thetas
 
 
@@ -172,6 +174,62 @@ def test_sweep_json_uses_null_for_nan(capsys):
     assert len(doc["rows"]) == 3
     assert doc["rows"][0]["conc_closed_double_prime"] is None
     assert abs(doc["rows"][1]["entropy_closed_prime"] - 1.0) < 1e-12
+
+
+_DENSE_MEASURES = ("density_matrix", "partial_trace", "concurrence",
+                   "bipartition_entropy", "von_neumann_entropy")
+_SMALL_SWEEP = ["sweep", "--phi", "0:pi:3", "--theta1", "0:pi/2:3",
+                "--theta3", "0.2:1.1:2", "--eta", "0.5,1", "--csv"]
+
+
+def test_sweep_measures_states_without_density_matrices(capsys, monkeypatch):
+    import ges4
+    from ges4 import circuit, hilbert, verify
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("density-matrix measure on the sweep path")
+
+    for module in (ges4, hilbert, circuit, measures, verify, cli):
+        for name in _DENSE_MEASURES:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert cli.main(_SMALL_SWEEP) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 3 * 3 * 2 * 2
+    assert any(row["conc_numeric_prime"] not in ("nan", "0") for row in rows)
+
+
+def test_sweep_measures_the_states_evolve_returns(capsys, monkeypatch):
+    # The sweep must take its states from cli.evolve once per point, so a
+    # broken circuit (here: one amplitude's sign flipped) changes the table.
+    assert cli.main(_SMALL_SWEEP) == 0
+    clean = capsys.readouterr().out
+    real_evolve = cli.evolve
+    calls = []
+
+    def flipped_evolve(params):
+        state = real_evolve(params)
+        calls.append(params)
+        amp = np.array(state.amp)
+        k = int(np.argmax(np.abs(amp)))
+        amp[k] = -amp[k]
+        return StateVector(state.space, amp)
+
+    monkeypatch.setattr(cli, "evolve", flipped_evolve)
+    assert cli.main(_SMALL_SWEEP) == 0
+    assert capsys.readouterr().out != clean
+    assert len(calls) == 3 * 3 * 2
+
+
+def test_sweep_closed_form_inconsistency_exits_2(capsys, monkeypatch):
+    def inconsistent(thetas, branch):
+        raise measures.ClosedFormInconsistencyError("delta = 1.5 lies outside [-1, 1]")
+
+    monkeypatch.setattr(cli, "entropy_closed_form", inconsistent)
+    assert cli.main(_SMALL_SWEEP) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: delta = 1.5 lies outside [-1, 1]\n"
 
 
 def test_sweep_point_cap(capsys):

@@ -1,0 +1,75 @@
+"""Golden outputs: `ges4 verify --seed 0 --json` and a small sweep CSV.
+
+The files in tests/golden/ were written by the density-matrix measures,
+before the amplitude kernel took over the sweep, the calibration and the
+pairwise concurrences. Everything but floats must match exactly: keys,
+check names, details, flags, the CSV header, the row count and where NaN
+stands. Floats may move by roundoff: 1e-12 in general, and 1e-10 (EIG_TOL)
+for the sweep's concurrence and entropy columns, which came out of
+eigensolvers on the old route.
+"""
+
+import csv
+import io
+import json
+import math
+from pathlib import Path
+
+from ges4 import cli
+from ges4.hilbert import EIG_TOL, STRUCT_TOL
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# Regenerate with: ges4 <argv>  > tests/golden/<file>
+VERIFY_ARGV = ["verify", "--seed", "0", "--json"]
+SWEEP_ARGV = ["sweep", "--phi", "0:pi/2:3", "--theta1", "0:pi/2:3",
+              "--theta2", "0:pi/2:3", "--theta3", "0:1.1:2",
+              "--theta4", "0.4:pi/2:2", "--eta", "0.3,1", "--csv"]
+
+
+def _run(capsys, argv) -> str:
+    rc = cli.main(argv)
+    assert rc == 0
+    return capsys.readouterr().out
+
+
+def _assert_same(got, want, path="$"):
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            _assert_same(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= STRUCT_TOL, (path, got, want)
+    else:
+        assert got == want, path
+
+
+def test_verify_seed0_matches_golden(capsys):
+    want = json.loads((GOLDEN / "verify_seed0.json").read_text())
+    got = json.loads(_run(capsys, VERIFY_ARGV))
+    _assert_same(got, want)
+
+
+def test_sweep_matches_golden(capsys):
+    want = list(csv.reader(io.StringIO((GOLDEN / "sweep_small.csv").read_text())))
+    got = list(csv.reader(io.StringIO(_run(capsys, SWEEP_ARGV))))
+    header = want[0]
+    assert got[0] == header
+    assert len(got) == len(want)
+    n_nan = 0
+    for line, (row_got, row_want) in enumerate(zip(got[1:], want[1:]), start=2):
+        for column, g, w in zip(header, row_got, row_want, strict=True):
+            g, w = float(g), float(w)
+            assert math.isnan(g) == math.isnan(w), (line, column)
+            if math.isnan(w):
+                n_nan += 1
+                continue
+            tol = EIG_TOL if column.startswith(("conc_", "entropy_")) else STRUCT_TOL
+            assert abs(g - w) <= tol, (line, column, g, w)
+    # the grid has empty branches and degenerate closed forms
+    assert n_nan > 0

@@ -6,20 +6,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ges4 import measures
 
-from ges4.hilbert import (HilbertSpace, InvariantError, StateVector, density_matrix,
-                          partial_trace, DensityMatrix)
+from ges4.hilbert import (EIG_TOL, HilbertSpace, InvariantError, StateVector,
+                          density_matrix, partial_trace, DensityMatrix)
 from ges4.circuit import (
     ATOMIC_SPACE,
     BRANCHES,
     BRANCH_DOUBLE_PRIME,
     BRANCH_PRIME,
+    DetectionOutcome,
     SchemeParams,
     closed_form_chi,
+    detect,
+    evolve,
+    photon_branch,
 )
 from ges4.measures import (
     FORMULA_CUT,
@@ -34,6 +41,9 @@ from ges4.measures import (
     concurrence,
     concurrence_closed_form,
     entropy_closed_form,
+    _cut_entropy,
+    _pair_concurrence,
+    _qubits,
     measure_report,
     von_neumann_entropy,
 )
@@ -217,3 +227,160 @@ def test_invariant_check_survives_optimized_mode():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "raised 1", out.stderr
+
+
+# ---------------------------------------------------------------------------
+# amplitude kernel vs the density-matrix oracle
+
+ALL_CUTS = (*PAIR_CUTS, *SINGLE_CUTS)
+
+
+def _state(amp) -> StateVector:
+    amp = np.asarray(amp, dtype=complex)
+    return StateVector(ATOMIC_SPACE, amp / np.linalg.norm(amp))
+
+
+def _qubit(theta, phase=0.0):
+    return np.array([math.cos(theta), math.sin(theta) * np.exp(1j * phase)])
+
+
+def _kron(*factors):
+    out = np.ones(1, dtype=complex)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+_BELL = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+
+
+def _near_empty_branch(weight: float) -> StateVector:
+    # At phi = pi/2, theta_i = e gives the chi'' branch the weight 4 e^2.
+    e = math.sqrt(weight) / 2.0
+    return photon_branch(evolve(SchemeParams(PI / 2, (e, e, e, e))), 1, 0).normalized()
+
+
+SPECIAL_STATES = {
+    "product": _state(_kron(_qubit(0.3, 0.5), _qubit(1.1, -0.2),
+                            _qubit(0.7, 2.0), _qubit(0.2, 0.1))),
+    **{name: canonical_state(name) for name in ("ghz4", "w4", "cl4", "d4")},
+    "bell12_product": _state(_kron(_BELL, _qubit(0.3, 0.5), _qubit(1.1, -0.2))),
+    "bell34_product": _state(_kron(_qubit(0.3, 0.5), _qubit(1.1, -0.2), _BELL)),
+    # Bell pair on the non-adjacent qubits q1, q3
+    "bell13_product": _state(_kron(_BELL, _qubit(0.9), _qubit(0.4, 1.0))
+                             .reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(16)),
+    **{f"basis_{i:04b}": _state(np.eye(16)[i]) for i in range(16)},
+    "branch_weight_1e-12": _near_empty_branch(1e-12),
+}
+
+
+def _oracle_concurrence(state: StateVector, pair) -> tuple[float, float]:
+    """Dense concurrence of a pair and the smallest eigenvalue of its reduction."""
+    rho = partial_trace(density_matrix(state), list(pair))
+    return concurrence(rho), float(np.linalg.eigvalsh(rho.mat)[0])
+
+
+def _assert_kernel_matches_oracle(state: StateVector) -> None:
+    for pair in PAIRS:
+        dense, w_min = _oracle_concurrence(state, pair)
+        # The dense route takes square roots of the reduction's eigenvalues,
+        # so roundoff of size eps on an eigenvalue near zero moves it by up
+        # to about sqrt(eps) (1.4e-8 measured against a 40-digit evaluation;
+        # see test_kernel_concurrence_is_exact_where_the_dense_route_is_not).
+        # Where every eigenvalue is at least 1e-10 its error is below 1e-11.
+        tol = EIG_TOL if w_min >= 1e-10 else 1e-6
+        assert abs(float(_pair_concurrence(state.amp, _qubits(pair))) - dense) <= tol, pair
+    for cut in ALL_CUTS:
+        got = float(_cut_entropy(state.amp, _qubits(cut.side_a)))
+        assert abs(got - bipartition_entropy(state, cut)) <= EIG_TOL, str(cut)
+        assert abs(float(_cut_entropy(state.amp, _qubits(cut.side_b))) - got) <= EIG_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32))
+def test_kernel_matches_dense_oracle_on_random_states(parts):
+    amp = np.array(parts[:16]) + 1j * np.array(parts[16:])
+    assume(np.linalg.norm(amp) > 1e-3)
+    _assert_kernel_matches_oracle(_state(amp))
+
+
+@pytest.mark.parametrize("name", sorted(SPECIAL_STATES))
+def test_kernel_matches_dense_oracle_on_special_states(name):
+    _assert_kernel_matches_oracle(SPECIAL_STATES[name])
+
+
+@settings(max_examples=25, deadline=None)
+@given(phi=st.floats(3e-7, 3e-6),
+       thetas=st.lists(st.floats(0.1, 1.4), min_size=4, max_size=4))
+def test_kernel_matches_dense_oracle_on_near_empty_branches(phi, thetas):
+    # Close to phi = 0 the photon almost always leaves towards D2, so the
+    # D1 branch keeps a weight of about 1e-13 to 1e-11.
+    chi = photon_branch(evolve(SchemeParams(phi, tuple(thetas))), 1, 0)
+    assert chi.norm ** 2 < 1e-10
+    _assert_kernel_matches_oracle(chi.normalized())
+
+
+def test_kernel_stacked_equals_one_at_a_time():
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=(5, 2, 16)) + 1j * rng.normal(size=(5, 2, 16))
+    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+    pairs = [_qubits(p) for p in PAIRS]
+    conc = _pair_concurrence(amps, pairs)
+    assert conc.shape == (5, 2, 6)
+    for k, pair in enumerate(pairs):
+        stacked_pair = _pair_concurrence(amps, pair)
+        assert np.array_equal(stacked_pair, conc[..., k])
+        for i, j in np.ndindex(5, 2):
+            assert _pair_concurrence(amps[i, j], pair) == conc[i, j, k]
+    for sides in ([_qubits(c.side_a) for c in PAIR_CUTS],
+                  [_qubits(c.side_a) for c in SINGLE_CUTS]):
+        ent = _cut_entropy(amps, sides)
+        assert ent.shape == (5, 2, len(sides))
+        for k, side in enumerate(sides):
+            for i, j in np.ndindex(5, 2):
+                assert _cut_entropy(amps[i, j], side) == ent[i, j, k]
+
+
+def _mp_concurrence(amp, pair, dps: int = 40):
+    """Wootters concurrence from its definition, in dps-digit arithmetic:
+    descending square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy),
+    with rho the pair's reduction of the (exactly converted) amplitudes."""
+    mp = mpmath.mp
+    with mp.workdps(dps):
+        rest = [q for q in range(4) if q not in pair]
+        m = mp.matrix(4, 4)
+        for idx in range(16):
+            bits = [(idx >> (3 - q)) & 1 for q in range(4)]
+            m[2 * bits[pair[0]] + bits[pair[1]], 2 * bits[rest[0]] + bits[rest[1]]] = (
+                mp.mpc(float(amp[idx].real), float(amp[idx].imag)))
+        rho = m * m.H
+        yy = mp.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+        mu = mp.eig(rho * yy * rho.conjugate() * yy, left=False, right=False)
+        lam = sorted((mp.sqrt(max(mp.re(x), 0)) for x in mu), reverse=True)
+        return max(mp.mpf(0), lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def test_measure_report_concurrence_is_exact_at_a_nearly_rank_deficient_pair():
+    # D1 branch of weight 0.0063: the dense sqrt(rho) route is off by 4.1e-12
+    # on q1q2 here; measure_report runs the amplitude kernel instead.
+    params = SchemeParams(phi=3.19769, thetas=(1.468, 1.509, 0.747, 1.128))
+    state, _ = detect(evolve(params), DetectionOutcome.D1_CLICK_D2_NULL, eta=1.0)
+    exact = _mp_concurrence(state.amp, (0, 1))
+    reported = measure_report(state).pairwise_concurrence[("q1", "q2")]
+    assert abs(reported - exact) <= 1e-15
+    assert abs(float(_pair_concurrence(state.amp, (0, 1))) - exact) <= 1e-15
+
+
+def test_kernel_concurrence_is_exact_where_the_dense_route_is_not():
+    # Rank-deficient pair reductions: the near-empty branch at phi = pi/2
+    # (dense error 8e-10 on q1q2) and a sparse real state (dense error
+    # 1.4e-8 on q3q4). The kernel stays within roundoff of the 40-digit
+    # value on every pair.
+    sparse = np.zeros(16, dtype=complex)
+    sparse[[0b0000, 0b0010, 0b0011, 0b1010, 0b1110]] = [-1.4, 0.4, 0.2, 2.4, -0.2]
+    for state in (_near_empty_branch(1e-11), _state(sparse)):
+        got = _pair_concurrence(state.amp, [_qubits(p) for p in PAIRS])
+        for value, pair in zip(got, PAIRS):
+            exact = _mp_concurrence(state.amp, _qubits(pair))
+            assert abs(value - exact) <= 1e-15, pair
+            assert abs(_oracle_concurrence(state, pair)[0] - exact) <= 1e-6, pair
