@@ -17,11 +17,15 @@ exp(-i phi n0) on arm U and exp(-i phi n1) on arm L (n0 and n1 count the
 qubits in |0> and |1>), then the splitter block again. `mz_circuit` builds
 the dense 64x64 unitary from the cavity generators; it is the oracle the
 verification suite checks the fast path against, together with the closed
-forms of `closed_form_pair`.
+forms of `closed_form_pair`. The oracle diagonalises each cavity generator
+once, on first use, and caches the eigensystem (w, v, v^dag); phi enters
+only through the eigenphases, exp(-i phi G) = v diag(exp(-i phi w)) v^dag,
+so every circuit is still a product of five dense 64x64 factors.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -38,7 +42,6 @@ from .hilbert import (
     InvariantError,
     StateVector,
     Operator,
-    basis_state,
     canonical_phase,
     embed,
     tensor,
@@ -192,23 +195,20 @@ def phase_from_physical(p: PhysicalParams) -> float:
     return p.dipole**2 * field**2 * p.tau / (p.hbar**2 * p.detuning)
 
 
+@functools.cache
 def beam_splitter() -> Operator:
     """50/50 splitter exp[-i (pi/4)(a_U^+ a_L + a_L^+ a_U)] on the photonic sector.
 
     Maps |10> to (|10> - i|01>)/sqrt(2); conserves photon number, so |00> and
-    |11> are fixed points of the truncated generator.
+    |11> are fixed points of the truncated generator. Computed once; every
+    call returns the same immutable Operator.
     """
     gen = (math.pi / 4.0) * (np.kron(_RAISE, _LOWER) + np.kron(_LOWER, _RAISE))
     return unitary_exp(Operator(PHOTONIC_SPACE, gen))
 
 
-def atom_photon_unitary(qubit_index: int, phi: float) -> Operator:
-    """Dispersive cavity interaction exp[-i phi (n_U |0><0|_i + n_L |1><1|_i)].
-
-    The photon picks up phase phi from cavity i when either the upper mode is
-    occupied with the atom in |0>, or the lower mode is occupied with the atom
-    in |1>. Acts as identity on the other three qubits.
-    """
+def _cavity_generator(qubit_index: int) -> Operator:
+    """Generator n_U |0><0|_i + n_L |1><1|_i of cavity i on the full space."""
     if qubit_index not in (1, 2, 3, 4):
         raise ValueError("qubit_index must be in 1..4")
     qubit = QUBIT_LABELS[qubit_index - 1]
@@ -217,27 +217,75 @@ def atom_photon_unitary(qubit_index: int, phi: float) -> Operator:
     p1 = Operator(qubit_space, np.diag([0.0, 1.0]).astype(complex))
     n_u = Operator(HilbertSpace.of(("U", 2)), _NUMBER)
     n_l = Operator(HilbertSpace.of(("L", 2)), _NUMBER)
-    gen = (embed(tensor(n_u, p0), ["U", qubit], FULL_SPACE).mat
-           + embed(tensor(n_l, p1), ["L", qubit], FULL_SPACE).mat)
-    return unitary_exp(Operator(FULL_SPACE, float(phi) * gen))
+    gen = Operator(FULL_SPACE,
+                   embed(tensor(n_u, p0), ["U", qubit], FULL_SPACE).mat
+                   + embed(tensor(n_l, p1), ["L", qubit], FULL_SPACE).mat)
+    if not gen.is_hermitian:
+        raise InvariantError(f"cavity {qubit_index} generator is not Hermitian")
+    return gen
+
+
+@functools.cache
+def _cavity_eigensystem(qubit_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, v, v^dag) of cavity i's generator, diagonalised on first use."""
+    w, v = np.linalg.eigh(_cavity_generator(qubit_index).mat)
+    vh = v.conj().T
+    for arr in (w, v, vh):
+        arr.setflags(write=False)
+    return w, v, vh
+
+
+def _cavity_factor(qubit_index: int, phi: float) -> np.ndarray:
+    """exp(-i phi G_i) as a dense matrix, from the cached eigensystem."""
+    w, v, vh = _cavity_eigensystem(qubit_index)
+    return (v * np.exp(-1j * (float(phi) * w))) @ vh
+
+
+def atom_photon_unitary(qubit_index: int, phi: float) -> Operator:
+    """Dispersive cavity interaction exp[-i phi (n_U |0><0|_i + n_L |1><1|_i)].
+
+    The photon picks up phase phi from cavity i when either the upper mode is
+    occupied with the atom in |0>, or the lower mode is occupied with the atom
+    in |1>. Acts as identity on the other three qubits. The generator's
+    eigensystem is computed once and cached; phi enters only through the
+    eigenphases exp(-i phi w).
+    """
+    return Operator(FULL_SPACE, _cavity_factor(qubit_index, phi))
+
+
+@functools.lru_cache(maxsize=8)
+def _embedded_splitter(space: HilbertSpace, mat_bytes: bytes) -> np.ndarray:
+    """A photonic splitter extended by identity on the qubits, keyed on its entries."""
+    mat = np.frombuffer(mat_bytes, dtype=complex).reshape(space.dim, space.dim)
+    return embed(Operator(space, mat), ["U", "L"], FULL_SPACE).mat
 
 
 def _dense_circuit(phi: float, splitter: Operator) -> Operator:
-    """Dense 64x64 interferometer with a given photonic splitter."""
-    bs = embed(splitter, ["U", "L"], FULL_SPACE)
+    """Dense 64x64 interferometer with a given photonic splitter.
+
+    The splitter's embedding is cached on its matrix entries, so a changed
+    splitter is never served a stale embedding.
+    """
+    bs = _embedded_splitter(splitter.space, splitter.mat.tobytes())
     u = bs
     for i in (1, 2, 3, 4):
-        u = atom_photon_unitary(i, phi) @ u
-    return bs @ u
+        u = _cavity_factor(i, phi) @ u
+    return Operator(FULL_SPACE, bs @ u)
 
 
 def mz_circuit(phi: float) -> Operator:
     """Full interferometer as a dense unitary: splitter, four cavities, splitter.
 
     This is the slow oracle built from the cavity generators; `evolve` does
-    not use it.
+    not use it. Each call forms five dense 64x64 factors and multiplies them;
+    the generators' eigensystems are cached, so phi enters only through the
+    eigenphases and no call runs an eigensolver after the first.
     """
     return _dense_circuit(phi, beam_splitter())
+
+
+# Photon in arm U, as amplitudes over the photonic basis |00>, |01>, |10>, |11>.
+_PHOTON_IN_U = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
 
 
 def initial_state(thetas: Sequence[float]) -> StateVector:
@@ -245,12 +293,10 @@ def initial_state(thetas: Sequence[float]) -> StateVector:
     th = tuple(float(t) for t in thetas)
     if len(th) != 4:
         raise ValueError("four angles required")
-    psi = basis_state(PHOTONIC_SPACE, "10")
-    for q, t in zip(QUBIT_LABELS, th):
-        qubit = StateVector(HilbertSpace.of((q, 2)),
-                            np.array([math.cos(t), math.sin(t)], dtype=complex))
-        psi = tensor(psi, qubit)
-    return psi
+    amp = _PHOTON_IN_U
+    for t in th:
+        amp = np.kron(amp, np.array([math.cos(t), math.sin(t)], dtype=complex))
+    return StateVector(FULL_SPACE, amp)
 
 
 # Photonic basis indices of the one-photon sector, photon in arm U then L.
@@ -314,11 +360,15 @@ def photon_branch(psi: StateVector, n_u: int, n_l: int) -> StateVector:
     return StateVector(ATOMIC_SPACE, psi.amp[_branch_slice(n_u, n_l)])
 
 
-def _string_amplitude(bits: str, thetas: Sequence[float]) -> float:
-    amp = 1.0
-    for bit, t in zip(bits, thetas):
-        amp *= math.cos(t) if bit == "0" else math.sin(t)
-    return amp
+# (flat index, bits, weight group) of every four-qubit basis string, in the
+# order `closed_form_pair` accumulates them; group g takes the g-th weight
+# pair there.
+_CLOSED_FORM_TERMS = tuple(
+    (ATOMIC_SPACE.index_of([int(c) for c in bits]), tuple(c == "1" for c in bits), group)
+    for group, strings in enumerate((("0000",), ("1111",), _STRINGS_W1,
+                                     _STRINGS_W3, _STRINGS_W2))
+    for bits in strings
+)
 
 
 def closed_form_pair(params: SchemeParams) -> tuple[StateVector, StateVector]:
@@ -334,19 +384,17 @@ def closed_form_pair(params: SchemeParams) -> tuple[StateVector, StateVector]:
     phi, th = params.phi, params.thetas
     prime = np.zeros(ATOMIC_SPACE.dim, dtype=complex)
     dprime = np.zeros(ATOMIC_SPACE.dim, dtype=complex)
-
-    def put(strings, w_prime, w_dprime):
-        for bits in strings:
-            idx = ATOMIC_SPACE.index_of([int(c) for c in bits])
-            a = _string_amplitude(bits, th)
-            prime[idx] += w_prime * a
-            dprime[idx] += w_dprime * a
-
-    put(("0000",), math.cos(2 * phi), math.sin(2 * phi))
-    put(("1111",), math.cos(2 * phi), -math.sin(2 * phi))
-    put(_STRINGS_W1, math.cos(phi), math.sin(phi))
-    put(_STRINGS_W3, math.cos(phi), -math.sin(phi))
-    put(_STRINGS_W2, 1.0, 0.0)
+    cos1, sin1 = math.cos(phi), math.sin(phi)
+    cos2, sin2 = math.cos(2 * phi), math.sin(2 * phi)
+    weights = ((cos2, sin2), (cos2, -sin2), (cos1, sin1), (cos1, -sin1), (1.0, 0.0))
+    factors = [(math.cos(t), math.sin(t)) for t in th]
+    for idx, bits, group in _CLOSED_FORM_TERMS:
+        a = 1.0
+        for bit, (c, s) in zip(bits, factors):
+            a *= s if bit else c
+        w_prime, w_dprime = weights[group]
+        prime[idx] += w_prime * a
+        dprime[idx] += w_dprime * a
 
     total = float(np.linalg.norm(prime)**2 + np.linalg.norm(dprime)**2)
     if abs(total - 1.0) > STRUCT_TOL:

@@ -438,24 +438,31 @@ def cmd_sweep(args) -> int:
     c_num = np.where(live, _pair_concurrence(states, _FORMULA_PAIR_QUBITS), np.nan)
     s_num = np.where(live, _cut_entropy(states, _FORMULA_CUT_QUBITS), np.nan)
 
-    rows = []
+    # Per point, the cells before eta and the cells after it; a row is
+    # head, eta, gamma1, gamma2, eta (the success probability), the rest.
+    split_rows = []
     for (phi, thetas), cl, cs, ss in zip(points, closed, c_num.tolist(), s_num.tolist()):
-        g1, g2 = gamma_factors(thetas)
-        cells = []
+        tail = list(gamma_factors(thetas))
         for (c_cl, s_cl), c, s in zip(cl, cs, ss):
-            cells += [c_cl, c, abs(c_cl - c), s_cl, s, abs(s_cl - s)]
-        rows.extend([phi, *thetas, eta, g1, g2, eta, *cells] for eta in etas)
+            tail += [c_cl, c, abs(c_cl - c), s_cl, s, abs(s_cl - s)]
+        split_rows.append(([phi, *thetas], tail))
+
+    def rows(format_cell):
+        # each cell that does not depend on eta is formatted once per point
+        etas_out = [format_cell(eta) for eta in etas]
+        for head, tail in split_rows:
+            head, tail = [format_cell(v) for v in head], [format_cell(v) for v in tail]
+            for eta in etas_out:
+                yield [*head, eta, *tail[:2], eta, *tail[2:]]
 
     if args.json:
         payload = {
             "columns": _SWEEP_COLUMNS,
-            "rows": [{col: _jsonable(v) for col, v in zip(_SWEEP_COLUMNS, row)}
-                     for row in rows],
+            "rows": [dict(zip(_SWEEP_COLUMNS, row)) for row in rows(_jsonable)],
         }
         _emit(_json_text(payload), args)
     else:
-        _emit(_csv_text(_SWEEP_COLUMNS, [[_fmt(v) for v in row] for row in rows]),
-              args)
+        _emit(_csv_text(_SWEEP_COLUMNS, rows(_fmt)), args)
     return 0
 
 

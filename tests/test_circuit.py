@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ges4 import circuit, cli
-from ges4.hilbert import PAULIS, HilbertSpace, Operator, StateVector, basis_state, embed, inner, tensor
+from ges4.hilbert import (
+    PAULIS, HilbertSpace, Operator, StateVector, basis_state, embed, inner, tensor,
+    unitary_exp,
+)
 from ges4.circuit import (
     ATOMIC_SPACE,
     BRANCHES,
@@ -385,3 +388,55 @@ def test_prepare_ges_default_picks_the_more_probable_click():
     # prod cos(2 theta) < 0 makes the d1 branch (Gamma_2) the likelier one
     prepared = prepare_ges(SchemeParams(phi=PI / 2, thetas=(0.3, 0.3, 0.3, 1.2)))
     assert prepared.outcome is DetectionOutcome.D1_CLICK_D2_NULL
+
+
+# ---------------------------------------------------------------------------
+# dense oracle: cached generator eigensystems vs freshly built factors
+
+_ORACLE_PHIS = st.one_of(st.floats(-10.0, 10.0),
+                         st.sampled_from([0.0, -PI, PI / 2, 2 * PI]))
+
+
+def _fresh_generator(qubit_index):
+    # n_U |0><0|_i + n_L |1><1|_i, built here without the circuit module
+    qubit = f"q{qubit_index}"
+    qubit_space = HilbertSpace.of((qubit, 2))
+    number = np.diag([0.0, 1.0]).astype(complex)
+    terms = []
+    for mode, projector in (("U", np.diag([1.0, 0.0])), ("L", np.diag([0.0, 1.0]))):
+        local = tensor(Operator(HilbertSpace.of((mode, 2)), number),
+                       Operator(qubit_space, projector.astype(complex)))
+        terms.append(embed(local, [mode, qubit], FULL_SPACE).mat)
+    return terms[0] + terms[1]
+
+
+def _fresh_factor(qubit_index, phi):
+    return unitary_exp(Operator(FULL_SPACE, phi * _fresh_generator(qubit_index))).mat
+
+
+@settings(max_examples=100, deadline=None)
+@given(qubit_index=st.integers(1, 4), phi=_ORACLE_PHIS)
+def test_atom_photon_unitary_equals_a_fresh_exponential(qubit_index, phi):
+    got = atom_photon_unitary(qubit_index, phi).mat
+    np.testing.assert_allclose(got, _fresh_factor(qubit_index, phi), rtol=0, atol=1e-13)
+
+
+@settings(max_examples=50, deadline=None)
+@given(phi=_ORACLE_PHIS, conjugate=st.booleans())
+def test_dense_circuit_equals_a_product_of_fresh_factors(phi, conjugate):
+    # alternating splitters also show the embedded-splitter cache never goes stale
+    splitter = _conjugated_splitter() if conjugate else beam_splitter()
+    bs = embed(splitter, ["U", "L"], FULL_SPACE).mat
+    want = bs
+    for i in (1, 2, 3, 4):
+        want = _fresh_factor(i, phi) @ want
+    want = bs @ want
+    got = _dense_circuit(phi, splitter).mat
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_beam_splitter_is_built_once_and_immutable():
+    bs = beam_splitter()
+    assert beam_splitter() is bs
+    with pytest.raises(ValueError):
+        bs.mat[0, 0] = 0.0

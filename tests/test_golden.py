@@ -1,4 +1,5 @@
-"""Golden outputs: `ges4 verify --seed 0 --json` and a small sweep CSV.
+"""Golden outputs: `ges4 verify --seed 0 --json` (with and without the
+conjugate_bs fault), a small sweep CSV and `ges4 decompose d4 --json`.
 
 The files in tests/golden/ were written by the density-matrix measures,
 before the amplitude kernel took over the sweep, the calibration and the
@@ -6,7 +7,8 @@ pairwise concurrences. Everything but floats must match exactly: keys,
 check names, details, flags, the CSV header, the row count and where NaN
 stands. Floats may move by roundoff: 1e-12 in general, and 1e-10 (EIG_TOL)
 for the sweep's concurrence and entropy columns, which came out of
-eigensolvers on the old route.
+eigensolvers on the old route. The fault report and the decomposition were
+written before the dense oracle cached its generators' eigensystems.
 """
 
 import csv
@@ -22,14 +24,16 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Regenerate with: ges4 <argv>  > tests/golden/<file>
 VERIFY_ARGV = ["verify", "--seed", "0", "--json"]
+VERIFY_FAULT_ARGV = VERIFY_ARGV + ["--fault", "conjugate_bs"]
+DECOMPOSE_ARGV = ["decompose", "d4", "--basis", "generated", "--json"]
 SWEEP_ARGV = ["sweep", "--phi", "0:pi/2:3", "--theta1", "0:pi/2:3",
               "--theta2", "0:pi/2:3", "--theta3", "0:1.1:2",
               "--theta4", "0.4:pi/2:2", "--eta", "0.3,1", "--csv"]
 
 
-def _run(capsys, argv) -> str:
+def _run(capsys, argv, want_rc=0) -> str:
     rc = cli.main(argv)
-    assert rc == 0
+    assert rc == want_rc
     return capsys.readouterr().out
 
 
@@ -52,6 +56,20 @@ def _assert_same(got, want, path="$"):
 def test_verify_seed0_matches_golden(capsys):
     want = json.loads((GOLDEN / "verify_seed0.json").read_text())
     got = json.loads(_run(capsys, VERIFY_ARGV))
+    _assert_same(got, want)
+
+
+def test_verify_seed0_fault_matches_golden(capsys):
+    want = json.loads((GOLDEN / "verify_seed0_fault.json").read_text())
+    got = json.loads(_run(capsys, VERIFY_FAULT_ARGV, want_rc=1))
+    _assert_same(got, want)
+    failed = [c["name"] for c in got["checks"] if not c["passed"]]
+    assert failed == ["oracle_equivalence"]
+
+
+def test_decompose_matches_golden(capsys):
+    want = json.loads((GOLDEN / "decompose_d4_generated.json").read_text())
+    got = json.loads(_run(capsys, DECOMPOSE_ARGV))
     _assert_same(got, want)
 
 

@@ -1,11 +1,16 @@
 """Tests for the self-check suite, its determinism, and fault injection."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ges4 import verify
+import ges4
+from ges4 import hilbert, verify
 from ges4.circuit import mz_circuit
 from ges4.verify import (
     ENTROPY_SPOT_PI_8,
@@ -130,3 +135,56 @@ def test_discrepancy_log_contents(report):
     one_v_three = log["one_vs_three_entropy"]
     assert one_v_three["max_deviation_single_cut_vs_two_two_formula"] > 0.1
     assert abs(one_v_three["value_at_theta_pi_4"] - 1.0) < 1e-12
+
+
+_FRESH_PROCESS = """
+import json, sys
+from ges4.verify import report_to_json, run_all_checks
+seed = int(sys.argv[1])
+first = report_to_json(run_all_checks(seed))
+faulty = run_all_checks(seed, fault="conjugate_bs")
+again = report_to_json(run_all_checks(seed))
+print(json.dumps({
+    "plain_passed": json.loads(first)["all_passed"],
+    "same_bytes": first == again,
+    "fault_failed": [c.name for c in faulty.checks if not c.passed],
+}))
+"""
+
+
+def test_fault_between_plain_reports_in_a_fresh_process():
+    # the oracle's caches start empty and see the plain and the conjugated
+    # splitter in turn; neither report may leak into the next
+    src = str(Path(ges4.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, "3"],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    result = json.loads(out.stdout)
+    assert result == {"plain_passed": True, "same_bytes": True,
+                      "fault_failed": ["oracle_equivalence"]}
+
+
+def _count_calls(monkeypatch, owners, name, counts):
+    """Count calls to `name` at every owner that binds the same function."""
+    original = getattr(owners[0], name)
+
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        if getattr(owner, name, None) is original:
+            monkeypatch.setattr(owner, name, counting)
+
+
+def test_warm_report_runs_no_eigensolver_and_still_builds_every_circuit(monkeypatch):
+    run_all_checks(seed=0)     # fills the oracle's caches
+    counts = dict.fromkeys(("tensor", "eigh", "mz_circuit", "_dense_circuit"), 0)
+    package = [m for name, m in sys.modules.items()
+               if name == "ges4" or name.startswith("ges4.")]
+    _count_calls(monkeypatch, [hilbert, *package], "tensor", counts)
+    _count_calls(monkeypatch, [np.linalg], "eigh", counts)
+    _count_calls(monkeypatch, [verify], "mz_circuit", counts)
+    _count_calls(monkeypatch, [verify], "_dense_circuit", counts)
+    assert run_all_checks(seed=0).all_passed
+    assert counts == {"tensor": 0, "eigh": 0, "mz_circuit": 35, "_dense_circuit": 200}
