@@ -28,7 +28,6 @@ from .hilbert import (
     Operator,
     StateVector,
     embed,
-    inner,
     phase_between,
 )
 from .circuit import ATOMIC_SPACE, BRANCH_PRIME, ges_target_state
@@ -155,17 +154,27 @@ class GesBasis:
         return float(np.max(np.abs(m @ m.conj().T - np.eye(16))))
 
 
-def _state_from_signs(signs: dict) -> StateVector:
+def _amplitudes_from_signs(signs: dict) -> np.ndarray:
     amp = np.zeros(ATOMIC_SPACE.dim, dtype=complex)
     for bits, sign in signs.items():
         amp[ATOMIC_SPACE.index_of([int(c) for c in bits])] = sign * _SQ8
-    return StateVector(ATOMIC_SPACE, amp)
+    amp.setflags(write=False)
+    return amp
+
+
+# The tables as read-only amplitude vectors.
+_EXPLICIT_AMPLITUDES = {GesIndex(f, c): _amplitudes_from_signs(signs)
+                        for (f, c), signs in _EXPLICIT_SIGNS.items()}
 
 
 def explicit_basis() -> GesBasis:
-    """The sixteen states from their canonical amplitude tables."""
-    states = {GesIndex(f, c): _state_from_signs(_EXPLICIT_SIGNS[(f, c)])
-              for f, c in _EXPLICIT_SIGNS}
+    """The sixteen states from their canonical amplitude tables.
+
+    The tables are turned into amplitude vectors once, at import; each call
+    wraps them in fresh states, and GesBasis re-checks orthonormality.
+    """
+    states = {idx: StateVector(ATOMIC_SPACE, amp)
+              for idx, amp in _EXPLICIT_AMPLITUDES.items()}
     return GesBasis(states, "explicit")
 
 
@@ -210,6 +219,8 @@ class Decomposition:
 def decompose(state: StateVector, basis: GesBasis) -> Decomposition:
     """Expand a normalized four-qubit state over the sixteen-state basis.
 
+    With m the basis matrix (columns in index order), the coefficients are
+    c = m^dag psi and the reconstruction is m c, one product each.
     Completeness makes the residual vanish for any input; both the
     reconstruction and the norm identity sum(|c|^2) + residual^2 = 1 are
     required to structural tolerance (InvariantError otherwise).
@@ -218,12 +229,11 @@ def decompose(state: StateVector, basis: GesBasis) -> Decomposition:
         raise ValueError("state must live on the four-qubit space")
     if not state.is_normalized:
         raise ValueError("state must be normalized")
-    coeffs = {idx: inner(basis.states[idx], state) for idx in ALL_INDICES}
-    recon = np.zeros(ATOMIC_SPACE.dim, dtype=complex)
-    for idx, c in coeffs.items():
-        recon += c * basis.states[idx].amp
-    residual = float(np.linalg.norm(state.amp - recon))
-    weight = sum(abs(c)**2 for c in coeffs.values())
+    m = basis.matrix()
+    c = m.conj().T @ state.amp
+    residual = float(np.linalg.norm(state.amp - m @ c))
+    weight = float(np.sum(np.abs(c) ** 2))
+    coeffs = dict(zip(ALL_INDICES, c.tolist()))
     if abs(weight + residual**2 - 1.0) > STRUCT_TOL:
         raise InvariantError(f"sum |c|^2 + residual^2 = {weight + residual**2}, not 1")
     if residual > STRUCT_TOL:

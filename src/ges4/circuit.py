@@ -295,7 +295,8 @@ def initial_state(thetas: Sequence[float]) -> StateVector:
         raise ValueError("four angles required")
     amp = _PHOTON_IN_U
     for t in th:
-        amp = np.kron(amp, np.array([math.cos(t), math.sin(t)], dtype=complex))
+        qubit = np.array([math.cos(t), math.sin(t)], dtype=complex)
+        amp = np.multiply.outer(amp, qubit).ravel()
     return StateVector(FULL_SPACE, amp)
 
 

@@ -5,13 +5,14 @@ Numerical side, two paths. The fast path is an amplitude kernel
 entropy is a Schmidt spectrum and every pair's Wootters lambdas are singular
 values, both of reshapes of the 16 amplitudes, so stacked states are measured
 with one stacked SVD and no density matrix. `sweep`, the closed-form
-calibration and the concurrences of `measure_report` run on it. The oracle
-path is the density matrix: Wootters `concurrence` for arbitrary two-qubit
-density matrices and `von_neumann_entropy` of arbitrary reductions, reached
-through `density_matrix` and `partial_trace`; the tests check the kernel
-against it. Closed-form side: the protocol's analytic expressions for the
-concurrence of one qubit pair and the entropy of one two-two cut of the
-post-selected branch states at phi = pi/2.
+calibration and all of `measure_report` (six concurrences, seven cut
+entropies and its Schmidt-symmetry check) run on it. The oracle path is the
+density matrix: Wootters `concurrence` for arbitrary two-qubit density
+matrices, `von_neumann_entropy` of arbitrary reductions and
+`bipartition_entropy`, reached through `density_matrix` and `partial_trace`;
+the tests check the kernel against it. Closed-form side: the protocol's
+analytic expressions for the concurrence of one qubit pair and the entropy of
+one two-two cut of the post-selected branch states at phi = pi/2.
 
 Which pair and which cut the closed forms describe is not guessed: the
 formulas are asymmetric in the theta indices, so `calibrate_closed_forms`
@@ -179,9 +180,10 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 def bipartition_entropy(state: StateVector, cut: Bipartition) -> float:
     """Entanglement entropy of a pure four-qubit state across a cut.
 
-    Computed from the side_a reduction; the side_b value is recomputed and
-    required to agree (Schmidt symmetry) as a self-check that raises
-    InvariantError.
+    The density-matrix oracle: computed from the side_a reduction, with the
+    side_b value recomputed and required to agree (Schmidt symmetry) as a
+    self-check that raises InvariantError. `measure_report` does not call
+    it; it runs the amplitude kernel and makes the same check there.
     """
     rho = density_matrix(state)
     s_a = von_neumann_entropy(partial_trace(rho, list(cut.side_a)))
@@ -249,7 +251,9 @@ def _cut_entropy(amps: np.ndarray, side_a) -> np.ndarray:
 
 _PAIR_QUBITS = tuple(_qubits(pair) for pair in PAIRS)
 _PAIR_CUT_QUBITS = tuple(_qubits(cut.side_a) for cut in PAIR_CUTS)
+_PAIR_CUT_REST = tuple(_qubits(cut.side_b) for cut in PAIR_CUTS)
 _SINGLE_CUT_QUBITS = tuple(_qubits(cut.side_a) for cut in SINGLE_CUTS)
+_SINGLE_CUT_REST = tuple(_qubits(cut.side_b) for cut in SINGLE_CUTS)
 
 
 def _closed_form_branches(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,14 +300,31 @@ def entropy_closed_form(thetas: Sequence[float], branch: str) -> float:
 
 
 def measure_report(state: StateVector) -> MeasureReport:
-    """Full entanglement signature of a normalized four-qubit state."""
+    """Full entanglement signature of a normalized four-qubit state.
+
+    Runs entirely on the amplitude kernel, in four stacked SVD calls and
+    without a density matrix. Each cut's entropy is taken from side_a and
+    again from side_b; the two must agree to EIG_TOL (Schmidt symmetry, a
+    check on the kernel's index gather), else InvariantError. The
+    density-matrix route (`bipartition_entropy`) is the oracle.
+    """
     if state.space != ATOMIC_SPACE:
         raise ValueError("state must live on the four-qubit space")
     if not state.is_normalized:
         raise ValueError("state must be normalized")
-    pairwise = dict(zip(PAIRS, _pair_concurrence(state.amp, _PAIR_QUBITS).tolist()))
-    pair_ent = {cut: bipartition_entropy(state, cut) for cut in PAIR_CUTS}
-    single_ent = {cut.side_a[0]: bipartition_entropy(state, cut) for cut in SINGLE_CUTS}
+    amp = state.amp
+    pairwise = dict(zip(PAIRS, _pair_concurrence(amp, _PAIR_QUBITS).tolist()))
+    pair_a, pair_b = _cut_entropy(amp, _PAIR_CUT_QUBITS + _PAIR_CUT_REST).reshape(2, -1)
+    s_a = np.concatenate([pair_a, _cut_entropy(amp, _SINGLE_CUT_QUBITS)])
+    s_b = np.concatenate([pair_b, _cut_entropy(amp, _SINGLE_CUT_REST)])
+    worst = int(np.argmax(np.abs(s_a - s_b)))
+    if abs(s_a[worst] - s_b[worst]) > EIG_TOL:
+        cut = (*PAIR_CUTS, *SINGLE_CUTS)[worst]
+        raise InvariantError(
+            f"Schmidt symmetry violated across {cut}: {s_a[worst]} vs {s_b[worst]}")
+    entropies = s_a.tolist()
+    pair_ent = dict(zip(PAIR_CUTS, entropies[:3]))
+    single_ent = {cut.side_a[0]: h for cut, h in zip(SINGLE_CUTS, entropies[3:])}
     genuine = (all(c <= GENUINE_CONCURRENCE_TOL for c in pairwise.values())
                and all(s >= 1.0 - GENUINE_ENTROPY_TOL for s in pair_ent.values())
                and all(s >= 1.0 - GENUINE_ENTROPY_TOL for s in single_ent.values()))

@@ -1,10 +1,14 @@
 """Unit tests for the sixteen-state basis and decompositions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ges4 import basis, hilbert, measures
 from ges4.hilbert import StateVector, inner
 from ges4.circuit import ATOMIC_SPACE, BRANCH_DOUBLE_PRIME, BRANCH_PRIME, ges_target_state
 from ges4.basis import (
@@ -20,6 +24,7 @@ from ges4.basis import (
     generate_basis,
     verify_representation,
 )
+from ges4.measures import measure_report
 
 SQ8 = 1.0 / math.sqrt(8.0)
 
@@ -153,6 +158,87 @@ def test_decompose_parseval(basis16, rng):
         weight = sum(abs(c) ** 2 for c in dec.coefficients.values())
         assert abs(weight - 1.0) < 1e-12
         assert dec.residual < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(parts=st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
+       zeros=st.lists(st.booleans(), min_size=16, max_size=16))
+def test_decompose_coefficients_equal_per_index_inner(parts, zeros):
+    amp = np.where(zeros, 0.0, np.array(parts[:16]) + 1j * np.array(parts[16:]))
+    assume(np.linalg.norm(amp) > 1e-3)
+    state = StateVector(ATOMIC_SPACE, amp / np.linalg.norm(amp))
+    for b in (explicit_basis(), generate_basis()):
+        dec = decompose(state, b)
+        assert list(dec.coefficients) == list(ALL_INDICES)
+        for idx in ALL_INDICES:
+            assert abs(dec.coefficients[idx] - inner(b.states[idx], state)) <= 1e-15, idx.label
+        assert dec.residual <= 1e-14
+
+
+def test_explicit_tables_are_built_once_and_read_only():
+    first, second = explicit_basis(), explicit_basis()
+    for idx in ALL_INDICES:
+        table = basis._EXPLICIT_AMPLITUDES[idx]
+        assert not table.flags.writeable
+        assert first.states[idx] is not second.states[idx]
+        assert np.array_equal(first.states[idx].amp, table)
+
+
+_DENSE_ROUTE = ("density_matrix", "partial_trace", "von_neumann_entropy",
+                "bipartition_entropy")
+
+
+def _ges4_modules():
+    return [m for name, m in sys.modules.items()
+            if name == "ges4" or name.startswith("ges4.")]
+
+
+def _report_and_decompose(rng):
+    raw = rng.normal(size=16) + 1j * rng.normal(size=16)
+    state = StateVector(ATOMIC_SPACE, raw / np.linalg.norm(raw))
+    b = explicit_basis()
+    return measure_report(state), decompose(state, b), verify_representation(b)
+
+
+def test_report_basis_and_decompose_run_without_density_matrices(monkeypatch, rng):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("density-matrix route on the per-request path")
+
+    for module in _ges4_modules():
+        for name in _DENSE_ROUTE:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    report, dec, rep = _report_and_decompose(rng)
+    assert 0.0 < report.single_entropy["q1"] <= 1.0
+    assert dec.residual < 1e-12
+    assert rep.all_genuine
+
+
+def test_warm_report_and_decompose_run_no_eigensolver(monkeypatch, rng):
+    _report_and_decompose(rng)      # warm
+    counts = dict.fromkeys(("eigvalsh", "eigh", "density_matrix", "partial_trace"), 0)
+
+    def count(owners, name):
+        original = getattr(owners[0], name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        for owner in owners:
+            if getattr(owner, name, None) is original:
+                monkeypatch.setattr(owner, name, counting)
+
+    count([np.linalg], "eigvalsh")
+    count([np.linalg], "eigh")
+    count([hilbert, *_ges4_modules()], "density_matrix")
+    count([hilbert, *_ges4_modules()], "partial_trace")
+    _report_and_decompose(rng)
+    assert counts == {"eigvalsh": 0, "eigh": 0, "density_matrix": 0, "partial_trace": 0}
+    # the wrappers do see the oracle route
+    measures.bipartition_entropy(canonical_state("d4"), measures.SINGLE_CUTS[0])
+    assert counts["density_matrix"] == 1 and counts["partial_trace"] == 2
+    assert counts["eigvalsh"] >= 2
 
 
 def test_decompose_input_validation(basis16):

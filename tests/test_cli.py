@@ -419,8 +419,14 @@ def test_json_csv_mutually_exclusive():
 
 
 def test_broken_invariant_exits_1_with_one_line(capsys, monkeypatch):
-    sides = iter([0.0, 1.0])
-    monkeypatch.setattr(measures, "von_neumann_entropy", lambda rho: next(sides))
+    # measure_report takes each cut from both sides through _cut_entropy;
+    # skewing every side that holds q1 breaks their Schmidt symmetry.
+    real = measures._cut_entropy
+
+    def skewed(amps, sides):
+        return real(amps, sides) + np.array([0.5 if 0 in side else 0.0 for side in sides])
+
+    monkeypatch.setattr(measures, "_cut_entropy", skewed)
     rc = cli.main(["simulate", "--outcome", "d2", "--measures"])
     captured = capsys.readouterr()
     assert rc == 1

@@ -8,7 +8,10 @@ check names, details, flags, the CSV header, the row count and where NaN
 stands. Floats may move by roundoff: 1e-12 in general, and 1e-10 (EIG_TOL)
 for the sweep's concurrence and entropy columns, which came out of
 eigensolvers on the old route. The fault report and the decomposition were
-written before the dense oracle cached its generators' eigensystems.
+written before the dense oracle cached its generators' eigensystems. The
+`simulate --measures` and `basis --verify` reports, which pin the entropies
+and concurrences `measure_report` prints, were written before it ran its
+cut entropies on the amplitude kernel.
 """
 
 import csv
@@ -26,6 +29,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 VERIFY_ARGV = ["verify", "--seed", "0", "--json"]
 VERIFY_FAULT_ARGV = VERIFY_ARGV + ["--fault", "conjugate_bs"]
 DECOMPOSE_ARGV = ["decompose", "d4", "--basis", "generated", "--json"]
+SIMULATE_ARGV = ["simulate", "--phi", "1.1", "--theta", "0.3,0.5,0.7,0.9",
+                 "--eta", "0.6", "--measures", "--json"]
+BASIS_ARGV = ["basis", "--verify", "--json"]
 SWEEP_ARGV = ["sweep", "--phi", "0:pi/2:3", "--theta1", "0:pi/2:3",
               "--theta2", "0:pi/2:3", "--theta3", "0:1.1:2",
               "--theta4", "0.4:pi/2:2", "--eta", "0.3,1", "--csv"]
@@ -71,6 +77,19 @@ def test_decompose_matches_golden(capsys):
     want = json.loads((GOLDEN / "decompose_d4_generated.json").read_text())
     got = json.loads(_run(capsys, DECOMPOSE_ARGV))
     _assert_same(got, want)
+
+
+def test_simulate_measures_matches_golden(capsys):
+    want = json.loads((GOLDEN / "simulate_measures.json").read_text())
+    got = json.loads(_run(capsys, SIMULATE_ARGV))
+    _assert_same(got, want)
+
+
+def test_basis_verify_matches_golden(capsys):
+    want = json.loads((GOLDEN / "basis_verify.json").read_text())
+    got = json.loads(_run(capsys, BASIS_ARGV))
+    _assert_same(got, want)
+    assert got["all_genuine"] is True
 
 
 def test_sweep_matches_golden(capsys):

@@ -47,7 +47,7 @@ from ges4.measures import (
     measure_report,
     von_neumann_entropy,
 )
-from ges4.basis import canonical_state
+from ges4.basis import canonical_state, explicit_basis, generate_basis
 
 PI = math.pi
 TWO_QUBITS = HilbertSpace.of(("q3", 2), ("q4", 2))
@@ -229,6 +229,29 @@ def test_invariant_check_survives_optimized_mode():
     assert out.stdout.strip() == "raised 1", out.stderr
 
 
+def test_measure_report_symmetry_check_survives_optimized_mode():
+    # measure_report's own Schmidt-symmetry check runs on the kernel; skew
+    # every side that holds q1 and it must raise, also under `python -O`
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from ges4 import measures\n"
+        "from ges4.basis import canonical_state\n"
+        "real = measures._cut_entropy\n"
+        "measures._cut_entropy = lambda amps, sides: real(amps, sides) + np.array(\n"
+        "    [0.5 if 0 in side else 0.0 for side in sides])\n"
+        "try:\n"
+        "    measures.measure_report(canonical_state('ghz4'))\n"
+        "except measures.InvariantError as exc:\n"
+        "    print('raised', sys.flags.optimize, str(exc).startswith('Schmidt symmetry'))\n"
+    )
+    src = str(Path(measures.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "raised 1 True", out.stderr
+
+
 # ---------------------------------------------------------------------------
 # amplitude kernel vs the density-matrix oracle
 
@@ -318,6 +341,65 @@ def test_kernel_matches_dense_oracle_on_near_empty_branches(phi, thetas):
     chi = photon_branch(evolve(SchemeParams(phi, tuple(thetas))), 1, 0)
     assert chi.norm ** 2 < 1e-10
     _assert_kernel_matches_oracle(chi.normalized())
+
+
+def _assert_report_matches_oracle(state: StateVector) -> None:
+    """measure_report, which runs the kernel, against the density-matrix route."""
+    report = measure_report(state)
+    for pair in PAIRS:
+        dense, w_min = _oracle_concurrence(state, pair)
+        # same allowance as in _assert_kernel_matches_oracle for the dense
+        # route's sqrt(eps) error at rank-deficient reductions
+        tol = EIG_TOL if w_min >= 1e-10 else 1e-6
+        assert abs(report.pairwise_concurrence[pair] - dense) <= tol, pair
+    for cut in PAIR_CUTS:
+        assert abs(report.pair_entropy[cut] - bipartition_entropy(state, cut)) <= EIG_TOL, str(cut)
+    for cut in SINGLE_CUTS:
+        got = report.single_entropy[cut.side_a[0]]
+        assert abs(got - bipartition_entropy(state, cut)) <= EIG_TOL, str(cut)
+    assert report.is_genuine == (
+        all(c <= measures.GENUINE_CONCURRENCE_TOL for c in report.pairwise_concurrence.values())
+        and all(s >= 1.0 - measures.GENUINE_ENTROPY_TOL
+                for s in (*report.pair_entropy.values(), *report.single_entropy.values())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
+       zeros=st.lists(st.booleans(), min_size=16, max_size=16))
+def test_measure_report_matches_dense_oracle_on_random_states(parts, zeros):
+    # `zeros` blanks a random subset of amplitudes, so sparse states with
+    # rank-deficient reductions are drawn as well as dense ones
+    amp = np.array(parts[:16]) + 1j * np.array(parts[16:])
+    sparse = np.where(zeros, 0.0, amp)
+    for candidate in (amp, sparse):
+        if np.linalg.norm(candidate) > 1e-3:
+            _assert_report_matches_oracle(_state(candidate))
+
+
+@pytest.mark.parametrize("name", sorted(SPECIAL_STATES))
+def test_measure_report_matches_dense_oracle_on_special_states(name):
+    _assert_report_matches_oracle(SPECIAL_STATES[name])
+
+
+@pytest.mark.parametrize("basis_name", ["explicit", "generated"])
+def test_measure_report_matches_dense_oracle_on_the_basis(basis_name):
+    basis = explicit_basis() if basis_name == "explicit" else generate_basis()
+    for state in basis.states.values():
+        _assert_report_matches_oracle(state)
+        assert measure_report(state).is_genuine
+
+
+@settings(max_examples=25, deadline=None)
+@given(weight=st.floats(4e-14, 1e-11),
+       thetas=st.lists(st.floats(0.1, 1.4), min_size=4, max_size=4))
+def test_measure_report_matches_dense_oracle_on_near_empty_branches(weight, thetas):
+    # Two near-empty D1 branches: phi = pi/2 with equal small thetas (weight
+    # exactly `weight`), and phi = sqrt(weight) with random thetas (weight
+    # within a factor of 4 of it, as it grows like phi^2 near phi = 0).
+    chi = photon_branch(evolve(SchemeParams(math.sqrt(weight), tuple(thetas))), 1, 0)
+    assert chi.norm ** 2 < 1e-10
+    _assert_report_matches_oracle(chi.normalized())
+    _assert_report_matches_oracle(_near_empty_branch(weight))
 
 
 def test_kernel_stacked_equals_one_at_a_time():
