@@ -451,8 +451,12 @@ def detect(state: StateVector, outcome: DetectionOutcome, eta: float
         raise ValueError("eta must lie in [0, 1]")
     if not state.is_normalized:
         raise ValueError("state must be normalized")
-    leak = (photon_branch(state, 0, 0).norm**2 + photon_branch(state, 1, 1).norm**2)
-    if leak > STRUCT_TOL:
+    if state.space != FULL_SPACE:
+        raise ValueError("state must live on the full photonic+atomic space")
+    # branches[n_u, n_l] is the four-qubit component at |n_U n_L>
+    branches = state.amp.reshape(2, 2, ATOMIC_SPACE.dim)
+    norms = [[float(np.linalg.norm(b)) for b in row] for row in branches]
+    if norms[0][0]**2 + norms[1][1]**2 > STRUCT_TOL:
         raise ValueError("state lies outside the one-photon photonic sector")
 
     w_u, w_l = _povm_weights(outcome, eta)
@@ -463,10 +467,9 @@ def detect(state: StateVector, outcome: DetectionOutcome, eta: float
             w = w_u[n_u] * w_l[n_l]
             if w == 0.0:
                 continue
-            branch = photon_branch(state, n_u, n_l)
-            probability += w * branch.norm**2
-            if branch.norm > 0.0:
-                weighted.append(math.sqrt(w) * branch.amp)
+            probability += w * norms[n_u][n_l]**2
+            if norms[n_u][n_l] > 0.0:
+                weighted.append(math.sqrt(w) * branches[n_u, n_l])
 
     if probability < 1e-14 or not weighted:
         return None, float(probability)

@@ -1,12 +1,15 @@
 """Command-line front end: simulate, sweep, basis, decompose, verify.
 
-Data goes to stdout (or ``--out``); diagnostics go to stderr.  Exit codes:
-0 on success, 1 when a verification run reports failures or an internal
-invariant breaks (``InvariantError``), 2 on usage or input errors.  Angles
-are accepted as decimal radians or as exact fractions of pi ("pi/4",
-"3pi/8", "-pi/2").  All structured output is deterministic:
-re-running a command with identical flags and seed reproduces it byte for
-byte.
+Payload -> renderer -> writer: each command builds its result once, as the
+data its ``--json`` output shows (undefined entries ``None``); a renderer per
+format turns that payload alone into JSON, CSV or text; ``main`` hands the
+text to ``_write``, the one function that writes to stdout (or ``--out``).
+Diagnostics go to stderr, and ``main`` alone maps errors to exit codes: 0 on
+success, 1 when a verification run reports failures or an internal invariant
+breaks (``InvariantError``), 2 on usage or input errors, including an output
+path that cannot be written. Angles are accepted as decimal radians or as
+exact fractions of pi ("pi/4", "3pi/8", "-pi/2"). Re-running a command with
+identical flags and seed reproduces its output byte for byte.
 
 State files are JSON lists of records ``{"basis_label": "0101", "re": x,
 "im": y}``; labels are four characters of 0/1, absent labels mean amplitude
@@ -19,16 +22,17 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import re
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .hilbert import InvariantError, StateVector
+from .hilbert import STRUCT_TOL, InvariantError, StateVector
 from .circuit import (
     ATOMIC_SPACE,
     BRANCHES,
@@ -64,7 +68,7 @@ from .basis import (
     generate_basis,
     verify_representation,
 )
-from .verify import FAULT_MODES, report_to_json, run_all_checks
+from .verify import FAULT_MODES, CheckResult, VerificationReport, run_all_checks
 
 __all__ = ["main", "parse_angle"]
 
@@ -77,7 +81,7 @@ _CANONICAL_NAMES = ("ghz4", "w4", "cl4", "d4")
 
 
 class CliInputError(Exception):
-    """Malformed flags or input files; maps to exit code 2."""
+    """Malformed flags, input files or output paths; maps to exit code 2."""
 
 
 def parse_angle(text: str) -> float:
@@ -109,11 +113,11 @@ def parse_thetas(text: str):
     raise CliInputError(f"--theta takes one angle or four, got {len(parts)}")
 
 
-def parse_axis(text: str) -> list:
-    """Grid axis: a single value or 'start:stop:count' (angles allowed)."""
+def _axis_spec(text: str) -> tuple:
+    """(start, stop, count) of a grid axis; a single value has stop None."""
     parts = text.split(":")
     if len(parts) == 1:
-        return [parse_angle(parts[0])]
+        return parse_angle(parts[0]), None, 1
     if len(parts) == 3:
         start, stop = parse_angle(parts[0]), parse_angle(parts[1])
         try:
@@ -122,13 +126,42 @@ def parse_axis(text: str) -> list:
             raise CliInputError(f"axis count {parts[2]!r} is not an integer")
         if count < 1:
             raise CliInputError("axis count must be >= 1")
-        return [float(x) for x in np.linspace(start, stop, count)]
+        if not math.isfinite(stop - start):
+            raise CliInputError(f"axis {text!r} needs finite bounds")
+        return start, stop, count
     raise CliInputError(f"axis {text!r} must be 'value' or 'start:stop:count'")
 
 
-def _fmt(x: float) -> str:
-    """CSV float format: 17 significant digits, '.' separator, 'nan' for NaN."""
-    if x != x:
+def _axis_values(spec: tuple) -> list:
+    start, stop, count = spec
+    if stop is None:
+        return [start]
+    return [float(x) for x in np.linspace(start, stop, count)]
+
+
+def parse_axis(text: str) -> list:
+    """Grid axis: a single value or 'start:stop:count' (angles allowed)."""
+    return _axis_values(_axis_spec(text))
+
+
+def _tolerance(text: str) -> float:
+    """--tol: a finite number >= 0 (NaN would silently drop every amplitude)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
+# --------------------------------------------------------------------------
+# formats and the one writer
+
+
+def _fmt(x) -> str:
+    """CSV float format: 17 significant digits, '.' separator, 'nan' for NaN or None."""
+    if x is None or x != x:
         return "nan"
     return format(float(x), ".17g")
 
@@ -136,6 +169,45 @@ def _fmt(x: float) -> str:
 def _jsonable(x: float):
     """NaN is not valid JSON; represent undefined table entries as null."""
     return None if x != x else float(x)
+
+
+def _csv_text(header: Sequence[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _text(lines: list) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _write(text: str, path: Optional[str]) -> None:
+    """The one place output leaves the program: the file at `path`, or stdout."""
+    try:
+        if path:
+            Path(path).write_text(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}")
+
+
+class Output(NamedTuple):
+    """A command's payload, a renderer per format, its exit code, and
+    (path, payload) pairs written as JSON after it (verify's discrepancy log)."""
+
+    payload: object
+    text: Callable[[object], str]
+    csv: Callable[[object], str]
+    json: Callable[[object], str] = _json_text
+    code: int = 0
+    side_files: tuple = ()
 
 
 def _state_records(state: StateVector, tol: float) -> list:
@@ -151,26 +223,8 @@ def _state_records(state: StateVector, tol: float) -> list:
     return records
 
 
-def _state_lines(state: StateVector, tol: float, indent: str = "  ") -> list:
-    lines = []
-    for rec in _state_records(state, tol):
-        lines.append(f"{indent}|{rec['basis_label']}>  "
-                     f"{rec['re']:+.12f}  {rec['im']:+.12f}")
-    return lines
-
-
-def _measures_lines(state: StateVector, indent: str = "  ") -> list:
-    rep = measure_report(state)
-    lines = [f"{indent}pairwise concurrence:"]
-    for pair, c in rep.pairwise_concurrence.items():
-        lines.append(f"{indent}  {''.join(pair)}: {c:.12f}")
-    lines.append(f"{indent}bipartition entropy:")
-    for cut, s in rep.pair_entropy.items():
-        lines.append(f"{indent}  {cut}: {s:.12f}")
-    for qubit, s in rep.single_entropy.items():
-        lines.append(f"{indent}  {qubit}|rest: {s:.12f}")
-    lines.append(f"{indent}genuine: {'yes' if rep.is_genuine else 'no'}")
-    return lines
+def _record_lines(records: list) -> list:
+    return [f"  |{r['basis_label']}>  {r['re']:+.12f}  {r['im']:+.12f}" for r in records]
 
 
 def read_state_file(path: str, normalize: bool, tol: float) -> StateVector:
@@ -179,7 +233,7 @@ def read_state_file(path: str, normalize: bool, tol: float) -> StateVector:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise CliInputError(f"cannot read state file {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliInputError(f"state file {path} is not valid JSON: {exc}")
     if isinstance(data, dict) and "state" in data:
         data = data["state"]
@@ -201,41 +255,28 @@ def read_state_file(path: str, normalize: bool, tol: float) -> StateVector:
             raise CliInputError(f"duplicate basis label {label!r}")
         seen.add(label)
         try:
+            if isinstance(rec["re"], bool) or isinstance(rec["im"], bool):
+                raise TypeError("a boolean is not a number")
             value = float(rec["re"]) + 1j * float(rec["im"])
-        except (TypeError, ValueError):
-            raise CliInputError(f"non-numeric amplitude at label {label!r}")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CliInputError(f"non-numeric amplitude at label {label!r}: {exc}")
         amp[ATOMIC_SPACE.index_of([int(c) for c in label])] = value
     state = StateVector(ATOMIC_SPACE, amp)
-    if abs(state.norm - 1.0) > tol:
+    # Dividing the real and imaginary parts by a power of two is exact, and keeps
+    # amplitudes near either end of the float range from over- or underflowing the norm.
+    parts = state.amp.view(float)
+    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(parts))))[1] - 1)
+    scaled = StateVector(ATOMIC_SPACE, (parts / scale).view(complex))
+    norm = scaled.norm * scale
+    if abs(norm - 1.0) > tol:
         if not normalize:
-            raise CliInputError(
-                f"state norm {state.norm:.12g} differs from 1 by more than "
-                f"{tol:g}; pass --normalize to rescale"
-            )
-        if state.norm == 0.0:
+            raise CliInputError(f"state norm {norm:.12g} differs from 1 by more than "
+                                f"{tol:g}; pass --normalize to rescale")
+        if norm == 0.0:
             raise CliInputError("state file describes the zero vector")
-    if state.norm > 0.0 and not state.is_normalized:
-        state = state.normalized()
+    if norm > 0.0 and abs(norm * norm - 1.0) > STRUCT_TOL:
+        return scaled.normalized()
     return state
-
-
-def _emit(text: str, args) -> None:
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -250,113 +291,86 @@ def _outcome_entry(state, prob: float, want_measures: bool, tol: float) -> dict:
     return entry
 
 
-def cmd_simulate(args) -> int:
-    phi = parse_angle(args.phi)
-    thetas = parse_thetas(args.theta)
-    params = SchemeParams(phi=phi, thetas=thetas, eta=args.eta)
+def cmd_simulate(args) -> Output:
+    params = SchemeParams(phi=parse_angle(args.phi), thetas=parse_thetas(args.theta),
+                          eta=args.eta)
     psi = evolve(params)
-    p_prime = photon_branch(psi, 0, 1).norm ** 2
-    p_dprime = photon_branch(psi, 1, 0).norm ** 2
-
     payload = {
         "phi": params.phi,
         "thetas": list(params.thetas),
         "eta": params.eta,
-        "branch_probability": {BRANCH_PRIME: float(p_prime),
-                               BRANCH_DOUBLE_PRIME: float(p_dprime)},
+        "branch_probability": {BRANCH_PRIME: float(photon_branch(psi, 0, 1).norm ** 2),
+                               BRANCH_DOUBLE_PRIME: float(photon_branch(psi, 1, 0).norm ** 2)},
     }
-
+    outcome = DetectionOutcome.from_string(args.outcome) if args.outcome else None
     if args.deterministic:
-        outcome = (DetectionOutcome.from_string(args.outcome)
-                   if args.outcome else None)
         prepared = prepare_ges(params, outcome=outcome)
         payload["mode"] = "deterministic"
         payload["conditioned_on"] = prepared.outcome.value
-        payload["probability"] = prepared.probability
-        payload["state"] = _state_records(prepared.state, args.tol)
-        if args.measures:
-            payload["measures"] = measure_report(prepared.state).as_dict()
-    elif args.outcome:
-        outcome = DetectionOutcome.from_string(args.outcome)
-        state, prob = detect(psi, outcome, params.eta)
+        payload.update(_outcome_entry(prepared.state, prepared.probability,
+                                      args.measures, args.tol))
+    elif outcome is not None:
         payload["outcome"] = outcome.value
-        payload.update(_outcome_entry(state, prob, args.measures, args.tol))
+        payload.update(_outcome_entry(*detect(psi, outcome, params.eta),
+                                      args.measures, args.tol))
     else:
-        payload["outcomes"] = {}
-        post_states = {}
-        for outcome in DetectionOutcome:
-            state, prob = detect(psi, outcome, params.eta)
-            post_states[outcome] = state
-            payload["outcomes"][outcome.value] = _outcome_entry(
-                state, prob, args.measures, args.tol)
+        payload["outcomes"] = {
+            o.value: _outcome_entry(*detect(psi, o, params.eta), args.measures, args.tol)
+            for o in DetectionOutcome}
+    return Output(payload, _simulate_text, _simulate_csv)
 
-    if args.json:
-        _emit(_json_text(payload), args)
-        return 0
-    if args.csv:
-        rows = [["phi", _fmt(params.phi), ""]]
-        for i, t in enumerate(params.thetas, start=1):
-            rows.append([f"theta{i}", _fmt(t), ""])
-        rows.append(["eta", _fmt(params.eta), ""])
-        for branch in BRANCHES:
-            rows.append([f"branch_probability_{branch}",
-                         _fmt(payload["branch_probability"][branch]), ""])
 
-        def state_rows(prefix, records):
-            return [[f"{prefix}:{r['basis_label']}", _fmt(r["re"]), _fmt(r["im"])]
-                    for r in records]
+def _simulate_entries(payload) -> dict:
+    """Outcome name -> entry ({probability, state[, measures]}), in output order."""
+    if "outcomes" in payload:
+        return payload["outcomes"]
+    return {payload.get("conditioned_on", payload.get("outcome")): payload}
 
-        if "outcomes" in payload:
-            for name, entry in payload["outcomes"].items():
-                rows.append([f"probability_{name}", _fmt(entry["probability"]), ""])
-                if entry["state"] is not None:
-                    rows.extend(state_rows(f"amplitude_{name}", entry["state"]))
-        else:
-            key = payload.get("conditioned_on", payload.get("outcome"))
-            rows.append([f"probability_{key}", _fmt(payload["probability"]), ""])
-            if payload.get("state"):
-                rows.extend(state_rows(f"amplitude_{key}", payload["state"]))
-        _emit(_csv_text(["field", "value_re", "value_im"], rows), args)
-        return 0
 
+def _measures_lines(m: dict, indent: str) -> list:
+    lines = [f"{indent}pairwise concurrence:"]
+    lines += [f"{indent}  {pair}: {c:.12f}" for pair, c in m["pairwise_concurrence"].items()]
+    lines.append(f"{indent}bipartition entropy:")
+    lines += [f"{indent}  {cut}: {s:.12f}" for cut, s in m["pair_entropy"].items()]
+    lines += [f"{indent}  {q}|rest: {s:.12f}" for q, s in m["single_entropy"].items()]
+    lines.append(f"{indent}genuine: {'yes' if m['is_genuine'] else 'no'}")
+    return lines
+
+
+def _simulate_text(payload) -> str:
+    prob = payload["branch_probability"]
     lines = [
-        f"phi = {params.phi:.12f}, theta = "
-        + "(" + ", ".join(f"{t:.12f}" for t in params.thetas) + f"), eta = {params.eta:g}",
-        f"branch probabilities: prime = {p_prime:.12f}, "
-        f"double_prime = {p_dprime:.12f}",
+        f"phi = {payload['phi']:.12f}, theta = ("
+        + ", ".join(f"{t:.12f}" for t in payload["thetas"]) + f"), eta = {payload['eta']:g}",
+        f"branch probabilities: prime = {prob[BRANCH_PRIME]:.12f}, "
+        f"double_prime = {prob[BRANCH_DOUBLE_PRIME]:.12f}",
     ]
-    if args.deterministic:
-        lines.append(f"deterministic preparation, conditioned on "
-                     f"{payload['conditioned_on']}: probability "
-                     f"{payload['probability']:.12f}")
-        lines.append("state:")
-        lines.extend(_state_lines(prepared.state, args.tol))
-        if args.measures:
-            lines.extend(_measures_lines(prepared.state))
-    elif args.outcome:
-        lines.append(f"outcome {payload['outcome']}: probability "
-                     f"{payload['probability']:.12f}")
-        if state is None:
+    title = ("deterministic preparation, conditioned on" if "conditioned_on" in payload
+             else "outcome")
+    # one outcome gets a "state:" heading; a list of them is indented further
+    nested = "outcomes" in payload
+    for name, entry in _simulate_entries(payload).items():
+        lines.append(f"{title} {name}: probability {entry['probability']:.12f}")
+        if entry["state"] is None:
             lines.append("  (no pure conditional state)")
-        else:
-            lines.append("state:")
-            lines.extend(_state_lines(state, args.tol))
-            if args.measures:
-                lines.extend(_measures_lines(state))
-    else:
-        for outcome in DetectionOutcome:
-            entry = payload["outcomes"][outcome.value]
-            lines.append(f"outcome {outcome.value}: probability "
-                         f"{entry['probability']:.12f}")
-            state = post_states[outcome]
-            if state is None:
-                lines.append("  (no pure conditional state)")
-            else:
-                lines.extend(_state_lines(state, args.tol))
-                if args.measures:
-                    lines.extend(_measures_lines(state, indent="    "))
-    _emit("\n".join(lines) + "\n", args)
-    return 0
+            continue
+        lines += ([] if nested else ["state:"]) + _record_lines(entry["state"])
+        if "measures" in entry:
+            lines += _measures_lines(entry["measures"], "    " if nested else "  ")
+    return _text(lines)
+
+
+def _simulate_csv(payload) -> str:
+    rows = [["phi", _fmt(payload["phi"]), ""]]
+    rows += [[f"theta{i}", _fmt(t), ""] for i, t in enumerate(payload["thetas"], start=1)]
+    rows.append(["eta", _fmt(payload["eta"]), ""])
+    rows += [[f"branch_probability_{branch}", _fmt(payload["branch_probability"][branch]), ""]
+             for branch in BRANCHES]
+    for name, entry in _simulate_entries(payload).items():
+        rows.append([f"probability_{name}", _fmt(entry["probability"]), ""])
+        rows += [[f"amplitude_{name}:{r['basis_label']}", _fmt(r["re"]), _fmt(r["im"])]
+                 for r in entry["state"] or ()]
+    return _csv_text(["field", "value_re", "value_im"], rows)
 
 
 # --------------------------------------------------------------------------
@@ -386,18 +400,38 @@ def _closed_forms(thetas, branch: str) -> tuple:
         return float("nan"), float("nan")
 
 
-def cmd_sweep(args) -> int:
-    phis = parse_axis(args.phi)
-    if args.thetas is not None:
+def _sweep_rows(payload, format_cell):
+    """The sweep's rows from its payload: the etas, and per point the cells
+    before eta and after it. A row is head, eta, gamma1, gamma2, eta (the
+    success probability), the rest; a cell that does not depend on eta is
+    formatted once per point."""
+    etas = [format_cell(eta) for eta in payload["etas"]]
+    for head, tail in payload["points"]:
+        head, tail = [format_cell(v) for v in head], [format_cell(v) for v in tail]
+        for eta in etas:
+            yield [*head, eta, *tail[:2], eta, *tail[2:]]
+
+
+def _sweep_csv(payload) -> str:
+    return _csv_text(_SWEEP_COLUMNS, _sweep_rows(payload, _fmt))
+
+
+def _sweep_json(payload) -> str:
+    return _json_text({
+        "columns": _SWEEP_COLUMNS,
+        "rows": [dict(zip(_SWEEP_COLUMNS, row)) for row in _sweep_rows(payload, _jsonable)],
+    })
+
+
+def cmd_sweep(args) -> Output:
+    phi_spec = _axis_spec(args.phi)
+    locked = args.thetas is not None
+    if locked:
         if any(getattr(args, f"theta{i}") != "pi/4" for i in (1, 2, 3, 4)):
             raise CliInputError("--thetas (lock-equal) conflicts with --theta1..4")
-        theta_axes = None
-        lock_axis = parse_axis(args.thetas)
-        n_theta = len(lock_axis)
+        theta_specs = [_axis_spec(args.thetas)]
     else:
-        theta_axes = [parse_axis(getattr(args, f"theta{i}")) for i in (1, 2, 3, 4)]
-        lock_axis = None
-        n_theta = int(np.prod([len(ax) for ax in theta_axes]))
+        theta_specs = [_axis_spec(getattr(args, f"theta{i}")) for i in (1, 2, 3, 4)]
     try:
         etas = [float(x) for x in args.eta.split(",") if x.strip()]
     except ValueError:
@@ -405,23 +439,16 @@ def cmd_sweep(args) -> int:
     if not etas or any(not 0.0 <= e <= 1.0 for e in etas):
         raise CliInputError("--eta values must lie in [0, 1]")
 
-    total = len(phis) * n_theta * len(etas)
+    # The cap is checked on the axis counts, before any axis is built.
+    total = math.prod(count for _, _, count in (phi_spec, *theta_specs)) * len(etas)
     if total > args.cap:
         raise CliInputError(f"grid has {total} points, exceeding the cap "
                             f"{args.cap}; raise --cap to proceed")
 
-    def theta_tuples():
-        if lock_axis is not None:
-            for t in lock_axis:
-                yield (t, t, t, t)
-        else:
-            for t1 in theta_axes[0]:
-                for t2 in theta_axes[1]:
-                    for t3 in theta_axes[2]:
-                        for t4 in theta_axes[3]:
-                            yield (t1, t2, t3, t4)
-
-    points = [(phi, thetas) for phi in phis for thetas in theta_tuples()]
+    theta_axes = [_axis_values(spec) for spec in theta_specs]
+    theta_tuples = ([(t, t, t, t) for t in theta_axes[0]] if locked
+                    else list(itertools.product(*theta_axes)))
+    points = [(phi, thetas) for phi in _axis_values(phi_spec) for thetas in theta_tuples]
     amps = np.empty((len(points), len(BRANCHES), ATOMIC_SPACE.dim), dtype=complex)
     closed = []
     for k, (phi, thetas) in enumerate(points):
@@ -438,32 +465,13 @@ def cmd_sweep(args) -> int:
     c_num = np.where(live, _pair_concurrence(states, _FORMULA_PAIR_QUBITS), np.nan)
     s_num = np.where(live, _cut_entropy(states, _FORMULA_CUT_QUBITS), np.nan)
 
-    # Per point, the cells before eta and the cells after it; a row is
-    # head, eta, gamma1, gamma2, eta (the success probability), the rest.
     split_rows = []
     for (phi, thetas), cl, cs, ss in zip(points, closed, c_num.tolist(), s_num.tolist()):
         tail = list(gamma_factors(thetas))
         for (c_cl, s_cl), c, s in zip(cl, cs, ss):
             tail += [c_cl, c, abs(c_cl - c), s_cl, s, abs(s_cl - s)]
         split_rows.append(([phi, *thetas], tail))
-
-    def rows(format_cell):
-        # each cell that does not depend on eta is formatted once per point
-        etas_out = [format_cell(eta) for eta in etas]
-        for head, tail in split_rows:
-            head, tail = [format_cell(v) for v in head], [format_cell(v) for v in tail]
-            for eta in etas_out:
-                yield [*head, eta, *tail[:2], eta, *tail[2:]]
-
-    if args.json:
-        payload = {
-            "columns": _SWEEP_COLUMNS,
-            "rows": [dict(zip(_SWEEP_COLUMNS, row)) for row in rows(_jsonable)],
-        }
-        _emit(_json_text(payload), args)
-    else:
-        _emit(_csv_text(_SWEEP_COLUMNS, rows(_fmt)), args)
-    return 0
+    return Output({"etas": etas, "points": split_rows}, _sweep_csv, _sweep_csv, _sweep_json)
 
 
 # --------------------------------------------------------------------------
@@ -484,102 +492,93 @@ def _parse_index(text: str) -> GesIndex:
         raise CliInputError(str(exc))
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args) -> Output:
     if args.compare_generated:
-        records = compare_generated()
-        if args.json:
-            payload = [{
-                "index": r["index"],
-                "overlap_magnitude": r["overlap_magnitude"],
-                "phase_re": float(r["phase"].real),
-                "phase_im": float(r["phase"].imag),
-                "matches_up_to_phase": r["matches_up_to_phase"],
-                "max_dev_after_alignment": _jsonable(r["max_dev_after_alignment"]),
-            } for r in records]
-            _emit(_json_text(payload), args)
-        elif args.csv:
-            rows = [[r["index"], _fmt(r["overlap_magnitude"]),
-                     _fmt(r["phase"].real), _fmt(r["phase"].imag),
-                     str(r["matches_up_to_phase"]).lower(),
-                     _fmt(r["max_dev_after_alignment"])] for r in records]
-            _emit(_csv_text(["index", "overlap_magnitude", "phase_re",
-                             "phase_im", "matches_up_to_phase",
-                             "max_dev_after_alignment"], rows), args)
-        else:
-            lines = []
-            for r in records:
-                z = r["phase"]
-                lines.append(
-                    f"{r['index']}: overlap {r['overlap_magnitude']:.12f}, "
-                    f"phase {z.real:+.6f}{z.imag:+.6f}j, "
-                    f"match={'yes' if r['matches_up_to_phase'] else 'no'}, "
-                    f"dev {r['max_dev_after_alignment']:.3e}")
-            _emit("\n".join(lines) + "\n", args)
-        return 0
+        payload = [{"index": r["index"], "overlap_magnitude": r["overlap_magnitude"],
+                    "phase_re": float(r["phase"].real), "phase_im": float(r["phase"].imag),
+                    "matches_up_to_phase": r["matches_up_to_phase"],
+                    "max_dev_after_alignment": _jsonable(r["max_dev_after_alignment"])}
+                   for r in compare_generated()]
+        return Output(payload, _compare_text, _compare_csv)
 
     basis = explicit_basis()
-
     if args.verify:
         rep = verify_representation(basis)
         healthy = (rep.max_orthonormality_dev <= 1e-12
                    and rep.max_completeness_dev <= 1e-12
                    and rep.all_genuine)
-        if args.json:
-            payload = {
-                "max_orthonormality_dev": rep.max_orthonormality_dev,
-                "max_completeness_dev": rep.max_completeness_dev,
-                "all_genuine": rep.all_genuine,
-                "states": {idx.label: rep.state_reports[idx].as_dict()
-                           for idx in ALL_INDICES},
-            }
-            _emit(_json_text(payload), args)
-        elif args.csv:
-            rows = [["max_orthonormality_dev", _fmt(rep.max_orthonormality_dev)],
-                    ["max_completeness_dev", _fmt(rep.max_completeness_dev)],
-                    ["all_genuine", str(rep.all_genuine).lower()]]
-            rows += [[f"genuine_{idx.label}",
-                      str(rep.state_reports[idx].is_genuine).lower()]
-                     for idx in ALL_INDICES]
-            _emit(_csv_text(["field", "value"], rows), args)
-        else:
-            lines = [
-                f"max orthonormality deviation: {rep.max_orthonormality_dev:.3e}",
-                f"max completeness deviation:   {rep.max_completeness_dev:.3e}",
-            ]
-            n = sum(rep.state_reports[idx].is_genuine for idx in ALL_INDICES)
-            lines.append(f"genuine states: {n}/16")
-            lines.append(f"all genuine: {'yes' if rep.all_genuine else 'no'}")
-            _emit("\n".join(lines) + "\n", args)
-        return 0 if healthy else 1
+        payload = {
+            "max_orthonormality_dev": rep.max_orthonormality_dev,
+            "max_completeness_dev": rep.max_completeness_dev,
+            "all_genuine": rep.all_genuine,
+            "states": {idx.label: rep.state_reports[idx].as_dict() for idx in ALL_INDICES},
+        }
+        return Output(payload, _basis_verify_text, _basis_verify_csv, code=0 if healthy else 1)
 
     indices = [_parse_index(args.index)] if args.index else list(ALL_INDICES)
-    if args.json:
-        payload = {"states": [{
-            "index": idx.label,
-            "amplitudes": _state_records(basis.states[idx], args.tol),
-        } for idx in indices]}
-        _emit(_json_text(payload), args)
-    elif args.csv:
-        rows = []
-        for idx in indices:
-            for rec in _state_records(basis.states[idx], args.tol):
-                rows.append([idx.label, rec["basis_label"],
-                             _fmt(rec["re"]), _fmt(rec["im"])])
-        _emit(_csv_text(["index", "basis_label", "re", "im"], rows), args)
-    else:
-        lines = []
-        for idx in indices:
-            lines.append(f"{idx.label}:")
-            lines.extend(_state_lines(basis.states[idx], args.tol))
-        _emit("\n".join(lines) + "\n", args)
-    return 0
+    payload = {"states": [{"index": idx.label,
+                           "amplitudes": _state_records(basis.states[idx], args.tol)}
+                          for idx in indices]}
+    return Output(payload, _basis_list_text, _basis_list_csv)
+
+
+def _compare_text(payload) -> str:
+    lines = []
+    for r in payload:
+        dev = r["max_dev_after_alignment"]
+        lines.append(f"{r['index']}: overlap {r['overlap_magnitude']:.12f}, "
+                     f"phase {r['phase_re']:+.6f}{r['phase_im']:+.6f}j, "
+                     f"match={'yes' if r['matches_up_to_phase'] else 'no'}, "
+                     f"dev {math.nan if dev is None else dev:.3e}")
+    return _text(lines)
+
+
+def _compare_csv(payload) -> str:
+    columns = ["index", "overlap_magnitude", "phase_re", "phase_im",
+               "matches_up_to_phase", "max_dev_after_alignment"]
+    return _csv_text(columns, [
+        [r["index"], _fmt(r["overlap_magnitude"]), _fmt(r["phase_re"]), _fmt(r["phase_im"]),
+         str(r["matches_up_to_phase"]).lower(), _fmt(r["max_dev_after_alignment"])]
+        for r in payload])
+
+
+def _basis_verify_text(payload) -> str:
+    n = sum(s["is_genuine"] for s in payload["states"].values())
+    return _text([
+        f"max orthonormality deviation: {payload['max_orthonormality_dev']:.3e}",
+        f"max completeness deviation:   {payload['max_completeness_dev']:.3e}",
+        f"genuine states: {n}/16",
+        f"all genuine: {'yes' if payload['all_genuine'] else 'no'}",
+    ])
+
+
+def _basis_verify_csv(payload) -> str:
+    rows = [["max_orthonormality_dev", _fmt(payload["max_orthonormality_dev"])],
+            ["max_completeness_dev", _fmt(payload["max_completeness_dev"])],
+            ["all_genuine", str(payload["all_genuine"]).lower()]]
+    rows += [[f"genuine_{label}", str(s["is_genuine"]).lower()]
+             for label, s in payload["states"].items()]
+    return _csv_text(["field", "value"], rows)
+
+
+def _basis_list_text(payload) -> str:
+    lines = []
+    for entry in payload["states"]:
+        lines += [f"{entry['index']}:", *_record_lines(entry["amplitudes"])]
+    return _text(lines)
+
+
+def _basis_list_csv(payload) -> str:
+    return _csv_text(["index", "basis_label", "re", "im"], [
+        [entry["index"], r["basis_label"], _fmt(r["re"]), _fmt(r["im"])]
+        for entry in payload["states"] for r in entry["amplitudes"]])
 
 
 # --------------------------------------------------------------------------
 # decompose
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> Output:
     if (args.state is None) == (args.file is None):
         raise CliInputError("give exactly one input: a state name "
                             f"({'/'.join(_CANONICAL_NAMES)}) or --file")
@@ -596,62 +595,54 @@ def cmd_decompose(args) -> int:
 
     basis = generate_basis() if args.basis == "generated" else explicit_basis()
     dec = decompose(state, basis)
+    coefficients = [{"family": idx.family, "component": idx.component, "label": idx.label,
+                     "re": float(c.real), "im": float(c.imag), "abs2": float(abs(c) ** 2)}
+                    for idx in ALL_INDICES for c in (dec.coefficients[idx],)]
+    payload = {"input": source, "basis": args.basis,
+               "coefficients": coefficients, "residual": dec.residual}
+    return Output(payload, _decompose_text, _decompose_csv)
 
-    entries = []
-    for idx in ALL_INDICES:
-        c = dec.coefficients[idx]
-        entries.append({
-            "family": idx.family,
-            "component": idx.component,
-            "label": idx.label,
-            "re": float(c.real),
-            "im": float(c.imag),
-            "abs2": float(abs(c) ** 2),
-        })
 
-    if args.json:
-        payload = {"input": source, "basis": args.basis,
-                   "coefficients": entries, "residual": dec.residual}
-        _emit(_json_text(payload), args)
-    elif args.csv:
-        rows = [[str(e["family"]), str(e["component"]), e["label"],
-                 _fmt(e["re"]), _fmt(e["im"]), _fmt(e["abs2"])]
-                for e in entries]
-        rows.append(["", "", "residual", _fmt(dec.residual), _fmt(0.0),
-                     _fmt(dec.residual ** 2)])
-        _emit(_csv_text(["family", "component", "label", "re", "im", "abs2"],
-                        rows), args)
-    else:
-        lines = [f"decomposition of {source} over the {args.basis} basis:"]
-        for e in entries:
-            lines.append(f"  {e['label']}  {e['re']:+.12f}  {e['im']:+.12f}  "
-                         f"|c|^2 = {e['abs2']:.12f}")
-        lines.append(f"  residual = {dec.residual:.3e}")
-        _emit("\n".join(lines) + "\n", args)
-    return 0
+def _decompose_text(payload) -> str:
+    lines = [f"decomposition of {payload['input']} over the {payload['basis']} basis:"]
+    lines += [f"  {e['label']}  {e['re']:+.12f}  {e['im']:+.12f}  |c|^2 = {e['abs2']:.12f}"
+              for e in payload["coefficients"]]
+    lines.append(f"  residual = {payload['residual']:.3e}")
+    return _text(lines)
+
+
+def _decompose_csv(payload) -> str:
+    rows = [[str(e["family"]), str(e["component"]), e["label"],
+             _fmt(e["re"]), _fmt(e["im"]), _fmt(e["abs2"])]
+            for e in payload["coefficients"]]
+    residual = payload["residual"]
+    rows.append(["", "", "residual", _fmt(residual), _fmt(0.0), _fmt(residual ** 2)])
+    return _csv_text(["family", "component", "label", "re", "im", "abs2"], rows)
 
 
 # --------------------------------------------------------------------------
 # verify
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Output:
     report = run_all_checks(seed=args.seed, fault=args.fault)
-    log_text = _json_text(report.discrepancy_log)
-    if args.json:
-        _emit(report_to_json(report) + "\n", args)
-    elif args.csv:
-        rows = [[c.name, str(c.passed).lower(), _fmt(c.measured), c.detail]
-                for c in report.checks]
-        _emit(_csv_text(["name", "passed", "measured", "detail"], rows), args)
-    else:
-        lines = report.lines()
-        lines.append("discrepancy log:")
-        text = "\n".join(lines) + "\n" + log_text
-        _emit(text, args)
-    if args.discrepancies:
-        Path(args.discrepancies).write_text(log_text)
-    return 0 if report.all_passed else 1
+    payload = report.as_dict()
+    log = ((args.discrepancies, payload["discrepancy_log"]),) if args.discrepancies else ()
+    return Output(payload, _verify_text, _verify_csv,
+                  code=0 if report.all_passed else 1, side_files=log)
+
+
+def _verify_text(payload) -> str:
+    report = VerificationReport(payload["seed"],
+                                tuple(CheckResult(**c) for c in payload["checks"]),
+                                payload["discrepancy_log"])
+    return _text(report.lines() + ["discrepancy log:"]) + _json_text(payload["discrepancy_log"])
+
+
+def _verify_csv(payload) -> str:
+    return _csv_text(["name", "passed", "measured", "detail"], [
+        [c["name"], str(c["passed"]).lower(), _fmt(c["measured"]), c["detail"]]
+        for c in payload["checks"]])
 
 
 # --------------------------------------------------------------------------
@@ -669,8 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write output to a file instead of stdout")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for pseudo-random sampling (default 0)")
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="display/validation tolerance (default 1e-9)")
+    common.add_argument("--tol", type=_tolerance, default=1e-9,
+                        help="display/validation tolerance, finite and >= 0 (default 1e-9)")
 
     parser = argparse.ArgumentParser(
         prog="ges4",
@@ -755,14 +746,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        out = args.func(args)
+        render = out.json if args.json else out.csv if args.csv else out.text
+        _write(render(out.payload), args.out)
+        for path, payload in out.side_files:
+            _write(_json_text(payload), path)
+        return out.code
+    except (CliInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:

@@ -18,7 +18,7 @@ data — so two runs with the same seed serialize to byte-identical JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -119,6 +119,15 @@ class VerificationReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    def as_dict(self) -> dict:
+        """The report as plain data: what `report_to_json` serializes."""
+        return {
+            "seed": self.seed,
+            "all_passed": self.all_passed,
+            "checks": [asdict(c) for c in self.checks],
+            "discrepancy_log": self.discrepancy_log,
+        }
 
     def lines(self) -> list:
         out = [c.line() for c in self.checks]
@@ -573,18 +582,4 @@ def run_all_checks(seed: int = 0, fault: Optional[str] = None) -> VerificationRe
 
 def report_to_json(report: VerificationReport) -> str:
     """Serialize a report deterministically (same seed, same bytes)."""
-    payload = {
-        "seed": report.seed,
-        "all_passed": report.all_passed,
-        "checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "measured": c.measured,
-                "detail": c.detail,
-            }
-            for c in report.checks
-        ],
-        "discrepancy_log": report.discrepancy_log,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(report.as_dict(), indent=2, sort_keys=True)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -441,3 +442,134 @@ def test_errors_go_to_stderr_not_stdout(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err != ""
+
+
+# ---------------------------------------------------------------------------
+# work done per request
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"], ["--json"]])
+@pytest.mark.parametrize("argv, n_pure", [
+    (["simulate", "--phi", "1.1", "--theta", "0.3,0.5,0.7,0.9", "--eta", "0.6"], 2),
+    (["simulate", "--outcome", "d2"], 1),
+    (["simulate", "--deterministic"], 1),
+])
+def test_measures_run_once_per_pure_state(capsys, monkeypatch, argv, n_pure, fmt):
+    # d1 and d2 leave pure states at eta 0.6; no-click is mixed and a
+    # double click has no weight, so they get no measures.
+    real = cli.measure_report
+    calls = []
+
+    def counted(state):
+        calls.append(state)
+        return real(state)
+
+    monkeypatch.setattr(cli, "measure_report", counted)
+    assert cli.main(argv + ["--measures"] + fmt) == 0
+    capsys.readouterr()
+    assert len(calls) == n_pure
+
+
+@pytest.mark.parametrize("axes", [
+    ["--phi", "0:1:2000000"],
+    # 1e20 points: a product in int64 would wrap around
+    [arg for i in (1, 2, 3, 4) for arg in (f"--theta{i}", "0:1:100000")],
+])
+def test_sweep_cap_is_checked_before_any_axis_is_built(capsys, monkeypatch, axes):
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("an axis was built before the cap check")
+
+    monkeypatch.setattr(cli.np, "linspace", no_linspace)
+    assert cli.main(["sweep", *axes, "--cap", "10"]) == 2
+    assert "exceeding the cap 10" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# exit paths and input holes
+
+
+def _exit_code(argv) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:    # argparse rejects a flag
+        return exc.code
+
+
+def _one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."])   # no such folder; a folder
+@pytest.mark.parametrize("argv", [
+    ["basis", "--index", "1,0", "--json", "--out"],
+    ["simulate", "--out"],
+    ["verify", "--seed", "0", "--json", "--discrepancies"],
+])
+def test_unwritable_output_exits_2_with_one_line(capsys, tmp_path, argv, target):
+    rc = cli.main(argv + [str(tmp_path / target)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert _one_error_line(captured.err), captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9", "-0.5"])
+def test_tol_must_be_finite_and_nonnegative(capsys, tol):
+    assert _exit_code(["simulate", f"--tol={tol}", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err
+
+
+def test_tol_zero_is_accepted(capsys):
+    rc, doc = run_json(capsys, ["simulate", "--outcome", "d2", "--tol", "0", "--json"])
+    assert rc == 0
+    assert len(doc["state"]) >= 8
+
+
+def _state_file(tmp_path, records) -> str:
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(records))
+    return str(path)
+
+
+@pytest.mark.parametrize("field", ["re", "im"])
+def test_state_file_rejects_booleans(capsys, tmp_path, field):
+    rec = {"basis_label": "0000", "re": 1.0, "im": 0.0}
+    rec[field] = field == "re"
+    assert cli.main(["decompose", "--file", _state_file(tmp_path, [rec])]) == 2
+    assert _one_error_line(capsys.readouterr().err)
+
+
+def test_state_file_rejects_an_integer_too_large_for_a_float(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('[{"basis_label": "0000", "re": 1' + "0" * 400 + ', "im": 0}]')
+    assert cli.main(["decompose", "--file", str(path), "--normalize"]) == 2
+    assert _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("scale", [1e308, 1.5e-320])
+def test_normalize_rescales_extreme_amplitudes(capsys, tmp_path, scale):
+    def coefficients(value):
+        records = [{"basis_label": label, "re": value, "im": -value}
+                   for label in ("0000", "0110", "1111")]
+        rc, doc = run_json(capsys, ["decompose", "--file", _state_file(tmp_path, records),
+                                    "--normalize", "--json"])
+        assert rc == 0
+        return [(e["re"], e["im"]) for e in doc["coefficients"]], doc["residual"]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # an overflow warning fails the test
+        got, residual = coefficients(scale)
+        want, _ = coefficients(1.0)
+    assert residual < 1e-12
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+def test_unnormalized_extreme_amplitudes_name_the_norm(capsys, tmp_path):
+    records = [{"basis_label": "0000", "re": 1e308, "im": 1e308}]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["decompose", "--file", _state_file(tmp_path, records)]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err)
+    assert "state norm 1.41421356237e+308" in err and "--normalize" in err

@@ -12,6 +12,10 @@ written before the dense oracle cached its generators' eigensystems. The
 `simulate --measures` and `basis --verify` reports, which pin the entropies
 and concurrences `measure_report` prints, were written before it ran its
 cut entropies on the amplitude kernel.
+
+The text and CSV renderings of every simulate, basis, decompose and verify
+mode are pinned byte for byte (`BYTE_GOLDENS`): they print floats to a fixed
+number of digits, so they must not move at all.
 """
 
 import csv
@@ -19,6 +23,8 @@ import io
 import json
 import math
 from pathlib import Path
+
+import pytest
 
 from ges4 import cli
 from ges4.hilbert import EIG_TOL, STRUCT_TOL
@@ -35,6 +41,29 @@ BASIS_ARGV = ["basis", "--verify", "--json"]
 SWEEP_ARGV = ["sweep", "--phi", "0:pi/2:3", "--theta1", "0:pi/2:3",
               "--theta2", "0:pi/2:3", "--theta3", "0:1.1:2",
               "--theta4", "0.4:pi/2:2", "--eta", "0.3,1", "--csv"]
+
+# Text and CSV goldens: file stem -> (argv, exit code). Each stem has a
+# <stem>.txt (argv as given) and a <stem>.csv (argv + --csv).
+_SIM = ["--phi", "1.1", "--theta", "0.3,0.5,0.7,0.9"]
+BYTE_GOLDENS = {
+    "simulate_outcomes": (["simulate", *_SIM, "--eta", "0.6"], 0),
+    "simulate_outcome_d1": (["simulate", *_SIM, "--outcome", "d1"], 0),
+    "simulate_outcome_none": (["simulate", *_SIM, "--eta", "0.6", "--outcome", "none"], 0),
+    "simulate_deterministic": (["simulate", "--theta", "0.3,0.5,0.7,0.9", "--eta", "0.8",
+                                "--deterministic", "--outcome", "d1"], 0),
+    "simulate_deterministic_measures": (["simulate", "--deterministic", "--measures"], 0),
+    "simulate_measures": (["simulate", *_SIM, "--eta", "0.6", "--measures"], 0),
+    "simulate_outcome_measures": (["simulate", "--theta", "0.2", "--outcome", "d2",
+                                   "--measures"], 0),
+    "basis_list": (["basis"], 0),
+    "basis_index": (["basis", "--index", "3,2"], 0),
+    "basis_verify": (["basis", "--verify"], 0),
+    "basis_compare": (["basis", "--compare-generated"], 0),
+    "decompose_w4": (["decompose", "w4"], 0),
+    "decompose_d4_generated": (["decompose", "d4", "--basis", "generated"], 0),
+    "verify_seed3": (["verify", "--seed", "3"], 0),
+    "verify_seed3_fault": (["verify", "--seed", "3", "--fault", "conjugate_bs"], 1),
+}
 
 
 def _run(capsys, argv, want_rc=0) -> str:
@@ -110,3 +139,14 @@ def test_sweep_matches_golden(capsys):
             assert abs(g - w) <= tol, (line, column, g, w)
     # the grid has empty branches and degenerate closed forms
     assert n_nan > 0
+
+
+@pytest.mark.parametrize("fmt", ["txt", "csv"])
+@pytest.mark.parametrize("stem", list(BYTE_GOLDENS))
+def test_text_and_csv_match_golden_bytes(capsys, stem, fmt):
+    argv, want_rc = BYTE_GOLDENS[stem]
+    rc = cli.main(argv + (["--csv"] if fmt == "csv" else []))
+    captured = capsys.readouterr()
+    assert rc == want_rc
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / f"{stem}.{fmt}").read_bytes().decode()
