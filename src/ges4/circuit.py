@@ -15,12 +15,15 @@ path used everywhere, exploits the structure: on the one-photon sector the
 interferometer is the 2x2 splitter block, then the diagonal phase
 exp(-i phi n0) on arm U and exp(-i phi n1) on arm L (n0 and n1 count the
 qubits in |0> and |1>), then the splitter block again. `mz_circuit` builds
-the dense 64x64 unitary from the cavity generators; it is the oracle the
-verification suite checks the fast path against, together with the closed
-forms of `closed_form_pair`. The oracle diagonalises each cavity generator
-once, on first use, and caches the eigensystem (w, v, v^dag); phi enters
-only through the eigenphases, exp(-i phi G) = v diag(exp(-i phi w)) v^dag,
-so every circuit is still a product of five dense 64x64 factors.
+the dense 64x64 unitary from the cavity generators. The oracle diagonalises
+each cavity generator once, on first use, and caches the eigensystem
+(w, v, v^dag); phi enters only through the eigenphases,
+exp(-i phi G) = v diag(exp(-i phi w)) v^dag, so every circuit is still a
+product of five dense 64x64 factors. The verification suite checks the fast
+path against `_dense_apply`, which applies the same five generator-built
+factors to a stack of input rows (one phase per row) without forming the
+matrix, and against the closed forms of `_closed_form_pairs`, evaluated for
+all draws at once.
 """
 
 from __future__ import annotations
@@ -264,13 +267,30 @@ def _dense_circuit(phi: float, splitter: Operator) -> Operator:
     """Dense 64x64 interferometer with a given photonic splitter.
 
     The splitter's embedding is cached on its matrix entries, so a changed
-    splitter is never served a stale embedding.
+    splitter is never served a stale embedding. `_dense_apply` applies the
+    same five factors to input rows without forming the matrix.
     """
     bs = _embedded_splitter(splitter.space, splitter.mat.tobytes())
     u = bs
     for i in (1, 2, 3, 4):
         u = _cavity_factor(i, phi) @ u
     return Operator(FULL_SPACE, bs @ u)
+
+
+def _dense_apply(phis: np.ndarray, splitter: Operator, states: np.ndarray) -> np.ndarray:
+    """Rows of `states` (N, 64) through the dense interferometer, row n at phis[n].
+
+    Applies the five factors of `_dense_circuit` to the stacked rows: the
+    embedded splitter, each cavity as its cached eigensystem, the splitter
+    again. Equals `_dense_circuit(phis[n], splitter) @ states[n]` to roundoff.
+    """
+    bs_t = _embedded_splitter(splitter.space, splitter.mat.tobytes()).T
+    phis = np.asarray(phis, dtype=float)[:, None]
+    rows = np.asarray(states) @ bs_t
+    for i in (1, 2, 3, 4):
+        w, v, vh = _cavity_eigensystem(i)
+        rows = ((rows @ vh.T) * np.exp(-1j * (phis * w))) @ v.T
+    return rows @ bs_t
 
 
 def mz_circuit(phi: float) -> Operator:
@@ -288,16 +308,22 @@ def mz_circuit(phi: float) -> Operator:
 _PHOTON_IN_U = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
 
 
+def _initial_states(thetas: np.ndarray) -> np.ndarray:
+    """`initial_state` amplitudes, one (64,) row per row of four angles."""
+    th = np.asarray(thetas, dtype=float)
+    qubits = np.stack([np.cos(th), np.sin(th)], axis=-1).astype(complex)   # (N, 4, 2)
+    amp = _PHOTON_IN_U[None, :]
+    for i in range(4):
+        amp = (amp[:, :, None] * qubits[:, i, None, :]).reshape(len(th), -1)
+    return amp
+
+
 def initial_state(thetas: Sequence[float]) -> StateVector:
     """|10>_photon tensor prod_i (cos(theta_i)|0> + sin(theta_i)|1>)."""
     th = tuple(float(t) for t in thetas)
     if len(th) != 4:
         raise ValueError("four angles required")
-    amp = _PHOTON_IN_U
-    for t in th:
-        qubit = np.array([math.cos(t), math.sin(t)], dtype=complex)
-        amp = np.multiply.outer(amp, qubit).ravel()
-    return StateVector(FULL_SPACE, amp)
+    return StateVector(FULL_SPACE, _initial_states([th])[0])
 
 
 # Photonic basis indices of the one-photon sector, photon in arm U then L.
@@ -361,45 +387,55 @@ def photon_branch(psi: StateVector, n_u: int, n_l: int) -> StateVector:
     return StateVector(ATOMIC_SPACE, psi.amp[_branch_slice(n_u, n_l)])
 
 
-# (flat index, bits, weight group) of every four-qubit basis string, in the
-# order `closed_form_pair` accumulates them; group g takes the g-th weight
-# pair there.
+# (flat index, bits, weight group) of every four-qubit basis string; group g
+# takes the g-th weight pair of `_closed_form_pairs`.
 _CLOSED_FORM_TERMS = tuple(
     (ATOMIC_SPACE.index_of([int(c) for c in bits]), tuple(c == "1" for c in bits), group)
     for group, strings in enumerate((("0000",), ("1111",), _STRINGS_W1,
                                      _STRINGS_W3, _STRINGS_W2))
     for bits in strings
 )
+_CF_INDEX, _CF_BITS, _CF_GROUP = (np.array(col) for col in zip(*_CLOSED_FORM_TERMS))
+
+
+def _closed_form_pairs(phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Closed-form branch pairs (chi', chi''), unnormalized, as (N, 2, 16).
+
+    Row n is the pair at phis[n] and the four angles thetas[n]. Writing z for
+    the excitation number of a basis string, the weights are cos(2phi),
+    cos(phi), 1, cos(phi), cos(2phi) on chi' and sin(2phi), sin(phi), 0,
+    -sin(phi), -sin(2phi) on chi'' for z = 0..4. The branch weights satisfy
+    ||chi'||^2 + ||chi''||^2 = 1 (checked), which fixes the discarded global
+    factor of the raw circuit output; a row off by more than STRUCT_TOL, or
+    not finite, raises InvariantError.
+    """
+    phis = np.asarray(phis, dtype=float)[:, None]
+    th = np.asarray(thetas, dtype=float)
+    cos1, sin1 = np.cos(phis), np.sin(phis)
+    cos2, sin2 = np.cos(2 * phis), np.sin(2 * phis)
+    one, zero = np.ones_like(phis), np.zeros_like(phis)
+    # weights[n, branch, group]
+    weights = np.concatenate([cos2, cos2, cos1, cos1, one,
+                              sin2, -sin2, sin1, -sin1, zero], axis=1).reshape(-1, 2, 5)
+    f = np.where(_CF_BITS, np.sin(th)[:, None, :], np.cos(th)[:, None, :])
+    a = f[..., 0] * f[..., 1] * f[..., 2] * f[..., 3]          # (N, term), q1 first
+    pairs = np.zeros((len(th), 2, ATOMIC_SPACE.dim), dtype=complex)
+    pairs[..., _CF_INDEX] += weights[..., _CF_GROUP] * a[:, None, :]
+
+    total = np.sum(pairs.real**2 + pairs.imag**2, axis=(1, 2))
+    bad = ~(np.abs(total - 1.0) <= STRUCT_TOL)
+    if bad.any():
+        raise InvariantError(f"branch weights sum to {total[bad][0]}, not 1")
+    return pairs
 
 
 def closed_form_pair(params: SchemeParams) -> tuple[StateVector, StateVector]:
     """Both closed-form branch states (chi', chi''), unnormalized.
 
-    Writing z for the excitation number of a basis string, the weights are
-    cos(2phi), cos(phi), 1, cos(phi), cos(2phi) on chi' and sin(2phi),
-    sin(phi), 0, -sin(phi), -sin(2phi) on chi'' for z = 0..4. The branch
-    weights already satisfy ||chi'||^2 + ||chi''||^2 = 1 (checked), which
-    fixes the discarded global factor of the raw circuit output; a sum off
-    by more than STRUCT_TOL raises InvariantError.
+    The one-draw case of `_closed_form_pairs`, which gives the weights and
+    raises InvariantError when ||chi'||^2 + ||chi''||^2 is off 1.
     """
-    phi, th = params.phi, params.thetas
-    prime = np.zeros(ATOMIC_SPACE.dim, dtype=complex)
-    dprime = np.zeros(ATOMIC_SPACE.dim, dtype=complex)
-    cos1, sin1 = math.cos(phi), math.sin(phi)
-    cos2, sin2 = math.cos(2 * phi), math.sin(2 * phi)
-    weights = ((cos2, sin2), (cos2, -sin2), (cos1, sin1), (cos1, -sin1), (1.0, 0.0))
-    factors = [(math.cos(t), math.sin(t)) for t in th]
-    for idx, bits, group in _CLOSED_FORM_TERMS:
-        a = 1.0
-        for bit, (c, s) in zip(bits, factors):
-            a *= s if bit else c
-        w_prime, w_dprime = weights[group]
-        prime[idx] += w_prime * a
-        dprime[idx] += w_dprime * a
-
-    total = float(np.linalg.norm(prime)**2 + np.linalg.norm(dprime)**2)
-    if abs(total - 1.0) > STRUCT_TOL:
-        raise InvariantError(f"branch weights sum to {total}, not 1")
+    prime, dprime = _closed_form_pairs([params.phi], [params.thetas])[0]
     return StateVector(ATOMIC_SPACE, prime), StateVector(ATOMIC_SPACE, dprime)
 
 

@@ -12,9 +12,9 @@ exact fractions of pi ("pi/4", "3pi/8", "-pi/2"). Re-running a command with
 identical flags and seed reproduces its output byte for byte.
 
 State files are JSON lists of records ``{"basis_label": "0101", "re": x,
-"im": y}``; labels are four characters of 0/1, absent labels mean amplitude
-zero, and the reconstructed vector must be normalized within ``--tol``
-unless ``--normalize`` is given.
+"im": y}``; labels are strings of four characters of 0/1, ``re`` and ``im``
+are JSON numbers, absent labels mean amplitude zero, and the reconstructed
+vector must be normalized within ``--tol`` unless ``--normalize`` is given.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -248,18 +249,21 @@ def read_state_file(path: str, normalize: bool, tol: float) -> StateVector:
             raise CliInputError(
                 "every record needs the fields basis_label, re and im"
             )
-        label = str(rec["basis_label"])
-        if len(label) != 4 or any(c not in "01" for c in label):
-            raise CliInputError(f"bad basis label {label!r}; need 4 chars of 0/1")
+        label = rec["basis_label"]
+        if (not isinstance(label, str) or len(label) != 4
+                or any(c not in "01" for c in label)):
+            raise CliInputError(f"bad basis label {label!r}; need a string of 4 chars of 0/1")
         if label in seen:
             raise CliInputError(f"duplicate basis label {label!r}")
         seen.add(label)
+        parts = (rec["re"], rec["im"])
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in parts):
+            raise CliInputError(f"non-numeric amplitude at label {label!r}: "
+                                f"re and im must be JSON numbers")
         try:
-            if isinstance(rec["re"], bool) or isinstance(rec["im"], bool):
-                raise TypeError("a boolean is not a number")
-            value = float(rec["re"]) + 1j * float(rec["im"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise CliInputError(f"non-numeric amplitude at label {label!r}: {exc}")
+            value = float(parts[0]) + 1j * float(parts[1])
+        except OverflowError as exc:
+            raise CliInputError(f"amplitude out of range at label {label!r}: {exc}")
         amp[ATOMIC_SPACE.index_of([int(c) for c in label])] = value
     state = StateVector(ATOMIC_SPACE, amp)
     # Dividing the real and imaginary parts by a power of two is exact, and keeps
@@ -304,7 +308,12 @@ def cmd_simulate(args) -> Output:
     }
     outcome = DetectionOutcome.from_string(args.outcome) if args.outcome else None
     if args.deterministic:
-        prepared = prepare_ges(params, outcome=outcome)
+        # an off-operating-point warning becomes one diagnostic line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            prepared = prepare_ges(params, outcome=outcome)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
         payload["mode"] = "deterministic"
         payload["conditioned_on"] = prepared.outcome.value
         payload.update(_outcome_entry(prepared.state, prepared.probability,

@@ -42,9 +42,8 @@ from .circuit import (
     BRANCHES,
     BRANCH_PRIME,
     QUBIT_LABELS,
-    SchemeParams,
+    _closed_form_pairs,
     check_branch,
-    closed_form_pair,
 )
 
 # Genuine multipartite entanglement signature: every pairwise concurrence
@@ -262,9 +261,7 @@ def _closed_form_branches(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the normalized amplitudes (n, 2, 16) and the norms (n, 2); a
     zero branch stays zero.
     """
-    pairs = [closed_form_pair(SchemeParams(math.pi / 2.0, tuple(th))) for th in thetas]
-    amps = np.array([[chi.amp for chi in pair] for pair in pairs],
-                    dtype=complex).reshape(len(pairs), 2, 16)
+    amps = _closed_form_pairs(np.full(len(thetas), math.pi / 2.0), thetas)
     norms = np.linalg.norm(amps, axis=-1)
     return amps / np.where(norms > 0.0, norms, 1.0)[..., None], norms
 

@@ -33,19 +33,20 @@ from .circuit import (
     PHOTONIC_SPACE,
     DetectionOutcome,
     SchemeParams,
+    _branch_slice,
+    _closed_form_pairs,
+    _dense_apply,
     _dense_circuit,
+    _initial_states,
     _one_photon_block,
     _one_photon_output,
     beam_splitter,
     closed_form_chi,
-    closed_form_pair,
     detect,
     evolve,
     gamma_factors,
     ges_target_state,
-    initial_state,
     mz_circuit,
-    photon_branch,
     prepare_ges,
 )
 from .measures import (
@@ -201,29 +202,28 @@ def _check_oracle_equivalence(
 ) -> CheckResult:
     """Dense circuit and fast kernel vs the closed-form branch pair.
 
-    Three independent paths: the dense 64x64 circuit, the structured
-    one-photon kernel behind `evolve`, and the closed forms. Both circuit
-    paths get the same splitter, so an injected fault breaks both.
+    Three independent paths: the dense circuit's five factors applied to all
+    200 input states stacked as rows, the structured one-photon kernel behind
+    `evolve` (per draw, as `evolve` runs it), and the closed forms of all
+    draws at once. Both circuit paths get the same splitter, so an injected
+    fault breaks both.
     """
     splitter = _splitter(fault)
     block = _one_photon_block(splitter)
-    worst = 0.0
-    for _ in range(200):
-        phi = float(rng.uniform(0.0, 2.0 * np.pi))
-        thetas = tuple(float(t) for t in rng.uniform(0.0, np.pi / 2.0, size=4))
-        chi_p, chi_dp = closed_form_pair(SchemeParams(phi=phi, thetas=thetas))
-        # Expected output: a single photon split over |01> and |10>, each
-        # component carrying its branch, under one common prefactor.
-        phase = -1j * np.exp(-2j * phi)
-        want_p, want_dp = phase * chi_p.amp, phase * chi_dp.amp
-        dense = _dense_circuit(phi, splitter) @ initial_state(thetas)
-        fast_u, fast_l = _one_photon_output(phi, thetas, block)
-        for got_p, got_dp in ((photon_branch(dense, 0, 1).amp,
-                               photon_branch(dense, 1, 0).amp),
-                              (fast_l, fast_u)):
-            dev = max(np.max(np.abs(got_p - want_p)),
-                      np.max(np.abs(got_dp - want_dp)))
-            worst = max(worst, float(dev))
+    phis, thetas = np.empty(200), np.empty((200, 4))
+    for n in range(200):
+        phis[n] = rng.uniform(0.0, 2.0 * np.pi)
+        thetas[n] = rng.uniform(0.0, np.pi / 2.0, size=4)
+    # Expected output: a single photon split over |01> and |10>, each
+    # component carrying its branch, under one common prefactor.
+    phase = -1j * np.exp(-2j * phis)
+    want = phase[:, None, None] * _closed_form_pairs(phis, thetas)
+    rows = _dense_apply(phis, splitter, _initial_states(thetas))
+    dense = np.stack([rows[:, _branch_slice(0, 1)], rows[:, _branch_slice(1, 0)]], axis=1)
+    # the fast kernel returns arms (U, L), which carry (chi'', chi')
+    fast = np.array([_one_photon_output(phi, th, block)[::-1]
+                     for phi, th in zip(phis.tolist(), thetas)])
+    worst = float(max(np.max(np.abs(dense - want)), np.max(np.abs(fast - want))))
     return CheckResult(
         "oracle_equivalence",
         worst <= 1e-12,
@@ -233,13 +233,13 @@ def _check_oracle_equivalence(
 
 
 def _check_branch_norms(rng: np.random.Generator) -> CheckResult:
+    thetas = np.array([rng.uniform(0.0, np.pi / 2.0, size=4) for _ in range(50)])
+    pairs = _closed_form_pairs(np.full(50, np.pi / 2.0), thetas)
     worst = 0.0
-    for _ in range(50):
-        thetas = tuple(float(t) for t in rng.uniform(0.0, np.pi / 2.0, size=4))
-        params = SchemeParams(phi=np.pi / 2.0, thetas=thetas)
-        g1, g2 = gamma_factors(thetas)
-        n_p = closed_form_chi(params, BRANCH_PRIME).norm ** 2
-        n_dp = closed_form_chi(params, BRANCH_DOUBLE_PRIME).norm ** 2
+    for th, (chi_p, chi_dp) in zip(thetas, pairs):
+        g1, g2 = gamma_factors(th)
+        n_p = float(np.linalg.norm(chi_p)) ** 2
+        n_dp = float(np.linalg.norm(chi_dp)) ** 2
         dev = max(abs(n_p - g1), abs(n_dp - g2), abs(n_p + n_dp - 1.0))
         worst = max(worst, float(dev))
     return CheckResult(

@@ -1,6 +1,10 @@
 """Unit tests for the interferometer circuit, detection and closed forms."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,3 +444,60 @@ def test_beam_splitter_is_built_once_and_immutable():
     assert beam_splitter() is bs
     with pytest.raises(ValueError):
         bs.mat[0, 0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# stacked oracle: many draws per call vs the one-draw functions
+
+_EDGES = st.sampled_from([0.0, PI / 2, PI, 2 * PI])
+_ANGLE = st.one_of(st.floats(-10.0, 10.0), _EDGES)
+_DRAWS = st.lists(st.tuples(_ANGLE, st.lists(_ANGLE, min_size=4, max_size=4)),
+                  min_size=1, max_size=6)
+
+
+def _stack(draws):
+    params = [SchemeParams(phi=phi, thetas=thetas) for phi, thetas in draws]
+    return (np.array([p.phi for p in params]), np.array([p.thetas for p in params]),
+            params)
+
+
+@settings(max_examples=100, deadline=None)
+@given(draws=_DRAWS, conjugate=st.booleans())
+def test_dense_apply_rows_equal_per_draw_dense_circuits(draws, conjugate):
+    splitter = _conjugated_splitter() if conjugate else beam_splitter()
+    phis, thetas, params = _stack(draws)
+    got = circuit._dense_apply(phis, splitter, circuit._initial_states(thetas))
+    for row, p in zip(got, params):
+        want = _dense_circuit(p.phi, splitter) @ initial_state(p.thetas)
+        np.testing.assert_allclose(row, want.amp, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(draws=_DRAWS)
+def test_batched_closed_forms_and_inputs_equal_the_scalar_ones_bit_for_bit(draws):
+    phis, thetas, params = _stack(draws)
+    pairs = circuit._closed_form_pairs(phis, thetas)
+    states = circuit._initial_states(thetas)
+    for n, p in enumerate(params):
+        prime, dprime = closed_form_pair(p)
+        assert np.array_equal(pairs[n, 0], prime.amp)
+        assert np.array_equal(pairs[n, 1], dprime.amp)
+        assert np.array_equal(states[n], initial_state(p.thetas).amp)
+
+
+def test_branch_sum_invariant_survives_optimized_mode():
+    # `python -O` strips asserts; a non-finite branch sum must still raise
+    code = (
+        "import sys\n"
+        "from ges4 import circuit\n"
+        "for phis, thetas in (([float('nan')], [[0.1] * 4]), ([0.3], [[float('inf')] * 4])):\n"
+        "    try:\n"
+        "        circuit._closed_form_pairs(phis, thetas)\n"
+        "    except circuit.InvariantError as exc:\n"
+        "        print('raised', sys.flags.optimize, str(exc).startswith('branch weights'))\n"
+    )
+    src = str(Path(circuit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.splitlines() == ["raised 1 True"] * 2, out.stderr

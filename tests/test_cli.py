@@ -106,6 +106,28 @@ def test_simulate_deterministic_probability_scales_with_eta(capsys):
     assert doc["state"] is not None
 
 
+def test_simulate_off_operating_point_warns_in_one_line(capsys, monkeypatch):
+    argv = ["simulate", "--phi", "1", "--deterministic"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no warning may escape main
+        assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: prepare_ges expects phi = pi/2; the conditioned "
+                            "states are entangled targets only there\n")
+    # stdout is what the same run prints when prepare_ges stays silent
+    real = cli.prepare_ges
+
+    def silent(*args, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "prepare_ges", silent)
+    assert cli.main(argv) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == "" and quiet.out == captured.out
+
+
 def test_simulate_measures_flag(capsys):
     rc, doc = run_json(
         capsys, ["simulate", "--outcome", "d2", "--measures", "--json"])
@@ -538,6 +560,29 @@ def test_state_file_rejects_booleans(capsys, tmp_path, field):
     rec[field] = field == "re"
     assert cli.main(["decompose", "--file", _state_file(tmp_path, [rec])]) == 2
     assert _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("record", [
+    {"basis_label": 1000, "re": 1.0, "im": 0.0},        # label must be a string
+    {"basis_label": ["1", "0", "0", "0"], "re": 1.0, "im": 0.0},
+    {"basis_label": None, "re": 1.0, "im": 0.0},
+    {"basis_label": "1000", "re": "1", "im": 0},        # numbers, not strings
+    {"basis_label": "1000", "re": 1, "im": "0"},
+    {"basis_label": "1000", "re": None, "im": 0},
+    {"basis_label": "1000", "re": [1], "im": 0},
+])
+def test_state_file_rejects_fields_of_the_wrong_json_type(capsys, tmp_path, record):
+    assert cli.main(["decompose", "--file", _state_file(tmp_path, [record])]) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured.err)
+    assert captured.out == ""
+
+
+def test_state_file_takes_json_integers_as_amplitudes(capsys, tmp_path):
+    records = [{"basis_label": "1000", "re": 1, "im": 0}]
+    rc, doc = run_json(capsys, ["decompose", "--file", _state_file(tmp_path, records),
+                                "--json"])
+    assert rc == 0 and doc["residual"] < 1e-12
 
 
 def test_state_file_rejects_an_integer_too_large_for_a_float(capsys, tmp_path):

@@ -60,6 +60,26 @@ _STATE_FILE = st.one_of(
 )
 
 
+# JSON values that are not a string (for basis_label) or not a number (for re, im)
+_NOT_A_STRING = st.one_of(st.integers(0, 1111), st.floats(), st.booleans(), st.none(),
+                          st.lists(st.sampled_from("01"), min_size=4, max_size=4))
+_NOT_A_NUMBER = st.one_of(st.booleans(), st.none(), st.sampled_from(["1", "0.5", "x", ""]),
+                          st.lists(st.integers(0, 1), max_size=2))
+
+
+@st.composite
+def _records_with_one_wrong_type(draw):
+    """A normalized state file with one field swapped for a value of the wrong type."""
+    labels = draw(st.lists(st.text("01", min_size=4, max_size=4), min_size=1,
+                           max_size=4, unique=True))
+    amp = 1.0 / len(labels) ** 0.5
+    records = [{"basis_label": label, "re": amp, "im": 0.0} for label in labels]
+    field = draw(st.sampled_from(["basis_label", "re", "im"]))
+    wrong = _NOT_A_STRING if field == "basis_label" else _NOT_A_NUMBER
+    draw(st.sampled_from(records))[field] = draw(wrong)
+    return records
+
+
 @st.composite
 def _argv(draw, command):
     argv = [command]
@@ -99,6 +119,13 @@ _FUZZ = settings(max_examples=150, deadline=None,
 def test_main_ends_with_an_exit_code(tmp_path, data, command, state_file):
     (tmp_path / "state.json").write_text(state_file)
     _run(data.draw(_argv(command)), tmp_path)
+
+
+@_FUZZ
+@given(records=_records_with_one_wrong_type())
+def test_state_file_fields_of_the_wrong_type_exit_2(tmp_path, records):
+    (tmp_path / "state.json").write_text(json.dumps(records))
+    assert _run(["decompose", "--file", "FILE"], tmp_path) == 2
 
 
 @settings(max_examples=6, deadline=None,

@@ -10,6 +10,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
@@ -36,3 +38,15 @@ def test_names_imported_or_patched_from_outside_exist():
     assert callable(verify._faulty_circuit)
     for name in ("main", "evolve", "entropy_closed_form", "measure_report"):
         assert callable(getattr(cli, name, None)), f"ges4.cli.{name}"
+
+
+def test_faulty_circuit_is_the_dense_circuit_with_a_conjugated_splitter():
+    # `bench/test_checks.py` uses it as the broken interferometer
+    from ges4 import verify
+    from ges4.circuit import PHOTONIC_SPACE, _dense_circuit, beam_splitter
+    from ges4.hilbert import Operator
+
+    conjugated = Operator(PHOTONIC_SPACE, beam_splitter().mat.conj())
+    for phi in (0.0, 1.1, np.pi / 2, 5.3):
+        got = verify._faulty_circuit(phi)
+        assert np.array_equal(got.mat, _dense_circuit(phi, conjugated).mat)

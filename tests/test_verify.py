@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import ges4
-from ges4 import hilbert, verify
-from ges4.circuit import mz_circuit
+from ges4 import circuit, hilbert, verify
+from ges4.circuit import beam_splitter
 from ges4.verify import (
     ENTROPY_SPOT_PI_8,
     FAULT_MODES,
@@ -88,9 +88,21 @@ def test_fault_injection_is_caught():
 
 
 def test_fault_is_caught_on_the_fast_path_alone(monkeypatch):
-    # a healthy dense circuit leaves only the fast kernel to see the fault
-    monkeypatch.setattr(verify, "_dense_circuit",
-                        lambda phi, splitter: mz_circuit(phi))
+    # a healthy dense oracle leaves only the fast kernel to see the fault
+    real = circuit._dense_apply
+    monkeypatch.setattr(verify, "_dense_apply",
+                        lambda phis, splitter, states: real(phis, beam_splitter(), states))
+    rng = np.random.default_rng(0)
+    assert verify._check_oracle_equivalence(rng, None).passed
+    check = verify._check_oracle_equivalence(rng, "conjugate_bs")
+    assert not check.passed and check.measured > 0.1
+
+
+def test_fault_is_caught_on_the_dense_path_alone(monkeypatch):
+    # a healthy fast kernel leaves only the dense oracle to see the fault
+    real = circuit._one_photon_output
+    monkeypatch.setattr(verify, "_one_photon_output",
+                        lambda phi, thetas, splitter: real(phi, thetas, circuit._BS_BLOCK))
     rng = np.random.default_rng(0)
     assert verify._check_oracle_equivalence(rng, None).passed
     check = verify._check_oracle_equivalence(rng, "conjugate_bs")
@@ -177,14 +189,36 @@ def _count_calls(monkeypatch, owners, name, counts):
             monkeypatch.setattr(owner, name, counting)
 
 
-def test_warm_report_runs_no_eigensolver_and_still_builds_every_circuit(monkeypatch):
+def test_warm_report_runs_no_eigensolver_and_stacks_every_oracle_draw(monkeypatch):
     run_all_checks(seed=0)     # fills the oracle's caches
-    counts = dict.fromkeys(("tensor", "eigh", "mz_circuit", "_dense_circuit"), 0)
+    counts = dict.fromkeys(("tensor", "eigh", "mz_circuit"), 0)
     package = [m for name, m in sys.modules.items()
                if name == "ges4" or name.startswith("ges4.")]
     _count_calls(monkeypatch, [hilbert, *package], "tensor", counts)
     _count_calls(monkeypatch, [np.linalg], "eigh", counts)
     _count_calls(monkeypatch, [verify], "mz_circuit", counts)
-    _count_calls(monkeypatch, [verify], "_dense_circuit", counts)
+    stacked = []
+    real = verify._dense_apply
+
+    def recording(phis, splitter, states):
+        stacked.append((np.array(phis), np.shape(states)))
+        return real(phis, splitter, states)
+
+    monkeypatch.setattr(verify, "_dense_apply", recording)
     assert run_all_checks(seed=0).all_passed
-    assert counts == {"tensor": 0, "eigh": 0, "mz_circuit": 35, "_dense_circuit": 200}
+    assert counts == {"tensor": 0, "eigh": 0, "mz_circuit": 35}
+    # one stacked pass over all 200 draws, each at its own phase, so no
+    # draw can be served from a cache
+    [(phis, shape)] = stacked
+    assert shape == (200, 64)
+    assert phis.shape == (200,) and len(np.unique(phis)) == 200
+
+
+def test_oracle_check_consumes_the_rng_like_scalar_draws():
+    # later checks read the same stream: 200 draws of one phase and four angles
+    rng = np.random.default_rng(11)
+    verify._check_oracle_equivalence(rng, None)
+    scalar = np.random.default_rng(11)
+    for _ in range(200 * (1 + 4)):
+        scalar.uniform()
+    assert rng.bit_generator.state == scalar.bit_generator.state
