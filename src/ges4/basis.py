@@ -125,7 +125,8 @@ class GesBasis:
     """Ordered collection of the sixteen basis states.
 
     Orthonormality is enforced on construction for either provenance
-    ("explicit" amplitude tables or "generated" Pauli-string images).
+    ("explicit" amplitude tables or "generated" Pauli-string images). The
+    states are stacked into the basis matrix once, on construction.
     """
 
     states: dict
@@ -134,6 +135,9 @@ class GesBasis:
     def __post_init__(self):
         if set(self.states.keys()) != set(ALL_INDICES):
             raise ValueError("basis must contain exactly the 16 indices")
+        m = np.column_stack([self.states[idx].amp for idx in ALL_INDICES])
+        m.setflags(write=False)
+        object.__setattr__(self, "_matrix", m)
         dev = self.orthonormality_deviation()
         if dev > STRUCT_TOL:
             raise ValueError(f"basis is not orthonormal (max Gram deviation {dev:.3e})")
@@ -142,15 +146,15 @@ class GesBasis:
         return self.states[GesIndex(family, component)]
 
     def matrix(self) -> np.ndarray:
-        """16x16 matrix whose columns are the basis states in index order."""
-        return np.column_stack([self.states[idx].amp for idx in ALL_INDICES])
+        """16x16 read-only matrix whose columns are the basis states in index order."""
+        return self._matrix
 
     def orthonormality_deviation(self) -> float:
-        m = self.matrix()
+        m = self._matrix
         return float(np.max(np.abs(m.conj().T @ m - np.eye(16))))
 
     def completeness_deviation(self) -> float:
-        m = self.matrix()
+        m = self._matrix
         return float(np.max(np.abs(m @ m.conj().T - np.eye(16))))
 
 

@@ -10,11 +10,13 @@ Photonic modes are truncated at one photon per mode (dimension-4 sector).
 Truncation is exact here: every circuit generator conserves total photon
 number, so the one-photon input never leaks into |00> or |11>.
 
-The circuit is computed along two independent paths. `evolve`, the fast
-path used everywhere, exploits the structure: on the one-photon sector the
-interferometer is the 2x2 splitter block, then the diagonal phase
-exp(-i phi n0) on arm U and exp(-i phi n1) on arm L (n0 and n1 count the
-qubits in |0> and |1>), then the splitter block again. `mz_circuit` builds
+The circuit is computed along two independent paths. The fast path used
+everywhere, `_one_photon_output`, exploits the structure: on the one-photon
+sector the interferometer is the 2x2 splitter block, then the diagonal
+phase exp(-i phi n0) on arm U and exp(-i phi n1) on arm L (n0 and n1 count
+the qubits in |0> and |1>), then the splitter block again. It takes a stack
+of (phi, theta) points: `evolve` is its one-point case, and `sweep` and
+the oracle check pass all their points in one call. `mz_circuit` builds
 the dense 64x64 unitary from the cavity generators. The oracle diagonalises
 each cavity generator once, on first use, and caches the eigensystem
 (w, v, v^dag); phi enters only through the eigenphases,
@@ -333,6 +335,8 @@ _ONE_PHOTON = [2, 1]    # |10>, |01>
 _BITS = ((np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1).astype(bool)
 _N1 = _BITS.sum(axis=1)
 _N0 = 4 - _N1
+# Excitation numbers 0..4, the exponents of the phase exp(-i phi).
+_EXCITATIONS = np.arange(5).astype(complex)
 
 
 def _branch_slice(n_u: int, n_l: int) -> slice:
@@ -348,19 +352,23 @@ def _one_photon_block(splitter: Operator) -> np.ndarray:
 _BS_BLOCK = _one_photon_block(beam_splitter())
 
 
-def _one_photon_output(phi: float, thetas: Sequence[float], splitter: np.ndarray
+def _one_photon_output(phis: np.ndarray, thetas: np.ndarray, splitter: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Four-qubit amplitudes of the output photon in arms (U, L).
+    """Four-qubit amplitudes of the output photon in arms (U, L), as two (N, 16).
 
-    The input photon enters arm U with the atoms in the product state
-    (x)_i (cos theta_i, sin theta_i). `splitter` is the 2x2 one-photon block
-    of the beam splitter, applied before and after the cavity phases.
+    Row n is the output at phis[n] (already reduced mod 2 pi) with the input
+    photon in arm U and the atoms in the product state
+    (x)_i (cos theta_i, sin theta_i) of the four angles thetas[n].
+    `splitter` is the 2x2 one-photon block of the beam splitter, applied
+    before and after the cavity phases. Every row is computed by the same
+    elementwise operations, so it is bit-identical to a one-row call.
     """
     th = np.asarray(thetas, dtype=float)
-    product = np.prod(np.where(_BITS, np.sin(th), np.cos(th)), axis=1)
-    phases = np.exp(-1j * phi * np.arange(5))
-    arm_u = splitter[0, 0] * phases[_N0] * product
-    arm_l = splitter[1, 0] * phases[_N1] * product
+    product = np.multiply.reduce(
+        np.where(_BITS, np.sin(th)[:, None, :], np.cos(th)[:, None, :]), axis=-1)
+    phases = np.exp(np.multiply.outer(-1j * np.asarray(phis, dtype=float), _EXCITATIONS))
+    arm_u = splitter[0, 0] * phases.take(_N0, axis=1) * product
+    arm_l = splitter[1, 0] * phases.take(_N1, axis=1) * product
     return (splitter[0, 0] * arm_u + splitter[0, 1] * arm_l,
             splitter[1, 0] * arm_u + splitter[1, 1] * arm_l)
 
@@ -369,14 +377,15 @@ def evolve(params: SchemeParams) -> StateVector:
     """Run the circuit on the standard input state (the fast path).
 
     The output has support only on the one-photon sector and splits as
-    |01> (x) chi' + |10> (x) chi'' up to a global phase. It is computed from
-    the circuit's structure without building the dense unitary; the result
-    equals `mz_circuit(phi) @ initial_state(thetas)` to roundoff.
+    |01> (x) chi' + |10> (x) chi'' up to a global phase. It is the one-row
+    case of `_one_photon_output`, computed from the circuit's structure
+    without building the dense unitary; the result equals
+    `mz_circuit(phi) @ initial_state(thetas)` to roundoff.
     """
-    out_u, out_l = _one_photon_output(params.phi, params.thetas, _BS_BLOCK)
+    out_u, out_l = _one_photon_output([params.phi], [params.thetas], _BS_BLOCK)
     amp = np.zeros(FULL_SPACE.dim, dtype=complex)
-    amp[_branch_slice(0, 1)] = out_l
-    amp[_branch_slice(1, 0)] = out_u
+    amp[_branch_slice(0, 1)] = out_l[0]
+    amp[_branch_slice(1, 0)] = out_u[0]
     return StateVector(FULL_SPACE, amp)
 
 
@@ -451,16 +460,35 @@ def closed_form_chi(params: SchemeParams, branch: str) -> StateVector:
     return prime if branch == BRANCH_PRIME else dprime
 
 
+def _cos2_products(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(2 theta_i) as (N, 4) and their product, left to right, as (N,).
+
+    Rows must hold four finite angles, else ValueError.
+    """
+    th = np.asarray(thetas, dtype=float)
+    if th.ndim != 2 or th.shape[1] != 4:
+        raise ValueError("four angles required")
+    if not np.isfinite(th).all():
+        raise ValueError("thetas must be finite")
+    x = np.cos(2.0 * th)
+    return x, x[:, 0] * x[:, 1] * x[:, 2] * x[:, 3]
+
+
+def _gammas(thetas: np.ndarray) -> np.ndarray:
+    """(Gamma_1, Gamma_2) of `gamma_factors` as (N, 2), one row per four angles."""
+    _, prod = _cos2_products(thetas)
+    return np.stack([(1.0 + prod) / 2.0, (1.0 - prod) / 2.0], axis=-1)
+
+
 def gamma_factors(thetas: Sequence[float]) -> tuple[float, float]:
     """Branch probabilities (Gamma_1, Gamma_2) at phi = pi/2.
 
     Gamma_1 = (1 + prod cos 2theta_i)/2 is the D2-click weight and Gamma_2
-    its complement.
+    its complement. The one-row case of `_gammas`. Raises ValueError
+    unless given four finite angles.
     """
-    prod = 1.0
-    for t in thetas:
-        prod *= math.cos(2.0 * float(t))
-    return (1.0 + prod) / 2.0, (1.0 - prod) / 2.0
+    g1, g2 = _gammas([thetas])[0].tolist()
+    return g1, g2
 
 
 def ges_target_state(branch: str) -> StateVector:

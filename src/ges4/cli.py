@@ -11,6 +11,13 @@ path that cannot be written. Angles are accepted as decimal radians or as
 exact fractions of pi ("pi/4", "3pi/8", "-pi/2"). Re-running a command with
 identical flags and seed reproduces its output byte for byte.
 
+``sweep`` evaluates its grid as arrays: one closed-form and one Gamma call
+over the distinct angle rows, then, per block of up to 4096 points, one
+call of the circuit kernel and two stacked SVD calls for the numerical
+measures. The first point's states are checked against ``evolve``. Its
+CSV formats each point once, with one ``%``-template, and shares the
+result between the point's eta rows.
+
 State files are JSON lists of records ``{"basis_label": "0101", "re": x,
 "im": y}``; labels are strings of four characters of 0/1, ``re`` and ``im``
 are JSON numbers, absent labels mean amplitude zero, and the reconstructed
@@ -21,8 +28,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
-import itertools
 import json
 import math
 import re
@@ -41,22 +48,22 @@ from .circuit import (
     BRANCH_DOUBLE_PRIME,
     DetectionOutcome,
     SchemeParams,
+    _BS_BLOCK,
     _branch_slice,
+    _gammas,
+    _one_photon_output,
     detect,
     evolve,
-    gamma_factors,
     photon_branch,
     prepare_ges,
 )
 from .measures import (
     FORMULA_CUT,
     FORMULA_PAIR,
-    DegenerateBranchError,
+    _closed_form_measures,
     _cut_entropy,
     _pair_concurrence,
     _qubits,
-    concurrence_closed_form,
-    entropy_closed_form,
     measure_report,
 )
 from .basis import (
@@ -398,38 +405,54 @@ _SWEEP_COLUMNS = (
 _BRANCH_SLICES = (_branch_slice(0, 1), _branch_slice(1, 0))
 _FORMULA_PAIR_QUBITS = _qubits(FORMULA_PAIR)
 _FORMULA_CUT_QUBITS = _qubits(FORMULA_CUT.side_a)
+# Grid points per kernel call; bounds the arrays a sweep holds besides its table.
+_SWEEP_BLOCK = 4096
 
 
-def _closed_forms(thetas, branch: str) -> tuple:
-    """(closed C, closed S) of one branch; NaN where the branch is degenerate."""
-    try:
-        return (concurrence_closed_form(thetas, branch),
-                entropy_closed_form(thetas, branch))
-    except DegenerateBranchError:
-        return float("nan"), float("nan")
+def _sweep_cells(point, eta) -> list:
+    """A sweep row from a point's 19 cells (phi, theta1..4, gamma1, gamma2 and
+    the twelve branch cells): eta goes after theta4 and again as the success
+    probability."""
+    return [*point[:5], eta, *point[5:7], eta, *point[7:]]
 
 
-def _sweep_rows(payload, format_cell):
-    """The sweep's rows from its payload: the etas, and per point the cells
-    before eta and after it. A row is head, eta, gamma1, gamma2, eta (the
-    success probability), the rest; a cell that does not depend on eta is
-    formatted once per point."""
-    etas = [format_cell(eta) for eta in payload["etas"]]
-    for head, tail in payload["points"]:
-        head, tail = [format_cell(v) for v in head], [format_cell(v) for v in tail]
-        for eta in etas:
-            yield [*head, eta, *tail[:2], eta, *tail[2:]]
+# The CSV formats each point once into a row with its two eta cells left
+# open: "%%s" formats to "%s", and no number contains "%".
+_SWEEP_ROW = ",".join(_sweep_cells(["%.17g"] * 19, "%%s")) + "\n"
+
+
+def _sweep_points(payload):
+    """The payload's points as lists of floats, converted a block at a time."""
+    points = payload["points"]
+    for start in range(0, len(points), _SWEEP_BLOCK):
+        yield from points[start:start + _SWEEP_BLOCK].tolist()
 
 
 def _sweep_csv(payload) -> str:
-    return _csv_text(_SWEEP_COLUMNS, _sweep_rows(payload, _fmt))
+    etas = [("%.17g" % eta,) * 2 for eta in payload["etas"]]
+    lines = [",".join(_SWEEP_COLUMNS) + "\n"]
+    for point in _sweep_points(payload):
+        row = _SWEEP_ROW % tuple(point)
+        lines += [row % eta for eta in etas]
+    return "".join(lines)
 
 
 def _sweep_json(payload) -> str:
-    return _json_text({
-        "columns": _SWEEP_COLUMNS,
-        "rows": [dict(zip(_SWEEP_COLUMNS, row)) for row in _sweep_rows(payload, _jsonable)],
-    })
+    etas = [_jsonable(eta) for eta in payload["etas"]]
+    rows = []
+    for point in _sweep_points(payload):
+        cells = [_jsonable(v) for v in point]
+        rows += [dict(zip(_SWEEP_COLUMNS, _sweep_cells(cells, eta))) for eta in etas]
+    return _json_text({"columns": _SWEEP_COLUMNS, "rows": rows})
+
+
+def _check_first_point(phi: float, thetas, branches: np.ndarray) -> None:
+    """The sweep's branch amplitudes at its first grid point must be the ones
+    `evolve` returns there, branch order and phi reduction included."""
+    psi = evolve(SchemeParams(phi=phi, thetas=tuple(thetas))).amp
+    want = np.stack([psi[sl] for sl in _BRANCH_SLICES])
+    if not np.max(np.abs(branches - want)) <= STRUCT_TOL:
+        raise InvariantError("sweep states differ from evolve at the first grid point")
 
 
 def cmd_sweep(args) -> Output:
@@ -454,33 +477,44 @@ def cmd_sweep(args) -> Output:
         raise CliInputError(f"grid has {total} points, exceeding the cap "
                             f"{args.cap}; raise --cap to proceed")
 
+    phi_axis = np.array(_axis_values(phi_spec))
     theta_axes = [_axis_values(spec) for spec in theta_specs]
-    theta_tuples = ([(t, t, t, t) for t in theta_axes[0]] if locked
-                    else list(itertools.product(*theta_axes)))
-    points = [(phi, thetas) for phi in _axis_values(phi_spec) for thetas in theta_tuples]
-    amps = np.empty((len(points), len(BRANCHES), ATOMIC_SPACE.dim), dtype=complex)
-    closed = []
-    for k, (phi, thetas) in enumerate(points):
-        psi = evolve(SchemeParams(phi=phi, thetas=thetas)).amp
-        for j, sl in enumerate(_BRANCH_SLICES):
-            amps[k, j] = psi[sl]
-        closed.append([_closed_forms(thetas, branch) for branch in BRANCHES])
+    # theta1 varies slowest and theta4 fastest; locked rows repeat one angle.
+    theta_rows = (np.repeat(np.array(theta_axes[0])[:, None], 4, axis=1) if locked
+                  else np.stack(np.meshgrid(*theta_axes, indexing="ij"), axis=-1).reshape(-1, 4))
+    # SchemeParams checks each point and reduces its phi mod 2 pi. A
+    # non-finite angle can only come from a single-value axis, which every
+    # theta row shares, so checking the first row checks them all.
+    phis = np.array([SchemeParams(phi=phi, thetas=theta_rows[0]).phi for phi in phi_axis])
 
-    # Numeric measures of every branch state in two stacked kernel calls;
-    # a branch without population has none.
-    norms = np.linalg.norm(amps, axis=-1)
-    live = norms ** 2 >= 1e-12
-    states = amps / np.where(live, norms, 1.0)[..., None]
-    c_num = np.where(live, _pair_concurrence(states, _FORMULA_PAIR_QUBITS), np.nan)
-    s_num = np.where(live, _cut_entropy(states, _FORMULA_CUT_QUBITS), np.nan)
+    # Gamma and the closed forms depend on the angles alone: one call each
+    # over the theta rows.
+    gammas = _gammas(theta_rows)
+    c_closed, s_closed = _closed_form_measures(theta_rows)
 
-    split_rows = []
-    for (phi, thetas), cl, cs, ss in zip(points, closed, c_num.tolist(), s_num.tolist()):
-        tail = list(gamma_factors(thetas))
-        for (c_cl, s_cl), c, s in zip(cl, cs, ss):
-            tail += [c_cl, c, abs(c_cl - c), s_cl, s, abs(s_cl - s)]
-        split_rows.append(([phi, *thetas], tail))
-    return Output({"etas": etas, "points": split_rows}, _sweep_csv, _sweep_csv, _sweep_json)
+    # Points run phi-major, through the kernel and the two stacked SVD calls
+    # a block at a time; a branch without population has no numeric measures.
+    n_theta = len(theta_rows)
+    points = np.empty((len(phis) * n_theta, 19))
+    for start in range(0, len(points), _SWEEP_BLOCK):
+        at_phi, rows = np.divmod(np.arange(start, min(start + _SWEEP_BLOCK, len(points))),
+                                 n_theta)
+        thetas = theta_rows[rows]
+        arm_u, arm_l = _one_photon_output(phis[at_phi], thetas, _BS_BLOCK)
+        amps = np.stack([arm_l, arm_u], axis=1)      # BRANCHES order: chi' is arm L
+        if start == 0:
+            _check_first_point(phi_axis[0], theta_rows[0], amps[0])
+        norms = np.linalg.norm(amps, axis=-1)
+        live = norms ** 2 >= 1e-12
+        states = amps / np.where(live, norms, 1.0)[..., None]
+        c_num = np.where(live, _pair_concurrence(states, _FORMULA_PAIR_QUBITS), np.nan)
+        s_num = np.where(live, _cut_entropy(states, _FORMULA_CUT_QUBITS), np.nan)
+        c_cl, s_cl = c_closed[rows], s_closed[rows]
+        branch_cells = np.stack([c_cl, c_num, np.abs(c_cl - c_num),
+                                 s_cl, s_num, np.abs(s_cl - s_num)], axis=-1)
+        points[start:start + len(rows)] = np.column_stack(
+            [phi_axis[at_phi], thetas, gammas[rows], branch_cells.reshape(len(rows), -1)])
+    return Output({"etas": etas, "points": points}, _sweep_csv, _sweep_csv, _sweep_json)
 
 
 # --------------------------------------------------------------------------
@@ -658,7 +692,9 @@ def _verify_csv(payload) -> str:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
     fmt_group = common.add_mutually_exclusive_group()
     fmt_group.add_argument("--json", action="store_true",

@@ -40,9 +40,9 @@ from .hilbert import (
 from .circuit import (
     ATOMIC_SPACE,
     BRANCHES,
-    BRANCH_PRIME,
     QUBIT_LABELS,
     _closed_form_pairs,
+    _cos2_products,
     check_branch,
 )
 
@@ -138,33 +138,62 @@ def concurrence(rho: DensityMatrix) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def _cos2_product(thetas: Sequence[float]) -> tuple[list[float], float]:
-    x = [math.cos(2.0 * float(t)) for t in thetas]
-    return x, x[0] * x[1] * x[2] * x[3]
+_BRANCH_SIGNS = np.array([1.0, -1.0])    # chi', chi''
 
 
-def _branch_denominator(thetas: Sequence[float], branch: str) -> float:
-    _, prod = _cos2_product(thetas)
-    sign = 1.0 if branch == BRANCH_PRIME else -1.0
-    den = 1.0 + sign * prod
-    if abs(den) < 1e-12:
+def _lambda_delta(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form lambda and delta of both branches, as two (N, 2) arrays.
+
+    One row per row of four finite angles, columns in BRANCHES order; the
+    branch sign is + for chi' and - for chi''. A branch whose denominator
+    1 +- prod_i cos2theta_i is below 1e-12 has zero post-selection
+    probability, and both of its entries are NaN.
+    """
+    th = np.asarray(thetas, dtype=float)
+    x, prod = _cos2_products(th)
+    den = 1.0 + _BRANCH_SIGNS * prod[:, None]
+    den[np.abs(den) < 1e-12] = np.nan
+    num = np.abs(x[:, 0] * x[:, 1] * np.sin(2.0 * th[:, 2]) * np.sin(2.0 * th[:, 3]))
+    lam = np.maximum(0.0, num[:, None] / den)
+    delta = ((x[:, 2] * x[:, 3])[:, None] + _BRANCH_SIGNS * (x[:, 0] * x[:, 1])[:, None]) / den
+    return lam, delta
+
+
+def _closed_form_measures(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form concurrence lambda and entropy S(delta) of both branches.
+
+    Two (N, 2) arrays, one row per row of four angles, columns in BRANCHES
+    order, NaN where the branch is degenerate. A delta outside [-1, 1] by
+    more than 1e-12 raises ClosedFormInconsistencyError, as in
+    `entropy_closed_form`; `concurrence_closed_form` and
+    `entropy_closed_form` are the one-branch cases.
+    """
+    lam, delta = _lambda_delta(thetas)
+    # math.log2, not np.log2: the two differ in the last bit on some inputs
+    s = [_delta_entropy(d) if d == d else math.nan for d in delta.ravel().tolist()]
+    return lam, np.array(s).reshape(delta.shape)
+
+
+def _one_branch(values: np.ndarray, branch: str) -> float:
+    """Row 0's entry for `branch`; DegenerateBranchError where it is NaN."""
+    value = float(values[0, BRANCHES.index(branch)])
+    if value != value:
         raise DegenerateBranchError(
             f"branch {branch!r} has zero post-selection probability at these angles")
-    return den
+    return value
 
 
 def concurrence_closed_form(thetas: Sequence[float], branch: str) -> float:
     """Closed-form concurrence of the calibrated qubit pair at phi = pi/2.
 
     lambda = |cos2theta_1 cos2theta_2 sin2theta_3 sin2theta_4| /
-    (1 +- prod_i cos2theta_i), the sign following the branch.
+    (1 +- prod_i cos2theta_i), the sign following the branch. Raises
+    DegenerateBranchError where the branch has zero post-selection
+    probability, and ValueError unless given four finite angles.
     """
     check_branch(branch)
-    x, _ = _cos2_product(thetas)
-    den = _branch_denominator(thetas, branch)
-    num = abs(x[0] * x[1]
-              * math.sin(2.0 * float(thetas[2])) * math.sin(2.0 * float(thetas[3])))
-    return max(0.0, num / den)
+    lam, _ = _lambda_delta([thetas])
+    return _one_branch(lam, branch)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -266,9 +295,17 @@ def _closed_form_branches(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return amps / np.where(norms > 0.0, norms, 1.0)[..., None], norms
 
 
-def _binary_like_entropy(delta: float) -> float:
-    # S = 1 - (1/2)[(1+d)log2(1+d) + (1-d)log2(1-d)], extended continuously
-    # to |d| = 1 where it reaches 0.
+def _delta_entropy(delta: float) -> float:
+    """S = 1 - (1/2)[(1+d)log2(1+d) + (1-d)log2(1-d)] at d = |delta|.
+
+    Extended continuously to |d| = 1, where it reaches 0; a delta beyond
+    1 + 1e-12 raises ClosedFormInconsistencyError.
+    """
+    if abs(delta) > 1.0 + 1e-12:
+        raise ClosedFormInconsistencyError(
+            f"delta = {delta} lies outside [-1, 1]; the closed form does not "
+            f"describe a valid spectrum at these angles")
+
     def xlog2x(x: float) -> float:
         return x * math.log2(x) if x > 0.0 else 0.0
     d = min(abs(delta), 1.0)
@@ -282,18 +319,12 @@ def entropy_closed_form(thetas: Sequence[float], branch: str) -> float:
     (1 +- prod_i cos2theta_i). A delta outside [-1, 1] by more than 1e-12
     raises ClosedFormInconsistencyError (it would not describe a density
     matrix spectrum); overshoot within 1e-12 is roundoff and treated as
-    |delta| = 1 via the continuous extension.
+    |delta| = 1 via the continuous extension. Raises DegenerateBranchError
+    and ValueError as `concurrence_closed_form` does.
     """
     check_branch(branch)
-    x, _ = _cos2_product(thetas)
-    den = _branch_denominator(thetas, branch)
-    sign = 1.0 if branch == BRANCH_PRIME else -1.0
-    delta = (x[2] * x[3] + sign * x[0] * x[1]) / den
-    if abs(delta) > 1.0 + 1e-12:
-        raise ClosedFormInconsistencyError(
-            f"delta = {delta} lies outside [-1, 1]; the closed form does not "
-            f"describe a valid spectrum at these angles")
-    return _binary_like_entropy(delta)
+    _, delta = _lambda_delta([thetas])
+    return _delta_entropy(_one_branch(delta, branch))
 
 
 def measure_report(state: StateVector) -> MeasureReport:
@@ -341,12 +372,7 @@ def calibrate_closed_forms(n_samples: int = 40, seed: int = 20260823,
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.1, 1.4, size=(n_samples, 4))
     states, _ = _closed_form_branches(thetas)
-    lam = np.empty((n_samples, 2))
-    s_closed = np.empty((n_samples, 2))
-    for i, th in enumerate(map(tuple, thetas)):
-        for j, branch in enumerate(BRANCHES):
-            lam[i, j] = concurrence_closed_form(th, branch)
-            s_closed[i, j] = entropy_closed_form(th, branch)
+    lam, s_closed = _closed_form_measures(thetas)
     c_dev = np.abs(_pair_concurrence(states, _PAIR_QUBITS) - lam[..., None])
     s_dev = np.abs(_cut_entropy(states, _PAIR_CUT_QUBITS) - s_closed[..., None])
     c_dev, s_dev = c_dev.max(axis=0, initial=0.0), s_dev.max(axis=0, initial=0.0)

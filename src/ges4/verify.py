@@ -37,6 +37,7 @@ from .circuit import (
     _closed_form_pairs,
     _dense_apply,
     _dense_circuit,
+    _gammas,
     _initial_states,
     _one_photon_block,
     _one_photon_output,
@@ -44,7 +45,6 @@ from .circuit import (
     closed_form_chi,
     detect,
     evolve,
-    gamma_factors,
     ges_target_state,
     mz_circuit,
     prepare_ges,
@@ -55,6 +55,7 @@ from .measures import (
     SINGLE_CUTS,
     _SINGLE_CUT_QUBITS,
     _closed_form_branches,
+    _closed_form_measures,
     _cut_entropy,
     bipartition_entropy,
     calibrate_closed_forms,
@@ -202,11 +203,10 @@ def _check_oracle_equivalence(
 ) -> CheckResult:
     """Dense circuit and fast kernel vs the closed-form branch pair.
 
-    Three independent paths: the dense circuit's five factors applied to all
-    200 input states stacked as rows, the structured one-photon kernel behind
-    `evolve` (per draw, as `evolve` runs it), and the closed forms of all
-    draws at once. Both circuit paths get the same splitter, so an injected
-    fault breaks both.
+    Three independent paths, each over all 200 draws at once: the dense
+    circuit's five factors applied to the input states stacked as rows, the
+    structured one-photon kernel behind `evolve`, and the closed forms. Both
+    circuit paths get the same splitter, so an injected fault breaks both.
     """
     splitter = _splitter(fault)
     block = _one_photon_block(splitter)
@@ -221,8 +221,8 @@ def _check_oracle_equivalence(
     rows = _dense_apply(phis, splitter, _initial_states(thetas))
     dense = np.stack([rows[:, _branch_slice(0, 1)], rows[:, _branch_slice(1, 0)]], axis=1)
     # the fast kernel returns arms (U, L), which carry (chi'', chi')
-    fast = np.array([_one_photon_output(phi, th, block)[::-1]
-                     for phi, th in zip(phis.tolist(), thetas)])
+    arm_u, arm_l = _one_photon_output(phis, thetas, block)
+    fast = np.stack([arm_l, arm_u], axis=1)
     worst = float(max(np.max(np.abs(dense - want)), np.max(np.abs(fast - want))))
     return CheckResult(
         "oracle_equivalence",
@@ -236,8 +236,7 @@ def _check_branch_norms(rng: np.random.Generator) -> CheckResult:
     thetas = np.array([rng.uniform(0.0, np.pi / 2.0, size=4) for _ in range(50)])
     pairs = _closed_form_pairs(np.full(50, np.pi / 2.0), thetas)
     worst = 0.0
-    for th, (chi_p, chi_dp) in zip(thetas, pairs):
-        g1, g2 = gamma_factors(th)
+    for (g1, g2), (chi_p, chi_dp) in zip(_gammas(thetas).tolist(), pairs):
         n_p = float(np.linalg.norm(chi_p)) ** 2
         n_dp = float(np.linalg.norm(chi_dp)) ** 2
         dev = max(abs(n_p - g1), abs(n_dp - g2), abs(n_p + n_dp - 1.0))
@@ -475,9 +474,7 @@ def _one_vs_three_entry(rng: np.random.Generator) -> dict:
     thetas = rng.uniform(0.1, 1.4, size=(25, 4))
     states, norms = _closed_form_branches(thetas)
     live = norms >= 1e-6
-    formula = np.zeros(live.shape)
-    for i, j in zip(*np.nonzero(live)):
-        formula[i, j] = entropy_closed_form(tuple(thetas[i]), BRANCHES[j])
+    _, formula = _closed_form_measures(thetas)
     dev = np.abs(_cut_entropy(states, _SINGLE_CUT_QUBITS) - formula[..., None])
     worst = float(dev[live].max(initial=0.0))
     at_pi4 = bipartition_entropy(ges_target_state(BRANCH_PRIME), SINGLE_CUTS[0])

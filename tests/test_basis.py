@@ -272,3 +272,12 @@ def test_verify_representation_healthy(basis16):
     assert rep.all_genuine
     assert len(rep.state_reports) == 16
     assert all(r.is_genuine for r in rep.state_reports.values())
+
+
+def test_basis_matrix_is_stacked_once_and_read_only():
+    for basis in (explicit_basis(), generate_basis()):
+        m = basis.matrix()
+        assert basis.matrix() is m
+        assert np.array_equal(m, np.column_stack([basis.states[i].amp for i in ALL_INDICES]))
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0

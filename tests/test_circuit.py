@@ -352,11 +352,11 @@ def test_conjugated_splitter_moves_dense_and_fast_alike(phi, thetas):
     params = SchemeParams(phi=phi, thetas=thetas)
     bad = _conjugated_splitter()
     dense = _dense_circuit(params.phi, bad) @ initial_state(params.thetas)
-    fast_u, fast_l = _one_photon_output(params.phi, params.thetas,
+    fast_u, fast_l = _one_photon_output([params.phi], [params.thetas],
                                         _one_photon_block(bad))
     dev_dense = _deviation(photon_branch(dense, 0, 1).amp,
                            photon_branch(dense, 1, 0).amp, params)
-    dev_fast = _deviation(fast_l, fast_u, params)
+    dev_fast = _deviation(fast_l[0], fast_u[0], params)
     assert abs(dev_dense - dev_fast) <= 1e-12
 
 
@@ -483,6 +483,23 @@ def test_batched_closed_forms_and_inputs_equal_the_scalar_ones_bit_for_bit(draws
         assert np.array_equal(pairs[n, 0], prime.amp)
         assert np.array_equal(pairs[n, 1], dprime.amp)
         assert np.array_equal(states[n], initial_state(p.thetas).amp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(draws=_DRAWS, conjugate=st.booleans())
+def test_kernel_rows_equal_one_row_calls_bit_for_bit(draws, conjugate):
+    splitter = _conjugated_splitter() if conjugate else beam_splitter()
+    block = _one_photon_block(splitter)
+    phis, thetas, params = _stack(draws)
+    arm_u, arm_l = _one_photon_output(phis, thetas, block)
+    assert arm_u.shape == arm_l.shape == (len(params), 16)
+    for n, p in enumerate(params):
+        u, l = _one_photon_output([p.phi], [p.thetas], block)
+        assert np.array_equal(arm_u[n], u[0]) and np.array_equal(arm_l[n], l[0])
+        if not conjugate:
+            psi = evolve(p)
+            assert np.array_equal(photon_branch(psi, 0, 1).amp, arm_l[n])
+            assert np.array_equal(photon_branch(psi, 1, 0).amp, arm_u[n])
 
 
 def test_branch_sum_invariant_survives_optimized_mode():

@@ -223,36 +223,111 @@ def test_sweep_measures_states_without_density_matrices(capsys, monkeypatch):
 
 
 def test_sweep_measures_the_states_evolve_returns(capsys, monkeypatch):
-    # The sweep must take its states from cli.evolve once per point, so a
-    # broken circuit (here: one amplitude's sign flipped) changes the table.
+    # The sweep takes every point's state from evolve's kernel, in one call
+    # bound in cli, so a broken circuit (here: one amplitude's sign flipped
+    # per point after the first, which the sweep checks against evolve)
+    # changes the table.
     assert cli.main(_SMALL_SWEEP) == 0
     clean = capsys.readouterr().out
-    real_evolve = cli.evolve
+    real_kernel = cli._one_photon_output
     calls = []
 
-    def flipped_evolve(params):
-        state = real_evolve(params)
-        calls.append(params)
-        amp = np.array(state.amp)
-        k = int(np.argmax(np.abs(amp)))
-        amp[k] = -amp[k]
-        return StateVector(state.space, amp)
+    def flipped_kernel(phis, thetas, splitter):
+        calls.append((np.array(phis), np.array(thetas)))
+        arm_u, arm_l = real_kernel(phis, thetas, splitter)
+        k = np.argmax(np.abs(arm_l), axis=1)
+        arm_l[np.arange(1, len(arm_l)), k[1:]] *= -1
+        return arm_u, arm_l
 
-    monkeypatch.setattr(cli, "evolve", flipped_evolve)
+    monkeypatch.setattr(cli, "_one_photon_output", flipped_kernel)
     assert cli.main(_SMALL_SWEEP) == 0
-    assert capsys.readouterr().out != clean
-    assert len(calls) == 3 * 3 * 2
+    broken = capsys.readouterr().out
+    assert broken != clean
+    assert broken.splitlines()[:3] == clean.splitlines()[:3]   # header, first point
+    (phis, thetas), = calls
+    assert phis.shape == (3 * 3 * 2,) and thetas.shape == (3 * 3 * 2, 4)
+    # every (phi, theta) point of the grid, phi reduced mod 2 pi
+    want = {(phi % (2 * math.pi), t1, math.pi / 4, t3, math.pi / 4)
+            for phi in parse_axis("0:pi:3") for t1 in parse_axis("0:pi/2:3")
+            for t3 in parse_axis("0.2:1.1:2")}
+    assert {(p, *t) for p, t in zip(phis.tolist(), thetas.tolist())} == want
+
+
+@pytest.mark.parametrize("broken", ["evolve", "kernel", "branch_order"])
+def test_sweep_checks_its_first_point_against_evolve(capsys, monkeypatch, broken):
+    # One disagreeing side, at the first grid point, is an internal error.
+    import ges4
+
+    real_kernel = cli._one_photon_output
+    if broken == "evolve":
+        def evolve(params):
+            state = ges4.evolve(params)
+            amp = np.array(state.amp)
+            k = int(np.argmax(np.abs(amp)))
+            amp[k] = -amp[k]
+            return StateVector(state.space, amp)
+        monkeypatch.setattr(cli, "evolve", evolve)
+    else:
+        def kernel(phis, thetas, splitter):
+            arm_u, arm_l = real_kernel(phis, thetas, splitter)
+            if broken == "kernel":
+                return arm_u, -arm_l
+            return arm_l, arm_u
+        monkeypatch.setattr(cli, "_one_photon_output", kernel)
+    argv = ["sweep", "--phi", "1.1", "--thetas", "0.3:0.9:4", "--csv"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal check failed: sweep states differ from "
+                            "evolve at the first grid point\n")
+
+
+def test_sweep_runs_the_kernel_in_blocks(capsys, monkeypatch):
+    # A grid larger than a block takes several kernel calls, which together
+    # cover every point once and give the same table as one call.
+    argv = ["sweep", "--phi", "0:pi:3", "--thetas", "0:pi/2:7", "--eta", "0.5,1", "--csv"]
+    assert cli.main(argv) == 0
+    whole = capsys.readouterr().out
+    real_kernel = cli._one_photon_output
+    sizes = []
+
+    def kernel(phis, thetas, splitter):
+        sizes.append(len(phis))
+        return real_kernel(phis, thetas, splitter)
+
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK", 4)
+    monkeypatch.setattr(cli, "_one_photon_output", kernel)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == whole
+    assert sizes == [4, 4, 4, 4, 4, 1]
 
 
 def test_sweep_closed_form_inconsistency_exits_2(capsys, monkeypatch):
-    def inconsistent(thetas, branch):
+    def inconsistent(thetas):
         raise measures.ClosedFormInconsistencyError("delta = 1.5 lies outside [-1, 1]")
 
-    monkeypatch.setattr(cli, "entropy_closed_form", inconsistent)
+    monkeypatch.setattr(cli, "_closed_form_measures", inconsistent)
     assert cli.main(_SMALL_SWEEP) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: delta = 1.5 lies outside [-1, 1]\n"
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    rc, first = run_json(capsys, ["verify", "--seed", "3", "--json"])
+    assert rc == 0 and first["seed"] == 3
+    assert cli.main(_SMALL_SWEEP) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 3 * 2 * 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    # nothing carries over from the earlier calls: --seed is back at its default
+    rc, doc = run_json(capsys, ["verify", "--json"])
+    assert rc == 0 and doc["seed"] == 0
+    rc, again = run_json(capsys, ["verify", "--seed", "3", "--json"])
+    assert again == first
 
 
 def test_sweep_point_cap(capsys):

@@ -14,8 +14,10 @@ and concurrences `measure_report` prints, were written before it ran its
 cut entropies on the amplitude kernel.
 
 The text and CSV renderings of every simulate, basis, decompose and verify
-mode are pinned byte for byte (`BYTE_GOLDENS`): they print floats to a fixed
-number of digits, so they must not move at all.
+mode, and two sweeps, are pinned byte for byte (`BYTE_GOLDENS`): they print
+floats to a fixed number of digits, so they must not move at all. The sweep
+goldens were written before the sweep ran all its points through one kernel
+call.
 """
 
 import csv
@@ -63,6 +65,12 @@ BYTE_GOLDENS = {
     "decompose_d4_generated": (["decompose", "d4", "--basis", "generated"], 0),
     "verify_seed3": (["verify", "--seed", "3"], 0),
     "verify_seed3_fault": (["verify", "--seed", "3", "--fault", "conjugate_bs"], 1),
+    # the benchmark's grid shape: empty branches and undefined closed forms
+    "sweep_grid": (["sweep", "--phi", "pi/2:1.2:2", "--theta1", "0:pi/2:3",
+                    "--theta2", "0:pi/2:3", "--theta3", "0:1.1:3",
+                    "--theta4", "0.4:pi/2:3", "--eta", "0.3,0.7,1"], 0),
+    # locked angles, negative and beyond pi/2, at phi = -0 (printed as given)
+    "sweep_locked": (["sweep", "--phi=-0", "--thetas=-pi/2:pi:7", "--eta", "0,0.5,1"], 0),
 }
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ges4 import measures
+from ges4 import circuit, measures
 
 from ges4.hilbert import (EIG_TOL, HilbertSpace, InvariantError, StateVector,
                           density_matrix, partial_trace, DensityMatrix)
@@ -466,3 +466,98 @@ def test_kernel_concurrence_is_exact_where_the_dense_route_is_not():
             exact = _mp_concurrence(state.amp, _qubits(pair))
             assert abs(value - exact) <= 1e-15, pair
             assert abs(_oracle_concurrence(state, pair)[0] - exact) <= 1e-6, pair
+
+
+# ---------------------------------------------------------------------------
+# batched closed forms and Gamma vs their one-row wrappers
+
+_CF_ANGLE = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, PI / 4, PI / 2]))
+_CF_ROWS = st.lists(st.lists(_CF_ANGLE, min_size=4, max_size=4), min_size=1, max_size=6)
+
+
+def _math_reference(thetas):
+    """Gamma, lambda and S of both branches as scalar `math` code, with the
+    operations in the order the batched code keeps; NaN where undefined."""
+    x = [math.cos(2.0 * t) for t in thetas]
+    prod = x[0] * x[1] * x[2] * x[3]
+    gammas = ((1.0 + prod) / 2.0, (1.0 - prod) / 2.0)
+    cells = []
+    for sign in (1.0, -1.0):
+        den = 1.0 + sign * prod
+        if abs(den) < 1e-12:
+            cells.append((math.nan, math.nan, 0.0))
+            continue
+        num = abs(x[0] * x[1] * math.sin(2.0 * thetas[2]) * math.sin(2.0 * thetas[3]))
+        delta = (x[2] * x[3] + sign * x[0] * x[1]) / den
+        d = min(abs(delta), 1.0)
+        terms = [v * math.log2(v) if v > 0.0 else 0.0 for v in (1.0 + d, 1.0 - d)]
+        cells.append((max(0.0, num / den), 1.0 - 0.5 * (terms[0] + terms[1]), delta))
+    return gammas, cells
+
+
+def _scalar_cell(closed_form, thetas, branch):
+    try:
+        return closed_form(thetas, branch)
+    except DegenerateBranchError:
+        return math.nan
+
+
+def _same(got, want) -> bool:
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_CF_ROWS)
+def test_batched_closed_forms_and_gammas_equal_the_scalar_ones_bit_for_bit(rows):
+    reference = [_math_reference(thetas) for thetas in rows]
+    if any(abs(delta) > 1.0 + 1e-12 for _, cells in reference for *_, delta in cells):
+        with pytest.raises(measures.ClosedFormInconsistencyError):
+            measures._closed_form_measures(rows)
+        return
+    lam, entropy = measures._closed_form_measures(rows)
+    gammas = circuit._gammas(rows)
+    for n, (thetas, (want_gammas, cells)) in enumerate(zip(rows, reference)):
+        assert tuple(gammas[n].tolist()) == want_gammas == circuit.gamma_factors(thetas)
+        for j, (branch, (want_lam, want_s, _)) in enumerate(zip(BRANCHES, cells)):
+            assert _same(float(lam[n, j]), want_lam), (n, branch)
+            assert _same(float(entropy[n, j]), want_s), (n, branch)
+            assert _same(_scalar_cell(concurrence_closed_form, thetas, branch), want_lam)
+            assert _same(_scalar_cell(entropy_closed_form, thetas, branch), want_s)
+    # a branch is undefined exactly where its probability 2 Gamma is below 1e-12
+    undefined = np.abs(2.0 * gammas) < 1e-12
+    assert np.array_equal(np.isnan(lam), undefined)
+    assert np.array_equal(np.isnan(entropy), undefined)
+
+
+def test_degenerate_edges_give_nan_in_batch_and_raise_one_row():
+    rows = [(0.0,) * 4, (PI / 2,) * 4, (0.0, PI / 2, 0.0, PI / 2), (PI / 4,) * 4]
+    lam, entropy = measures._closed_form_measures(rows)
+    # prod cos 2theta = 1, 1, 1, 0: chi'' is empty on the first three rows
+    assert np.isnan(lam[:3, 1]).all() and np.isnan(entropy[:3, 1]).all()
+    assert not np.isnan(lam[:, 0]).any() and not np.isnan(lam[3]).any()
+    for thetas in rows[:3]:
+        with pytest.raises(DegenerateBranchError):
+            concurrence_closed_form(thetas, BRANCH_DOUBLE_PRIME)
+        with pytest.raises(DegenerateBranchError):
+            entropy_closed_form(thetas, BRANCH_DOUBLE_PRIME)
+
+
+def test_batched_entropy_raises_on_the_first_delta_out_of_range(monkeypatch):
+    delta = np.array([[0.5, math.nan], [1.0 + 1e-13, -1.5], [2.0, 0.0]])
+    monkeypatch.setattr(measures, "_lambda_delta", lambda thetas: (np.zeros((3, 2)), delta))
+    with pytest.raises(measures.ClosedFormInconsistencyError, match=r"^delta = -1.5 lies"):
+        measures._closed_form_measures([(0.1,) * 4] * 3)
+    # overshoot within 1e-12 is roundoff: S(1) = 0
+    delta[1:] = [[1.0 + 1e-13, -1.0], [0.0, 0.0]]
+    _, entropy = measures._closed_form_measures([(0.1,) * 4] * 3)
+    assert np.isnan(entropy[0, 1])
+    assert entropy[1].tolist() == [0.0, 0.0] and entropy[2].tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("thetas", [(0.1, 0.2, math.inf, 0.3), (math.nan,) * 4, (0.1, 0.2)])
+def test_closed_forms_reject_non_finite_or_missing_angles(thetas):
+    for closed_form in (concurrence_closed_form, entropy_closed_form):
+        with pytest.raises(ValueError):
+            closed_form(thetas, BRANCH_PRIME)
+    with pytest.raises(ValueError):
+        circuit.gamma_factors(thetas)

@@ -3,7 +3,8 @@
 `bench/spans.py` wraps the functions listed in its `TRACED` table,
 `bench/test_checks.py` imports `ges4.verify._faulty_circuit`, and the CLI
 tests monkeypatch a few names bound in `ges4.cli`. Removing one of them would
-break the benchmark's trace or its checks without failing anything here.
+break the benchmark's trace or its checks without failing anything here. The
+last test runs the benchmark's sweep check on a sweep whose table is wrong.
 """
 
 import importlib
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def _spans():
@@ -36,7 +38,8 @@ def test_names_imported_or_patched_from_outside_exist():
     from ges4 import cli, verify
 
     assert callable(verify._faulty_circuit)
-    for name in ("main", "evolve", "entropy_closed_form", "measure_report"):
+    for name in ("main", "evolve", "_one_photon_output", "_closed_form_measures",
+                 "measure_report", "prepare_ges"):
         assert callable(getattr(cli, name, None)), f"ges4.cli.{name}"
 
 
@@ -50,3 +53,35 @@ def test_faulty_circuit_is_the_dense_circuit_with_a_conjugated_splitter():
     for phi in (0.0, 1.1, np.pi / 2, 5.3):
         got = verify._faulty_circuit(phi)
         assert np.array_equal(got.mat, _dense_circuit(phi, conjugated).mat)
+
+
+def test_benchmark_sweep_check_rejects_a_wrong_table(tmp_path, monkeypatch):
+    # A kernel that flips one amplitude's sign per point after the first
+    # passes the sweep's own first-point check, so the wrong rows reach the
+    # CSV, and the benchmark's check must find them.
+    import math
+
+    from ges4 import cli
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import SweepGrid
+
+    grid = {"axes": {"phi": (math.pi / 2, 2.0, 2), "theta1": (0.0, math.pi / 2, 2),
+                     "theta2": (0.3, 0.3, 1), "theta3": (0.0, 1.1, 2),
+                     "theta4": (0.4, math.pi / 2, 2)},
+            "etas": (0.3, 1.0)}
+    sweep = SweepGrid(tmp_path)
+    assert sweep.check(grid, sweep.call(grid)) == (0, [])
+    real_kernel = cli._one_photon_output
+
+    def flipped_kernel(phis, thetas, splitter):
+        arm_u, arm_l = real_kernel(phis, thetas, splitter)
+        k = np.argmax(np.abs(arm_l), axis=1)
+        arm_l[np.arange(1, len(arm_l)), k[1:]] *= -1
+        return arm_u, arm_l
+
+    monkeypatch.setattr(cli, "_one_photon_output", flipped_kernel)
+    rc = sweep.call(grid)
+    assert rc == 0
+    bad, problems = sweep.check(grid, rc)
+    assert bad > 0 and problems and all(p.startswith("row ") for p in problems)
