@@ -23,15 +23,13 @@ import numpy as np
 from .hilbert import (
     STRUCT_TOL,
     PAULIS,
-    HilbertSpace,
     InvariantError,
     Operator,
     StateVector,
-    embed,
     phase_between,
 )
 from .circuit import ATOMIC_SPACE, BRANCH_PRIME, ges_target_state
-from .measures import MeasureReport, measure_report
+from .measures import _measure_reports
 
 
 @dataclass(frozen=True, order=True)
@@ -174,22 +172,25 @@ _EXPLICIT_AMPLITUDES = {GesIndex(f, c): _amplitudes_from_signs(signs)
 def explicit_basis() -> GesBasis:
     """The sixteen states from their canonical amplitude tables.
 
-    The tables are turned into amplitude vectors once, at import; each call
-    wraps them in fresh states, and GesBasis re-checks orthonormality.
+    The tables are turned into read-only amplitude vectors once, at import;
+    each call wraps them in fresh states without checking or copying them
+    again, and GesBasis re-checks orthonormality.
     """
-    states = {idx: StateVector(ATOMIC_SPACE, amp)
+    states = {idx: StateVector._wrap(ATOMIC_SPACE, amp)
               for idx, amp in _EXPLICIT_AMPLITUDES.items()}
     return GesBasis(states, "explicit")
 
 
 def _pauli_string(index: GesIndex) -> Operator:
-    q2_space = HilbertSpace.of(("q2", 2))
-    op = embed(Operator(q2_space, PAULIS[index.component]), ["q2"], ATOMIC_SPACE)
-    if index.family in (2, 4):
-        op = embed(Operator(HilbertSpace.of(("q1", 2)), PAULIS[3]), ["q1"], ATOMIC_SPACE) @ op
-    if index.family in (3, 4):
-        op = embed(Operator(HilbertSpace.of(("q3", 2)), PAULIS[3]), ["q3"], ATOMIC_SPACE) @ op
-    return op
+    """sz^a (x) sigma^component (x) sz^b (x) I on (q1, q2, q3, q4).
+
+    a = 1 for families 2 and 4, b = 1 for families 3 and 4. The Pauli entries
+    are exact, so the Kronecker product is the exact operator.
+    """
+    q1 = PAULIS[3] if index.family in (2, 4) else PAULIS[0]
+    q3 = PAULIS[3] if index.family in (3, 4) else PAULIS[0]
+    mat = np.kron(np.kron(np.kron(q1, PAULIS[index.component]), q3), PAULIS[0])
+    return Operator(ATOMIC_SPACE, mat)
 
 
 def generate_basis(seed: Optional[StateVector] = None) -> GesBasis:
@@ -268,10 +269,13 @@ class RepresentationReport:
 
 
 def verify_representation(basis: GesBasis) -> RepresentationReport:
-    """Check orthonormality, completeness, and per-state genuineness."""
-    reports: dict[GesIndex, MeasureReport] = {
-        idx: measure_report(basis.states[idx]) for idx in ALL_INDICES
-    }
+    """Check orthonormality, completeness, and per-state genuineness.
+
+    The sixteen states are measured in one stacked pass of the amplitude
+    kernel.
+    """
+    states = [basis.states[idx] for idx in ALL_INDICES]
+    reports = dict(zip(ALL_INDICES, _measure_reports(states)))
     return RepresentationReport(
         max_orthonormality_dev=basis.orthonormality_deviation(),
         max_completeness_dev=basis.completeness_deviation(),

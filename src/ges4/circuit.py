@@ -386,7 +386,8 @@ def evolve(params: SchemeParams) -> StateVector:
     amp = np.zeros(FULL_SPACE.dim, dtype=complex)
     amp[_branch_slice(0, 1)] = out_l[0]
     amp[_branch_slice(1, 0)] = out_u[0]
-    return StateVector(FULL_SPACE, amp)
+    amp.setflags(write=False)
+    return StateVector._wrap(FULL_SPACE, amp)
 
 
 def photon_branch(psi: StateVector, n_u: int, n_l: int) -> StateVector:
@@ -513,13 +514,13 @@ def detect(state: StateVector, outcome: DetectionOutcome, eta: float
     """
     if not (0.0 <= eta <= 1.0):
         raise ValueError("eta must lie in [0, 1]")
-    if not state.is_normalized:
-        raise ValueError("state must be normalized")
     if state.space != FULL_SPACE:
         raise ValueError("state must live on the full photonic+atomic space")
     # branches[n_u, n_l] is the four-qubit component at |n_U n_L>
     branches = state.amp.reshape(2, 2, ATOMIC_SPACE.dim)
     norms = [[float(np.linalg.norm(b)) for b in row] for row in branches]
+    if abs(sum(n * n for row in norms for n in row) - 1.0) > STRUCT_TOL:
+        raise ValueError("state must be normalized")
     if norms[0][0]**2 + norms[1][1]**2 > STRUCT_TOL:
         raise ValueError("state lies outside the one-photon photonic sector")
 
@@ -542,7 +543,8 @@ def detect(state: StateVector, outcome: DetectionOutcome, eta: float
     if len(s) > 1 and s[1] > EIG_TOL:
         return None, float(probability)   # conditional state is mixed
     post = canonical_phase(vh[0])
-    return StateVector(ATOMIC_SPACE, post), float(probability)
+    post.setflags(write=False)
+    return StateVector._wrap(ATOMIC_SPACE, post), float(probability)
 
 
 class PreparedGes(NamedTuple):
@@ -587,6 +589,7 @@ def prepare_ges(params: SchemeParams,
 
     if outcome is DetectionOutcome.D1_CLICK_D2_NULL:
         # q4 is the least significant digit: act on the last axis.
-        flipped = (post.amp.reshape(8, 2) @ PAULIS[2].T).reshape(-1)
-        post = StateVector(ATOMIC_SPACE, canonical_phase(flipped))
+        flipped = canonical_phase((post.amp.reshape(8, 2) @ PAULIS[2].T).reshape(-1))
+        flipped.setflags(write=False)
+        post = StateVector._wrap(ATOMIC_SPACE, flipped)
     return PreparedGes(post, outcome, float(total))

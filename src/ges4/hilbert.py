@@ -139,6 +139,22 @@ class StateVector:
         arr.setflags(write=False)
         object.__setattr__(self, "amp", arr)
 
+    @classmethod
+    def _wrap(cls, space: HilbertSpace, amp: np.ndarray) -> "StateVector":
+        """A state over an array the package built itself, with no check and no copy.
+
+        For internal results only: `amp` must be a finite complex array of
+        shape (space.dim,) that nothing else writes to, and it must already be
+        read-only (InvariantError otherwise). Input from outside the package
+        goes through the public constructor, which validates and copies.
+        """
+        if amp.flags.writeable:
+            raise InvariantError("an internal state must wrap a read-only array")
+        state = object.__new__(cls)
+        object.__setattr__(state, "space", space)
+        object.__setattr__(state, "amp", amp)
+        return state
+
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amp))

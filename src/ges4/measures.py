@@ -22,6 +22,7 @@ FORMULA_PAIR and FORMULA_CUT below) is re-checked by the verification suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -232,19 +233,48 @@ def _qubits(labels: Sequence[str]) -> tuple[int, ...]:
     return tuple(QUBIT_LABELS.index(q) for q in labels)
 
 
+@functools.lru_cache(maxsize=64)
+def _gather_index(k: int, sides_bytes: bytes) -> np.ndarray:
+    """Flat amplitude index behind each entry of the side-by-rest matrices.
+
+    Keyed on the bytes of an (n, k) int array of sides; returns a read-only
+    (n, 2^k, 2^(4-k)) index, built once per side set.
+    """
+    sides = np.frombuffer(sides_bytes, dtype=int).reshape(-1, k)
+    n = len(sides)
+    rest = [[q for q in range(4) if q not in side] for side in sides.tolist()]
+    order = np.concatenate([sides, rest], axis=1)
+    index = (_BITS << (3 - order)[:, None, :]).sum(axis=-1).reshape(n, 1 << k, 1 << (4 - k))
+    index.setflags(write=False)
+    return index
+
+
 def _split(amps: np.ndarray, sides: np.ndarray) -> np.ndarray:
     """Amplitudes (..., 16) as side-by-rest matrices (..., n, 2^k, 2^(4-k)).
 
     `sides` is an (n, k) array of qubit indices. Row digits are the side's
     qubits, column digits the other qubits, each in the given order, so a
-    matrix m has m m^dag as the side's reduced density matrix.
+    matrix m has m m^dag as the side's reduced density matrix. The gather
+    index is built on the first call for a side set and reused after.
     """
-    n, k = sides.shape
-    rest = [[q for q in range(4) if q not in side] for side in sides.tolist()]
-    order = np.concatenate([sides, rest], axis=1)
-    # Flat amplitude index behind each digit string of the reordered qubits.
-    index = (_BITS << (3 - order)[:, None, :]).sum(axis=-1)
-    return amps[..., index].reshape(*amps.shape[:-1], n, 1 << k, 1 << (4 - k))
+    return amps[..., _gather_index(sides.shape[1], sides.tobytes())]
+
+
+def _wootters(lam: np.ndarray) -> np.ndarray:
+    """max(0, l_0 - l_1 - l_2 - l_3) over the last axis of descending lambdas."""
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+
+
+def _schmidt_entropy(s: np.ndarray) -> np.ndarray:
+    """Entropy (bits) of the Schmidt coefficients s along the last axis.
+
+    The probabilities p = s^2 drop p <= 1e-15 and the entropy is clamped at
+    0, as in `von_neumann_entropy`.
+    """
+    p = s * s
+    keep = p > 1e-15
+    h = -np.sum(np.where(keep, p * np.log2(np.where(keep, p, 1.0)), 0.0), axis=-1)
+    return np.maximum(0.0, h)
 
 
 def _pair_concurrence(amps: np.ndarray, pair) -> np.ndarray:
@@ -256,24 +286,18 @@ def _pair_concurrence(amps: np.ndarray, pair) -> np.ndarray:
     """
     sides = np.asarray(pair, dtype=int)
     m = _split(amps, sides.reshape(-1, 2))
-    lam = np.linalg.svd(np.swapaxes(m, -1, -2) @ _YY @ m, compute_uv=False)
-    c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    c = _wootters(np.linalg.svd(np.swapaxes(m, -1, -2) @ _YY @ m, compute_uv=False))
     return c if sides.ndim == 2 else c[..., 0]
 
 
 def _cut_entropy(amps: np.ndarray, side_a) -> np.ndarray:
     """Entanglement entropy (bits) of normalized pure states across side_a | rest.
 
-    The Schmidt probabilities p = s^2 drop p <= 1e-15 and the entropy is
-    clamped at 0, as in `von_neumann_entropy`.
+    From the singular values of the side-by-rest matrices, by `_schmidt_entropy`.
     """
     sides = np.asarray(side_a, dtype=int)
-    s = np.linalg.svd(_split(amps, sides.reshape(-1, sides.shape[-1])),
-                      compute_uv=False)
-    p = s * s
-    keep = p > 1e-15
-    h = -np.sum(np.where(keep, p * np.log2(np.where(keep, p, 1.0)), 0.0), axis=-1)
-    h = np.maximum(0.0, h)
+    h = _schmidt_entropy(np.linalg.svd(_split(amps, sides.reshape(-1, sides.shape[-1])),
+                                       compute_uv=False))
     return h if sides.ndim == 2 else h[..., 0]
 
 
@@ -282,6 +306,12 @@ _PAIR_CUT_QUBITS = tuple(_qubits(cut.side_a) for cut in PAIR_CUTS)
 _PAIR_CUT_REST = tuple(_qubits(cut.side_b) for cut in PAIR_CUTS)
 _SINGLE_CUT_QUBITS = tuple(_qubits(cut.side_a) for cut in SINGLE_CUTS)
 _SINGLE_CUT_REST = tuple(_qubits(cut.side_b) for cut in SINGLE_CUTS)
+
+# Gather tables of `_measure_rows`' fused SVD call: the six pair-by-rest
+# matrices behind the concurrences, then the three two-two cuts taken from
+# side_a and again from side_b. All twelve matrices are 4x4.
+_CONCURRENCE_INDEX = _gather_index(2, np.array(_PAIR_QUBITS).tobytes())
+_PAIR_CUT_INDEX = _gather_index(2, np.array(_PAIR_CUT_QUBITS + _PAIR_CUT_REST).tobytes())
 
 
 def _closed_form_branches(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,36 +357,66 @@ def entropy_closed_form(thetas: Sequence[float], branch: str) -> float:
     return _delta_entropy(_one_branch(delta, branch))
 
 
+def _measure_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concurrences (N, 6) and cut entropies (N, 7) of normalized states (N, 16).
+
+    Concurrences follow PAIRS; entropies follow PAIR_CUTS, then SINGLE_CUTS.
+    Three SVD calls: one over the twelve 4x4 matrices of the concurrences
+    (m^T (sy x sy) m) and of the two-two cuts from both sides, and two
+    through `_cut_entropy` for the single-qubit cuts from side_a and from
+    side_b. Each cut's two entropies must agree to EIG_TOL (Schmidt
+    symmetry, a check on the index gathers), else InvariantError. Each row is
+    computed by the same operations whatever N is, so it equals a one-row
+    call bit for bit.
+    """
+    m = amps[..., _CONCURRENCE_INDEX]
+    mats = np.concatenate([np.swapaxes(m, -1, -2) @ _YY @ m, amps[..., _PAIR_CUT_INDEX]],
+                          axis=-3)
+    lam = np.linalg.svd(mats, compute_uv=False)
+    conc = _wootters(lam[..., :6, :])
+    pair = _schmidt_entropy(lam[..., 6:, :])
+    s_a = np.concatenate([pair[..., :3], _cut_entropy(amps, _SINGLE_CUT_QUBITS)], axis=-1)
+    s_b = np.concatenate([pair[..., 3:], _cut_entropy(amps, _SINGLE_CUT_REST)], axis=-1)
+    dev = np.abs(s_a - s_b)
+    if dev.max() > EIG_TOL:
+        row, worst = np.unravel_index(np.argmax(dev), dev.shape)
+        cut = (*PAIR_CUTS, *SINGLE_CUTS)[worst]
+        raise InvariantError(f"Schmidt symmetry violated across {cut}: "
+                             f"{s_a[row, worst]} vs {s_b[row, worst]}")
+    return conc, s_a
+
+
+def _measure_reports(states: Sequence[StateVector]) -> list[MeasureReport]:
+    """`measure_report` of each state, all measured in one `_measure_rows` pass."""
+    for state in states:
+        if state.space != ATOMIC_SPACE:
+            raise ValueError("state must live on the four-qubit space")
+        if not state.is_normalized:
+            raise ValueError("state must be normalized")
+    conc, ent = _measure_rows(np.stack([state.amp for state in states]))
+    reports = []
+    for pairwise, entropies in zip(conc.tolist(), ent.tolist()):
+        pairwise = dict(zip(PAIRS, pairwise))
+        pair_ent = dict(zip(PAIR_CUTS, entropies[:3]))
+        single_ent = {cut.side_a[0]: h for cut, h in zip(SINGLE_CUTS, entropies[3:])}
+        genuine = (all(c <= GENUINE_CONCURRENCE_TOL for c in pairwise.values())
+                   and all(s >= 1.0 - GENUINE_ENTROPY_TOL for s in pair_ent.values())
+                   and all(s >= 1.0 - GENUINE_ENTROPY_TOL for s in single_ent.values()))
+        reports.append(MeasureReport(pairwise, pair_ent, single_ent, genuine))
+    return reports
+
+
 def measure_report(state: StateVector) -> MeasureReport:
     """Full entanglement signature of a normalized four-qubit state.
 
-    Runs entirely on the amplitude kernel, in four stacked SVD calls and
-    without a density matrix. Each cut's entropy is taken from side_a and
-    again from side_b; the two must agree to EIG_TOL (Schmidt symmetry, a
-    check on the kernel's index gather), else InvariantError. The
-    density-matrix route (`bipartition_entropy`) is the oracle.
+    The one-row case of the stacked amplitude kernel `_measure_rows`: three
+    stacked SVD calls and no density matrix. Each cut's entropy is taken
+    from side_a and again from side_b; the two must agree to EIG_TOL
+    (Schmidt symmetry, a check on the kernel's index gather), else
+    InvariantError. The density-matrix route (`bipartition_entropy`) is the
+    oracle.
     """
-    if state.space != ATOMIC_SPACE:
-        raise ValueError("state must live on the four-qubit space")
-    if not state.is_normalized:
-        raise ValueError("state must be normalized")
-    amp = state.amp
-    pairwise = dict(zip(PAIRS, _pair_concurrence(amp, _PAIR_QUBITS).tolist()))
-    pair_a, pair_b = _cut_entropy(amp, _PAIR_CUT_QUBITS + _PAIR_CUT_REST).reshape(2, -1)
-    s_a = np.concatenate([pair_a, _cut_entropy(amp, _SINGLE_CUT_QUBITS)])
-    s_b = np.concatenate([pair_b, _cut_entropy(amp, _SINGLE_CUT_REST)])
-    worst = int(np.argmax(np.abs(s_a - s_b)))
-    if abs(s_a[worst] - s_b[worst]) > EIG_TOL:
-        cut = (*PAIR_CUTS, *SINGLE_CUTS)[worst]
-        raise InvariantError(
-            f"Schmidt symmetry violated across {cut}: {s_a[worst]} vs {s_b[worst]}")
-    entropies = s_a.tolist()
-    pair_ent = dict(zip(PAIR_CUTS, entropies[:3]))
-    single_ent = {cut.side_a[0]: h for cut, h in zip(SINGLE_CUTS, entropies[3:])}
-    genuine = (all(c <= GENUINE_CONCURRENCE_TOL for c in pairwise.values())
-               and all(s >= 1.0 - GENUINE_ENTROPY_TOL for s in pair_ent.values())
-               and all(s >= 1.0 - GENUINE_ENTROPY_TOL for s in single_ent.values()))
-    return MeasureReport(pairwise, pair_ent, single_ent, genuine)
+    return _measure_reports([state])[0]
 
 
 def calibrate_closed_forms(n_samples: int = 40, seed: int = 20260823,

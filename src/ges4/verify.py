@@ -57,11 +57,11 @@ from .measures import (
     _closed_form_branches,
     _closed_form_measures,
     _cut_entropy,
+    _measure_reports,
     bipartition_entropy,
     calibrate_closed_forms,
     concurrence_closed_form,
     entropy_closed_form,
-    measure_report,
 )
 from .basis import (
     ALL_INDICES,
@@ -275,8 +275,8 @@ def _check_ges_preparation() -> CheckResult:
 
 def _check_genuineness() -> CheckResult:
     worst = 0.0
-    for branch in BRANCHES:
-        report = measure_report(ges_target_state(branch))
+    reports = _measure_reports([ges_target_state(branch) for branch in BRANCHES])
+    for branch, report in zip(BRANCHES, reports):
         if not report.is_genuine:
             return CheckResult("target_state_genuineness", False, 1.0,
                                f"{branch} branch failed the criterion")
@@ -321,10 +321,8 @@ def _check_closed_forms(cal: dict) -> CheckResult:
 def _check_basis() -> CheckResult:
     basis = explicit_basis()
     worst = max(basis.orthonormality_deviation(), basis.completeness_deviation())
-    n_genuine = sum(
-        measure_report(basis.state(idx.family, idx.component)).is_genuine
-        for idx in ALL_INDICES
-    )
+    reports = _measure_reports([basis.states[idx] for idx in ALL_INDICES])
+    n_genuine = sum(report.is_genuine for report in reports)
     return CheckResult(
         "basis_orthonormal_complete_genuine",
         worst <= 1e-12 and n_genuine == 16,

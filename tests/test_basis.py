@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ges4 import basis, hilbert, measures
-from ges4.hilbert import StateVector, inner
-from ges4.circuit import ATOMIC_SPACE, BRANCH_DOUBLE_PRIME, BRANCH_PRIME, ges_target_state
+from ges4.hilbert import PAULIS, HilbertSpace, Operator, StateVector, embed, inner
+from ges4.circuit import (ATOMIC_SPACE, BRANCH_DOUBLE_PRIME, BRANCH_PRIME, DetectionOutcome,
+                          SchemeParams, detect, evolve, ges_target_state, prepare_ges)
 from ges4.basis import (
     ALL_INDICES,
     CANONICAL_EXPANSIONS,
@@ -87,6 +88,24 @@ def test_generate_basis_default_seed(basis16):
     # the identity string returns the seed itself
     np.testing.assert_allclose(gen.state(1, 0).amp,
                                ges_target_state(BRANCH_PRIME).amp, atol=1e-15)
+
+
+def _embedded_pauli_string(index: GesIndex) -> np.ndarray:
+    """The Pauli string composed from single-qubit factors embedded one by one."""
+    def on(qubit, pauli):
+        return embed(Operator(HilbertSpace.of((qubit, 2)), pauli), [qubit], ATOMIC_SPACE).mat
+
+    op = on("q2", PAULIS[index.component])
+    if index.family in (2, 4):
+        op = on("q1", PAULIS[3]) @ op
+    if index.family in (3, 4):
+        op = on("q3", PAULIS[3]) @ op
+    return op
+
+
+def test_pauli_strings_equal_their_embedded_composition():
+    for idx in ALL_INDICES:
+        assert np.array_equal(basis._pauli_string(idx).mat, _embedded_pauli_string(idx))
 
 
 def test_generate_basis_seed_validation():
@@ -239,6 +258,56 @@ def test_warm_report_and_decompose_run_no_eigensolver(monkeypatch, rng):
     measures.bipartition_entropy(canonical_state("d4"), measures.SINGLE_CUTS[0])
     assert counts["density_matrix"] == 1 and counts["partial_trace"] == 2
     assert counts["eigvalsh"] >= 2
+
+
+def _single_shot_requests(rng):
+    """One request of each kind the library serves one at a time: a prepared
+    state at the operating point, and evolve + detect at a random point, each
+    pure post-state measured and expanded over the explicit basis."""
+    prepared = prepare_ges(SchemeParams(phi=math.pi / 2, eta=0.7))
+    states = [prepared.state]
+    params = SchemeParams(phi=float(rng.uniform(0.1, 1.4)),
+                          thetas=tuple(rng.uniform(0.1, 1.4, size=4)), eta=0.6)
+    psi = evolve(params)
+    for outcome in DetectionOutcome:
+        state, _ = detect(psi, outcome, params.eta)
+        states += [state] if state is not None else []
+    b = explicit_basis()
+    return [(measure_report(state), decompose(state, b)) for state in states]
+
+
+def test_warm_single_shot_request_builds_no_checked_state_and_three_svds(monkeypatch, rng):
+    _single_shot_requests(rng)      # warm: fills the gather-index cache
+    counts = {"post_init": 0, "svd": 0}
+    post_init, svd = StateVector.__post_init__, np.linalg.svd
+
+    def counting_post_init(self):
+        counts["post_init"] += 1
+        post_init(self)
+
+    def counting_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(StateVector, "__post_init__", counting_post_init)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    results = _single_shot_requests(rng)
+    assert len(results) == 3            # operating point, d1 and d2
+    assert counts["post_init"] == 0
+    counts["svd"] = 0
+    state = prepare_ges(SchemeParams(phi=math.pi / 2)).state
+    assert counts == {"post_init": 0, "svd": 2}          # one per detect call
+    counts["svd"] = 0
+    assert measure_report(state).is_genuine
+    assert counts["svd"] == 3
+    # the counters do see the public constructor
+    StateVector(ATOMIC_SPACE, state.amp)
+    assert counts["post_init"] == 1
+
+
+def test_explicit_basis_states_are_read_only(basis16):
+    for state in basis16.states.values():
+        assert not state.amp.flags.writeable
 
 
 def test_decompose_input_validation(basis16):

@@ -286,6 +286,23 @@ def test_prepare_ges_sigma_y_map(target_prime, target_dprime):
     assert abs(abs(inner(mapped, target_prime)) - 1.0) < 1e-12
 
 
+def test_internal_states_are_read_only():
+    # evolve, detect and prepare_ges wrap their own arrays without a copy,
+    # so each must have made the array read-only first
+    psi = evolve(SchemeParams(phi=1.1, thetas=(0.3, 0.5, 0.7, 0.9), eta=0.6))
+    states = [psi]
+    for outcome in DetectionOutcome:
+        state, _ = detect(psi, outcome, 1.0)
+        states += [state] if state is not None else []
+    for outcome in (DetectionOutcome.D1_CLICK_D2_NULL, DetectionOutcome.D2_CLICK_D1_NULL):
+        states.append(prepare_ges(SchemeParams(phi=PI / 2), outcome=outcome).state)
+    assert len(states) == 5
+    for state in states:
+        assert not state.amp.flags.writeable
+        with pytest.raises(ValueError):
+            state.amp[0] = 1.0
+
+
 def test_prepare_ges_rejects_non_click_outcomes():
     with pytest.raises(ValueError):
         prepare_ges(SchemeParams(phi=PI / 2), outcome=DetectionOutcome.NO_CLICK)

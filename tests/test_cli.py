@@ -637,6 +637,20 @@ def test_state_file_rejects_booleans(capsys, tmp_path, field):
     assert _one_error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("re, im", [("NaN", "0"), ("1", "NaN"), ("Infinity", "0"),
+                                    ("1", "-Infinity")])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_state_file_with_a_non_finite_amplitude_exits_2(capsys, tmp_path, re, im, normalize):
+    # json reads NaN and Infinity as floats; the public StateVector rejects them
+    path = tmp_path / "state.json"
+    path.write_text(f'[{{"basis_label": "0000", "re": {re}, "im": {im}}}]')
+    argv = ["decompose", "--file", str(path)] + (["--normalize"] if normalize else [])
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured.err) and "finite" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("record", [
     {"basis_label": 1000, "re": 1.0, "im": 0.0},        # label must be a string
     {"basis_label": ["1", "0", "0", "0"], "re": 1.0, "im": 0.0},

@@ -5,6 +5,7 @@ import pytest
 
 from ges4.hilbert import (
     HilbertSpace,
+    InvariantError,
     StateVector,
     Operator,
     DensityMatrix,
@@ -73,6 +74,37 @@ def test_state_vector_norm_and_validation():
         StateVector(SPACE2, np.array([np.nan, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         StateVector(SPACE2, np.zeros(4)).normalized()
+
+
+@pytest.mark.parametrize("amp", [
+    [np.nan, 0.0, 0.0, 0.0],
+    [0.0, complex(0.0, np.nan), 0.0, 0.0],
+    [np.inf, 0.0, 0.0, 0.0],
+    [0.0, 0.0, complex(1.0, -np.inf), 0.0],
+    [1.0, 0.0, 0.0],
+    np.eye(4)[:2],
+])
+def test_public_state_vector_rejects_non_finite_or_misshapen_amplitudes(amp):
+    with pytest.raises(ValueError):
+        StateVector(SPACE2, np.asarray(amp, dtype=complex))
+
+
+def test_public_state_vector_copies_its_input():
+    raw = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    psi = StateVector(SPACE2, raw)
+    raw[0] = 5.0
+    raw[3] = np.nan
+    assert np.array_equal(psi.amp, [1.0, 0.0, 0.0, 0.0])
+    assert psi.amp is not raw and not psi.amp.flags.writeable
+
+
+def test_internal_wrap_takes_a_read_only_array_as_it_is():
+    amp = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    with pytest.raises(InvariantError):
+        StateVector._wrap(SPACE2, amp)
+    amp.setflags(write=False)
+    psi = StateVector._wrap(SPACE2, amp)
+    assert psi.amp is amp and psi.space == SPACE2 and psi.is_normalized
 
 
 def test_state_vector_immutable():

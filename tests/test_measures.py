@@ -423,6 +423,56 @@ def test_kernel_stacked_equals_one_at_a_time():
                 assert _cut_entropy(amps[i, j], side) == ent[i, j, k]
 
 
+def _report_rows(report) -> tuple[np.ndarray, np.ndarray]:
+    """A report's concurrences in PAIRS order and entropies in ALL_CUTS order."""
+    conc = np.array([report.pairwise_concurrence[pair] for pair in PAIRS])
+    ent = np.array([report.pair_entropy[cut] for cut in PAIR_CUTS]
+                   + [report.single_entropy[cut.side_a[0]] for cut in SINGLE_CUTS])
+    return conc, ent
+
+
+def _assert_stacked_rows_equal_one_row_reports(states) -> None:
+    # Bit for bit: the stacked core's rows, the one-row measure_report, and
+    # the single-purpose kernels _pair_concurrence and _cut_entropy.
+    conc, ent = measures._measure_rows(np.stack([state.amp for state in states]))
+    stacked = measures._measure_reports(states)
+    assert conc.shape == (len(states), 6) and ent.shape == (len(states), 7)
+    for k, state in enumerate(states):
+        report = measure_report(state)
+        c, e = _report_rows(report)
+        assert np.array_equal(c, conc[k]) and np.array_equal(e, ent[k]), k
+        assert stacked[k] == report
+        assert np.array_equal(c, _pair_concurrence(state.amp, [_qubits(p) for p in PAIRS]))
+        assert np.array_equal(e, np.concatenate([
+            _cut_entropy(state.amp, [_qubits(cut.side_a) for cut in PAIR_CUTS]),
+            _cut_entropy(state.amp, [_qubits(cut.side_a) for cut in SINGLE_CUTS])]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(parts=st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
+       zeros=st.lists(st.booleans(), min_size=16, max_size=16),
+       angles=st.lists(st.floats(0.0, PI), min_size=8, max_size=8))
+def test_stacked_measures_equal_one_row_reports_bit_for_bit(parts, zeros, angles):
+    # dense, sparse, a product state (every reduction of rank 1) and a Bell
+    # pair times a product (rank-deficient pair reductions)
+    amp = np.array(parts[:16]) + 1j * np.array(parts[16:])
+    qubits = [_qubit(theta, phase) for theta, phase in zip(angles[:4], angles[4:])]
+    candidates = (amp, np.where(zeros, 0.0, amp), _kron(*qubits),
+                  _kron(_BELL, qubits[0], qubits[1]))
+    states = [_state(a) for a in candidates if np.linalg.norm(a) > 1e-3]
+    _assert_stacked_rows_equal_one_row_reports(states)
+
+
+@pytest.mark.parametrize("group", ["explicit", "generated", "special"])
+def test_stacked_measures_equal_one_row_reports_on_the_basis_and_special_states(group):
+    if group == "special":
+        states = [SPECIAL_STATES[name] for name in sorted(SPECIAL_STATES)]
+    else:
+        basis = explicit_basis() if group == "explicit" else generate_basis()
+        states = list(basis.states.values())
+    _assert_stacked_rows_equal_one_row_reports(states)
+
+
 def _mp_concurrence(amp, pair, dps: int = 40):
     """Wootters concurrence from its definition, in dps-digit arithmetic:
     descending square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy),
