@@ -221,29 +221,36 @@ class Decomposition:
         return self.coefficients[GesIndex(family, component)]
 
 
+def _expand(amps: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients c = m^dag psi (N, 16) and residuals |psi - m c| (N,) of rows psi.
+
+    One product each for all rows. Completeness makes every residual vanish;
+    each row must meet it and sum(|c|^2) + residual^2 = 1 to structural
+    tolerance (InvariantError otherwise).
+    """
+    c = amps @ m.conj()
+    residual = np.linalg.norm(amps - c @ m.T, axis=-1)
+    total = np.sum(np.abs(c) ** 2, axis=-1) + residual**2
+    off = np.abs(total - 1.0) > STRUCT_TOL
+    if off.any():
+        raise InvariantError(f"sum |c|^2 + residual^2 = {total[off][0]}, not 1")
+    if (residual > STRUCT_TOL).any():
+        raise InvariantError(f"reconstruction residual {residual.max()} exceeds {STRUCT_TOL}")
+    return c, residual
+
+
 def decompose(state: StateVector, basis: GesBasis) -> Decomposition:
     """Expand a normalized four-qubit state over the sixteen-state basis.
 
-    With m the basis matrix (columns in index order), the coefficients are
-    c = m^dag psi and the reconstruction is m c, one product each.
-    Completeness makes the residual vanish for any input; both the
-    reconstruction and the norm identity sum(|c|^2) + residual^2 = 1 are
-    required to structural tolerance (InvariantError otherwise).
+    The one-row case of `_expand`, which raises InvariantError when the
+    reconstruction or the norm identity fails.
     """
     if state.space != ATOMIC_SPACE:
         raise ValueError("state must live on the four-qubit space")
     if not state.is_normalized:
         raise ValueError("state must be normalized")
-    m = basis.matrix()
-    c = m.conj().T @ state.amp
-    residual = float(np.linalg.norm(state.amp - m @ c))
-    weight = float(np.sum(np.abs(c) ** 2))
-    coeffs = dict(zip(ALL_INDICES, c.tolist()))
-    if abs(weight + residual**2 - 1.0) > STRUCT_TOL:
-        raise InvariantError(f"sum |c|^2 + residual^2 = {weight + residual**2}, not 1")
-    if residual > STRUCT_TOL:
-        raise InvariantError(f"reconstruction residual {residual} exceeds {STRUCT_TOL}")
-    return Decomposition(coeffs, residual)
+    c, residual = _expand(state.amp[None], basis.matrix())
+    return Decomposition(dict(zip(ALL_INDICES, c[0].tolist())), float(residual[0]))
 
 
 def canonical_state(name: str) -> StateVector:

@@ -16,21 +16,22 @@ sector the interferometer is the 2x2 splitter block, then the diagonal
 phase exp(-i phi n0) on arm U and exp(-i phi n1) on arm L (n0 and n1 count
 the qubits in |0> and |1>), then the splitter block again. It takes a stack
 of (phi, theta) points: `evolve` is its one-point case, and `sweep` and
-the oracle check pass all their points in one call. `mz_circuit` builds
-the dense 64x64 unitary from the cavity generators. The oracle diagonalises
-each cavity generator once, on first use, and caches the eigensystem
-(w, v, v^dag); phi enters only through the eigenphases,
-exp(-i phi G) = v diag(exp(-i phi w)) v^dag, so every circuit is still a
-product of five dense 64x64 factors. The verification suite checks the fast
-path against `_dense_apply`, which applies the same five generator-built
-factors to a stack of input rows (one phase per row) without forming the
-matrix, and against the closed forms of `_closed_form_pairs`, evaluated for
-all draws at once.
+the oracle check pass all their points in one call. The dense oracle
+builds the 64x64 unitary from the cavity generators, which commute
+(checked exactly, on first use): the four cavities together are
+exp(-i phi G), G their sum, and one cached eigensystem G = v diag(w) v^dag,
+with the splitter B folded in, gives U(phi) = (B v) diag(exp(-i phi w))
+(v^dag B), one GEMM per circuit. `_dense_circuits` builds a stack of them
+and `mz_circuit` is its one-phase case; `_dense_apply` sends stacked input
+rows through the same factors in two tall GEMMs. The verification suite
+checks the fast path against `_dense_apply` and against the closed forms
+of `_closed_form_pairs`, evaluated for all draws at once.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -113,19 +114,20 @@ class DetectionOutcome(Enum):
                          f"{[o.value for o in cls]}")
 
 
+# Outcome -> whether (D1 on mode U, D2 on mode L) clicks.
+_CLICKS = {
+    DetectionOutcome.D1_CLICK_D2_NULL: (True, False),
+    DetectionOutcome.D2_CLICK_D1_NULL: (False, True),
+    DetectionOutcome.NO_CLICK: (False, False),
+    DetectionOutcome.DOUBLE_CLICK: (True, True),
+}
+
+
 # Outcome -> (weights on mode U occupations, weights on mode L occupations).
 # A detector of efficiency eta reports null on |n> with weight (1-eta)^n and
 # a click with the complementary weight.
 def _povm_weights(outcome: DetectionOutcome, eta: float):
-    null = np.array([1.0, 1.0 - eta])
-    click = np.array([0.0, eta])
-    table = {
-        DetectionOutcome.D1_CLICK_D2_NULL: (click, null),
-        DetectionOutcome.D2_CLICK_D1_NULL: (null, click),
-        DetectionOutcome.NO_CLICK: (null, null),
-        DetectionOutcome.DOUBLE_CLICK: (click, click),
-    }
-    return table[outcome]
+    return tuple((0.0, eta) if click else (1.0, 1.0 - eta) for click in _CLICKS[outcome])
 
 
 @dataclass(frozen=True)
@@ -230,20 +232,26 @@ def _cavity_generator(qubit_index: int) -> Operator:
     return gen
 
 
-@functools.cache
-def _cavity_eigensystem(qubit_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(w, v, v^dag) of cavity i's generator, diagonalised on first use."""
-    w, v = np.linalg.eigh(_cavity_generator(qubit_index).mat)
-    vh = v.conj().T
-    for arr in (w, v, vh):
+@functools.lru_cache(maxsize=8)
+def _circuit_eigensystem(space: HilbertSpace, mat_bytes: bytes) -> tuple[np.ndarray, ...]:
+    """(w, B v, v^dag B) of the interferometer with splitter B, built on first use.
+
+    The four cavity generators must commute exactly (InvariantError
+    otherwise), so the cavities are exp(-i phi G), G = v diag(w) v^dag their
+    sum. B is the splitter with these entries, extended by identity on the
+    qubits: keyed on its entries, a changed splitter never gets a stale entry.
+    """
+    gens = [_cavity_generator(i).mat for i in (1, 2, 3, 4)]
+    for a, b in itertools.combinations(gens, 2):
+        if not np.array_equal(a @ b, b @ a):
+            raise InvariantError("cavity generators do not commute")
+    w, v = np.linalg.eigh(sum(gens))
+    mat = np.frombuffer(mat_bytes, dtype=complex).reshape(space.dim, space.dim)
+    bs = embed(Operator(space, mat), ["U", "L"], FULL_SPACE).mat
+    factors = (w, bs @ v, v.conj().T @ bs)
+    for arr in factors:
         arr.setflags(write=False)
-    return w, v, vh
-
-
-def _cavity_factor(qubit_index: int, phi: float) -> np.ndarray:
-    """exp(-i phi G_i) as a dense matrix, from the cached eigensystem."""
-    w, v, vh = _cavity_eigensystem(qubit_index)
-    return (v * np.exp(-1j * (float(phi) * w))) @ vh
+    return factors
 
 
 def atom_photon_unitary(qubit_index: int, phi: float) -> Operator:
@@ -251,57 +259,48 @@ def atom_photon_unitary(qubit_index: int, phi: float) -> Operator:
 
     The photon picks up phase phi from cavity i when either the upper mode is
     occupied with the atom in |0>, or the lower mode is occupied with the atom
-    in |1>. Acts as identity on the other three qubits. The generator's
-    eigensystem is computed once and cached; phi enters only through the
-    eigenphases exp(-i phi w).
+    in |1>. Acts as identity on the other three qubits. Built from the
+    generator on every call; the dense circuits do not use it.
     """
-    return Operator(FULL_SPACE, _cavity_factor(qubit_index, phi))
+    return unitary_exp(Operator(FULL_SPACE, float(phi) * _cavity_generator(qubit_index).mat))
 
 
-@functools.lru_cache(maxsize=8)
-def _embedded_splitter(space: HilbertSpace, mat_bytes: bytes) -> np.ndarray:
-    """A photonic splitter extended by identity on the qubits, keyed on its entries."""
-    mat = np.frombuffer(mat_bytes, dtype=complex).reshape(space.dim, space.dim)
-    return embed(Operator(space, mat), ["U", "L"], FULL_SPACE).mat
+def _dense_circuits(phis: np.ndarray, splitter: Operator) -> np.ndarray:
+    """Dense 64x64 interferometers with a given photonic splitter, as (N, 64, 64).
+
+    Circuit n is (B v) diag(exp(-i phis[n] w)) (v^dag B) from the cached
+    eigensystem of the summed cavity generator: one GEMM per circuit, all
+    of them in one call.
+    """
+    w, bv, vhb = _circuit_eigensystem(splitter.space, splitter.mat.tobytes())
+    scaled = bv * np.exp(-1j * np.multiply.outer(np.asarray(phis, dtype=float), w))[:, None, :]
+    return (scaled.reshape(-1, FULL_SPACE.dim) @ vhb).reshape(scaled.shape)
 
 
 def _dense_circuit(phi: float, splitter: Operator) -> Operator:
-    """Dense 64x64 interferometer with a given photonic splitter.
-
-    The splitter's embedding is cached on its matrix entries, so a changed
-    splitter is never served a stale embedding. `_dense_apply` applies the
-    same five factors to input rows without forming the matrix.
-    """
-    bs = _embedded_splitter(splitter.space, splitter.mat.tobytes())
-    u = bs
-    for i in (1, 2, 3, 4):
-        u = _cavity_factor(i, phi) @ u
-    return Operator(FULL_SPACE, bs @ u)
+    """The one-phase case of `_dense_circuits`."""
+    return Operator(FULL_SPACE, _dense_circuits([phi], splitter)[0])
 
 
 def _dense_apply(phis: np.ndarray, splitter: Operator, states: np.ndarray) -> np.ndarray:
     """Rows of `states` (N, 64) through the dense interferometer, row n at phis[n].
 
-    Applies the five factors of `_dense_circuit` to the stacked rows: the
-    embedded splitter, each cavity as its cached eigensystem, the splitter
-    again. Equals `_dense_circuit(phis[n], splitter) @ states[n]` to roundoff.
+    Two tall GEMMs over the stacked rows, by v^dag B and by B v, with the
+    eigenphases of row n between them; no circuit is formed. Equals
+    `_dense_circuits(phis, splitter)[n] @ states[n]` to roundoff.
     """
-    bs_t = _embedded_splitter(splitter.space, splitter.mat.tobytes()).T
-    phis = np.asarray(phis, dtype=float)[:, None]
-    rows = np.asarray(states) @ bs_t
-    for i in (1, 2, 3, 4):
-        w, v, vh = _cavity_eigensystem(i)
-        rows = ((rows @ vh.T) * np.exp(-1j * (phis * w))) @ v.T
-    return rows @ bs_t
+    w, bv, vhb = _circuit_eigensystem(splitter.space, splitter.mat.tobytes())
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(phis, dtype=float), w))
+    return ((np.asarray(states) @ vhb.T) * phases) @ bv.T
 
 
 def mz_circuit(phi: float) -> Operator:
     """Full interferometer as a dense unitary: splitter, four cavities, splitter.
 
     This is the slow oracle built from the cavity generators; `evolve` does
-    not use it. Each call forms five dense 64x64 factors and multiplies them;
-    the generators' eigensystems are cached, so phi enters only through the
-    eigenphases and no call runs an eigensolver after the first.
+    not use it. It is the one-phase case of `_dense_circuits`: one GEMM
+    from the cached eigensystem of the summed generator, so no call runs
+    an eigensolver after the first.
     """
     return _dense_circuit(phi, beam_splitter())
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import Operator, StateVector, embed, inner
+from .hilbert import Operator, inner
 from .circuit import (
     ATOMIC_SPACE,
     BRANCHES,
@@ -37,6 +37,7 @@ from .circuit import (
     _closed_form_pairs,
     _dense_apply,
     _dense_circuit,
+    _dense_circuits,
     _gammas,
     _initial_states,
     _one_photon_block,
@@ -46,7 +47,6 @@ from .circuit import (
     detect,
     evolve,
     ges_target_state,
-    mz_circuit,
     prepare_ges,
 )
 from .measures import (
@@ -67,6 +67,7 @@ from .basis import (
     ALL_INDICES,
     CANONICAL_EXPANSIONS,
     D4_EXPANSION_VARIANT,
+    _expand,
     canonical_state,
     compare_generated,
     decompose,
@@ -164,12 +165,8 @@ def _faulty_circuit(phi: float) -> Operator:
 
 
 def _check_unitarity(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    for _ in range(25):
-        phi = float(rng.uniform(0.0, 2.0 * np.pi))
-        u = mz_circuit(phi).mat
-        dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-        worst = max(worst, dev)
+    u = _dense_circuits(rng.uniform(0.0, 2.0 * np.pi, size=25), beam_splitter())
+    worst = float(np.max(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(FULL_SPACE.dim))))
     return CheckResult(
         "circuit_unitarity",
         worst <= 1e-12,
@@ -178,18 +175,14 @@ def _check_unitarity(rng: np.random.Generator) -> CheckResult:
     )
 
 
+# Total photon number n_U + n_L on |00>, |01>, |10>, |11>. The photonic
+# factors come first in FULL_SPACE, so `embed` would give this same product.
+_N_PHOTON = np.kron(np.diag([0.0, 1.0, 1.0, 2.0]), np.eye(ATOMIC_SPACE.dim))
+
+
 def _check_photon_conservation(rng: np.random.Generator) -> CheckResult:
-    # Total photon number operator on the two modes.
-    n_single = np.diag([0.0, 1.0]).astype(complex)
-    eye2 = np.eye(2, dtype=complex)
-    n_tot = np.kron(n_single, eye2) + np.kron(eye2, n_single)
-    n_full = embed(Operator(PHOTONIC_SPACE, n_tot), ["U", "L"], FULL_SPACE).mat
-    worst = 0.0
-    for _ in range(10):
-        phi = float(rng.uniform(0.0, 2.0 * np.pi))
-        u = mz_circuit(phi).mat
-        dev = float(np.max(np.abs(u @ n_full - n_full @ u)))
-        worst = max(worst, dev)
+    u = _dense_circuits(rng.uniform(0.0, 2.0 * np.pi, size=10), beam_splitter())
+    worst = float(np.max(np.abs(u @ _N_PHOTON - _N_PHOTON @ u)))
     return CheckResult(
         "photon_number_conservation",
         worst <= 1e-12,
@@ -204,7 +197,7 @@ def _check_oracle_equivalence(
     """Dense circuit and fast kernel vs the closed-form branch pair.
 
     Three independent paths, each over all 200 draws at once: the dense
-    circuit's five factors applied to the input states stacked as rows, the
+    circuit's factors applied to the input states stacked as rows, the
     structured one-photon kernel behind `evolve`, and the closed forms. Both
     circuit paths get the same splitter, so an injected fault breaks both.
     """
@@ -403,14 +396,13 @@ def _d4_variant_entry() -> dict:
 
 
 def _check_parseval(rng: np.random.Generator) -> CheckResult:
-    basis = explicit_basis()
-    worst = 0.0
-    for _ in range(100):
-        raw = rng.normal(size=16) + 1j * rng.normal(size=16)
-        state = StateVector(ATOMIC_SPACE, raw / np.linalg.norm(raw))
-        dec = decompose(state, basis)
-        total = sum(abs(c) ** 2 for c in dec.coefficients.values())
-        worst = max(worst, float(abs(total - 1.0)), float(dec.residual))
+    # state n draws its 16 real parts, then its 16 imaginary parts
+    parts = rng.normal(size=(100, 2, 16))
+    raw = parts[:, 0] + 1j * parts[:, 1]
+    c, residual = _expand(raw / np.linalg.norm(raw, axis=-1, keepdims=True),
+                          explicit_basis().matrix())
+    total = np.sum(np.abs(c) ** 2, axis=-1)
+    worst = float(max(np.max(np.abs(total - 1.0)), np.max(residual)))
     return CheckResult(
         "parseval_completeness",
         worst <= 1e-12,

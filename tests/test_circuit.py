@@ -443,17 +443,69 @@ def test_atom_photon_unitary_equals_a_fresh_exponential(qubit_index, phi):
 
 
 @settings(max_examples=50, deadline=None)
-@given(phi=_ORACLE_PHIS, conjugate=st.booleans())
-def test_dense_circuit_equals_a_product_of_fresh_factors(phi, conjugate):
-    # alternating splitters also show the embedded-splitter cache never goes stale
+@given(phis=st.lists(_ORACLE_PHIS, min_size=1, max_size=5), conjugate=st.booleans())
+def test_dense_circuit_equals_a_product_of_fresh_factors(phis, conjugate):
+    # every slice of a stacked build, and the one-phase build, against four
+    # fresh per-cavity exponentials; alternating splitters also show the
+    # eigensystem cache, keyed on the splitter, never goes stale
     splitter = _conjugated_splitter() if conjugate else beam_splitter()
     bs = embed(splitter, ["U", "L"], FULL_SPACE).mat
-    want = bs
-    for i in (1, 2, 3, 4):
-        want = _fresh_factor(i, phi) @ want
-    want = bs @ want
-    got = _dense_circuit(phi, splitter).mat
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    stacked = circuit._dense_circuits(phis, splitter)
+    assert stacked.shape == (len(phis), 64, 64)
+    for phi, got in zip(phis, stacked):
+        want = bs
+        for i in (1, 2, 3, 4):
+            want = _fresh_factor(i, phi) @ want
+        want = bs @ want
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(_dense_circuit(phis[0], splitter).mat, stacked[0],
+                               rtol=0, atol=1e-13)
+
+
+def _non_commuting_generator(qubit_index):
+    # cavity 4 with a sigma^x on q1 added: Hermitian still, but it no longer
+    # commutes with cavity 1
+    gen = _fresh_generator(qubit_index)
+    if qubit_index == 4:
+        gen = gen + embed(Operator(HilbertSpace.of(("q1", 2)), PAULIS[1]), ["q1"],
+                          FULL_SPACE).mat
+    return Operator(FULL_SPACE, gen)
+
+
+def test_non_commuting_cavity_generators_raise(monkeypatch):
+    monkeypatch.setattr(circuit, "_cavity_generator", _non_commuting_generator)
+    circuit._circuit_eigensystem.cache_clear()
+    try:
+        with pytest.raises(circuit.InvariantError, match="do not commute"):
+            mz_circuit(0.7)
+    finally:
+        circuit._circuit_eigensystem.cache_clear()
+
+
+def test_non_commuting_cavity_generators_raise_in_optimized_mode():
+    # `python -O` strips asserts; the commutation check must still raise
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from ges4 import circuit\n"
+        "real = circuit._cavity_generator\n"
+        "def skewed(i):\n"
+        "    g = real(i)\n"
+        "    if i != 4:\n"
+        "        return g\n"
+        "    x = np.kron(np.kron(np.eye(4), [[0.0, 1.0], [1.0, 0.0]]), np.eye(8))\n"
+        "    return circuit.Operator(circuit.FULL_SPACE, g.mat + x)\n"
+        "circuit._cavity_generator = skewed\n"
+        "try:\n"
+        "    circuit.mz_circuit(0.7)\n"
+        "except circuit.InvariantError as exc:\n"
+        "    print('raised', sys.flags.optimize, 'do not commute' in str(exc))\n"
+    )
+    src = str(Path(circuit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "raised 1 True", out.stderr
 
 
 def test_beam_splitter_is_built_once_and_immutable():

@@ -17,7 +17,11 @@ The text and CSV renderings of every simulate, basis, decompose and verify
 mode, and two sweeps, are pinned byte for byte (`BYTE_GOLDENS`): they print
 floats to a fixed number of digits, so they must not move at all. The sweep
 goldens were written before the sweep ran all its points through one kernel
-call.
+call. In the verify goldens, the `measured` cells of `circuit_unitarity`,
+`oracle_equivalence` and `parseval_completeness` were re-recorded when the
+dense oracle moved to one eigensystem of the summed cavity generator and
+Parseval to one stacked product: they are roundoff residues of identities
+whose exact value is 0 (the faulty `oracle_equivalence` moved by one ulp).
 """
 
 import csv

@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 import ges4
+from ges4 import basis as basis_module
 from ges4 import circuit, hilbert, verify
-from ges4.circuit import beam_splitter
+from ges4.basis import ALL_INDICES, decompose, explicit_basis
+from ges4.circuit import ATOMIC_SPACE, FULL_SPACE, PHOTONIC_SPACE, beam_splitter
+from ges4.hilbert import Operator, StateVector, embed
 from ges4.verify import (
     ENTROPY_SPOT_PI_8,
     FAULT_MODES,
@@ -191,27 +194,36 @@ def _count_calls(monkeypatch, owners, name, counts):
 
 def test_warm_report_runs_no_eigensolver_and_stacks_every_oracle_draw(monkeypatch):
     run_all_checks(seed=0)     # fills the oracle's caches
-    counts = dict.fromkeys(("tensor", "eigh", "mz_circuit"), 0)
+    counts = dict.fromkeys(("tensor", "embed", "eigh", "mz_circuit"), 0)
     package = [m for name, m in sys.modules.items()
                if name == "ges4" or name.startswith("ges4.")]
     _count_calls(monkeypatch, [hilbert, *package], "tensor", counts)
+    _count_calls(monkeypatch, [hilbert, *package], "embed", counts)
     _count_calls(monkeypatch, [np.linalg], "eigh", counts)
-    _count_calls(monkeypatch, [verify], "mz_circuit", counts)
-    stacked = []
-    real = verify._dense_apply
+    _count_calls(monkeypatch, [circuit, verify], "mz_circuit", counts)
+    stacked, built = [], []
+    real_apply, real_build = verify._dense_apply, verify._dense_circuits
 
     def recording(phis, splitter, states):
         stacked.append((np.array(phis), np.shape(states)))
-        return real(phis, splitter, states)
+        return real_apply(phis, splitter, states)
+
+    def building(phis, splitter):
+        built.append(np.array(phis))
+        return real_build(phis, splitter)
 
     monkeypatch.setattr(verify, "_dense_apply", recording)
+    monkeypatch.setattr(verify, "_dense_circuits", building)
     assert run_all_checks(seed=0).all_passed
-    assert counts == {"tensor": 0, "eigh": 0, "mz_circuit": 35}
+    assert counts == {"tensor": 0, "embed": 0, "eigh": 0, "mz_circuit": 0}
     # one stacked pass over all 200 draws, each at its own phase, so no
     # draw can be served from a cache
     [(phis, shape)] = stacked
     assert shape == (200, 64)
     assert phis.shape == (200,) and len(np.unique(phis)) == 200
+    # one stacked build each for the unitarity and photon-number checks
+    assert [len(phis) for phis in built] == [25, 10]
+    assert [len(np.unique(phis)) for phis in built] == [25, 10]
 
 
 def test_oracle_check_consumes_the_rng_like_scalar_draws():
@@ -222,3 +234,72 @@ def test_oracle_check_consumes_the_rng_like_scalar_draws():
     for _ in range(200 * (1 + 4)):
         scalar.uniform()
     assert rng.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("check, n", [(verify._check_unitarity, 25),
+                                      (verify._check_photon_conservation, 10)])
+def test_circuit_checks_draw_their_phases_like_scalar_draws(monkeypatch, check, n):
+    # one stacked draw of n phases: the same values, and the same stream
+    # position for the checks after it, as n scalar draws
+    seen = []
+    real = verify._dense_circuits
+
+    def building(phis, splitter):
+        seen.extend(np.asarray(phis).tolist())
+        return real(phis, splitter)
+
+    monkeypatch.setattr(verify, "_dense_circuits", building)
+    rng = np.random.default_rng(11)
+    check(rng)
+    scalar = np.random.default_rng(11)
+    assert seen == [float(scalar.uniform(0.0, 2.0 * np.pi)) for _ in range(n)]
+    assert rng.bit_generator.state == scalar.bit_generator.state
+
+
+def _scalar_parseval_states(rng):
+    # the per-state loop the check replaced: 16 real parts, then 16 imaginary
+    raws = [rng.normal(size=16) + 1j * rng.normal(size=16) for _ in range(100)]
+    return [StateVector(ATOMIC_SPACE, raw / np.linalg.norm(raw)) for raw in raws]
+
+
+def test_parseval_check_consumes_the_rng_like_scalar_draws():
+    rng = np.random.default_rng(11)
+    verify._check_parseval(rng)
+    scalar = np.random.default_rng(11)
+    _scalar_parseval_states(scalar)
+    assert rng.bit_generator.state == scalar.bit_generator.state
+
+
+def test_stacked_parseval_equals_per_state_decompose():
+    # the check's own draws, expanded in one stack and one state at a time
+    basis = explicit_basis()
+    states = _scalar_parseval_states(np.random.default_rng(5))
+    c, residual = basis_module._expand(np.array([s.amp for s in states]), basis.matrix())
+    worst = 0.0
+    for n, state in enumerate(states):
+        dec = decompose(state, basis)
+        want = np.array([dec.coefficients[idx] for idx in ALL_INDICES])
+        np.testing.assert_allclose(c[n], want, rtol=0, atol=1e-15)
+        assert abs(residual[n] - dec.residual) <= 1e-15
+        worst = max(worst, abs(np.sum(np.abs(want) ** 2) - 1.0), dec.residual)
+    assert abs(verify._check_parseval(np.random.default_rng(5)).measured - worst) <= 1e-15
+
+
+def test_stacked_expansion_raises_on_any_bad_row():
+    m = explicit_basis().matrix()
+    rows = np.eye(16, dtype=complex)[:3].copy()
+    rows[1] *= 0.3          # one unnormalized row among normalized ones
+    with pytest.raises(hilbert.InvariantError, match="not 1"):
+        basis_module._expand(rows, m)
+    # an incomplete basis keeps the norm identity but not the reconstruction
+    incomplete = m.copy()
+    incomplete[:, 5] = 0.0
+    with pytest.raises(hilbert.InvariantError, match="reconstruction residual"):
+        basis_module._expand(np.stack([m[:, 0], m[:, 5]]), incomplete)
+
+
+def test_photon_number_operator_equals_the_embedded_one():
+    n = np.diag([0.0, 1.0]).astype(complex)
+    n_tot = np.kron(n, np.eye(2)) + np.kron(np.eye(2), n)
+    embedded = embed(Operator(PHOTONIC_SPACE, n_tot), ["U", "L"], FULL_SPACE).mat
+    assert np.array_equal(verify._N_PHOTON, embedded)
