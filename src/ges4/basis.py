@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Optional
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .hilbert import (
     StateVector,
     phase_between,
 )
-from .circuit import ATOMIC_SPACE, BRANCH_PRIME, ges_target_state
+from .circuit import ATOMIC_SPACE, BRANCH_PRIME, _table_amplitudes, ges_target_state
 from .measures import _measure_reports
 
 
@@ -124,7 +125,8 @@ class GesBasis:
 
     Orthonormality is enforced on construction for either provenance
     ("explicit" amplitude tables or "generated" Pauli-string images). The
-    states are stacked into the basis matrix once, on construction.
+    states are stacked into the basis matrix once, on construction, and
+    `states` becomes a read-only mapping.
     """
 
     states: dict
@@ -133,6 +135,7 @@ class GesBasis:
     def __post_init__(self):
         if set(self.states.keys()) != set(ALL_INDICES):
             raise ValueError("basis must contain exactly the 16 indices")
+        object.__setattr__(self, "states", MappingProxyType(dict(self.states)))
         m = np.column_stack([self.states[idx].amp for idx in ALL_INDICES])
         m.setflags(write=False)
         object.__setattr__(self, "_matrix", m)
@@ -156,29 +159,20 @@ class GesBasis:
         return float(np.max(np.abs(m @ m.conj().T - np.eye(16))))
 
 
-def _amplitudes_from_signs(signs: dict) -> np.ndarray:
-    amp = np.zeros(ATOMIC_SPACE.dim, dtype=complex)
-    for bits, sign in signs.items():
-        amp[ATOMIC_SPACE.index_of([int(c) for c in bits])] = sign * _SQ8
-    amp.setflags(write=False)
-    return amp
-
-
-# The tables as read-only amplitude vectors.
-_EXPLICIT_AMPLITUDES = {GesIndex(f, c): _amplitudes_from_signs(signs)
-                        for (f, c), signs in _EXPLICIT_SIGNS.items()}
+# The one explicit basis, over the tables as read-only amplitude vectors.
+_EXPLICIT_BASIS = GesBasis(
+    {GesIndex(f, c): StateVector._wrap(ATOMIC_SPACE, _table_amplitudes(signs, _SQ8))
+     for (f, c), signs in _EXPLICIT_SIGNS.items()}, "explicit")
 
 
 def explicit_basis() -> GesBasis:
     """The sixteen states from their canonical amplitude tables.
 
-    The tables are turned into read-only amplitude vectors once, at import;
-    each call wraps them in fresh states without checking or copying them
-    again, and GesBasis re-checks orthonormality.
+    Built and checked for orthonormality once, at import; every call returns
+    that one frozen basis, whose states mapping, amplitude arrays and matrix
+    are read-only.
     """
-    states = {idx: StateVector._wrap(ATOMIC_SPACE, amp)
-              for idx, amp in _EXPLICIT_AMPLITUDES.items()}
-    return GesBasis(states, "explicit")
+    return _EXPLICIT_BASIS
 
 
 def _pauli_string(index: GesIndex) -> Operator:
@@ -242,15 +236,23 @@ def _expand(amps: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def decompose(state: StateVector, basis: GesBasis) -> Decomposition:
     """Expand a normalized four-qubit state over the sixteen-state basis.
 
-    The one-row case of `_expand`, which raises InvariantError when the
-    reconstruction or the norm identity fails.
+    The one-row case of `_expand` (same products, same bits), its checks on
+    Python floats: InvariantError if the reconstruction or norm identity fails.
     """
     if state.space != ATOMIC_SPACE:
         raise ValueError("state must live on the four-qubit space")
     if not state.is_normalized:
         raise ValueError("state must be normalized")
-    c, residual = _expand(state.amp[None], basis.matrix())
-    return Decomposition(dict(zip(ALL_INDICES, c[0].tolist())), float(residual[0]))
+    m, amps = basis.matrix(), state.amp[None]
+    c = amps @ m.conj()
+    residual = float(np.linalg.norm(amps - c @ m.T, axis=-1)[0])
+    coefficients = c[0].tolist()
+    total = sum(z.real * z.real + z.imag * z.imag for z in coefficients) + residual**2
+    if abs(total - 1.0) > STRUCT_TOL:
+        raise InvariantError(f"sum |c|^2 + residual^2 = {total}, not 1")
+    if residual > STRUCT_TOL:
+        raise InvariantError(f"reconstruction residual {residual} exceeds {STRUCT_TOL}")
+    return Decomposition(dict(zip(ALL_INDICES, coefficients)), residual)
 
 
 def canonical_state(name: str) -> StateVector:
@@ -259,10 +261,7 @@ def canonical_state(name: str) -> StateVector:
     if key not in _CANONICAL_AMPLITUDES:
         raise ValueError(f"unknown state {name!r}; expected one of "
                          f"{sorted(_CANONICAL_AMPLITUDES)}")
-    amp = np.zeros(ATOMIC_SPACE.dim, dtype=complex)
-    for bits, value in _CANONICAL_AMPLITUDES[key].items():
-        amp[ATOMIC_SPACE.index_of([int(c) for c in bits])] = value
-    return StateVector(ATOMIC_SPACE, amp)
+    return StateVector._wrap(ATOMIC_SPACE, _table_amplitudes(_CANONICAL_AMPLITUDES[key]))
 
 
 @dataclass(frozen=True)

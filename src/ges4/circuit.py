@@ -49,8 +49,6 @@ from .hilbert import (
     StateVector,
     Operator,
     canonical_phase,
-    embed,
-    tensor,
     unitary_exp,
 )
 
@@ -69,13 +67,6 @@ BRANCHES = (BRANCH_PRIME, BRANCH_DOUBLE_PRIME)
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _RAISE = _LOWER.conj().T
 _NUMBER = _RAISE @ _LOWER
-
-# Basis strings of the four-qubit space grouped by excitation number; the
-# closed-form branch states attach one trigonometric weight per group.
-_STRINGS_W0_W4 = ("0000", "1111")
-_STRINGS_W1 = ("0010", "0100", "1000", "0001")
-_STRINGS_W3 = ("1110", "0111", "1101", "1011")
-_STRINGS_W2 = ("0110", "1100", "1010", "0011", "0101", "1001")
 
 # The two target entangled states produced at phi = pi/2, theta_i = pi/4,
 # written as sign patterns over their eight supporting basis strings.
@@ -114,20 +105,16 @@ class DetectionOutcome(Enum):
                          f"{[o.value for o in cls]}")
 
 
-# Outcome -> whether (D1 on mode U, D2 on mode L) clicks.
-_CLICKS = {
-    DetectionOutcome.D1_CLICK_D2_NULL: (True, False),
-    DetectionOutcome.D2_CLICK_D1_NULL: (False, True),
-    DetectionOutcome.NO_CLICK: (False, False),
-    DetectionOutcome.DOUBLE_CLICK: (True, True),
+# Outcome -> (row n_U * 2 + n_L, mode U factor, mode L factor) of each branch
+# |n_U n_L> it can come from, in row order. The POVM weight is the product of
+# the factors, indices into (1, eta, 1 - eta): a detector of efficiency eta
+# reports null on |n> with weight (1-eta)^n and a click with the complement.
+_POVM_TERMS = {
+    DetectionOutcome.D1_CLICK_D2_NULL: ((2, 1, 0), (3, 1, 2)),
+    DetectionOutcome.D2_CLICK_D1_NULL: ((1, 0, 1), (3, 2, 1)),
+    DetectionOutcome.NO_CLICK: ((0, 0, 0), (1, 0, 2), (2, 2, 0), (3, 2, 2)),
+    DetectionOutcome.DOUBLE_CLICK: ((3, 1, 1),),
 }
-
-
-# Outcome -> (weights on mode U occupations, weights on mode L occupations).
-# A detector of efficiency eta reports null on |n> with weight (1-eta)^n and
-# a click with the complementary weight.
-def _povm_weights(outcome: DetectionOutcome, eta: float):
-    return tuple((0.0, eta) if click else (1.0, 1.0 - eta) for click in _CLICKS[outcome])
 
 
 @dataclass(frozen=True)
@@ -215,21 +202,13 @@ def beam_splitter() -> Operator:
 
 
 def _cavity_generator(qubit_index: int) -> Operator:
-    """Generator n_U |0><0|_i + n_L |1><1|_i of cavity i on the full space."""
+    """Generator n_U |0><0|_i + n_L |1><1|_i of cavity i on the full space, read
+    off the bits of each basis index in factor order (U, L, q1..q4)."""
     if qubit_index not in (1, 2, 3, 4):
         raise ValueError("qubit_index must be in 1..4")
-    qubit = QUBIT_LABELS[qubit_index - 1]
-    qubit_space = HilbertSpace.of((qubit, 2))
-    p0 = Operator(qubit_space, np.diag([1.0, 0.0]).astype(complex))
-    p1 = Operator(qubit_space, np.diag([0.0, 1.0]).astype(complex))
-    n_u = Operator(HilbertSpace.of(("U", 2)), _NUMBER)
-    n_l = Operator(HilbertSpace.of(("L", 2)), _NUMBER)
-    gen = Operator(FULL_SPACE,
-                   embed(tensor(n_u, p0), ["U", qubit], FULL_SPACE).mat
-                   + embed(tensor(n_l, p1), ["L", qubit], FULL_SPACE).mat)
-    if not gen.is_hermitian:
-        raise InvariantError(f"cavity {qubit_index} generator is not Hermitian")
-    return gen
+    k = np.arange(FULL_SPACE.dim)
+    n = np.where((k >> (4 - qubit_index)) & 1, (k >> 4) & 1, (k >> 5) & 1)
+    return Operator(FULL_SPACE, np.diag(n).astype(complex))
 
 
 @functools.lru_cache(maxsize=8)
@@ -239,7 +218,8 @@ def _circuit_eigensystem(space: HilbertSpace, mat_bytes: bytes) -> tuple[np.ndar
     The four cavity generators must commute exactly (InvariantError
     otherwise), so the cavities are exp(-i phi G), G = v diag(w) v^dag their
     sum. B is the splitter with these entries, extended by identity on the
-    qubits: keyed on its entries, a changed splitter never gets a stale entry.
+    qubits, which follow the photonic factors: keyed on its entries, a
+    changed splitter never gets a stale entry.
     """
     gens = [_cavity_generator(i).mat for i in (1, 2, 3, 4)]
     for a, b in itertools.combinations(gens, 2):
@@ -247,7 +227,7 @@ def _circuit_eigensystem(space: HilbertSpace, mat_bytes: bytes) -> tuple[np.ndar
             raise InvariantError("cavity generators do not commute")
     w, v = np.linalg.eigh(sum(gens))
     mat = np.frombuffer(mat_bytes, dtype=complex).reshape(space.dim, space.dim)
-    bs = embed(Operator(space, mat), ["U", "L"], FULL_SPACE).mat
+    bs = np.kron(mat, np.eye(ATOMIC_SPACE.dim))
     factors = (w, bs @ v, v.conj().T @ bs)
     for arr in factors:
         arr.setflags(write=False)
@@ -393,18 +373,14 @@ def photon_branch(psi: StateVector, n_u: int, n_l: int) -> StateVector:
     """Unnormalized four-qubit component of a full-space state at |n_U n_L>."""
     if psi.space != FULL_SPACE:
         raise ValueError("state must live on the full photonic+atomic space")
-    return StateVector(ATOMIC_SPACE, psi.amp[_branch_slice(n_u, n_l)])
+    if n_u not in (0, 1) or n_l not in (0, 1):
+        raise ValueError("photon numbers must be 0 or 1")
+    return StateVector._wrap(ATOMIC_SPACE, psi.amp[_branch_slice(n_u, n_l)])
 
 
-# (flat index, bits, weight group) of every four-qubit basis string; group g
-# takes the g-th weight pair of `_closed_form_pairs`.
-_CLOSED_FORM_TERMS = tuple(
-    (ATOMIC_SPACE.index_of([int(c) for c in bits]), tuple(c == "1" for c in bits), group)
-    for group, strings in enumerate((("0000",), ("1111",), _STRINGS_W1,
-                                     _STRINGS_W3, _STRINGS_W2))
-    for bits in strings
-)
-_CF_INDEX, _CF_BITS, _CF_GROUP = (np.array(col) for col in zip(*_CLOSED_FORM_TERMS))
+# Weight group of each four-qubit basis string, by its excitation number
+# z = 0..4; group g takes the g-th weight pair of `_closed_form_pairs`.
+_CF_GROUP = np.array([0, 2, 4, 3, 1])[_N1]
 
 
 def _closed_form_pairs(phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -416,7 +392,7 @@ def _closed_form_pairs(phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     -sin(phi), -sin(2phi) on chi'' for z = 0..4. The branch weights satisfy
     ||chi'||^2 + ||chi''||^2 = 1 (checked), which fixes the discarded global
     factor of the raw circuit output; a row off by more than STRUCT_TOL, or
-    not finite, raises InvariantError.
+    not finite, raises InvariantError. The result is read-only.
     """
     phis = np.asarray(phis, dtype=float)[:, None]
     th = np.asarray(thetas, dtype=float)
@@ -426,15 +402,16 @@ def _closed_form_pairs(phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     # weights[n, branch, group]
     weights = np.concatenate([cos2, cos2, cos1, cos1, one,
                               sin2, -sin2, sin1, -sin1, zero], axis=1).reshape(-1, 2, 5)
-    f = np.where(_CF_BITS, np.sin(th)[:, None, :], np.cos(th)[:, None, :])
-    a = f[..., 0] * f[..., 1] * f[..., 2] * f[..., 3]          # (N, term), q1 first
+    f = np.where(_BITS, np.sin(th)[:, None, :], np.cos(th)[:, None, :])
+    a = f[..., 0] * f[..., 1] * f[..., 2] * f[..., 3]          # (N, 16), q1 first
     pairs = np.zeros((len(th), 2, ATOMIC_SPACE.dim), dtype=complex)
-    pairs[..., _CF_INDEX] += weights[..., _CF_GROUP] * a[:, None, :]
+    pairs += weights[..., _CF_GROUP] * a[:, None, :]
 
     total = np.sum(pairs.real**2 + pairs.imag**2, axis=(1, 2))
     bad = ~(np.abs(total - 1.0) <= STRUCT_TOL)
     if bad.any():
         raise InvariantError(f"branch weights sum to {total[bad][0]}, not 1")
+    pairs.setflags(write=False)
     return pairs
 
 
@@ -445,7 +422,7 @@ def closed_form_pair(params: SchemeParams) -> tuple[StateVector, StateVector]:
     raises InvariantError when ||chi'||^2 + ||chi''||^2 is off 1.
     """
     prime, dprime = _closed_form_pairs([params.phi], [params.thetas])[0]
-    return StateVector(ATOMIC_SPACE, prime), StateVector(ATOMIC_SPACE, dprime)
+    return StateVector._wrap(ATOMIC_SPACE, prime), StateVector._wrap(ATOMIC_SPACE, dprime)
 
 
 def closed_form_chi(params: SchemeParams, branch: str) -> StateVector:
@@ -491,13 +468,65 @@ def gamma_factors(thetas: Sequence[float]) -> tuple[float, float]:
     return g1, g2
 
 
+def _table_amplitudes(table: dict, scale: float = 1.0) -> np.ndarray:
+    """Read-only amplitudes: value * scale at the table's basis strings, 0 elsewhere."""
+    amp = np.zeros(ATOMIC_SPACE.dim, dtype=complex)
+    for bits, value in table.items():
+        amp[ATOMIC_SPACE.index_of([int(c) for c in bits])] = value * scale
+    amp.setflags(write=False)
+    return amp
+
+
 def ges_target_state(branch: str) -> StateVector:
     """The entangled target state for a branch at phi=pi/2, theta_i=pi/4."""
-    check_branch(branch)
-    amp = np.zeros(ATOMIC_SPACE.dim, dtype=complex)
-    for bits, sign in _TARGET_SIGNS[branch].items():
-        amp[ATOMIC_SPACE.index_of([int(c) for c in bits])] = sign / math.sqrt(8.0)
-    return StateVector(ATOMIC_SPACE, amp)
+    amp = _table_amplitudes(_TARGET_SIGNS[check_branch(branch)], 1 / math.sqrt(8.0))
+    return StateVector._wrap(ATOMIC_SPACE, amp)
+
+
+def _branch_norms(state: StateVector) -> tuple[np.ndarray, list[float]]:
+    """Branches (4, 16), row n_U * 2 + n_L at |n_U n_L>, and their four norms,
+    each sqrt(re.re + im.im) by `dot` as 1-D `np.linalg.norm` computes it (the
+    same bits). ValueError unless the state is normalized, on the full space
+    and in the one-photon sector."""
+    if state.space != FULL_SPACE:
+        raise ValueError("state must live on the full photonic+atomic space")
+    branches = state.amp.reshape(4, ATOMIC_SPACE.dim)
+    norms = [math.sqrt(re.dot(re) + im.dot(im)) for re, im in zip(branches.real, branches.imag)]
+    if abs(sum(n * n for n in norms) - 1.0) > STRUCT_TOL:
+        raise ValueError("state must be normalized")
+    if norms[0]**2 + norms[3]**2 > STRUCT_TOL:
+        raise ValueError("state lies outside the one-photon photonic sector")
+    return branches, norms
+
+
+def _povm(norms: list[float], outcome: DetectionOutcome, eta: float
+          ) -> tuple[list[tuple[int, float]], float]:
+    """(branch row, POVM weight) of each branch with nonzero weight, and the
+    outcome probability sum_k w_k |branch_k|^2, both in row order."""
+    factors = (1.0, eta, 1.0 - eta)
+    weights, probability = [], 0.0
+    for k, u, l in _POVM_TERMS[outcome]:
+        w = factors[u] * factors[l]
+        if w != 0.0:
+            weights.append((k, w))
+            probability += w * norms[k]**2
+    return weights, float(probability)
+
+
+def _detect(branches: np.ndarray, norms: list[float], outcome: DetectionOutcome,
+            eta: float) -> tuple[Optional[StateVector], float]:
+    """`detect` on a state already split by `_branch_norms`: one SVD at most."""
+    weights, probability = _povm(norms, outcome, eta)
+    weighted = [math.sqrt(w) * branches[k] for k, w in weights if norms[k] > 0.0]
+    if probability < 1e-14 or not weighted:
+        return None, probability
+
+    _, s, vh = np.linalg.svd(np.array(weighted), full_matrices=False)
+    if len(s) > 1 and s[1] > EIG_TOL:
+        return None, probability   # conditional state is mixed
+    post = canonical_phase(vh[0])
+    post.setflags(write=False)
+    return StateVector._wrap(ATOMIC_SPACE, post), probability
 
 
 def detect(state: StateVector, outcome: DetectionOutcome, eta: float
@@ -509,41 +538,12 @@ def detect(state: StateVector, outcome: DetectionOutcome, eta: float
     when the outcome has probability below 1e-14 or when the conditional
     state is mixed (e.g. a no-click at 0 < eta < 1 leaves both photonic
     branches alive), which a state vector cannot represent. Click-conditioned
-    states are independent of eta.
+    states are independent of eta. One validation and norm pass
+    (`_branch_norms`) and one SVD, for this outcome's post-state only.
     """
     if not (0.0 <= eta <= 1.0):
         raise ValueError("eta must lie in [0, 1]")
-    if state.space != FULL_SPACE:
-        raise ValueError("state must live on the full photonic+atomic space")
-    # branches[n_u, n_l] is the four-qubit component at |n_U n_L>
-    branches = state.amp.reshape(2, 2, ATOMIC_SPACE.dim)
-    norms = [[float(np.linalg.norm(b)) for b in row] for row in branches]
-    if abs(sum(n * n for row in norms for n in row) - 1.0) > STRUCT_TOL:
-        raise ValueError("state must be normalized")
-    if norms[0][0]**2 + norms[1][1]**2 > STRUCT_TOL:
-        raise ValueError("state lies outside the one-photon photonic sector")
-
-    w_u, w_l = _povm_weights(outcome, eta)
-    probability = 0.0
-    weighted = []
-    for n_u in (0, 1):
-        for n_l in (0, 1):
-            w = w_u[n_u] * w_l[n_l]
-            if w == 0.0:
-                continue
-            probability += w * norms[n_u][n_l]**2
-            if norms[n_u][n_l] > 0.0:
-                weighted.append(math.sqrt(w) * branches[n_u, n_l])
-
-    if probability < 1e-14 or not weighted:
-        return None, float(probability)
-
-    _, s, vh = np.linalg.svd(np.array(weighted), full_matrices=False)
-    if len(s) > 1 and s[1] > EIG_TOL:
-        return None, float(probability)   # conditional state is mixed
-    post = canonical_phase(vh[0])
-    post.setflags(write=False)
-    return StateVector._wrap(ATOMIC_SPACE, post), float(probability)
+    return _detect(*_branch_norms(state), outcome, eta)
 
 
 class PreparedGes(NamedTuple):
@@ -570,9 +570,9 @@ def prepare_ges(params: SchemeParams,
     if abs(params.phi - math.pi / 2.0) > 1e-9:
         warnings.warn("prepare_ges expects phi = pi/2; the conditioned states "
                       "are entangled targets only there", stacklevel=2)
-    psi = evolve(params)
-    post_d1, p_d1 = detect(psi, DetectionOutcome.D1_CLICK_D2_NULL, params.eta)
-    post_d2, p_d2 = detect(psi, DetectionOutcome.D2_CLICK_D1_NULL, params.eta)
+    branches, norms = _branch_norms(evolve(params))
+    post_d1, p_d1 = _detect(branches, norms, DetectionOutcome.D1_CLICK_D2_NULL, params.eta)
+    post_d2, p_d2 = _detect(branches, norms, DetectionOutcome.D2_CLICK_D1_NULL, params.eta)
     total = p_d1 + p_d2
 
     if outcome is None:

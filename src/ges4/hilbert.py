@@ -13,7 +13,7 @@ four-qubit label "q1q2q3q4" maps to the integer q1*8 + q2*4 + q3*2 + q4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -111,15 +111,6 @@ class HilbertSpace:
     def basis_label(self, index: int) -> str:
         """Concatenated digit string of a basis index, e.g. 5 -> "0101"."""
         return "".join(str(d) for d in self.digits_of(index))
-
-
-def _as_complex_array(data, expected_len: int, what: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=complex)
-    if arr.shape != (expected_len,) and arr.shape != (expected_len, expected_len):
-        raise ValueError(f"{what}: shape {arr.shape} does not match dimension {expected_len}")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)

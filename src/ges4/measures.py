@@ -42,6 +42,7 @@ from .circuit import (
     ATOMIC_SPACE,
     BRANCHES,
     QUBIT_LABELS,
+    _BITS,
     _closed_form_pairs,
     _cos2_products,
     check_branch,
@@ -126,8 +127,10 @@ def concurrence(rho: DensityMatrix) -> float:
     Equals max(0, sqrt(mu_1) - sqrt(mu_2) - sqrt(mu_3) - sqrt(mu_4)) with
     mu_k the descending eigenvalues of rho (sy x sy) rho* (sy x sy),
     conjugation in the computational basis. Computed as the singular values
-    of sqrt(rho) (sy x sy) sqrt(rho)*, which has the same spectrum but keeps
-    every step backward-stable (the direct eigenvalue route loses ~1e-8).
+    of sqrt(rho) (sy x sy) sqrt(rho)*, which have the same spectrum. Square
+    roots of rho's eigenvalues make it ill-conditioned on a rank-deficient
+    reduction: roundoff leaves the zero eigenvalues near +-1e-17, and the
+    result can be off by about sqrt(eps) ~ 1e-8.
     """
     if rho.space.dim != 4:
         raise ValueError("concurrence is defined for two-qubit (4x4) density matrices")
@@ -226,8 +229,6 @@ def bipartition_entropy(state: StateVector, cut: Bipartition) -> float:
 # as indices (q1 = 0). A side of k qubits is one index tuple, giving results
 # of shape (...); an (n, k) array of sides gives (..., n), in one SVD.
 
-_BITS = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1     # (16, 4)
-
 
 def _qubits(labels: Sequence[str]) -> tuple[int, ...]:
     return tuple(QUBIT_LABELS.index(q) for q in labels)
@@ -307,11 +308,16 @@ _PAIR_CUT_REST = tuple(_qubits(cut.side_b) for cut in PAIR_CUTS)
 _SINGLE_CUT_QUBITS = tuple(_qubits(cut.side_a) for cut in SINGLE_CUTS)
 _SINGLE_CUT_REST = tuple(_qubits(cut.side_b) for cut in SINGLE_CUTS)
 
-# Gather tables of `_measure_rows`' fused SVD call: the six pair-by-rest
-# matrices behind the concurrences, then the three two-two cuts taken from
-# side_a and again from side_b. All twelve matrices are 4x4.
+# Gather tables of `_measure_rows`' two SVD calls: twelve 4x4 matrices (the
+# six pair-by-rest matrices behind the concurrences, then the three two-two
+# cuts from side_a and from side_b), and eight 2x8 matrices (the four
+# single-qubit cuts from side_a, then from side_b, transposed).
 _CONCURRENCE_INDEX = _gather_index(2, np.array(_PAIR_QUBITS).tobytes())
 _PAIR_CUT_INDEX = _gather_index(2, np.array(_PAIR_CUT_QUBITS + _PAIR_CUT_REST).tobytes())
+_SINGLE_CUT_INDEX = np.concatenate(
+    [_gather_index(1, np.array(_SINGLE_CUT_QUBITS).tobytes()),
+     np.swapaxes(_gather_index(3, np.array(_SINGLE_CUT_REST).tobytes()), -1, -2)])
+_SINGLE_CUT_INDEX.setflags(write=False)
 
 
 def _closed_form_branches(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -361,13 +367,13 @@ def _measure_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concurrences (N, 6) and cut entropies (N, 7) of normalized states (N, 16).
 
     Concurrences follow PAIRS; entropies follow PAIR_CUTS, then SINGLE_CUTS.
-    Three SVD calls: one over the twelve 4x4 matrices of the concurrences
-    (m^T (sy x sy) m) and of the two-two cuts from both sides, and two
-    through `_cut_entropy` for the single-qubit cuts from side_a and from
-    side_b. Each cut's two entropies must agree to EIG_TOL (Schmidt
-    symmetry, a check on the index gathers), else InvariantError. Each row is
-    computed by the same operations whatever N is, so it equals a one-row
-    call bit for bit.
+    Two SVD calls: one over the twelve 4x4 matrices of the concurrences
+    (m^T (sy x sy) m) and of the two-two cuts from both sides, and one over
+    the eight 2x8 matrices of the single-qubit cuts from side_a and,
+    transposed, from side_b. Each cut's two entropies must agree to EIG_TOL
+    (Schmidt symmetry, a check on the index gathers; side_b feeds only that
+    check), else InvariantError. LAPACK factors each matrix of a stack on its
+    own, so a row equals a one-row call, and `_cut_entropy`, bit for bit.
     """
     m = amps[..., _CONCURRENCE_INDEX]
     mats = np.concatenate([np.swapaxes(m, -1, -2) @ _YY @ m, amps[..., _PAIR_CUT_INDEX]],
@@ -375,8 +381,9 @@ def _measure_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lam = np.linalg.svd(mats, compute_uv=False)
     conc = _wootters(lam[..., :6, :])
     pair = _schmidt_entropy(lam[..., 6:, :])
-    s_a = np.concatenate([pair[..., :3], _cut_entropy(amps, _SINGLE_CUT_QUBITS)], axis=-1)
-    s_b = np.concatenate([pair[..., 3:], _cut_entropy(amps, _SINGLE_CUT_REST)], axis=-1)
+    single = _schmidt_entropy(np.linalg.svd(amps[..., _SINGLE_CUT_INDEX], compute_uv=False))
+    s_a = np.concatenate([pair[..., :3], single[..., :4]], axis=-1)
+    s_b = np.concatenate([pair[..., 3:], single[..., 4:]], axis=-1)
     dev = np.abs(s_a - s_b)
     if dev.max() > EIG_TOL:
         row, worst = np.unravel_index(np.argmax(dev), dev.shape)
@@ -409,7 +416,7 @@ def _measure_reports(states: Sequence[StateVector]) -> list[MeasureReport]:
 def measure_report(state: StateVector) -> MeasureReport:
     """Full entanglement signature of a normalized four-qubit state.
 
-    The one-row case of the stacked amplitude kernel `_measure_rows`: three
+    The one-row case of the stacked amplitude kernel `_measure_rows`: two
     stacked SVD calls and no density matrix. Each cut's entropy is taken
     from side_a and again from side_b; the two must agree to EIG_TOL
     (Schmidt symmetry, a check on the kernel's index gather), else

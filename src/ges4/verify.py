@@ -33,6 +33,7 @@ from .circuit import (
     PHOTONIC_SPACE,
     DetectionOutcome,
     SchemeParams,
+    _branch_norms,
     _branch_slice,
     _closed_form_pairs,
     _dense_apply,
@@ -42,6 +43,7 @@ from .circuit import (
     _initial_states,
     _one_photon_block,
     _one_photon_output,
+    _povm,
     beam_splitter,
     closed_form_chi,
     detect,
@@ -72,6 +74,7 @@ from .basis import (
     compare_generated,
     decompose,
     explicit_basis,
+    verify_representation,
 )
 
 __all__ = [
@@ -312,10 +315,9 @@ def _check_closed_forms(cal: dict) -> CheckResult:
 
 
 def _check_basis() -> CheckResult:
-    basis = explicit_basis()
-    worst = max(basis.orthonormality_deviation(), basis.completeness_deviation())
-    reports = _measure_reports([basis.states[idx] for idx in ALL_INDICES])
-    n_genuine = sum(report.is_genuine for report in reports)
+    rep = verify_representation(explicit_basis())
+    worst = max(rep.max_orthonormality_dev, rep.max_completeness_dev)
+    n_genuine = sum(report.is_genuine for report in rep.state_reports.values())
     return CheckResult(
         "basis_orthonormal_complete_genuine",
         worst <= 1e-12 and n_genuine == 16,
@@ -412,14 +414,12 @@ def _check_parseval(rng: np.random.Generator) -> CheckResult:
 
 
 def _check_detection(rng: np.random.Generator) -> tuple:
-    """POVM completeness, eta-independence, and the success-probability log."""
+    """POVM completeness, eta-independence, and the success-probability log; the
+    random-angle completeness draws read `_povm` probabilities, no post-states."""
     etas = (0.0, 0.25, 0.5, 0.8, 1.0)
     worst = 0.0
     final = evolve(SchemeParams(phi=np.pi / 2.0))
-    reference = {}
-    for outcome in (_D1, _D2):
-        state, _ = detect(final, outcome, eta=1.0)
-        reference[outcome] = state
+    reference = {outcome: detect(final, outcome, eta=1.0)[0] for outcome in (_D1, _D2)}
     success = {}
     for eta in etas:
         probs = {}
@@ -432,12 +432,12 @@ def _check_detection(rng: np.random.Generator) -> tuple:
         worst = max(worst, float(abs(sum(probs.values()) - 1.0)))
         worst = max(worst, float(probs[DetectionOutcome.DOUBLE_CLICK]))
         success[eta] = probs[_D1] + probs[_D2]
-    # POVM completeness away from the symmetric point.
+    # POVM completeness away from the symmetric point, from probabilities alone.
     for _ in range(10):
         thetas = tuple(float(t) for t in rng.uniform(0.0, np.pi / 2.0, size=4))
-        state = evolve(SchemeParams(phi=np.pi / 2.0, thetas=thetas))
+        _, norms = _branch_norms(evolve(SchemeParams(phi=np.pi / 2.0, thetas=thetas)))
         eta = float(rng.uniform(0.0, 1.0))
-        total = sum(detect(state, o, eta=eta)[1] for o in DetectionOutcome)
+        total = sum(_povm(norms, o, eta)[1] for o in DetectionOutcome)
         worst = max(worst, float(abs(total - 1.0)))
     check = CheckResult(
         "detector_model",

@@ -1,6 +1,7 @@
 """Unit tests for the sixteen-state basis and decompositions."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ges4 import basis, hilbert, measures
-from ges4.hilbert import PAULIS, HilbertSpace, Operator, StateVector, embed, inner
+from ges4.hilbert import (PAULIS, HilbertSpace, InvariantError, Operator, StateVector, embed,
+                          inner)
 from ges4.circuit import (ATOMIC_SPACE, BRANCH_DOUBLE_PRIME, BRANCH_PRIME, DetectionOutcome,
                           SchemeParams, detect, evolve, ges_target_state, prepare_ges)
 from ges4.basis import (
@@ -195,12 +197,18 @@ def test_decompose_coefficients_equal_per_index_inner(parts, zeros):
 
 
 def test_explicit_tables_are_built_once_and_read_only():
-    first, second = explicit_basis(), explicit_basis()
+    b = explicit_basis()
+    assert b is explicit_basis()
+    with pytest.raises(TypeError):
+        b.states[GesIndex(1, 0)] = b.states[GesIndex(1, 1)]
+    with pytest.raises(TypeError):
+        del b.states[GesIndex(1, 0)]
     for idx in ALL_INDICES:
-        table = basis._EXPLICIT_AMPLITUDES[idx]
-        assert not table.flags.writeable
-        assert first.states[idx] is not second.states[idx]
-        assert np.array_equal(first.states[idx].amp, table)
+        assert not b.states[idx].amp.flags.writeable
+        with pytest.raises(ValueError):
+            b.states[idx].amp[0] = 1.0
+    with pytest.raises(ValueError):
+        b.matrix()[0, 0] = 1.0
 
 
 _DENSE_ROUTE = ("density_matrix", "partial_trace", "von_neumann_entropy",
@@ -276,7 +284,7 @@ def _single_shot_requests(rng):
     return [(measure_report(state), decompose(state, b)) for state in states]
 
 
-def test_warm_single_shot_request_builds_no_checked_state_and_three_svds(monkeypatch, rng):
+def test_warm_single_shot_request_builds_no_checked_state_and_two_svds(monkeypatch, rng):
     _single_shot_requests(rng)      # warm: fills the gather-index cache
     counts = {"post_init": 0, "svd": 0}
     post_init, svd = StateVector.__post_init__, np.linalg.svd
@@ -299,7 +307,7 @@ def test_warm_single_shot_request_builds_no_checked_state_and_three_svds(monkeyp
     assert counts == {"post_init": 0, "svd": 2}          # one per detect call
     counts["svd"] = 0
     assert measure_report(state).is_genuine
-    assert counts["svd"] == 3
+    assert counts["svd"] == 2
     # the counters do see the public constructor
     StateVector(ATOMIC_SPACE, state.amp)
     assert counts["post_init"] == 1
@@ -313,6 +321,37 @@ def test_explicit_basis_states_are_read_only(basis16):
 def test_decompose_input_validation(basis16):
     with pytest.raises(ValueError):
         decompose(StateVector(ATOMIC_SPACE, 0.3 * np.eye(16)[1]), basis16)
+
+
+class _RawBasis:
+    """Stands in for a basis whose matrix has gone bad after construction."""
+
+    def __init__(self, m):
+        self._m = m
+
+    def matrix(self):
+        return self._m
+
+
+@pytest.mark.parametrize("damage", ["scaled", "dropped_column"])
+def test_decompose_and_expand_enforce_the_same_rules(damage, rng):
+    # decompose keeps a one-row copy of _expand's checks; both must reject
+    # the same bad basis with the same rule
+    m = explicit_basis().matrix().copy()
+    if damage == "scaled":
+        m *= 1.0 + 1e-6                    # breaks sum |c|^2 + residual^2 = 1
+    else:
+        m[:, 5] = 0.0                      # keeps the norm identity, leaves a residual
+    amp = rng.normal(size=16) + 1j * rng.normal(size=16)
+    state = StateVector(ATOMIC_SPACE, amp / np.linalg.norm(amp))
+    with pytest.raises(InvariantError) as one_row:
+        decompose(state, _RawBasis(m))
+    with pytest.raises(InvariantError) as stacked:
+        basis._expand(state.amp[None], m)
+    rule = re.compile(r"[-+]?\d[\d.e+-]*")
+    assert rule.sub("#", str(one_row.value)) == rule.sub("#", str(stacked.value))
+    expected = "sum |c|^2" if damage == "scaled" else "reconstruction residual"
+    assert str(one_row.value).startswith(expected)
 
 
 def test_canonical_state_tables():

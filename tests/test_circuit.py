@@ -393,16 +393,19 @@ def test_hot_paths_never_build_the_dense_circuit(monkeypatch, capsys):
 
 def test_prepare_ges_tie_ignores_roundoff(monkeypatch):
     # a one-ulp excess on d1 at the symmetric point is still a tie
-    real_detect = circuit.detect
+    real_detect = circuit._detect
+    skewed = []
 
-    def skewed_detect(state, outcome, eta):
-        post, prob = real_detect(state, outcome, eta)
+    def skewed_detect(branches, norms, outcome, eta):
+        post, prob = real_detect(branches, norms, outcome, eta)
         if outcome is DetectionOutcome.D1_CLICK_D2_NULL:
             prob = math.nextafter(prob, 1.0)
+            skewed.append(prob)
         return post, prob
 
-    monkeypatch.setattr(circuit, "detect", skewed_detect)
+    monkeypatch.setattr(circuit, "_detect", skewed_detect)
     assert prepare_ges(SchemeParams(phi=PI / 2)).outcome is DetectionOutcome.D2_CLICK_D1_NULL
+    assert skewed, "the skew must reach prepare_ges"
 
 
 def test_prepare_ges_default_picks_the_more_probable_click():
@@ -587,3 +590,28 @@ def test_branch_sum_invariant_survives_optimized_mode():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.splitlines() == ["raised 1 True"] * 2, out.stderr
+
+
+def test_package_built_states_are_wrapped_read_only(monkeypatch):
+    # closed_form_pair, ges_target_state and photon_branch wrap arrays the
+    # package built; none of them goes through the validating constructor
+    built = []
+    post_init = StateVector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(StateVector, "__post_init__", counting)
+    params = SchemeParams(1.1, (0.2, 0.5, 0.9, 1.3))
+    psi = evolve(params)
+    states = [*closed_form_pair(params), photon_branch(psi, 0, 1), photon_branch(psi, 1, 0),
+              *(ges_target_state(branch) for branch in BRANCHES)]
+    assert built == []
+    for state in states:
+        assert state.amp.shape == (ATOMIC_SPACE.dim,)
+        with pytest.raises(ValueError):
+            state.amp[0] = 1.0
+    for n_u, n_l in ((2, 0), (0, 2), (-1, 1), (1, -1)):
+        with pytest.raises(ValueError):
+            photon_branch(psi, n_u, n_l)

@@ -517,14 +517,12 @@ def test_json_csv_mutually_exclusive():
 
 
 def test_broken_invariant_exits_1_with_one_line(capsys, monkeypatch):
-    # measure_report takes each cut from both sides through _cut_entropy;
-    # skewing every side that holds q1 breaks their Schmidt symmetry.
-    real = measures._cut_entropy
-
-    def skewed(amps, sides):
-        return real(amps, sides) + np.array([0.5 if 0 in side else 0.0 for side in sides])
-
-    monkeypatch.setattr(measures, "_cut_entropy", skewed)
+    # measure_report takes each single-qubit cut from both sides in one
+    # stacked SVD; a side_b gather table that repeats a row makes those
+    # matrices rank one and breaks their Schmidt symmetry.
+    corrupted = measures._SINGLE_CUT_INDEX.copy()
+    corrupted[4:, 1] = corrupted[4:, 0]
+    monkeypatch.setattr(measures, "_SINGLE_CUT_INDEX", corrupted)
     rc = cli.main(["simulate", "--outcome", "d2", "--measures"])
     captured = capsys.readouterr()
     assert rc == 1

@@ -230,16 +230,16 @@ def test_invariant_check_survives_optimized_mode():
 
 
 def test_measure_report_symmetry_check_survives_optimized_mode():
-    # measure_report's own Schmidt-symmetry check runs on the kernel; skew
-    # every side that holds q1 and it must raise, also under `python -O`
+    # measure_report's own Schmidt-symmetry check runs on the kernel; corrupt
+    # the side_b gather of the single-qubit cuts (a repeated row makes those
+    # matrices rank one) and it must raise, also under `python -O`
     code = (
         "import sys\n"
-        "import numpy as np\n"
         "from ges4 import measures\n"
         "from ges4.basis import canonical_state\n"
-        "real = measures._cut_entropy\n"
-        "measures._cut_entropy = lambda amps, sides: real(amps, sides) + np.array(\n"
-        "    [0.5 if 0 in side else 0.0 for side in sides])\n"
+        "corrupted = measures._SINGLE_CUT_INDEX.copy()\n"
+        "corrupted[4:, 1] = corrupted[4:, 0]\n"
+        "measures._SINGLE_CUT_INDEX = corrupted\n"
         "try:\n"
         "    measures.measure_report(canonical_state('ghz4'))\n"
         "except measures.InvariantError as exc:\n"
