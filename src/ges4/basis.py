@@ -175,21 +175,23 @@ def explicit_basis() -> GesBasis:
     return _EXPLICIT_BASIS
 
 
-def _pauli_string(index: GesIndex) -> Operator:
-    """sz^a (x) sigma^component (x) sz^b (x) I on (q1, q2, q3, q4).
+# The Pauli strings sz^a (x) sigma^component (x) sz^b (x) I on (q1..q4) in index order,
+# a = 1 for families 2 and 4, b = 1 for 3 and 4: exact entries. Built once, read-only.
+_PAULI_STRINGS = np.stack([
+    np.kron(np.kron(np.kron(PAULIS[3 if i.family in (2, 4) else 0], PAULIS[i.component]),
+                    PAULIS[3 if i.family in (3, 4) else 0]), PAULIS[0])
+    for i in ALL_INDICES])
+_PAULI_STRINGS.setflags(write=False)
 
-    a = 1 for families 2 and 4, b = 1 for families 3 and 4. The Pauli entries
-    are exact, so the Kronecker product is the exact operator.
-    """
-    q1 = PAULIS[3] if index.family in (2, 4) else PAULIS[0]
-    q3 = PAULIS[3] if index.family in (3, 4) else PAULIS[0]
-    mat = np.kron(np.kron(np.kron(q1, PAULIS[index.component]), q3), PAULIS[0])
-    return Operator(ATOMIC_SPACE, mat)
+
+def _pauli_string(index: GesIndex) -> Operator:
+    """The Pauli string of a basis index, read from `_PAULI_STRINGS`."""
+    return Operator(ATOMIC_SPACE, _PAULI_STRINGS[ALL_INDICES.index(index)])
 
 
 def generate_basis(seed: Optional[StateVector] = None) -> GesBasis:
     """Apply the sixteen Pauli strings to a seed state (default: the prime
-    branch target state).
+    branch target state), all in one stacked product.
 
     The result is orthonormal for the default seed; an arbitrary normalized
     seed may fail the orthonormality invariant, which raises.
@@ -200,8 +202,10 @@ def generate_basis(seed: Optional[StateVector] = None) -> GesBasis:
         raise ValueError("seed must live on the four-qubit space")
     if not seed.is_normalized:
         raise ValueError("seed must be normalized")
-    states = {idx: _pauli_string(idx) @ seed for idx in ALL_INDICES}
-    return GesBasis(states, "generated")
+    amps = _PAULI_STRINGS @ seed.amp
+    amps.setflags(write=False)
+    return GesBasis({idx: StateVector._wrap(ATOMIC_SPACE, amp)
+                     for idx, amp in zip(ALL_INDICES, amps)}, "generated")
 
 
 @dataclass(frozen=True)

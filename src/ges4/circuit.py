@@ -18,14 +18,13 @@ the qubits in |0> and |1>), then the splitter block again. It takes a stack
 of (phi, theta) points: `evolve` is its one-point case, and `sweep` and
 the oracle check pass all their points in one call. The dense oracle
 builds the 64x64 unitary from the cavity generators, which commute
-(checked exactly, on first use): the four cavities together are
-exp(-i phi G), G their sum, and one cached eigensystem G = v diag(w) v^dag,
-with the splitter B folded in, gives U(phi) = (B v) diag(exp(-i phi w))
-(v^dag B), one GEMM per circuit. `_dense_circuits` builds a stack of them
-and `mz_circuit` is its one-phase case; `_dense_apply` sends stacked input
-rows through the same factors in two tall GEMMs. The verification suite
-checks the fast path against `_dense_apply` and against the closed forms
-of `_closed_form_pairs`, evaluated for all draws at once.
+(checked exactly, on first use): the four cavities are exp(-i phi G), G
+their sum, and one cached eigensystem G = v diag(w) v^dag, with the
+splitter B folded in, gives U(phi) = (B v) diag(exp(-i phi w)) (v^dag B).
+w takes five values, so a phase costs five exponentials. `_dense_circuits`
+stacks these circuits, one GEMM each; `_dense_apply` sends stacked input
+rows through the same factors in two tall GEMMs, and the verification
+suite checks the fast path against it and against `_closed_form_pairs`.
 """
 
 from __future__ import annotations
@@ -213,13 +212,13 @@ def _cavity_generator(qubit_index: int) -> Operator:
 
 @functools.lru_cache(maxsize=8)
 def _circuit_eigensystem(space: HilbertSpace, mat_bytes: bytes) -> tuple[np.ndarray, ...]:
-    """(w, B v, v^dag B) of the interferometer with splitter B, built on first use.
+    """(levels, inverse, B v, v^dag B) of the interferometer with splitter B.
 
-    The four cavity generators must commute exactly (InvariantError
-    otherwise), so the cavities are exp(-i phi G), G = v diag(w) v^dag their
-    sum. B is the splitter with these entries, extended by identity on the
-    qubits, which follow the photonic factors: keyed on its entries, a
-    changed splitter never gets a stale entry.
+    Built on first use. The four cavity generators must commute exactly
+    (InvariantError otherwise), so the cavities are exp(-i phi G), G = v diag(w)
+    v^dag their sum, w = levels[inverse]. B is the splitter with these entries,
+    extended by identity on the qubits, which follow the photonic factors:
+    keyed on its entries, a changed splitter never gets a stale entry.
     """
     gens = [_cavity_generator(i).mat for i in (1, 2, 3, 4)]
     for a, b in itertools.combinations(gens, 2):
@@ -228,10 +227,17 @@ def _circuit_eigensystem(space: HilbertSpace, mat_bytes: bytes) -> tuple[np.ndar
     w, v = np.linalg.eigh(sum(gens))
     mat = np.frombuffer(mat_bytes, dtype=complex).reshape(space.dim, space.dim)
     bs = np.kron(mat, np.eye(ATOMIC_SPACE.dim))
-    factors = (w, bs @ v, v.conj().T @ bs)
+    factors = (*np.unique(w, return_inverse=True), bs @ v, v.conj().T @ bs)
     for arr in factors:
         arr.setflags(write=False)
     return factors
+
+
+def _eigenphases(phis: np.ndarray, splitter: Operator) -> tuple[np.ndarray, ...]:
+    """exp(-i phis[n] w) (N, 64), B v, v^dag B: 5 exponentials a phase, same bits as 64."""
+    levels, inverse, bv, vhb = _circuit_eigensystem(splitter.space, splitter.mat.tobytes())
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(phis, dtype=float), levels))
+    return phases[:, inverse], bv, vhb
 
 
 def atom_photon_unitary(qubit_index: int, phi: float) -> Operator:
@@ -246,14 +252,10 @@ def atom_photon_unitary(qubit_index: int, phi: float) -> Operator:
 
 
 def _dense_circuits(phis: np.ndarray, splitter: Operator) -> np.ndarray:
-    """Dense 64x64 interferometers with a given photonic splitter, as (N, 64, 64).
-
-    Circuit n is (B v) diag(exp(-i phis[n] w)) (v^dag B) from the cached
-    eigensystem of the summed cavity generator: one GEMM per circuit, all
-    of them in one call.
-    """
-    w, bv, vhb = _circuit_eigensystem(splitter.space, splitter.mat.tobytes())
-    scaled = bv * np.exp(-1j * np.multiply.outer(np.asarray(phis, dtype=float), w))[:, None, :]
+    """Dense 64x64 interferometers with a given photonic splitter, as (N, 64, 64):
+    circuit n is (B v) diag(exp(-i phis[n] w)) (v^dag B), one GEMM each, one call."""
+    phases, bv, vhb = _eigenphases(phis, splitter)
+    scaled = bv * phases[:, None, :]
     return (scaled.reshape(-1, FULL_SPACE.dim) @ vhb).reshape(scaled.shape)
 
 
@@ -269,18 +271,15 @@ def _dense_apply(phis: np.ndarray, splitter: Operator, states: np.ndarray) -> np
     eigenphases of row n between them; no circuit is formed. Equals
     `_dense_circuits(phis, splitter)[n] @ states[n]` to roundoff.
     """
-    w, bv, vhb = _circuit_eigensystem(splitter.space, splitter.mat.tobytes())
-    phases = np.exp(-1j * np.multiply.outer(np.asarray(phis, dtype=float), w))
+    phases, bv, vhb = _eigenphases(phis, splitter)
     return ((np.asarray(states) @ vhb.T) * phases) @ bv.T
 
 
 def mz_circuit(phi: float) -> Operator:
     """Full interferometer as a dense unitary: splitter, four cavities, splitter.
 
-    This is the slow oracle built from the cavity generators; `evolve` does
-    not use it. It is the one-phase case of `_dense_circuits`: one GEMM
-    from the cached eigensystem of the summed generator, so no call runs
-    an eigensolver after the first.
+    The slow oracle, built from the cavity generators; `evolve` does not use
+    it. The one-phase case of `_dense_circuits`: no eigensolver after the first.
     """
     return _dense_circuit(phi, beam_splitter())
 
@@ -483,15 +482,19 @@ def ges_target_state(branch: str) -> StateVector:
     return StateVector._wrap(ATOMIC_SPACE, amp)
 
 
+def _row_norms(rows: np.ndarray) -> list[float]:
+    """Row norms sqrt(re.re + im.im) by `dot`: the bits of 1-D `np.linalg.norm`."""
+    return [math.sqrt(re.dot(re) + im.dot(im)) for re, im in zip(rows.real, rows.imag)]
+
+
 def _branch_norms(state: StateVector) -> tuple[np.ndarray, list[float]]:
-    """Branches (4, 16), row n_U * 2 + n_L at |n_U n_L>, and their four norms,
-    each sqrt(re.re + im.im) by `dot` as 1-D `np.linalg.norm` computes it (the
-    same bits). ValueError unless the state is normalized, on the full space
-    and in the one-photon sector."""
+    """Branches (4, 16), row n_U * 2 + n_L at |n_U n_L>, and their four
+    `_row_norms`. ValueError unless the state is normalized, on the full
+    space and in the one-photon sector."""
     if state.space != FULL_SPACE:
         raise ValueError("state must live on the full photonic+atomic space")
     branches = state.amp.reshape(4, ATOMIC_SPACE.dim)
-    norms = [math.sqrt(re.dot(re) + im.dot(im)) for re, im in zip(branches.real, branches.imag)]
+    norms = _row_norms(branches)
     if abs(sum(n * n for n in norms) - 1.0) > STRUCT_TOL:
         raise ValueError("state must be normalized")
     if norms[0]**2 + norms[3]**2 > STRUCT_TOL:

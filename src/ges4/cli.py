@@ -147,11 +147,6 @@ def _axis_values(spec: tuple) -> list:
     return [float(x) for x in np.linspace(start, stop, count)]
 
 
-def parse_axis(text: str) -> list:
-    """Grid axis: a single value or 'start:stop:count' (angles allowed)."""
-    return _axis_values(_axis_spec(text))
-
-
 def _tolerance(text: str) -> float:
     """--tol: a finite number >= 0 (NaN would silently drop every amplitude)."""
     try:

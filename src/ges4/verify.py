@@ -33,17 +33,20 @@ from .circuit import (
     PHOTONIC_SPACE,
     DetectionOutcome,
     SchemeParams,
+    _BS_BLOCK,
     _branch_norms,
     _branch_slice,
     _closed_form_pairs,
     _dense_apply,
     _dense_circuit,
     _dense_circuits,
+    _detect,
     _gammas,
     _initial_states,
     _one_photon_block,
     _one_photon_output,
     _povm,
+    _row_norms,
     beam_splitter,
     closed_form_chi,
     detect,
@@ -185,7 +188,8 @@ _N_PHOTON = np.kron(np.diag([0.0, 1.0, 1.0, 2.0]), np.eye(ATOMIC_SPACE.dim))
 
 def _check_photon_conservation(rng: np.random.Generator) -> CheckResult:
     u = _dense_circuits(rng.uniform(0.0, 2.0 * np.pi, size=10), beam_splitter())
-    worst = float(np.max(np.abs(u @ _N_PHOTON - _N_PHOTON @ u)))
+    n = np.diag(_N_PHOTON)    # u @ N - N @ u elementwise: products by 0, 1, 2 are exact
+    worst = float(np.max(np.abs(u * n - n[:, None] * u)))
     return CheckResult(
         "photon_number_conservation",
         worst <= 1e-12,
@@ -194,9 +198,7 @@ def _check_photon_conservation(rng: np.random.Generator) -> CheckResult:
     )
 
 
-def _check_oracle_equivalence(
-    rng: np.random.Generator, fault: Optional[str]
-) -> CheckResult:
+def _check_oracle_equivalence(rng: np.random.Generator, fault: Optional[str]) -> CheckResult:
     """Dense circuit and fast kernel vs the closed-form branch pair.
 
     Three independent paths, each over all 200 draws at once: the dense
@@ -206,10 +208,9 @@ def _check_oracle_equivalence(
     """
     splitter = _splitter(fault)
     block = _one_photon_block(splitter)
-    phis, thetas = np.empty(200), np.empty((200, 4))
-    for n in range(200):
-        phis[n] = rng.uniform(0.0, 2.0 * np.pi)
-        thetas[n] = rng.uniform(0.0, np.pi / 2.0, size=4)
+    # draw n: one phase, then four angles (a scalar loop's stream), as contiguous arrays
+    draws = rng.uniform(0.0, [2.0 * np.pi] + [np.pi / 2.0] * 4, size=(200, 5))
+    phis, thetas = draws[:, 0].copy(), draws[:, 1:].copy()
     # Expected output: a single photon split over |01> and |10>, each
     # component carrying its branch, under one common prefactor.
     phase = -1j * np.exp(-2j * phis)
@@ -229,14 +230,13 @@ def _check_oracle_equivalence(
 
 
 def _check_branch_norms(rng: np.random.Generator) -> CheckResult:
-    thetas = np.array([rng.uniform(0.0, np.pi / 2.0, size=4) for _ in range(50)])
+    thetas = rng.uniform(0.0, np.pi / 2.0, size=(50, 4))
     pairs = _closed_form_pairs(np.full(50, np.pi / 2.0), thetas)
     worst = 0.0
-    for (g1, g2), (chi_p, chi_dp) in zip(_gammas(thetas).tolist(), pairs):
-        n_p = float(np.linalg.norm(chi_p)) ** 2
-        n_dp = float(np.linalg.norm(chi_dp)) ** 2
-        dev = max(abs(n_p - g1), abs(n_dp - g2), abs(n_p + n_dp - 1.0))
-        worst = max(worst, float(dev))
+    for (g1, g2), n_p, n_dp in zip(_gammas(thetas).tolist(), _row_norms(pairs[:, 0]),
+                                   _row_norms(pairs[:, 1])):
+        n_p, n_dp = n_p ** 2, n_dp ** 2
+        worst = max(worst, abs(n_p - g1), abs(n_dp - g2), abs(n_p + n_dp - 1.0))
     return CheckResult(
         "branch_normalization",
         worst <= 1e-12,
@@ -414,17 +414,17 @@ def _check_parseval(rng: np.random.Generator) -> CheckResult:
 
 
 def _check_detection(rng: np.random.Generator) -> tuple:
-    """POVM completeness, eta-independence, and the success-probability log; the
-    random-angle completeness draws read `_povm` probabilities, no post-states."""
+    """POVM completeness, eta-independence, and the success-probability log: 22
+    detections on one `_branch_norms` pass, then random points' `_povm` sums."""
     etas = (0.0, 0.25, 0.5, 0.8, 1.0)
     worst = 0.0
-    final = evolve(SchemeParams(phi=np.pi / 2.0))
-    reference = {outcome: detect(final, outcome, eta=1.0)[0] for outcome in (_D1, _D2)}
+    branches, norms = _branch_norms(evolve(SchemeParams(phi=np.pi / 2.0)))
+    reference = {outcome: _detect(branches, norms, outcome, 1.0)[0] for outcome in (_D1, _D2)}
     success = {}
     for eta in etas:
         probs = {}
         for outcome in DetectionOutcome:
-            state, prob = detect(final, outcome, eta=eta)
+            state, prob = _detect(branches, norms, outcome, eta)
             probs[outcome] = prob
             if eta > 0.0 and outcome in reference and state is not None:
                 fidelity = abs(inner(reference[outcome], state))
@@ -432,12 +432,12 @@ def _check_detection(rng: np.random.Generator) -> tuple:
         worst = max(worst, float(abs(sum(probs.values()) - 1.0)))
         worst = max(worst, float(probs[DetectionOutcome.DOUBLE_CLICK]))
         success[eta] = probs[_D1] + probs[_D2]
-    # POVM completeness away from the symmetric point, from probabilities alone.
-    for _ in range(10):
-        thetas = tuple(float(t) for t in rng.uniform(0.0, np.pi / 2.0, size=4))
-        _, norms = _branch_norms(evolve(SchemeParams(phi=np.pi / 2.0, thetas=thetas)))
-        eta = float(rng.uniform(0.0, 1.0))
-        total = sum(_povm(norms, o, eta)[1] for o in DetectionOutcome)
+    # Away from the symmetric point: point n draws four angles, then eta; its
+    # arms are the |01> and |10> branches `evolve` puts between two empty ones.
+    draws = rng.uniform(0.0, [np.pi / 2.0] * 4 + [1.0], size=(10, 5))
+    arm_u, arm_l = _one_photon_output(np.full(10, np.pi / 2.0), draws[:, :4].copy(), _BS_BLOCK)
+    for eta, n_l, n_u in zip(draws[:, 4].tolist(), _row_norms(arm_l), _row_norms(arm_u)):
+        total = sum(_povm([0.0, n_l, n_u, 0.0], o, eta)[1] for o in DetectionOutcome)
         worst = max(worst, float(abs(total - 1.0)))
     check = CheckResult(
         "detector_model",
@@ -521,9 +521,7 @@ def run_all_checks(seed: int = 0, fault: Optional[str] = None) -> VerificationRe
         _check_basis(),
     ]
     generated_check, phases = _check_generated_basis()
-    checks.append(generated_check)
-    checks.append(_check_decompositions())
-    checks.append(_check_parseval(rng))
+    checks += [generated_check, _check_decompositions(), _check_parseval(rng)]
     detection_check, success_entry = _check_detection(rng)
     checks.append(detection_check)
 

@@ -11,7 +11,7 @@ import pytest
 
 from ges4 import cli, measures
 from ges4.hilbert import StateVector
-from ges4.cli import CliInputError, parse_angle, parse_axis, parse_thetas
+from ges4.cli import CliInputError, _axis_spec, _axis_values, parse_angle, parse_thetas
 
 
 # ---------------------------------------------------------------------------
@@ -46,16 +46,20 @@ def test_parse_thetas():
         parse_thetas("0.1,0.2")  # must be one or four values
 
 
+def _axis(text):
+    return _axis_values(_axis_spec(text))
+
+
 def test_parse_axis():
-    assert parse_axis("pi/4") == [math.pi / 4]
-    grid = parse_axis("0:pi/2:5")
+    assert _axis("pi/4") == [math.pi / 4]
+    grid = _axis("0:pi/2:5")
     assert len(grid) == 5
     assert grid[0] == 0.0
     assert abs(grid[-1] - math.pi / 2) < 1e-15
     with pytest.raises(CliInputError):
-        parse_axis("0:pi:1:extra")
+        _axis("0:pi:1:extra")
     with pytest.raises(CliInputError):
-        parse_axis("0:pi:0")  # need at least one point
+        _axis("0:pi:0")  # need at least one point
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +252,8 @@ def test_sweep_measures_the_states_evolve_returns(capsys, monkeypatch):
     assert phis.shape == (3 * 3 * 2,) and thetas.shape == (3 * 3 * 2, 4)
     # every (phi, theta) point of the grid, phi reduced mod 2 pi
     want = {(phi % (2 * math.pi), t1, math.pi / 4, t3, math.pi / 4)
-            for phi in parse_axis("0:pi:3") for t1 in parse_axis("0:pi/2:3")
-            for t3 in parse_axis("0.2:1.1:2")}
+            for phi in _axis("0:pi:3") for t1 in _axis("0:pi/2:3")
+            for t3 in _axis("0.2:1.1:2")}
     assert {(p, *t) for p, t in zip(phis.tolist(), thetas.tolist())} == want
 
 

@@ -256,6 +256,52 @@ def test_circuit_checks_draw_their_phases_like_scalar_draws(monkeypatch, check, 
     assert rng.bit_generator.state == scalar.bit_generator.state
 
 
+def _record(monkeypatch, name, seen):
+    real = getattr(verify, name)
+
+    def recording(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, name, recording)
+
+
+def test_oracle_and_branch_norm_checks_draw_their_angles_like_scalar_draws(monkeypatch):
+    # one draw call each: the values of the per-draw loops they replaced
+    seen = []
+    _record(monkeypatch, "_closed_form_pairs", seen)
+    rng = np.random.default_rng(11)
+    verify._check_oracle_equivalence(rng, None)
+    verify._check_branch_norms(rng)
+    scalar = np.random.default_rng(11)
+    oracle = [(scalar.uniform(0.0, 2.0 * np.pi), scalar.uniform(0.0, np.pi / 2.0, size=4))
+              for _ in range(200)]
+    norms = [scalar.uniform(0.0, np.pi / 2.0, size=4) for _ in range(50)]
+    (phis, thetas), (_, norm_thetas) = seen
+    assert phis.tolist() == [float(phi) for phi, _ in oracle]
+    assert thetas.tolist() == [t.tolist() for _, t in oracle]
+    assert norm_thetas.tolist() == [t.tolist() for t in norms]
+    assert rng.bit_generator.state == scalar.bit_generator.state
+
+
+def test_detection_check_draws_its_points_like_scalar_draws(monkeypatch):
+    # point n: four angles, then eta, as the per-point loop drew them
+    kernel, povm = [], []
+    _record(monkeypatch, "_one_photon_output", kernel)
+    _record(monkeypatch, "_povm", povm)
+    rng = np.random.default_rng(11)
+    verify._check_detection(rng)
+    scalar = np.random.default_rng(11)
+    points = [(scalar.uniform(0.0, np.pi / 2.0, size=4).tolist(), float(scalar.uniform(0.0, 1.0)))
+              for _ in range(10)]
+    [(phis, thetas, _)] = kernel
+    assert phis.tolist() == [np.pi / 2.0] * 10
+    assert thetas.tolist() == [t for t, _ in points]
+    # four outcomes per point, each at the point's eta
+    assert [args[2] for args in povm] == [eta for _, eta in points for _ in range(4)]
+    assert rng.bit_generator.state == scalar.bit_generator.state
+
+
 def _scalar_parseval_states(rng):
     # the per-state loop the check replaced: 16 real parts, then 16 imaginary
     raws = [rng.normal(size=16) + 1j * rng.normal(size=16) for _ in range(100)]
