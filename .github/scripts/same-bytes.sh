@@ -3,10 +3,16 @@
 #
 #   bash .github/scripts/same-bytes.sh BASE_TREE HEAD_TREE
 #
-# Runs `python -m ges4.cli` from each tree's src/ on `verify --seed s` for
-# s = 0..19, with --json and with --csv, plain and with --fault
-# conjugate_bs, then on the default `sweep --csv` and on one 3-axis sweep
-# grid. Each command's stdout and exit code must be identical in the two
+# Runs `python -m ges4.cli` from each tree's src/ on:
+#   - `verify --seed s` for s = 0..19, with --json and with --csv, plain and
+#     with --fault conjugate_bs;
+#   - the default `sweep --csv` and one 3-axis sweep grid;
+#   - every argv of BYTE_GOLDENS in HEAD_TREE's tests/test_golden.py, as
+#     text, --csv and --json;
+#   - `simulate --deterministic` over several theta and eta, choosing the
+#     click and forcing d1 and d2, with and without --measures;
+#   - `decompose` of every named state over both bases.
+# Each command's stdout, stderr and exit code must be identical in the two
 # trees; the first difference is named and ends the script with exit 1.
 set -euo pipefail
 
@@ -23,10 +29,11 @@ for tree in "$base" "$head"; do
   esac
 done
 
-run() {  # run TREE FILE ARGS...: stdout, then the exit code, into FILE
+run() {  # run TREE FILE ARGS...: stdout, stderr, then the exit code, into FILE
   local tree=$1 file=$2 code=0
   shift 2
-  PYTHONPATH="$tree/src" python -m ges4.cli "$@" > "$file" || code=$?
+  PYTHONPATH="$tree/src" python -m ges4.cli "$@" > "$file" 2> "$file.err" || code=$?
+  cat "$file.err" >> "$file"
   echo "exit $code" >> "$file"
 }
 
@@ -38,6 +45,34 @@ for s in $(seq 0 19); do
 done
 cases+=("sweep --csv"
         "sweep --csv --phi 0:pi:4 --theta1 0:pi/2:3 --theta3 0.2:1.1:3 --eta 0.5,1")
+
+# argv words hold no spaces, so one line per argv
+mapfile -t goldens < <(cd "$head/tests" && PYTHONPATH="$head/src" python -c '
+from test_golden import BYTE_GOLDENS
+for argv, _ in BYTE_GOLDENS.values():
+    print(" ".join(argv))')
+if [ "${#goldens[@]}" -eq 0 ]; then
+  echo "no BYTE_GOLDENS read from $head/tests/test_golden.py"; exit 1
+fi
+for g in "${goldens[@]}"; do
+  cases+=("$g" "$g --csv" "$g --json")
+done
+
+for theta in pi/4 0.3 0.3,0.5,0.7,0.9 0 1e300; do
+  for eta in 0 0.4 1; do
+    for click in "" "--outcome d1" "--outcome d2"; do
+      cases+=("simulate --deterministic --theta $theta --eta $eta $click")
+    done
+  done
+  cases+=("simulate --deterministic --measures --json --theta $theta"
+          "simulate --deterministic --phi 1.1 --theta $theta")
+done
+
+for state in ghz4 w4 cl4 d4; do
+  for b in explicit generated; do
+    cases+=("decompose $state --basis $b --json" "decompose $state --basis $b --csv")
+  done
+done
 
 for c in "${cases[@]}"; do
   read -ra argv <<< "$c"

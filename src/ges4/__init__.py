@@ -19,9 +19,7 @@ from .hilbert import (
     embed,
     inner,
     partial_trace,
-    eig_hermitian,
     unitary_exp,
-    equal_up_to_global_phase,
 )
 from .circuit import (
     SchemeParams,
@@ -29,7 +27,6 @@ from .circuit import (
     DetectionOutcome,
     phase_from_physical,
     beam_splitter,
-    atom_photon_unitary,
     mz_circuit,
     initial_state,
     evolve,
@@ -69,9 +66,9 @@ __version__ = "0.1.0"
 __all__ = [
     "HilbertSpace", "StateVector", "Operator", "DensityMatrix", "InvariantError",
     "basis_state", "density_matrix", "tensor", "embed", "inner",
-    "partial_trace", "eig_hermitian", "unitary_exp", "equal_up_to_global_phase",
+    "partial_trace", "unitary_exp",
     "SchemeParams", "PhysicalParams", "DetectionOutcome",
-    "phase_from_physical", "beam_splitter", "atom_photon_unitary",
+    "phase_from_physical", "beam_splitter",
     "mz_circuit", "initial_state", "evolve", "closed_form_chi",
     "gamma_factors", "detect", "prepare_ges", "ges_target_state",
     "Bipartition", "MeasureReport", "concurrence", "concurrence_closed_form",

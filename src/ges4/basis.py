@@ -25,9 +25,7 @@ from .hilbert import (
     STRUCT_TOL,
     PAULIS,
     InvariantError,
-    Operator,
     StateVector,
-    phase_between,
 )
 from .circuit import ATOMIC_SPACE, BRANCH_PRIME, _table_amplitudes, ges_target_state
 from .measures import _measure_reports
@@ -184,11 +182,6 @@ _PAULI_STRINGS = np.stack([
 _PAULI_STRINGS.setflags(write=False)
 
 
-def _pauli_string(index: GesIndex) -> Operator:
-    """The Pauli string of a basis index, read from `_PAULI_STRINGS`."""
-    return Operator(ATOMIC_SPACE, _PAULI_STRINGS[ALL_INDICES.index(index)])
-
-
 def generate_basis(seed: Optional[StateVector] = None) -> GesBasis:
     """Apply the sixteen Pauli strings to a seed state (default: the prime
     branch target state), all in one stacked product.
@@ -240,23 +233,15 @@ def _expand(amps: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def decompose(state: StateVector, basis: GesBasis) -> Decomposition:
     """Expand a normalized four-qubit state over the sixteen-state basis.
 
-    The one-row case of `_expand` (same products, same bits), its checks on
-    Python floats: InvariantError if the reconstruction or norm identity fails.
+    The one-row case of `_expand`: InvariantError if the reconstruction or
+    norm identity fails.
     """
     if state.space != ATOMIC_SPACE:
         raise ValueError("state must live on the four-qubit space")
     if not state.is_normalized:
         raise ValueError("state must be normalized")
-    m, amps = basis.matrix(), state.amp[None]
-    c = amps @ m.conj()
-    residual = float(np.linalg.norm(amps - c @ m.T, axis=-1)[0])
-    coefficients = c[0].tolist()
-    total = sum(z.real * z.real + z.imag * z.imag for z in coefficients) + residual**2
-    if abs(total - 1.0) > STRUCT_TOL:
-        raise InvariantError(f"sum |c|^2 + residual^2 = {total}, not 1")
-    if residual > STRUCT_TOL:
-        raise InvariantError(f"reconstruction residual {residual} exceeds {STRUCT_TOL}")
-    return Decomposition(dict(zip(ALL_INDICES, coefficients)), residual)
+    c, residual = _expand(state.amp[None], basis.matrix())
+    return Decomposition(dict(zip(ALL_INDICES, c[0].tolist())), float(residual[0]))
 
 
 def canonical_state(name: str) -> StateVector:
@@ -294,23 +279,23 @@ def verify_representation(basis: GesBasis) -> RepresentationReport:
     )
 
 
-def compare_generated(explicit: Optional[GesBasis] = None,
-                      generated: Optional[GesBasis] = None) -> list[dict]:
+def compare_generated() -> list[dict]:
     """Per-index comparison of the generated states against the explicit tables.
 
-    Each record holds the overlap magnitude, the fitted phase factor, and the
-    worst amplitude deviation after rotating the generated state by that
-    phase. A match "up to global phase" means overlap magnitude 1.
+    Each record holds the overlap magnitude, the fitted phase factor
+    <e|g>/|<e|g>| (the unit z minimizing |g - z e|), and the worst amplitude
+    deviation after rotating the generated state by that phase. A match "up
+    to global phase" means overlap magnitude 1.
     """
-    explicit = explicit if explicit is not None else explicit_basis()
-    generated = generated if generated is not None else generate_basis()
+    explicit, generated = explicit_basis(), generate_basis()
     records = []
     for idx in ALL_INDICES:
         e = explicit.states[idx].amp
         g = generated.states[idx].amp
-        ov = complex(np.vdot(e, g))
+        s = np.vdot(e, g)
+        ov = complex(s)
         matches = abs(abs(ov) - 1.0) <= STRUCT_TOL
-        phase = phase_between(e, g) if abs(ov) > 1e-12 else complex("nan")
+        phase = complex(s / abs(s)) if abs(ov) > 1e-12 else complex("nan")
         dev = float(np.max(np.abs(g - phase * e))) if matches else float("nan")
         records.append({
             "index": idx.label,

@@ -51,7 +51,6 @@ from .hilbert import (
     unitary_exp,
 )
 
-MODE_LABELS = ("U", "L")
 QUBIT_LABELS = ("q1", "q2", "q3", "q4")
 
 PHOTONIC_SPACE = HilbertSpace.of(("U", 2), ("L", 2))
@@ -65,7 +64,6 @@ BRANCHES = (BRANCH_PRIME, BRANCH_DOUBLE_PRIME)
 # Truncated single-mode ladder operators.
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _RAISE = _LOWER.conj().T
-_NUMBER = _RAISE @ _LOWER
 
 # The two target entangled states produced at phi = pi/2, theta_i = pi/4,
 # written as sign patterns over their eight supporting basis strings.
@@ -95,14 +93,6 @@ class DetectionOutcome(Enum):
     NO_CLICK = "none"
     DOUBLE_CLICK = "double"
 
-    @classmethod
-    def from_string(cls, s: str) -> "DetectionOutcome":
-        for outcome in cls:
-            if outcome.value == s.lower():
-                return outcome
-        raise ValueError(f"unknown outcome {s!r}; expected one of "
-                         f"{[o.value for o in cls]}")
-
 
 # Outcome -> (row n_U * 2 + n_L, mode U factor, mode L factor) of each branch
 # |n_U n_L> it can come from, in row order. The POVM weight is the product of
@@ -122,7 +112,9 @@ class SchemeParams:
 
     `thetas` accepts a single angle (applied to all four qubits) or an
     explicit sequence of four. `phi` is reduced modulo 2*pi on construction;
-    every generator is 2*pi-periodic in it.
+    every generator is 2*pi-periodic in it. The thetas are kept as given, at
+    any finite size: every path takes cos and sin of the given float, whose
+    argument reduction is exact, so a reduced copy could only add rounding.
     """
 
     phi: float
@@ -202,7 +194,8 @@ def beam_splitter() -> Operator:
 
 def _cavity_generator(qubit_index: int) -> Operator:
     """Generator n_U |0><0|_i + n_L |1><1|_i of cavity i on the full space, read
-    off the bits of each basis index in factor order (U, L, q1..q4)."""
+    off the bits of each basis index in factor order (U, L, q1..q4): the photon
+    picks up phase phi in arm U with atom i in |0>, or in arm L with it in |1>."""
     if qubit_index not in (1, 2, 3, 4):
         raise ValueError("qubit_index must be in 1..4")
     k = np.arange(FULL_SPACE.dim)
@@ -238,17 +231,6 @@ def _eigenphases(phis: np.ndarray, splitter: Operator) -> tuple[np.ndarray, ...]
     levels, inverse, bv, vhb = _circuit_eigensystem(splitter.space, splitter.mat.tobytes())
     phases = np.exp(-1j * np.multiply.outer(np.asarray(phis, dtype=float), levels))
     return phases[:, inverse], bv, vhb
-
-
-def atom_photon_unitary(qubit_index: int, phi: float) -> Operator:
-    """Dispersive cavity interaction exp[-i phi (n_U |0><0|_i + n_L |1><1|_i)].
-
-    The photon picks up phase phi from cavity i when either the upper mode is
-    occupied with the atom in |0>, or the lower mode is occupied with the atom
-    in |1>. Acts as identity on the other three qubits. Built from the
-    generator on every call; the dense circuits do not use it.
-    """
-    return unitary_exp(Operator(FULL_SPACE, float(phi) * _cavity_generator(qubit_index).mat))
 
 
 def _dense_circuits(phis: np.ndarray, splitter: Operator) -> np.ndarray:
@@ -568,15 +550,16 @@ def prepare_ges(params: SchemeParams,
     `outcome` forces a specific click branch; by default the more probable
     one is used. Probabilities within STRUCT_TOL of each other are a tie,
     which goes to D2, so roundoff cannot pick the branch. The reported
-    probability is always the combined click probability.
+    probability is always the combined click probability. Both click
+    probabilities come from `_povm`; only the chosen click's post-state is
+    taken, with one SVD.
     """
     if abs(params.phi - math.pi / 2.0) > 1e-9:
         warnings.warn("prepare_ges expects phi = pi/2; the conditioned states "
                       "are entangled targets only there", stacklevel=2)
     branches, norms = _branch_norms(evolve(params))
-    post_d1, p_d1 = _detect(branches, norms, DetectionOutcome.D1_CLICK_D2_NULL, params.eta)
-    post_d2, p_d2 = _detect(branches, norms, DetectionOutcome.D2_CLICK_D1_NULL, params.eta)
-    total = p_d1 + p_d2
+    _, p_d1 = _povm(norms, DetectionOutcome.D1_CLICK_D2_NULL, params.eta)
+    _, p_d2 = _povm(norms, DetectionOutcome.D2_CLICK_D1_NULL, params.eta)
 
     if outcome is None:
         outcome = (DetectionOutcome.D1_CLICK_D2_NULL if p_d1 - p_d2 > STRUCT_TOL
@@ -585,7 +568,7 @@ def prepare_ges(params: SchemeParams,
                        DetectionOutcome.D2_CLICK_D1_NULL):
         raise ValueError("preparation conditions on a click outcome (d1 or d2)")
 
-    post = post_d1 if outcome is DetectionOutcome.D1_CLICK_D2_NULL else post_d2
+    post, _ = _detect(branches, norms, outcome, params.eta)
     if post is None:
         raise ValueError(f"outcome {outcome.value} has zero probability at these parameters")
 
@@ -594,4 +577,4 @@ def prepare_ges(params: SchemeParams,
         flipped = canonical_phase((post.amp.reshape(8, 2) @ PAULIS[2].T).reshape(-1))
         flipped.setflags(write=False)
         post = StateVector._wrap(ATOMIC_SPACE, flipped)
-    return PreparedGes(post, outcome, float(total))
+    return PreparedGes(post, outcome, float(p_d1 + p_d2))

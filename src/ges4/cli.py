@@ -308,7 +308,7 @@ def cmd_simulate(args) -> Output:
         "branch_probability": {BRANCH_PRIME: float(photon_branch(psi, 0, 1).norm ** 2),
                                BRANCH_DOUBLE_PRIME: float(photon_branch(psi, 1, 0).norm ** 2)},
     }
-    outcome = DetectionOutcome.from_string(args.outcome) if args.outcome else None
+    outcome = DetectionOutcome(args.outcome) if args.outcome else None
     if args.deterministic:
         # an off-operating-point warning becomes one diagnostic line
         with warnings.catch_warnings(record=True) as caught:
@@ -698,10 +698,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="emit CSV (17 significant digits)")
     common.add_argument("--out", metavar="PATH",
                         help="write output to a file instead of stdout")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for pseudo-random sampling (default 0)")
-    common.add_argument("--tol", type=_tolerance, default=1e-9,
-                        help="display/validation tolerance, finite and >= 0 (default 1e-9)")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=_tolerance, default=1e-9,
+                     help="display/validation tolerance, finite and >= 0 (default 1e-9)")
 
     parser = argparse.ArgumentParser(
         prog="ges4",
@@ -710,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate", parents=[common, tol],
                            help="run the circuit and condition on a detector outcome")
     p_sim.add_argument("--phi", default="pi/2",
                        help="interaction phase (default pi/2)")
@@ -745,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="maximum number of grid points (default 1e6)")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_basis = sub.add_parser("basis", parents=[common],
+    p_basis = sub.add_parser("basis", parents=[common, tol],
                              help="list, verify, or cross-check the "
                                   "sixteen-state entangled basis")
     p_basis.add_argument("--list", action="store_true",
@@ -760,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "explicit tables")
     p_basis.set_defaults(func=cmd_basis)
 
-    p_dec = sub.add_parser("decompose", parents=[common],
+    p_dec = sub.add_parser("decompose", parents=[common, tol],
                            help="expand a state over the sixteen-state basis")
     p_dec.add_argument("state", nargs="?",
                        help=f"named state: {'/'.join(_CANONICAL_NAMES)}")
@@ -775,6 +774,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", parents=[common],
                            help="run the full self-check suite; exit 0 iff "
                                 "all checks pass")
+    p_ver.add_argument("--seed", type=int, default=0,
+                       help="seed for pseudo-random sampling (default 0)")
     p_ver.add_argument("--fault", choices=list(FAULT_MODES), default=None,
                        help="inject a known defect (negative control; the "
                             "suite must then fail)")

@@ -3,7 +3,7 @@
 Everything here is deliberately minimal: composite spaces are described by an
 ordered list of (label, dimension) factors, states and operators carry their
 space with them, and the handful of operations (tensor, embed, inner product,
-partial trace, Hermitian eigensystem) are enough for a 2-mode + 4-qubit
+partial trace, unitary exponential) are enough for a 2-mode + 4-qubit
 simulation at total dimension 64.
 
 Index convention: the first-listed factor is the most significant digit, so a
@@ -191,9 +191,6 @@ class Operator:
     def is_hermitian(self) -> bool:
         return float(np.max(np.abs(self.mat - self.mat.conj().T))) <= STRUCT_TOL
 
-    def dagger(self) -> "Operator":
-        return Operator(self.space, self.mat.conj().T)
-
     def __matmul__(self, other):
         if isinstance(other, Operator):
             if other.space != self.space:
@@ -324,35 +321,12 @@ def partial_trace(rho: DensityMatrix, keep_labels: Sequence[str]) -> DensityMatr
     return DensityMatrix(sub, reduced)
 
 
-def eig_hermitian(m) -> np.ndarray:
-    """Real eigenvalues of a Hermitian Operator or DensityMatrix, descending."""
-    mat = m.mat
-    if float(np.max(np.abs(mat - mat.conj().T))) > STRUCT_TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(mat)[::-1]
-
-
 def unitary_exp(generator: Operator) -> Operator:
     """exp(-i G) for Hermitian G, via eigendecomposition (exact for normal matrices)."""
     if not generator.is_hermitian:
         raise ValueError("generator must be Hermitian")
     w, v = np.linalg.eigh(generator.mat)
     return Operator(generator.space, (v * np.exp(-1j * w)) @ v.conj().T)
-
-
-def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = STRUCT_TOL) -> bool:
-    """True iff the normalized states coincide up to a global phase."""
-    if not (a.is_normalized and b.is_normalized):
-        raise ValueError("both states must be normalized")
-    return abs(abs(inner(a, b)) - 1.0) <= tol
-
-
-def phase_between(reference: np.ndarray, candidate: np.ndarray) -> complex:
-    """Unit phase z minimizing ||candidate - z*reference|| (least-squares phase fit)."""
-    s = np.vdot(reference, candidate)
-    if abs(s) < 1e-30:
-        raise ValueError("vectors are orthogonal; no meaningful phase alignment")
-    return complex(s / abs(s))
 
 
 def canonical_phase(amp: np.ndarray) -> np.ndarray:

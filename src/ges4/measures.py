@@ -52,6 +52,8 @@ from .circuit import (
 # vanishes while every bipartition is maximally entangled.
 GENUINE_CONCURRENCE_TOL = 1e-10
 GENUINE_ENTROPY_TOL = 1e-10
+# `calibrate_closed_forms` counts a candidate pair or cut within this as a match.
+CALIBRATION_MATCH_TOL = 1e-11
 
 _YY = np.kron(PAULIS[2], PAULIS[2])
 
@@ -426,15 +428,14 @@ def measure_report(state: StateVector) -> MeasureReport:
     return _measure_reports([state])[0]
 
 
-def calibrate_closed_forms(n_samples: int = 40, seed: int = 20260823,
-                           match_tol: float = 1e-11) -> dict:
+def calibrate_closed_forms(n_samples: int = 40, seed: int = 20260823) -> dict:
     """Identify which pair/cut the closed forms describe, by measurement.
 
     Draws random theta away from degeneracies, builds both branch states at
     phi = pi/2, and records the worst deviation of every pair's concurrence
     from the closed-form lambda and of every two-two cut's entropy from the
     closed-form S(delta). A candidate "matches" when its worst deviation
-    stays below match_tol.
+    stays below CALIBRATION_MATCH_TOL.
     """
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.1, 1.4, size=(n_samples, 4))
@@ -449,11 +450,11 @@ def calibrate_closed_forms(n_samples: int = 40, seed: int = 20260823,
                for j, branch in enumerate(BRANCHES)}
 
     matching_pairs = {
-        branch: [pair for pair, dev in devs.items() if dev <= match_tol]
+        branch: [pair for pair, dev in devs.items() if dev <= CALIBRATION_MATCH_TOL]
         for branch, devs in pair_dev.items()
     }
     matching_cuts = {
-        branch: [cut for cut, dev in devs.items() if dev <= match_tol]
+        branch: [cut for cut, dev in devs.items() if dev <= CALIBRATION_MATCH_TOL]
         for branch, devs in cut_dev.items()
     }
     return {

@@ -106,8 +106,8 @@ def _embedded_pauli_string(index: GesIndex) -> np.ndarray:
 
 
 def test_pauli_strings_equal_their_embedded_composition():
-    for idx in ALL_INDICES:
-        assert np.array_equal(basis._pauli_string(idx).mat, _embedded_pauli_string(idx))
+    for k, idx in enumerate(ALL_INDICES):
+        assert np.array_equal(basis._PAULI_STRINGS[k], _embedded_pauli_string(idx))
 
 
 def test_generate_basis_seed_validation():
@@ -304,7 +304,7 @@ def test_warm_single_shot_request_builds_no_checked_state_and_two_svds(monkeypat
     assert counts["post_init"] == 0
     counts["svd"] = 0
     state = prepare_ges(SchemeParams(phi=math.pi / 2)).state
-    assert counts == {"post_init": 0, "svd": 2}          # one per detect call
+    assert counts == {"post_init": 0, "svd": 1}          # the chosen click's post-state only
     counts["svd"] = 0
     assert measure_report(state).is_genuine
     assert counts["svd"] == 2
@@ -316,6 +316,20 @@ def test_warm_single_shot_request_builds_no_checked_state_and_two_svds(monkeypat
 def test_explicit_basis_states_are_read_only(basis16):
     for state in basis16.states.values():
         assert not state.amp.flags.writeable
+
+
+@pytest.mark.parametrize("which", ["explicit", "generated"])
+def test_decompose_is_the_one_row_case_of_expand(which, rng):
+    chosen = explicit_basis() if which == "explicit" else generate_basis()
+    states = [canonical_state(name) for name in ("ghz4", "w4", "cl4", "d4")]
+    states += [StateVector(ATOMIC_SPACE, amp / np.linalg.norm(amp))
+               for amp in rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16))]
+    for state in states:
+        c, residual = basis._expand(state.amp[None], chosen.matrix())
+        dec = decompose(state, chosen)
+        assert np.array_equal([dec.coefficients[idx] for idx in ALL_INDICES], c[0])
+        assert np.array_equal(dec.residual, residual[0])
+        assert type(dec.residual) is float
 
 
 def test_decompose_input_validation(basis16):

@@ -514,6 +514,21 @@ def test_unknown_flag_exits_2():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--seed", "1"], ["verify", "--tol", "1e-9"], ["sweep", "--tol", "1e-9"],
+    ["simulate", "--seed", "1"], ["basis", "--seed", "1"], ["decompose", "w4", "--seed", "1"],
+])
+def test_a_flag_the_command_does_not_read_exits_2(capsys, argv):
+    # --seed belongs to verify alone; --tol to simulate, basis and decompose
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"ges4: error: unrecognized arguments: {' '.join(argv[-2:])}"]
+
+
 def test_json_csv_mutually_exclusive():
     with pytest.raises(SystemExit) as err:
         cli.main(["simulate", "--json", "--csv"])

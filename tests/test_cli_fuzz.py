@@ -32,15 +32,17 @@ def _axis(draw):
 
 _FLAGS = {
     "simulate": {"--phi": _VALUES, "--theta": _VALUES, "--eta": _VALUES,
-                 "--outcome": _VALUES, "--deterministic": None, "--measures": None},
+                 "--outcome": _VALUES, "--deterministic": None, "--measures": None,
+                 "--tol": _VALUES},
     "sweep": {"--phi": _axis(), "--thetas": _axis(), "--theta1": _axis(),
               "--theta2": _axis(), "--theta3": _axis(), "--theta4": _axis(),
               "--eta": _VALUES, "--cap": _VALUES},
     "basis": {"--list": None, "--index": _VALUES, "--verify": None,
-              "--compare-generated": None},
-    "decompose": {"--normalize": None, "--basis": _VALUES, "--file": st.just("FILE")},
+              "--compare-generated": None, "--tol": _VALUES},
+    "decompose": {"--normalize": None, "--basis": _VALUES, "--file": st.just("FILE"),
+                  "--tol": _VALUES},
 }
-_COMMON = {"--json": None, "--csv": None, "--seed": _VALUES, "--tol": _VALUES,
+_COMMON = {"--json": None, "--csv": None,
            "--out": st.sampled_from(["OUT", "MISSING", "DIR", ""])}
 
 _NUMBERS = st.one_of(

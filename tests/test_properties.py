@@ -1,5 +1,6 @@
 """Properties over the whole parameter domain: Schmidt symmetry of the cut
-entropies, and 2 pi-periodicity of the one-photon kernel in phi.
+entropies, 2 pi-periodicity of the one-photon kernel in phi, and angles
+theta of any finite size.
 
 A pure state's Schmidt spectrum is the same from either side of a cut, so
 `_cut_entropy` of a side must equal that of its complement, for generic and
@@ -7,6 +8,10 @@ for rank-deficient states. The kernel `_one_photon_output` takes phi as
 given, before `SchemeParams` reduces it mod 2 pi: every phase it applies is
 exp(-i n phi) with integer n, so phi + 2 pi k gives the same amplitudes up
 to the rounding of phi + 2 pi k, which grows as |2 pi k| eps.
+
+theta is never reduced: every path takes cos and sin of the given float,
+whose argument reduction is exact, so at |theta| up to 1e300 the fast
+kernel, the dense oracle and the closed forms still agree.
 """
 
 import itertools
@@ -16,7 +21,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ges4.circuit import _BS_BLOCK, _one_photon_output
+from ges4 import cli
+from ges4.circuit import (
+    _BS_BLOCK,
+    SchemeParams,
+    _one_photon_output,
+    closed_form_pair,
+    evolve,
+    gamma_factors,
+    initial_state,
+    mz_circuit,
+    photon_branch,
+)
 from ges4.hilbert import EIG_TOL
 from ges4.measures import _cut_entropy
 
@@ -100,3 +116,36 @@ def test_kernel_is_2pi_periodic_in_phi_before_any_reduction(phi, k, thetas):
     tol = 16.0 * np.finfo(float).eps * (abs(shift) + abs(phi) + 1.0)
     for got, want in zip(shifted, base):
         assert np.max(np.abs(got - want)) <= tol, (k, np.max(np.abs(got - want)), tol)
+
+
+_HUGE = st.one_of(st.floats(-1e300, 1e300),
+                  st.sampled_from([1e300, -1e300, 7.5e299, 2.0**200, 1e17, -3e16]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(phi=st.floats(0.0, 2 * math.pi),
+       thetas=st.one_of(_HUGE, st.lists(_HUGE, min_size=4, max_size=4).map(tuple)))
+def test_huge_thetas_keep_fast_path_closed_forms_and_dense_oracle_together(phi, thetas):
+    # one shared angle or four per-qubit angles, kept as given
+    params = SchemeParams(phi=phi, thetas=thetas)
+    assert params.thetas == (thetas if isinstance(thetas, tuple) else (thetas,) * 4)
+    fast = evolve(params)
+    dense = mz_circuit(params.phi) @ initial_state(params.thetas)
+    np.testing.assert_allclose(fast.amp, dense.amp, rtol=0, atol=1e-12)
+    # the circuit output carries the closed-form pair under -i exp(-2 i phi)
+    prime, dprime = closed_form_pair(params)
+    phase = -1j * np.exp(-2j * params.phi)
+    np.testing.assert_allclose(photon_branch(fast, 0, 1).amp, phase * prime.amp,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(photon_branch(fast, 1, 0).amp, phase * dprime.amp,
+                               rtol=0, atol=1e-12)
+    g1, g2 = gamma_factors(params.thetas)
+    assert 0.0 <= g1 <= 1.0 and 0.0 <= g2 <= 1.0
+    assert abs(g1 + g2 - 1.0) <= np.finfo(float).eps
+
+
+def test_simulate_takes_huge_thetas(capsys):
+    for theta in ("1e300", "-1e300", "1e300,-1e300,3e17,0.5"):
+        assert cli.main(["simulate", f"--theta={theta}", "--deterministic"]) == 0
+        captured = capsys.readouterr()
+        assert "probability" in captured.out and captured.err == ""
