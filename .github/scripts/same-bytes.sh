@@ -6,11 +6,14 @@
 # Runs `python -m ges4.cli` from each tree's src/ on:
 #   - `verify --seed s` for s = 0..19, with --json and with --csv, plain and
 #     with --fault conjugate_bs;
-#   - the default `sweep --csv` and one 3-axis sweep grid;
+#   - the default `sweep --csv`, a 3-axis sweep grid, a grid with empty
+#     branches and degenerate closed forms, a grid of two kernel blocks, and
+#     one --json grid over theta1 and theta4;
 #   - every argv of BYTE_GOLDENS in HEAD_TREE's tests/test_golden.py, as
 #     text, --csv and --json;
 #   - `simulate --deterministic` over several theta and eta, choosing the
-#     click and forcing d1 and d2, with and without --measures;
+#     click and forcing d1 and d2, with and without --measures, and
+#     `simulate --measures --json` over all four outcomes;
 #   - `decompose` of every named state over both bases.
 # Each command's stdout, stderr and exit code must be identical in the two
 # trees; the first difference is named and ends the script with exit 1.
@@ -44,7 +47,10 @@ for s in $(seq 0 19); do
   done
 done
 cases+=("sweep --csv"
-        "sweep --csv --phi 0:pi:4 --theta1 0:pi/2:3 --theta3 0.2:1.1:3 --eta 0.5,1")
+        "sweep --csv --phi 0:pi:4 --theta1 0:pi/2:3 --theta3 0.2:1.1:3 --eta 0.5,1"
+        "sweep --csv --phi 0:2pi:5 --thetas 0:pi/2:125 --eta 0.5,1"
+        "sweep --csv --phi 0:pi:3 --thetas 0:pi/2:1400"
+        "sweep --json --phi 0:2pi:7 --theta1 0:pi/2:5 --theta4 0:pi:4")
 
 # argv words hold no spaces, so one line per argv
 mapfile -t goldens < <(cd "$head/tests" && PYTHONPATH="$head/src" python -c '
@@ -66,6 +72,11 @@ for theta in pi/4 0.3 0.3,0.5,0.7,0.9 0 1e300; do
   done
   cases+=("simulate --deterministic --measures --json --theta $theta"
           "simulate --deterministic --phi 1.1 --theta $theta")
+done
+for theta in pi/4 0.3 0.3,0.5,0.7,0.9; do
+  for eta in 0.4 1; do
+    cases+=("simulate --measures --json --theta $theta --eta $eta")
+  done
 done
 
 for state in ghz4 w4 cl4 d4; do

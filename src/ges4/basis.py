@@ -27,7 +27,14 @@ from .hilbert import (
     InvariantError,
     StateVector,
 )
-from .circuit import ATOMIC_SPACE, BRANCH_PRIME, _table_amplitudes, ges_target_state
+from .circuit import (
+    ATOMIC_SPACE,
+    BRANCH_DOUBLE_PRIME,
+    BRANCH_PRIME,
+    _TARGET_SIGNS,
+    _table_amplitudes,
+    ges_target_state,
+)
 from .measures import _measure_reports
 
 
@@ -52,14 +59,13 @@ class GesIndex:
 ALL_INDICES = tuple(GesIndex(f, c) for f in (1, 2, 3, 4) for c in (0, 1, 2, 3))
 
 # Canonical amplitude tables: each state has eight amplitudes of magnitude
-# 1/sqrt(8) with the signs below (keys are |q1 q2 q3 q4> strings).
+# 1/sqrt(8) with the signs below (keys are |q1 q2 q3 q4> strings). phi_1_0
+# and phi_1_2 are the circuit's two target states.
 _EXPLICIT_SIGNS = {
-    (1, 0): {"0000": +1, "1111": +1, "0110": -1, "1100": -1,
-             "1010": -1, "0011": -1, "0101": -1, "1001": -1},
+    (1, 0): _TARGET_SIGNS[BRANCH_PRIME],
     (1, 1): {"1110": -1, "0111": -1, "1101": -1, "1011": +1,
              "0010": -1, "0100": +1, "1000": -1, "0001": -1},
-    (1, 2): {"1110": +1, "0111": +1, "1101": +1, "1011": +1,
-             "0010": -1, "0100": -1, "1000": -1, "0001": -1},
+    (1, 2): _TARGET_SIGNS[BRANCH_DOUBLE_PRIME],
     (1, 3): {"0000": -1, "1111": +1, "0110": -1, "1100": -1,
              "1010": +1, "0011": +1, "0101": -1, "1001": +1},
     (2, 0): {"0000": -1, "1111": +1, "0110": +1, "1100": -1,

@@ -15,8 +15,9 @@ everywhere, `_one_photon_output`, exploits the structure: on the one-photon
 sector the interferometer is the 2x2 splitter block, then the diagonal
 phase exp(-i phi n0) on arm U and exp(-i phi n1) on arm L (n0 and n1 count
 the qubits in |0> and |1>), then the splitter block again. It takes a stack
-of (phi, theta) points: `evolve` is its one-point case, and `sweep` and
-the oracle check pass all their points in one call. The dense oracle
+of (phi, theta) points and returns both output branches in BRANCHES order,
+chi' (arm L) then chi'' (arm U): `evolve` is its one-point case, and `sweep`
+and the oracle check pass all their points in one call. The dense oracle
 builds the 64x64 unitary from the cavity generators, which commute
 (checked exactly, on first use): the four cavities are exp(-i phi G), G
 their sum, and one cached eigensystem G = v diag(w) v^dag, with the
@@ -299,11 +300,6 @@ _N0 = 4 - _N1
 _EXCITATIONS = np.arange(5).astype(complex)
 
 
-def _branch_slice(n_u: int, n_l: int) -> slice:
-    base = (n_u * 2 + n_l) * ATOMIC_SPACE.dim
-    return slice(base, base + ATOMIC_SPACE.dim)
-
-
 def _one_photon_block(splitter: Operator) -> np.ndarray:
     """2x2 action of a photon-number-conserving splitter on (|10>, |01>)."""
     return splitter.mat[np.ix_(_ONE_PHOTON, _ONE_PHOTON)]
@@ -313,10 +309,11 @@ _BS_BLOCK = _one_photon_block(beam_splitter())
 
 
 def _one_photon_output(phis: np.ndarray, thetas: np.ndarray, splitter: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Four-qubit amplitudes of the output photon in arms (U, L), as two (N, 16).
+                       ) -> np.ndarray:
+    """Four-qubit output branches (chi', chi''), in BRANCHES order, as (N, 2, 16).
 
-    Row n is the output at phis[n] (already reduced mod 2 pi) with the input
+    chi' is the photon's output in arm L (|01>), chi'' in arm U (|10>). Row n
+    is the output at phis[n] (already reduced mod 2 pi) with the input
     photon in arm U and the atoms in the product state
     (x)_i (cos theta_i, sin theta_i) of the four angles thetas[n].
     `splitter` is the 2x2 one-photon block of the beam splitter, applied
@@ -329,23 +326,25 @@ def _one_photon_output(phis: np.ndarray, thetas: np.ndarray, splitter: np.ndarra
     phases = np.exp(np.multiply.outer(-1j * np.asarray(phis, dtype=float), _EXCITATIONS))
     arm_u = splitter[0, 0] * phases.take(_N0, axis=1) * product
     arm_l = splitter[1, 0] * phases.take(_N1, axis=1) * product
-    return (splitter[0, 0] * arm_u + splitter[0, 1] * arm_l,
-            splitter[1, 0] * arm_u + splitter[1, 1] * arm_l)
+    out = np.empty((len(th), 2, ATOMIC_SPACE.dim), dtype=complex)
+    out[:, 0] = splitter[1, 0] * arm_u + splitter[1, 1] * arm_l
+    out[:, 1] = splitter[0, 0] * arm_u + splitter[0, 1] * arm_l
+    return out
 
 
 def evolve(params: SchemeParams) -> StateVector:
     """Run the circuit on the standard input state (the fast path).
 
     The output has support only on the one-photon sector and splits as
-    |01> (x) chi' + |10> (x) chi'' up to a global phase. It is the one-row
-    case of `_one_photon_output`, computed from the circuit's structure
-    without building the dense unitary; the result equals
+    |01> (x) chi' + |10> (x) chi'' up to a global phase: rows 1 and 2 of its
+    (4, 16) branch layout (row n_U * 2 + n_L) are the one-row case of
+    `_one_photon_output`, computed from the circuit's structure without
+    building the dense unitary; the result equals
     `mz_circuit(phi) @ initial_state(thetas)` to roundoff.
     """
-    out_u, out_l = _one_photon_output([params.phi], [params.thetas], _BS_BLOCK)
-    amp = np.zeros(FULL_SPACE.dim, dtype=complex)
-    amp[_branch_slice(0, 1)] = out_l[0]
-    amp[_branch_slice(1, 0)] = out_u[0]
+    amp = np.zeros((4, ATOMIC_SPACE.dim), dtype=complex)
+    amp[1:3] = _one_photon_output([params.phi], [params.thetas], _BS_BLOCK)[0]
+    amp = amp.reshape(FULL_SPACE.dim)
     amp.setflags(write=False)
     return StateVector._wrap(FULL_SPACE, amp)
 
@@ -356,7 +355,7 @@ def photon_branch(psi: StateVector, n_u: int, n_l: int) -> StateVector:
         raise ValueError("state must live on the full photonic+atomic space")
     if n_u not in (0, 1) or n_l not in (0, 1):
         raise ValueError("photon numbers must be 0 or 1")
-    return StateVector._wrap(ATOMIC_SPACE, psi.amp[_branch_slice(n_u, n_l)])
+    return StateVector._wrap(ATOMIC_SPACE, psi.amp.reshape(4, ATOMIC_SPACE.dim)[n_u * 2 + n_l])
 
 
 # Weight group of each four-qubit basis string, by its excitation number

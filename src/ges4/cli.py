@@ -13,7 +13,7 @@ identical flags and seed reproduces its output byte for byte.
 
 ``sweep`` evaluates its grid as arrays: one closed-form and one Gamma call
 over the distinct angle rows, then, per block of up to 4096 points, one
-call of the circuit kernel and two stacked SVD calls for the numerical
+call of the circuit kernel and one stacked SVD call for the numerical
 measures. The first point's states are checked against ``evolve``. Its
 CSV formats each point once, with one ``%``-template, and shares the
 result between the point's eta rows.
@@ -49,7 +49,6 @@ from .circuit import (
     DetectionOutcome,
     SchemeParams,
     _BS_BLOCK,
-    _branch_slice,
     _gammas,
     _one_photon_output,
     detect,
@@ -61,9 +60,7 @@ from .measures import (
     FORMULA_CUT,
     FORMULA_PAIR,
     _closed_form_measures,
-    _cut_entropy,
-    _pair_concurrence,
-    _qubits,
+    _svd_measures,
     measure_report,
 )
 from .basis import (
@@ -396,10 +393,6 @@ _SWEEP_COLUMNS = (
 )
 
 
-# Amplitude slices of the two branches in a full-space state, in BRANCHES order.
-_BRANCH_SLICES = (_branch_slice(0, 1), _branch_slice(1, 0))
-_FORMULA_PAIR_QUBITS = _qubits(FORMULA_PAIR)
-_FORMULA_CUT_QUBITS = _qubits(FORMULA_CUT.side_a)
 # Grid points per kernel call; bounds the arrays a sweep holds besides its table.
 _SWEEP_BLOCK = 4096
 
@@ -445,7 +438,7 @@ def _check_first_point(phi: float, thetas, branches: np.ndarray) -> None:
     """The sweep's branch amplitudes at its first grid point must be the ones
     `evolve` returns there, branch order and phi reduction included."""
     psi = evolve(SchemeParams(phi=phi, thetas=tuple(thetas))).amp
-    want = np.stack([psi[sl] for sl in _BRANCH_SLICES])
+    want = psi.reshape(4, ATOMIC_SPACE.dim)[1:3]     # rows |01>, |10>
     if not np.max(np.abs(branches - want)) <= STRUCT_TOL:
         raise InvariantError("sweep states differ from evolve at the first grid point")
 
@@ -487,23 +480,23 @@ def cmd_sweep(args) -> Output:
     gammas = _gammas(theta_rows)
     c_closed, s_closed = _closed_form_measures(theta_rows)
 
-    # Points run phi-major, through the kernel and the two stacked SVD calls
-    # a block at a time; a branch without population has no numeric measures.
+    # Points run phi-major, through the circuit kernel and one stacked SVD
+    # call a block at a time; a branch without population has no numeric measures.
     n_theta = len(theta_rows)
     points = np.empty((len(phis) * n_theta, 19))
     for start in range(0, len(points), _SWEEP_BLOCK):
         at_phi, rows = np.divmod(np.arange(start, min(start + _SWEEP_BLOCK, len(points))),
                                  n_theta)
         thetas = theta_rows[rows]
-        arm_u, arm_l = _one_photon_output(phis[at_phi], thetas, _BS_BLOCK)
-        amps = np.stack([arm_l, arm_u], axis=1)      # BRANCHES order: chi' is arm L
+        amps = _one_photon_output(phis[at_phi], thetas, _BS_BLOCK)
         if start == 0:
             _check_first_point(phi_axis[0], theta_rows[0], amps[0])
         norms = np.linalg.norm(amps, axis=-1)
         live = norms ** 2 >= 1e-12
         states = amps / np.where(live, norms, 1.0)[..., None]
-        c_num = np.where(live, _pair_concurrence(states, _FORMULA_PAIR_QUBITS), np.nan)
-        s_num = np.where(live, _cut_entropy(states, _FORMULA_CUT_QUBITS), np.nan)
+        conc, ent = _svd_measures(states, (FORMULA_PAIR,), (FORMULA_CUT.side_a,))
+        c_num = np.where(live, conc[..., 0], np.nan)
+        s_num = np.where(live, ent[..., 0], np.nan)
         c_cl, s_cl = c_closed[rows], s_closed[rows]
         branch_cells = np.stack([c_cl, c_num, np.abs(c_cl - c_num),
                                  s_cl, s_num, np.abs(s_cl - s_num)], axis=-1)

@@ -1,18 +1,19 @@
 """Entanglement measures and their closed-form comparators.
 
-Numerical side, two paths. The fast path is an amplitude kernel
-(`_pair_concurrence`, `_cut_entropy`): for a pure four-qubit state every cut
-entropy is a Schmidt spectrum and every pair's Wootters lambdas are singular
-values, both of reshapes of the 16 amplitudes, so stacked states are measured
-with one stacked SVD and no density matrix. `sweep`, the closed-form
-calibration and all of `measure_report` (six concurrences, seven cut
-entropies and its Schmidt-symmetry check) run on it. The oracle path is the
-density matrix: Wootters `concurrence` for arbitrary two-qubit density
-matrices, `von_neumann_entropy` of arbitrary reductions and
-`bipartition_entropy`, reached through `density_matrix` and `partial_trace`;
-the tests check the kernel against it. Closed-form side: the protocol's
-analytic expressions for the concurrence of one qubit pair and the entropy of
-one two-two cut of the post-selected branch states at phi = pi/2.
+Numerical side, two paths. The fast path is one amplitude kernel,
+`_svd_measures`: for a pure four-qubit state every cut entropy is a Schmidt
+spectrum and every pair's Wootters lambdas are singular values, both of
+reshapes of the 16 amplitudes, so stacked states are measured over any
+pairs and cuts, named by their qubit labels, with one stacked SVD and no
+density matrix. `sweep`, the closed-form calibration and all of
+`measure_report` (six concurrences, seven cut entropies and its
+Schmidt-symmetry check) run on it. The oracle path is the density matrix:
+Wootters `concurrence` for arbitrary two-qubit density matrices,
+`von_neumann_entropy` of arbitrary reductions and `bipartition_entropy`,
+reached through `density_matrix` and `partial_trace`; the tests check the
+kernel against it. Closed-form side: the protocol's analytic expressions for
+the concurrence of one qubit pair and the entropy of one two-two cut of the
+post-selected branch states at phi = pi/2.
 
 Which pair and which cut the closed forms describe is not guessed: the
 formulas are asymmetric in the theta indices, so `calibrate_closed_forms`
@@ -227,40 +228,30 @@ def bipartition_entropy(state: StateVector, cut: Bipartition) -> float:
     return s_a
 
 
-# Amplitude kernel. Amplitudes are stacked as (..., 16) and qubits are given
-# as indices (q1 = 0). A side of k qubits is one index tuple, giving results
-# of shape (...); an (n, k) array of sides gives (..., n), in one SVD.
+# Amplitude kernel. Amplitudes are stacked as (..., 16); a side is a tuple of
+# qubit labels, and one call takes a tuple of sides whose matrices share a
+# shape, giving results of shape (..., number of sides), in one SVD.
 
 
-def _qubits(labels: Sequence[str]) -> tuple[int, ...]:
-    return tuple(QUBIT_LABELS.index(q) for q in labels)
+@functools.cache
+def _gather(sides: tuple) -> np.ndarray:
+    """Flat amplitude index behind each side's matrix, read-only (n, r, c).
 
-
-@functools.lru_cache(maxsize=64)
-def _gather_index(k: int, sides_bytes: bytes) -> np.ndarray:
-    """Flat amplitude index behind each entry of the side-by-rest matrices.
-
-    Keyed on the bytes of an (n, k) int array of sides; returns a read-only
-    (n, 2^k, 2^(4-k)) index, built once per side set.
+    Row digits are the side's qubits, column digits the other qubits, each in
+    the given order, so a matrix m has m m^dag as the side's reduced density
+    matrix. A three-qubit side is gathered transposed (rest by side, 2x8),
+    so every cut of the four qubits is 4x4 or 2x8. Built once per side set.
     """
-    sides = np.frombuffer(sides_bytes, dtype=int).reshape(-1, k)
-    n = len(sides)
-    rest = [[q for q in range(4) if q not in side] for side in sides.tolist()]
-    order = np.concatenate([sides, rest], axis=1)
-    index = (_BITS << (3 - order)[:, None, :]).sum(axis=-1).reshape(n, 1 << k, 1 << (4 - k))
+    index = []
+    for side in sides:
+        qubits = [QUBIT_LABELS.index(q) for q in side]
+        order = np.array(qubits + [q for q in range(4) if q not in qubits])
+        k = len(side)
+        m = (_BITS << (3 - order)).sum(axis=-1).reshape(1 << k, 1 << (4 - k))
+        index.append(m.T if k == 3 else m)
+    index = np.array(index)
     index.setflags(write=False)
     return index
-
-
-def _split(amps: np.ndarray, sides: np.ndarray) -> np.ndarray:
-    """Amplitudes (..., 16) as side-by-rest matrices (..., n, 2^k, 2^(4-k)).
-
-    `sides` is an (n, k) array of qubit indices. Row digits are the side's
-    qubits, column digits the other qubits, each in the given order, so a
-    matrix m has m m^dag as the side's reduced density matrix. The gather
-    index is built on the first call for a side set and reused after.
-    """
-    return amps[..., _gather_index(sides.shape[1], sides.tobytes())]
 
 
 def _wootters(lam: np.ndarray) -> np.ndarray:
@@ -280,46 +271,31 @@ def _schmidt_entropy(s: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, h)
 
 
-def _pair_concurrence(amps: np.ndarray, pair) -> np.ndarray:
-    """Wootters concurrence of a qubit pair of normalized pure states.
+def _svd_measures(amps: np.ndarray, pairs: tuple, cuts: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Concurrences (..., len(pairs)) and cut entropies (..., len(cuts)) of
+    normalized pure states (..., 16), in one SVD call.
 
-    With m the pair-by-rest matrix, the singular values of m^T (sy x sy) m
-    are the Wootters lambdas of the pair's reduction m m^dag; the result is
-    max(0, l_0 - l_1 - l_2 - l_3), as in `concurrence`.
+    With m a pair's pair-by-rest matrix, the singular values of
+    m^T (sy x sy) m are the Wootters lambdas of its reduction m m^dag, and the
+    concurrence is max(0, l_0 - l_1 - l_2 - l_3), as in `concurrence`. A
+    cut's entropy comes from the singular values of its side's matrix, by
+    `_schmidt_entropy`. Pairs need two-qubit cuts beside them (all 4x4).
+    LAPACK factors each matrix of a stack on its own, so an entry equals the
+    one-row, one-side call bit for bit.
     """
-    sides = np.asarray(pair, dtype=int)
-    m = _split(amps, sides.reshape(-1, 2))
-    c = _wootters(np.linalg.svd(np.swapaxes(m, -1, -2) @ _YY @ m, compute_uv=False))
-    return c if sides.ndim == 2 else c[..., 0]
+    n = len(pairs)
+    mats = amps[..., _gather(pairs + cuts)]
+    if n:   # a fresh gather: each pair's m^T (sy x sy) m takes the place of its m
+        m = mats[..., :n, :, :]
+        mats[..., :n, :, :] = np.swapaxes(m, -1, -2) @ _YY @ m
+    lam = np.linalg.svd(mats, compute_uv=False)
+    conc = _wootters(lam[..., :n, :]) if n else lam[..., :0, 0]
+    return conc, _schmidt_entropy(lam[..., n:, :])
 
 
-def _cut_entropy(amps: np.ndarray, side_a) -> np.ndarray:
-    """Entanglement entropy (bits) of normalized pure states across side_a | rest.
-
-    From the singular values of the side-by-rest matrices, by `_schmidt_entropy`.
-    """
-    sides = np.asarray(side_a, dtype=int)
-    h = _schmidt_entropy(np.linalg.svd(_split(amps, sides.reshape(-1, sides.shape[-1])),
-                                       compute_uv=False))
-    return h if sides.ndim == 2 else h[..., 0]
-
-
-_PAIR_QUBITS = tuple(_qubits(pair) for pair in PAIRS)
-_PAIR_CUT_QUBITS = tuple(_qubits(cut.side_a) for cut in PAIR_CUTS)
-_PAIR_CUT_REST = tuple(_qubits(cut.side_b) for cut in PAIR_CUTS)
-_SINGLE_CUT_QUBITS = tuple(_qubits(cut.side_a) for cut in SINGLE_CUTS)
-_SINGLE_CUT_REST = tuple(_qubits(cut.side_b) for cut in SINGLE_CUTS)
-
-# Gather tables of `_measure_rows`' two SVD calls: twelve 4x4 matrices (the
-# six pair-by-rest matrices behind the concurrences, then the three two-two
-# cuts from side_a and from side_b), and eight 2x8 matrices (the four
-# single-qubit cuts from side_a, then from side_b, transposed).
-_CONCURRENCE_INDEX = _gather_index(2, np.array(_PAIR_QUBITS).tobytes())
-_PAIR_CUT_INDEX = _gather_index(2, np.array(_PAIR_CUT_QUBITS + _PAIR_CUT_REST).tobytes())
-_SINGLE_CUT_INDEX = np.concatenate(
-    [_gather_index(1, np.array(_SINGLE_CUT_QUBITS).tobytes()),
-     np.swapaxes(_gather_index(3, np.array(_SINGLE_CUT_REST).tobytes()), -1, -2)])
-_SINGLE_CUT_INDEX.setflags(write=False)
+# Both sides of each cut, side_a first: the sides of `_measure_rows`' two calls.
+_PAIR_CUT_SIDES = (*(cut.side_a for cut in PAIR_CUTS), *(cut.side_b for cut in PAIR_CUTS))
+_SINGLE_CUT_SIDES = (*(cut.side_a for cut in SINGLE_CUTS), *(cut.side_b for cut in SINGLE_CUTS))
 
 
 def _closed_form_branches(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -369,21 +345,14 @@ def _measure_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concurrences (N, 6) and cut entropies (N, 7) of normalized states (N, 16).
 
     Concurrences follow PAIRS; entropies follow PAIR_CUTS, then SINGLE_CUTS.
-    Two SVD calls: one over the twelve 4x4 matrices of the concurrences
-    (m^T (sy x sy) m) and of the two-two cuts from both sides, and one over
-    the eight 2x8 matrices of the single-qubit cuts from side_a and,
-    transposed, from side_b. Each cut's two entropies must agree to EIG_TOL
-    (Schmidt symmetry, a check on the index gathers; side_b feeds only that
-    check), else InvariantError. LAPACK factors each matrix of a stack on its
-    own, so a row equals a one-row call, and `_cut_entropy`, bit for bit.
+    Two `_svd_measures` calls: one over the 4x4 matrices of the six pairs and
+    of the two-two cuts from both sides, one over the 2x8 matrices of the
+    single-qubit cuts from both sides. Each cut's two entropies must agree
+    to EIG_TOL (Schmidt symmetry, a check on the index gathers; side_b feeds
+    only that check), else InvariantError.
     """
-    m = amps[..., _CONCURRENCE_INDEX]
-    mats = np.concatenate([np.swapaxes(m, -1, -2) @ _YY @ m, amps[..., _PAIR_CUT_INDEX]],
-                          axis=-3)
-    lam = np.linalg.svd(mats, compute_uv=False)
-    conc = _wootters(lam[..., :6, :])
-    pair = _schmidt_entropy(lam[..., 6:, :])
-    single = _schmidt_entropy(np.linalg.svd(amps[..., _SINGLE_CUT_INDEX], compute_uv=False))
+    conc, pair = _svd_measures(amps, PAIRS, _PAIR_CUT_SIDES)
+    _, single = _svd_measures(amps, (), _SINGLE_CUT_SIDES)
     s_a = np.concatenate([pair[..., :3], single[..., :4]], axis=-1)
     s_b = np.concatenate([pair[..., 3:], single[..., 4:]], axis=-1)
     dev = np.abs(s_a - s_b)
@@ -418,11 +387,10 @@ def _measure_reports(states: Sequence[StateVector]) -> list[MeasureReport]:
 def measure_report(state: StateVector) -> MeasureReport:
     """Full entanglement signature of a normalized four-qubit state.
 
-    The one-row case of the stacked amplitude kernel `_measure_rows`: two
-    stacked SVD calls and no density matrix. Each cut's entropy is taken
-    from side_a and again from side_b; the two must agree to EIG_TOL
-    (Schmidt symmetry, a check on the kernel's index gather), else
-    InvariantError. The density-matrix route (`bipartition_entropy`) is the
+    The one-row case of `_measure_rows`: two `_svd_measures` calls and no
+    density matrix. Each cut's entropy is taken from side_a and again from
+    side_b; the two must agree to EIG_TOL (Schmidt symmetry, a check on the
+    kernel's index gather), else InvariantError. The density-matrix route (`bipartition_entropy`) is the
     oracle.
     """
     return _measure_reports([state])[0]
@@ -441,8 +409,9 @@ def calibrate_closed_forms(n_samples: int = 40, seed: int = 20260823) -> dict:
     thetas = rng.uniform(0.1, 1.4, size=(n_samples, 4))
     states, _ = _closed_form_branches(thetas)
     lam, s_closed = _closed_form_measures(thetas)
-    c_dev = np.abs(_pair_concurrence(states, _PAIR_QUBITS) - lam[..., None])
-    s_dev = np.abs(_cut_entropy(states, _PAIR_CUT_QUBITS) - s_closed[..., None])
+    conc, ent = _svd_measures(states, PAIRS, tuple(cut.side_a for cut in PAIR_CUTS))
+    c_dev = np.abs(conc - lam[..., None])
+    s_dev = np.abs(ent - s_closed[..., None])
     c_dev, s_dev = c_dev.max(axis=0, initial=0.0), s_dev.max(axis=0, initial=0.0)
     pair_dev = {branch: dict(zip(PAIRS, c_dev[j].tolist()))
                 for j, branch in enumerate(BRANCHES)}

@@ -35,7 +35,6 @@ from .circuit import (
     SchemeParams,
     _BS_BLOCK,
     _branch_norms,
-    _branch_slice,
     _closed_form_pairs,
     _dense_apply,
     _dense_circuit,
@@ -58,11 +57,10 @@ from .measures import (
     FORMULA_CUT,
     FORMULA_PAIR,
     SINGLE_CUTS,
-    _SINGLE_CUT_QUBITS,
     _closed_form_branches,
     _closed_form_measures,
-    _cut_entropy,
     _measure_reports,
+    _svd_measures,
     bipartition_entropy,
     calibrate_closed_forms,
     concurrence_closed_form,
@@ -216,10 +214,8 @@ def _check_oracle_equivalence(rng: np.random.Generator, fault: Optional[str]) ->
     phase = -1j * np.exp(-2j * phis)
     want = phase[:, None, None] * _closed_form_pairs(phis, thetas)
     rows = _dense_apply(phis, splitter, _initial_states(thetas))
-    dense = np.stack([rows[:, _branch_slice(0, 1)], rows[:, _branch_slice(1, 0)]], axis=1)
-    # the fast kernel returns arms (U, L), which carry (chi'', chi')
-    arm_u, arm_l = _one_photon_output(phis, thetas, block)
-    fast = np.stack([arm_l, arm_u], axis=1)
+    dense = rows.reshape(len(rows), 4, ATOMIC_SPACE.dim)[:, 1:3]    # rows |01>, |10>
+    fast = _one_photon_output(phis, thetas, block)
     worst = float(max(np.max(np.abs(dense - want)), np.max(np.abs(fast - want))))
     return CheckResult(
         "oracle_equivalence",
@@ -433,10 +429,11 @@ def _check_detection(rng: np.random.Generator) -> tuple:
         worst = max(worst, float(probs[DetectionOutcome.DOUBLE_CLICK]))
         success[eta] = probs[_D1] + probs[_D2]
     # Away from the symmetric point: point n draws four angles, then eta; its
-    # arms are the |01> and |10> branches `evolve` puts between two empty ones.
+    # branches are the |01> and |10> rows `evolve` puts between two empty ones.
     draws = rng.uniform(0.0, [np.pi / 2.0] * 4 + [1.0], size=(10, 5))
-    arm_u, arm_l = _one_photon_output(np.full(10, np.pi / 2.0), draws[:, :4].copy(), _BS_BLOCK)
-    for eta, n_l, n_u in zip(draws[:, 4].tolist(), _row_norms(arm_l), _row_norms(arm_u)):
+    out = _one_photon_output(np.full(10, np.pi / 2.0), draws[:, :4].copy(), _BS_BLOCK)
+    norms = _row_norms(out.reshape(-1, ATOMIC_SPACE.dim))
+    for eta, n_l, n_u in zip(draws[:, 4].tolist(), norms[::2], norms[1::2]):
         total = sum(_povm([0.0, n_l, n_u, 0.0], o, eta)[1] for o in DetectionOutcome)
         worst = max(worst, float(abs(total - 1.0)))
     check = CheckResult(
@@ -465,7 +462,8 @@ def _one_vs_three_entry(rng: np.random.Generator) -> dict:
     states, norms = _closed_form_branches(thetas)
     live = norms >= 1e-6
     _, formula = _closed_form_measures(thetas)
-    dev = np.abs(_cut_entropy(states, _SINGLE_CUT_QUBITS) - formula[..., None])
+    _, ent = _svd_measures(states, (), tuple(cut.side_a for cut in SINGLE_CUTS))
+    dev = np.abs(ent - formula[..., None])
     worst = float(dev[live].max(initial=0.0))
     at_pi4 = bipartition_entropy(ges_target_state(BRANCH_PRIME), SINGLE_CUTS[0])
     return {

@@ -67,6 +67,11 @@ def test_explicit_basis_seed_states(basis16):
                                ges_target_state(BRANCH_PRIME).amp, atol=1e-15)
     np.testing.assert_allclose(basis16.state(1, 2).amp,
                                ges_target_state(BRANCH_DOUBLE_PRIME).amp, atol=1e-15)
+    # and bit for bit: both are read from one sign table
+    basis = explicit_basis()
+    for index, branch in (((1, 0), BRANCH_PRIME), ((1, 2), BRANCH_DOUBLE_PRIME)):
+        assert np.array_equal(basis.state(*index).amp.view(np.uint64),
+                              ges_target_state(branch).amp.view(np.uint64))
 
 
 def test_corrupted_basis_is_rejected(basis16):

@@ -370,11 +370,10 @@ def test_conjugated_splitter_moves_dense_and_fast_alike(phi, thetas):
     params = SchemeParams(phi=phi, thetas=thetas)
     bad = _conjugated_splitter()
     dense = _dense_circuit(params.phi, bad) @ initial_state(params.thetas)
-    fast_u, fast_l = _one_photon_output([params.phi], [params.thetas],
-                                        _one_photon_block(bad))
+    fast = _one_photon_output([params.phi], [params.thetas], _one_photon_block(bad))
     dev_dense = _deviation(photon_branch(dense, 0, 1).amp,
                            photon_branch(dense, 1, 0).amp, params)
-    dev_fast = _deviation(fast_l[0], fast_u[0], params)
+    dev_fast = _deviation(fast[0, 0], fast[0, 1], params)
     assert abs(dev_dense - dev_fast) <= 1e-12
 
 
@@ -557,15 +556,15 @@ def test_kernel_rows_equal_one_row_calls_bit_for_bit(draws, conjugate):
     splitter = _conjugated_splitter() if conjugate else beam_splitter()
     block = _one_photon_block(splitter)
     phis, thetas, params = _stack(draws)
-    arm_u, arm_l = _one_photon_output(phis, thetas, block)
-    assert arm_u.shape == arm_l.shape == (len(params), 16)
+    out = _one_photon_output(phis, thetas, block)
+    assert out.shape == (len(params), 2, 16)
     for n, p in enumerate(params):
-        u, l = _one_photon_output([p.phi], [p.thetas], block)
-        assert np.array_equal(arm_u[n], u[0]) and np.array_equal(arm_l[n], l[0])
+        assert np.array_equal(out[n], _one_photon_output([p.phi], [p.thetas], block)[0])
         if not conjugate:
+            # BRANCHES order: chi' (|01>, arm L), then chi'' (|10>, arm U)
             psi = evolve(p)
-            assert np.array_equal(photon_branch(psi, 0, 1).amp, arm_l[n])
-            assert np.array_equal(photon_branch(psi, 1, 0).amp, arm_u[n])
+            assert np.array_equal(photon_branch(psi, 0, 1).amp, out[n, 0])
+            assert np.array_equal(photon_branch(psi, 1, 0).amp, out[n, 1])
 
 
 def test_branch_sum_invariant_survives_optimized_mode():

@@ -238,10 +238,11 @@ def test_sweep_measures_the_states_evolve_returns(capsys, monkeypatch):
 
     def flipped_kernel(phis, thetas, splitter):
         calls.append((np.array(phis), np.array(thetas)))
-        arm_u, arm_l = real_kernel(phis, thetas, splitter)
-        k = np.argmax(np.abs(arm_l), axis=1)
-        arm_l[np.arange(1, len(arm_l)), k[1:]] *= -1
-        return arm_u, arm_l
+        out = real_kernel(phis, thetas, splitter)
+        prime = out[:, 0]
+        k = np.argmax(np.abs(prime), axis=1)
+        prime[np.arange(1, len(prime)), k[1:]] *= -1
+        return out
 
     monkeypatch.setattr(cli, "_one_photon_output", flipped_kernel)
     assert cli.main(_SMALL_SWEEP) == 0
@@ -273,10 +274,10 @@ def test_sweep_checks_its_first_point_against_evolve(capsys, monkeypatch, broken
         monkeypatch.setattr(cli, "evolve", evolve)
     else:
         def kernel(phis, thetas, splitter):
-            arm_u, arm_l = real_kernel(phis, thetas, splitter)
+            out = real_kernel(phis, thetas, splitter)
             if broken == "kernel":
-                return arm_u, -arm_l
-            return arm_l, arm_u
+                return out * [[-1.0], [1.0]]        # chi' sign flipped
+            return out[:, ::-1]                     # branches swapped
         monkeypatch.setattr(cli, "_one_photon_output", kernel)
     argv = ["sweep", "--phi", "1.1", "--thetas", "0.3:0.9:4", "--csv"]
     assert cli.main(argv) == 1
@@ -539,9 +540,15 @@ def test_broken_invariant_exits_1_with_one_line(capsys, monkeypatch):
     # measure_report takes each single-qubit cut from both sides in one
     # stacked SVD; a side_b gather table that repeats a row makes those
     # matrices rank one and breaks their Schmidt symmetry.
-    corrupted = measures._SINGLE_CUT_INDEX.copy()
-    corrupted[4:, 1] = corrupted[4:, 0]
-    monkeypatch.setattr(measures, "_SINGLE_CUT_INDEX", corrupted)
+    real_gather = measures._gather
+
+    def corrupted(sides):
+        index = real_gather(sides).copy()
+        if sides == measures._SINGLE_CUT_SIDES:
+            index[4:, 1] = index[4:, 0]
+        return index
+
+    monkeypatch.setattr(measures, "_gather", corrupted)
     rc = cli.main(["simulate", "--outcome", "d2", "--measures"])
     captured = capsys.readouterr()
     assert rc == 1

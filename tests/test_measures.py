@@ -21,6 +21,7 @@ from ges4.circuit import (
     BRANCHES,
     BRANCH_DOUBLE_PRIME,
     BRANCH_PRIME,
+    QUBIT_LABELS,
     DetectionOutcome,
     SchemeParams,
     closed_form_chi,
@@ -41,9 +42,7 @@ from ges4.measures import (
     concurrence,
     concurrence_closed_form,
     entropy_closed_form,
-    _cut_entropy,
-    _pair_concurrence,
-    _qubits,
+    _svd_measures,
     measure_report,
     von_neumann_entropy,
 )
@@ -237,9 +236,13 @@ def test_measure_report_symmetry_check_survives_optimized_mode():
         "import sys\n"
         "from ges4 import measures\n"
         "from ges4.basis import canonical_state\n"
-        "corrupted = measures._SINGLE_CUT_INDEX.copy()\n"
-        "corrupted[4:, 1] = corrupted[4:, 0]\n"
-        "measures._SINGLE_CUT_INDEX = corrupted\n"
+        "real = measures._gather\n"
+        "def corrupted(sides):\n"
+        "    index = real(sides).copy()\n"
+        "    if sides == measures._SINGLE_CUT_SIDES:\n"
+        "        index[4:, 1] = index[4:, 0]\n"
+        "    return index\n"
+        "measures._gather = corrupted\n"
         "try:\n"
         "    measures.measure_report(canonical_state('ghz4'))\n"
         "except measures.InvariantError as exc:\n"
@@ -297,6 +300,16 @@ SPECIAL_STATES = {
 }
 
 
+def _conc(amps, pairs) -> np.ndarray:
+    """The kernel's concurrences of `pairs` alone, (..., len(pairs))."""
+    return _svd_measures(amps, tuple(pairs), ())[0]
+
+
+def _ent(amps, sides) -> np.ndarray:
+    """The kernel's cut entropies of `sides` alone, (..., len(sides))."""
+    return _svd_measures(amps, (), tuple(sides))[1]
+
+
 def _oracle_concurrence(state: StateVector, pair) -> tuple[float, float]:
     """Dense concurrence of a pair and the smallest eigenvalue of its reduction."""
     rho = partial_trace(density_matrix(state), list(pair))
@@ -312,11 +325,11 @@ def _assert_kernel_matches_oracle(state: StateVector) -> None:
         # see test_kernel_concurrence_is_exact_where_the_dense_route_is_not).
         # Where every eigenvalue is at least 1e-10 its error is below 1e-11.
         tol = EIG_TOL if w_min >= 1e-10 else 1e-6
-        assert abs(float(_pair_concurrence(state.amp, _qubits(pair))) - dense) <= tol, pair
+        assert abs(float(_conc(state.amp, [pair])[0]) - dense) <= tol, pair
     for cut in ALL_CUTS:
-        got = float(_cut_entropy(state.amp, _qubits(cut.side_a)))
+        got = float(_ent(state.amp, [cut.side_a])[0])
         assert abs(got - bipartition_entropy(state, cut)) <= EIG_TOL, str(cut)
-        assert abs(float(_cut_entropy(state.amp, _qubits(cut.side_b))) - got) <= EIG_TOL
+        assert abs(float(_ent(state.amp, [cut.side_b])[0]) - got) <= EIG_TOL
 
 
 @settings(max_examples=60, deadline=None)
@@ -402,25 +415,74 @@ def test_measure_report_matches_dense_oracle_on_near_empty_branches(weight, thet
     _assert_report_matches_oracle(_near_empty_branch(weight))
 
 
-def test_kernel_stacked_equals_one_at_a_time():
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _kernel_batch(kind: str) -> np.ndarray:
+    """A normalized (5, 2, 16) batch: random, sparse, product or Bell x product."""
     rng = np.random.default_rng(11)
     amps = rng.normal(size=(5, 2, 16)) + 1j * rng.normal(size=(5, 2, 16))
-    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
-    pairs = [_qubits(p) for p in PAIRS]
-    conc = _pair_concurrence(amps, pairs)
-    assert conc.shape == (5, 2, 6)
-    for k, pair in enumerate(pairs):
-        stacked_pair = _pair_concurrence(amps, pair)
-        assert np.array_equal(stacked_pair, conc[..., k])
-        for i, j in np.ndindex(5, 2):
-            assert _pair_concurrence(amps[i, j], pair) == conc[i, j, k]
-    for sides in ([_qubits(c.side_a) for c in PAIR_CUTS],
-                  [_qubits(c.side_a) for c in SINGLE_CUTS]):
-        ent = _cut_entropy(amps, sides)
-        assert ent.shape == (5, 2, len(sides))
-        for k, side in enumerate(sides):
-            for i, j in np.ndindex(5, 2):
-                assert _cut_entropy(amps[i, j], side) == ent[i, j, k]
+    if kind == "sparse":
+        zeros = rng.random((5, 2, 16)) < 0.7
+        zeros[..., 0] = False
+        amps[zeros] = 0.0
+    elif kind in ("product", "bell_product"):
+        q = rng.normal(size=(5, 2, 4, 2)) + 1j * rng.normal(size=(5, 2, 4, 2))
+        if kind == "product":
+            amps = np.einsum("...a,...b,...c,...d->...abcd", *np.moveaxis(q, -2, 0))
+        else:
+            amps = np.einsum("ab,...c,...d->...abcd", _BELL.reshape(2, 2),
+                             q[..., 0, :], q[..., 1, :])
+        amps = amps.reshape(5, 2, 16)
+    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+
+
+def test_kernel_stacked_equals_one_at_a_time():
+    # Pairs and cuts in one call equal each group alone, each side alone and
+    # each row alone, as uint64; the 4x4 and the 2x8 matrices are stacked
+    # the way `_measure_rows` stacks them.
+    two_two = measures._PAIR_CUT_SIDES
+    single = measures._SINGLE_CUT_SIDES
+    for kind in ("random", "sparse", "product", "bell_product"):
+        amps = _kernel_batch(kind)
+        conc, ent = _svd_measures(amps, PAIRS, two_two)
+        assert conc.shape == (5, 2, 6) and ent.shape == (5, 2, 6)
+        assert np.array_equal(_bits(_conc(amps, PAIRS)), _bits(conc)), kind
+        assert np.array_equal(_bits(_ent(amps, two_two)), _bits(ent)), kind
+        single_ent = _ent(amps, single)
+        assert single_ent.shape == (5, 2, 8)
+        for values, sides, one in ((conc, PAIRS, _conc), (ent, two_two, _ent),
+                                   (single_ent, single, _ent)):
+            for k, side in enumerate(sides):
+                assert np.array_equal(_bits(one(amps, [side])[..., 0]),
+                                      _bits(values[..., k])), (kind, side)
+                for i, j in np.ndindex(5, 2):
+                    assert _bits(one(amps[i, j], [side])[0]) == _bits(values[i, j, k])
+
+
+def test_svd_calls_per_sweep_block_calibration_and_report(monkeypatch, capsys):
+    # One SVD call per sweep block (a 4200-point grid is two blocks), one per
+    # closed-form calibration and two per measure_report.
+    from ges4 import cli
+
+    calls = []
+    real_svd = np.linalg.svd
+
+    def svd(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert cli.main(["sweep", "--phi", "0:pi:3", "--thetas", "0:pi/2:1400", "--csv"]) == 0
+    capsys.readouterr()
+    assert calls == [(4096, 2, 2, 4, 4), (104, 2, 2, 4, 4)]
+    calls.clear()
+    calibrate_closed_forms()
+    assert calls == [(40, 2, 9, 4, 4)]
+    calls.clear()
+    measure_report(canonical_state("w4"))
+    assert calls == [(1, 12, 4, 4), (1, 8, 2, 8)]
 
 
 def _report_rows(report) -> tuple[np.ndarray, np.ndarray]:
@@ -433,7 +495,7 @@ def _report_rows(report) -> tuple[np.ndarray, np.ndarray]:
 
 def _assert_stacked_rows_equal_one_row_reports(states) -> None:
     # Bit for bit: the stacked core's rows, the one-row measure_report, and
-    # the single-purpose kernels _pair_concurrence and _cut_entropy.
+    # the kernel's one-group calls on the pairs and on each kind of cut.
     conc, ent = measures._measure_rows(np.stack([state.amp for state in states]))
     stacked = measures._measure_reports(states)
     assert conc.shape == (len(states), 6) and ent.shape == (len(states), 7)
@@ -442,10 +504,10 @@ def _assert_stacked_rows_equal_one_row_reports(states) -> None:
         c, e = _report_rows(report)
         assert np.array_equal(c, conc[k]) and np.array_equal(e, ent[k]), k
         assert stacked[k] == report
-        assert np.array_equal(c, _pair_concurrence(state.amp, [_qubits(p) for p in PAIRS]))
+        assert np.array_equal(c, _conc(state.amp, PAIRS))
         assert np.array_equal(e, np.concatenate([
-            _cut_entropy(state.amp, [_qubits(cut.side_a) for cut in PAIR_CUTS]),
-            _cut_entropy(state.amp, [_qubits(cut.side_a) for cut in SINGLE_CUTS])]))
+            _ent(state.amp, [cut.side_a for cut in PAIR_CUTS]),
+            _ent(state.amp, [cut.side_a for cut in SINGLE_CUTS])]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -478,6 +540,7 @@ def _mp_concurrence(amp, pair, dps: int = 40):
     descending square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy),
     with rho the pair's reduction of the (exactly converted) amplitudes."""
     mp = mpmath.mp
+    pair = [QUBIT_LABELS.index(q) for q in pair]
     with mp.workdps(dps):
         rest = [q for q in range(4) if q not in pair]
         m = mp.matrix(4, 4)
@@ -497,10 +560,10 @@ def test_measure_report_concurrence_is_exact_at_a_nearly_rank_deficient_pair():
     # on q1q2 here; measure_report runs the amplitude kernel instead.
     params = SchemeParams(phi=3.19769, thetas=(1.468, 1.509, 0.747, 1.128))
     state, _ = detect(evolve(params), DetectionOutcome.D1_CLICK_D2_NULL, eta=1.0)
-    exact = _mp_concurrence(state.amp, (0, 1))
+    exact = _mp_concurrence(state.amp, ("q1", "q2"))
     reported = measure_report(state).pairwise_concurrence[("q1", "q2")]
     assert abs(reported - exact) <= 1e-15
-    assert abs(float(_pair_concurrence(state.amp, (0, 1))) - exact) <= 1e-15
+    assert abs(float(_conc(state.amp, [("q1", "q2")])[0]) - exact) <= 1e-15
 
 
 def test_kernel_concurrence_is_exact_where_the_dense_route_is_not():
@@ -511,9 +574,9 @@ def test_kernel_concurrence_is_exact_where_the_dense_route_is_not():
     sparse = np.zeros(16, dtype=complex)
     sparse[[0b0000, 0b0010, 0b0011, 0b1010, 0b1110]] = [-1.4, 0.4, 0.2, 2.4, -0.2]
     for state in (_near_empty_branch(1e-11), _state(sparse)):
-        got = _pair_concurrence(state.amp, [_qubits(p) for p in PAIRS])
+        got = _conc(state.amp, PAIRS)
         for value, pair in zip(got, PAIRS):
-            exact = _mp_concurrence(state.amp, _qubits(pair))
+            exact = _mp_concurrence(state.amp, pair)
             assert abs(value - exact) <= 1e-15, pair
             assert abs(_oracle_concurrence(state, pair)[0] - exact) <= 1e-6, pair
 

@@ -17,9 +17,9 @@ from ges4.circuit import (
     FULL_SPACE,
     DetectionOutcome,
     SchemeParams,
-    _branch_slice,
     detect,
     evolve,
+    photon_branch,
 )
 from ges4.hilbert import StateVector
 from ges4.measures import DegenerateBranchError, concurrence_closed_form, entropy_closed_form
@@ -38,9 +38,9 @@ def _branch(parts):
 
 def _one_photon_state(a, b) -> StateVector:
     """|01> (x) a + |10> (x) b, normalized; a feeds D2 (mode L), b feeds D1."""
-    amp = np.zeros(FULL_SPACE.dim, dtype=complex)
-    amp[_branch_slice(0, 1)] = a
-    amp[_branch_slice(1, 0)] = b
+    amp = np.zeros((4, 16), dtype=complex)      # rows |n_U n_L> = 00, 01, 10, 11
+    amp[1], amp[2] = a, b
+    amp = amp.reshape(FULL_SPACE.dim)
     norm = np.linalg.norm(amp)
     assume(norm > 1e-3)
     return StateVector(FULL_SPACE, amp / norm)
@@ -95,7 +95,7 @@ def test_a_zero_probability_branch_has_no_post_state(a, eta, side):
 def test_a_partial_no_click_is_mixed_and_has_no_post_state(a, b, eta):
     a, b = _branch(a), _branch(b)
     state = _one_photon_state(a, b)
-    weight_a = float(np.linalg.norm(state.amp[_branch_slice(0, 1)]) ** 2)
+    weight_a = float(np.linalg.norm(photon_branch(state, 0, 1).amp) ** 2)
     overlap = abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b) + 1e-300)
     # both branches carry weight and are far from parallel: a rank-two mixture
     assume(0.01 <= weight_a <= 0.99 and overlap <= 0.9)

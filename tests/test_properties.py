@@ -3,11 +3,15 @@ entropies, 2 pi-periodicity of the one-photon kernel in phi, and angles
 theta of any finite size.
 
 A pure state's Schmidt spectrum is the same from either side of a cut, so
-`_cut_entropy` of a side must equal that of its complement, for generic and
-for rank-deficient states. The kernel `_one_photon_output` takes phi as
-given, before `SchemeParams` reduces it mod 2 pi: every phase it applies is
-exp(-i n phi) with integer n, so phi + 2 pi k gives the same amplitudes up
-to the rounding of phi + 2 pi k, which grows as |2 pi k| eps.
+the kernel `_svd_measures` must give a side the entropy of its complement,
+for generic and for rank-deficient states. The kernel gathers a three-qubit
+side transposed, so a one-three cut reaches LAPACK as the same 2x8 matrix
+from either side; each cut is also checked against the SVD of a plain
+rest-by-side reshape, which for a one-qubit side is the 8x2 transpose. The
+kernel `_one_photon_output` takes phi as given, before `SchemeParams`
+reduces it mod 2 pi: every phase it applies is exp(-i n phi) with integer
+n, so phi + 2 pi k gives the same amplitudes up to the rounding of
+phi + 2 pi k, which grows as |2 pi k| eps.
 
 theta is never reduced: every path takes cos and sin of the given float,
 whose argument reduction is exact, so at |theta| up to 1e300 the fast
@@ -24,6 +28,7 @@ from hypothesis import strategies as st
 from ges4 import cli
 from ges4.circuit import (
     _BS_BLOCK,
+    QUBIT_LABELS,
     SchemeParams,
     _one_photon_output,
     closed_form_pair,
@@ -34,11 +39,18 @@ from ges4.circuit import (
     photon_branch,
 )
 from ges4.hilbert import EIG_TOL
-from ges4.measures import _cut_entropy
+from ges4.measures import _schmidt_entropy, _svd_measures
 
 # Every side of a four-qubit cut with its complement (q1 = 0).
 _CUTS = [(side, tuple(q for q in range(4) if q not in side))
          for k in (1, 2, 3) for side in itertools.combinations(range(4), k)]
+
+
+def _entropies(amp, *sides):
+    """The kernel's entropies across the given sides (qubit indices), one call."""
+    return _svd_measures(amp, (), tuple(tuple(QUBIT_LABELS[q] for q in side)
+                                        for side in sides))[1].tolist()
+
 
 _UNIT = st.floats(-1.0, 1.0)
 
@@ -59,8 +71,11 @@ def _schmidt_state(side, vectors_a, vectors_b):
 
 def _assert_schmidt_symmetric(amp):
     for side, rest in _CUTS:
-        s_side, s_rest = float(_cut_entropy(amp, side)), float(_cut_entropy(amp, rest))
+        s_side, s_rest = _entropies(amp, side, rest)
         assert abs(s_side - s_rest) <= EIG_TOL, (side, s_side, s_rest)
+        m = amp.reshape([2] * 4).transpose([*rest, *side]).reshape(2**len(rest), -1)
+        s_plain = float(_schmidt_entropy(np.linalg.svd(m, compute_uv=False)))
+        assert abs(s_side - s_plain) <= EIG_TOL, (side, s_side, s_plain)
 
 
 @settings(max_examples=200, deadline=None)
@@ -86,7 +101,7 @@ def test_cut_entropy_is_schmidt_symmetric_on_rank_deficient_states(cut, rank, se
     _assert_schmidt_symmetric(amp)
     # a product state across this cut has zero entropy from both sides
     if rank == 1:
-        assert float(_cut_entropy(amp, side)) <= EIG_TOL
+        assert _entropies(amp, side)[0] <= EIG_TOL
     # zeroing amplitudes lowers ranks on other cuts too
     sparse = amp.copy()
     sparse[zeros] = 0.0

@@ -3,8 +3,9 @@
 `detect` takes its four branch norms in one pass, `measure_report` runs two
 SVD calls instead of three, and `decompose` has its own one-row path. Each
 must return the same bits as the form it replaced, which is copied here:
-four `np.linalg.norm` calls per `detect`, the single-qubit cuts through
-`_cut_entropy`, and the stacked `_expand`. Floats are compared as uint64
+four `np.linalg.norm` calls per `detect`, the single-qubit cuts in their
+own SVD call over index gathers built as they were then, and the stacked
+`_expand`. Floats are compared as uint64
 views, so a difference in the last bit fails.
 """
 
@@ -49,14 +50,33 @@ def _old_detect(state, outcome, eta):
     return canonical_phase(vh[0]), float(probability)
 
 
+_OLD_BITS = ((np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1).astype(bool)
+
+
+def _old_index(sides):
+    """The gather index as it was built: an (n, k) array of qubit indices
+    (q1 = 0) to the flat amplitude index of each side-by-rest matrix."""
+    sides = np.array(sides)
+    n, k = sides.shape
+    rest = [[q for q in range(4) if q not in side] for side in sides.tolist()]
+    order = np.concatenate([sides, rest], axis=1)
+    return (_OLD_BITS << (3 - order)[:, None, :]).sum(axis=-1).reshape(n, 1 << k, 1 << (4 - k))
+
+
+_OLD_CONCURRENCE_INDEX = _old_index([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+_OLD_PAIR_CUT_INDEX = _old_index([(0, 1), (0, 2), (0, 3)])
+_OLD_SINGLE_CUT_INDEX = _old_index([(0,), (1,), (2,), (3,)])
+
+
 def _old_measure_rows(amps):
-    """`_measure_rows` as it was: the single-qubit cuts through `_cut_entropy`."""
-    m = amps[..., measures._CONCURRENCE_INDEX]
+    """`_measure_rows` as it was: the single-qubit cuts in their own SVD call."""
+    m = amps[..., _OLD_CONCURRENCE_INDEX]
     mats = np.concatenate([np.swapaxes(m, -1, -2) @ measures._YY @ m,
-                           amps[..., measures._PAIR_CUT_INDEX]], axis=-3)
+                           amps[..., _OLD_PAIR_CUT_INDEX]], axis=-3)
     lam = np.linalg.svd(mats, compute_uv=False)
     pair = measures._schmidt_entropy(lam[..., 6:, :])
-    single = measures._cut_entropy(amps, measures._SINGLE_CUT_QUBITS)
+    single = measures._schmidt_entropy(np.linalg.svd(amps[..., _OLD_SINGLE_CUT_INDEX],
+                                                     compute_uv=False))
     return measures._wootters(lam[..., :6, :]), np.concatenate([pair[..., :3], single], axis=-1)
 
 

@@ -75,10 +75,11 @@ def test_benchmark_sweep_check_rejects_a_wrong_table(tmp_path, monkeypatch):
     real_kernel = cli._one_photon_output
 
     def flipped_kernel(phis, thetas, splitter):
-        arm_u, arm_l = real_kernel(phis, thetas, splitter)
-        k = np.argmax(np.abs(arm_l), axis=1)
-        arm_l[np.arange(1, len(arm_l)), k[1:]] *= -1
-        return arm_u, arm_l
+        out = real_kernel(phis, thetas, splitter)
+        prime = out[:, 0]                       # chi', in BRANCHES order
+        k = np.argmax(np.abs(prime), axis=1)
+        prime[np.arange(1, len(prime)), k[1:]] *= -1
+        return out
 
     monkeypatch.setattr(cli, "_one_photon_output", flipped_kernel)
     rc = sweep.call(grid)

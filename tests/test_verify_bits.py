@@ -218,10 +218,10 @@ def test_stacked_row_norms_equal_each_evolved_states_branch_norms():
     rng = np.random.default_rng(8)
     thetas = np.concatenate([rng.uniform(-3.0, 3.0, size=(200, 4)),
                              np.zeros((1, 4)), np.full((1, 4), np.pi / 4)])
-    arm_u, arm_l = circuit._one_photon_output(np.full(len(thetas), np.pi / 2.0), thetas,
-                                              circuit._BS_BLOCK)
-    norms_u, norms_l = circuit._row_norms(arm_u), circuit._row_norms(arm_l)
+    out = circuit._one_photon_output(np.full(len(thetas), np.pi / 2.0), thetas,
+                                     circuit._BS_BLOCK)
+    norms = circuit._row_norms(out.reshape(-1, 16))     # chi', chi'' of each point
     for n, row in enumerate(thetas):
         _, want = circuit._branch_norms(evolve(SchemeParams(phi=np.pi / 2.0,
                                                             thetas=tuple(row.tolist()))))
-        assert _same_bits([0.0, norms_l[n], norms_u[n], 0.0], want)
+        assert _same_bits([0.0, *norms[2 * n:2 * n + 2], 0.0], want)
