@@ -16,7 +16,8 @@
 #     `simulate --measures --json` over all four outcomes;
 #   - `decompose` of every named state over both bases.
 # Each command's stdout, stderr and exit code must be identical in the two
-# trees; the first difference is named and ends the script with exit 1.
+# trees. Every command runs; each one that differs is named, and the script
+# then exits 1 if any differed.
 set -euo pipefail
 
 base=$(cd "$1" && pwd)
@@ -85,13 +86,18 @@ for state in ghz4 w4 cl4 d4; do
   done
 done
 
+differ=0
 for c in "${cases[@]}"; do
   read -ra argv <<< "$c"
   run "$base" "$out/base" "${argv[@]}"
   run "$head" "$out/head" "${argv[@]}"
   if ! cmp -s "$out/base" "$out/head"; then
     echo "output differs: ges4 $c"
-    exit 1
+    differ=$((differ + 1))
   fi
 done
+if [ "$differ" -gt 0 ]; then
+  echo "$differ of ${#cases[@]} commands differ"
+  exit 1
+fi
 echo "same bytes on ${#cases[@]} commands"

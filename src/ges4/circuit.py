@@ -18,20 +18,19 @@ the qubits in |0> and |1>), then the splitter block again. It takes a stack
 of (phi, theta) points and returns both output branches in BRANCHES order,
 chi' (arm L) then chi'' (arm U): `evolve` is its one-point case, and `sweep`
 and the oracle check pass all their points in one call. The dense oracle
-builds the 64x64 unitary from the cavity generators, which commute
-(checked exactly, on first use): the four cavities are exp(-i phi G), G
-their sum, and one cached eigensystem G = v diag(w) v^dag, with the
-splitter B folded in, gives U(phi) = (B v) diag(exp(-i phi w)) (v^dag B).
-w takes five values, so a phase costs five exponentials. `_dense_circuits`
-stacks these circuits, one GEMM each; `_dense_apply` sends stacked input
-rows through the same factors in two tall GEMMs, and the verification
-suite checks the fast path against it and against `_closed_form_pairs`.
+builds the 64x64 unitary from the cavity generators, which are diagonal:
+the four cavities are exp(-i phi G), G their sum, with diagonal g taking
+the values 0..4, so with the splitter B (extended by identity on the
+qubits) U(phi) = B diag(exp(-i phi g)) B, five exponentials a phase and no
+eigensolver. `_dense_circuits` stacks these circuits, one GEMM each;
+`_dense_apply` sends stacked input rows through the same factors in two
+tall GEMMs, and the verification suite checks the fast path against it
+and against `_closed_form_pairs`.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -193,53 +192,37 @@ def beam_splitter() -> Operator:
     return unitary_exp(Operator(PHOTONIC_SPACE, gen))
 
 
-def _cavity_generator(qubit_index: int) -> Operator:
-    """Generator n_U |0><0|_i + n_L |1><1|_i of cavity i on the full space, read
-    off the bits of each basis index in factor order (U, L, q1..q4): the photon
-    picks up phase phi in arm U with atom i in |0>, or in arm L with it in |1>."""
+def _cavity_generator(qubit_index: int) -> np.ndarray:
+    """Diagonal of cavity i's generator n_U |0><0|_i + n_L |1><1|_i on the full
+    space, 64 integer weights read off the bits of each basis index in factor
+    order (U, L, q1..q4): the photon picks up phase phi in arm U with atom i
+    in |0>, or in arm L with it in |1>."""
     if qubit_index not in (1, 2, 3, 4):
         raise ValueError("qubit_index must be in 1..4")
     k = np.arange(FULL_SPACE.dim)
-    n = np.where((k >> (4 - qubit_index)) & 1, (k >> 4) & 1, (k >> 5) & 1)
-    return Operator(FULL_SPACE, np.diag(n).astype(complex))
+    return np.where((k >> (4 - qubit_index)) & 1, (k >> 4) & 1, (k >> 5) & 1)
 
 
-@functools.lru_cache(maxsize=8)
-def _circuit_eigensystem(space: HilbertSpace, mat_bytes: bytes) -> tuple[np.ndarray, ...]:
-    """(levels, inverse, B v, v^dag B) of the interferometer with splitter B.
-
-    Built on first use. The four cavity generators must commute exactly
-    (InvariantError otherwise), so the cavities are exp(-i phi G), G = v diag(w)
-    v^dag their sum, w = levels[inverse]. B is the splitter with these entries,
-    extended by identity on the qubits, which follow the photonic factors:
-    keyed on its entries, a changed splitter never gets a stale entry.
-    """
-    gens = [_cavity_generator(i).mat for i in (1, 2, 3, 4)]
-    for a, b in itertools.combinations(gens, 2):
-        if not np.array_equal(a @ b, b @ a):
-            raise InvariantError("cavity generators do not commute")
-    w, v = np.linalg.eigh(sum(gens))
-    mat = np.frombuffer(mat_bytes, dtype=complex).reshape(space.dim, space.dim)
-    bs = np.kron(mat, np.eye(ATOMIC_SPACE.dim))
-    factors = (*np.unique(w, return_inverse=True), bs @ v, v.conj().T @ bs)
-    for arr in factors:
-        arr.setflags(write=False)
-    return factors
+# Diagonal of the summed cavity generator G, one excitation number 0..4 per
+# full-space index, and the five levels it takes.
+_G = sum(_cavity_generator(i) for i in (1, 2, 3, 4))
+_G.setflags(write=False)
+_LEVELS = np.arange(5.0)
 
 
-def _eigenphases(phis: np.ndarray, splitter: Operator) -> tuple[np.ndarray, ...]:
-    """exp(-i phis[n] w) (N, 64), B v, v^dag B: 5 exponentials a phase, same bits as 64."""
-    levels, inverse, bv, vhb = _circuit_eigensystem(splitter.space, splitter.mat.tobytes())
-    phases = np.exp(-1j * np.multiply.outer(np.asarray(phis, dtype=float), levels))
-    return phases[:, inverse], bv, vhb
+def _circuit_factors(phis: np.ndarray, splitter: Operator) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i phis[n] g) as (N, 64), 5 exponentials a phase gathered by g (same
+    bits as 64), and B, the splitter extended by identity on the qubits."""
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(phis, dtype=float), _LEVELS))
+    return phases[:, _G], np.kron(splitter.mat, np.eye(ATOMIC_SPACE.dim))
 
 
 def _dense_circuits(phis: np.ndarray, splitter: Operator) -> np.ndarray:
     """Dense 64x64 interferometers with a given photonic splitter, as (N, 64, 64):
-    circuit n is (B v) diag(exp(-i phis[n] w)) (v^dag B), one GEMM each, one call."""
-    phases, bv, vhb = _eigenphases(phis, splitter)
-    scaled = bv * phases[:, None, :]
-    return (scaled.reshape(-1, FULL_SPACE.dim) @ vhb).reshape(scaled.shape)
+    circuit n is B diag(exp(-i phis[n] g)) B, one GEMM each, one call."""
+    phases, bs = _circuit_factors(phis, splitter)
+    scaled = bs * phases[:, None, :]
+    return (scaled.reshape(-1, FULL_SPACE.dim) @ bs).reshape(scaled.shape)
 
 
 def _dense_circuit(phi: float, splitter: Operator) -> Operator:
@@ -250,19 +233,19 @@ def _dense_circuit(phi: float, splitter: Operator) -> Operator:
 def _dense_apply(phis: np.ndarray, splitter: Operator, states: np.ndarray) -> np.ndarray:
     """Rows of `states` (N, 64) through the dense interferometer, row n at phis[n].
 
-    Two tall GEMMs over the stacked rows, by v^dag B and by B v, with the
-    eigenphases of row n between them; no circuit is formed. Equals
+    Two tall GEMMs over the stacked rows, both by B^T, with the phases of row
+    n between them; no circuit is formed. Equals
     `_dense_circuits(phis, splitter)[n] @ states[n]` to roundoff.
     """
-    phases, bv, vhb = _eigenphases(phis, splitter)
-    return ((np.asarray(states) @ vhb.T) * phases) @ bv.T
+    phases, bs = _circuit_factors(phis, splitter)
+    return ((np.asarray(states) @ bs.T) * phases) @ bs.T
 
 
 def mz_circuit(phi: float) -> Operator:
     """Full interferometer as a dense unitary: splitter, four cavities, splitter.
 
     The slow oracle, built from the cavity generators; `evolve` does not use
-    it. The one-phase case of `_dense_circuits`: no eigensolver after the first.
+    it. The one-phase case of `_dense_circuits`.
     """
     return _dense_circuit(phi, beam_splitter())
 

@@ -445,13 +445,14 @@ def _check_first_point(phi: float, thetas, branches: np.ndarray) -> None:
 
 def cmd_sweep(args) -> Output:
     phi_spec = _axis_spec(args.phi)
+    axes = [getattr(args, f"theta{i}") for i in (1, 2, 3, 4)]
     locked = args.thetas is not None
     if locked:
-        if any(getattr(args, f"theta{i}") != "pi/4" for i in (1, 2, 3, 4)):
+        if any(axis is not None for axis in axes):
             raise CliInputError("--thetas (lock-equal) conflicts with --theta1..4")
         theta_specs = [_axis_spec(args.thetas)]
     else:
-        theta_specs = [_axis_spec(getattr(args, f"theta{i}")) for i in (1, 2, 3, 4)]
+        theta_specs = [_axis_spec("pi/4" if axis is None else axis) for axis in axes]
     try:
         etas = [float(x) for x in args.eta.split(",") if x.strip()]
     except ValueError:
@@ -524,6 +525,9 @@ def _parse_index(text: str) -> GesIndex:
 
 
 def cmd_basis(args) -> Output:
+    if args.index is not None and (args.verify or args.compare_generated):
+        raise CliInputError("--index restricts --list; it does not combine with "
+                            "--verify or --compare-generated")
     if args.compare_generated:
         payload = [{"index": r["index"], "overlap_magnitude": r["overlap_magnitude"],
                     "phase_re": float(r["phase"].real), "phase_im": float(r["phase"].imag),
@@ -546,7 +550,7 @@ def cmd_basis(args) -> Output:
         }
         return Output(payload, _basis_verify_text, _basis_verify_csv, code=0 if healthy else 1)
 
-    indices = [_parse_index(args.index)] if args.index else list(ALL_INDICES)
+    indices = [_parse_index(args.index)] if args.index is not None else list(ALL_INDICES)
     payload = {"states": [{"index": idx.label,
                            "amplitudes": _state_records(basis.states[idx], args.tol)}
                           for idx in indices]}
@@ -729,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--thetas", default=None,
                          help="lock-equal theta axis driving all four qubits")
     for i in (1, 2, 3, 4):
-        p_sweep.add_argument(f"--theta{i}", default="pi/4",
+        p_sweep.add_argument(f"--theta{i}", default=None,
                              help=f"theta_{i} axis (default pi/4)")
     p_sweep.add_argument("--eta", default="1",
                          help="comma-separated efficiencies (default 1)")
@@ -740,16 +744,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_basis = sub.add_parser("basis", parents=[common, tol],
                              help="list, verify, or cross-check the "
                                   "sixteen-state entangled basis")
-    p_basis.add_argument("--list", action="store_true",
-                         help="print basis state amplitude tables (default)")
+    mode = p_basis.add_mutually_exclusive_group()
+    mode.add_argument("--list", action="store_true",
+                      help="print basis state amplitude tables (default)")
     p_basis.add_argument("--index", metavar="F,C",
                          help="restrict --list to one index, e.g. 1,0")
-    p_basis.add_argument("--verify", action="store_true",
-                         help="check orthonormality, completeness and "
-                              "genuineness; exit 1 on failure")
-    p_basis.add_argument("--compare-generated", action="store_true",
-                         help="compare Pauli-string-generated states with the "
-                              "explicit tables")
+    mode.add_argument("--verify", action="store_true",
+                      help="check orthonormality, completeness and "
+                           "genuineness; exit 1 on failure")
+    mode.add_argument("--compare-generated", action="store_true",
+                      help="compare Pauli-string-generated states with the "
+                           "explicit tables")
     p_basis.set_defaults(func=cmd_basis)
 
     p_dec = sub.add_parser("decompose", parents=[common, tol],

@@ -293,9 +293,11 @@ def _svd_measures(amps: np.ndarray, pairs: tuple, cuts: tuple) -> tuple[np.ndarr
     return conc, _schmidt_entropy(lam[..., n:, :])
 
 
-# Both sides of each cut, side_a first: the sides of `_measure_rows`' two calls.
+# The sides of `_measure_rows`' two calls: both sides of each two-two cut,
+# side_a first, and side_a of each single-qubit cut, whose side_b is gathered
+# transposed into the same 2x8 matrix.
 _PAIR_CUT_SIDES = (*(cut.side_a for cut in PAIR_CUTS), *(cut.side_b for cut in PAIR_CUTS))
-_SINGLE_CUT_SIDES = (*(cut.side_a for cut in SINGLE_CUTS), *(cut.side_b for cut in SINGLE_CUTS))
+_SINGLE_CUT_SIDES = tuple(cut.side_a for cut in SINGLE_CUTS)
 
 
 def _closed_form_branches(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -347,21 +349,19 @@ def _measure_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Concurrences follow PAIRS; entropies follow PAIR_CUTS, then SINGLE_CUTS.
     Two `_svd_measures` calls: one over the 4x4 matrices of the six pairs and
     of the two-two cuts from both sides, one over the 2x8 matrices of the
-    single-qubit cuts from both sides. Each cut's two entropies must agree
-    to EIG_TOL (Schmidt symmetry, a check on the index gathers; side_b feeds
+    single-qubit cuts. Each two-two cut's two entropies must agree to
+    EIG_TOL (Schmidt symmetry, a check on the index gathers; side_b feeds
     only that check), else InvariantError.
     """
     conc, pair = _svd_measures(amps, PAIRS, _PAIR_CUT_SIDES)
     _, single = _svd_measures(amps, (), _SINGLE_CUT_SIDES)
-    s_a = np.concatenate([pair[..., :3], single[..., :4]], axis=-1)
-    s_b = np.concatenate([pair[..., 3:], single[..., 4:]], axis=-1)
+    s_a, s_b = pair[..., :3], pair[..., 3:]
     dev = np.abs(s_a - s_b)
     if dev.max() > EIG_TOL:
         row, worst = np.unravel_index(np.argmax(dev), dev.shape)
-        cut = (*PAIR_CUTS, *SINGLE_CUTS)[worst]
-        raise InvariantError(f"Schmidt symmetry violated across {cut}: "
+        raise InvariantError(f"Schmidt symmetry violated across {PAIR_CUTS[worst]}: "
                              f"{s_a[row, worst]} vs {s_b[row, worst]}")
-    return conc, s_a
+    return conc, np.concatenate([s_a, single], axis=-1)
 
 
 def _measure_reports(states: Sequence[StateVector]) -> list[MeasureReport]:
@@ -388,10 +388,10 @@ def measure_report(state: StateVector) -> MeasureReport:
     """Full entanglement signature of a normalized four-qubit state.
 
     The one-row case of `_measure_rows`: two `_svd_measures` calls and no
-    density matrix. Each cut's entropy is taken from side_a and again from
-    side_b; the two must agree to EIG_TOL (Schmidt symmetry, a check on the
-    kernel's index gather), else InvariantError. The density-matrix route (`bipartition_entropy`) is the
-    oracle.
+    density matrix. Each two-two cut's entropy is taken from side_a and again
+    from side_b; the two must agree to EIG_TOL (Schmidt symmetry, a check on
+    the kernel's index gather), else InvariantError. The density-matrix route
+    (`bipartition_entropy`) is the oracle.
     """
     return _measure_reports([state])[0]
 

@@ -344,6 +344,9 @@ def test_sweep_point_cap(capsys):
 def test_sweep_theta_lock_conflict(capsys):
     rc = cli.main(["sweep", "--thetas", "0:pi/2:3", "--theta1", "0.5"])
     assert rc == 2
+    # any explicit --thetaN conflicts, also one that spells the default
+    for theta1 in ("pi/4", "0.7853981633974483", "PI/4"):
+        assert cli.main(["sweep", "--thetas", "0:1:2", "--theta1", theta1]) == 2
 
 
 def test_sweep_bad_axis(capsys):
@@ -387,6 +390,26 @@ def test_basis_compare_generated(capsys):
 
 def test_basis_bad_index(capsys):
     assert cli.main(["basis", "--list", "--index", "5,0"]) == 2
+    assert cli.main(["basis", "--index", ""]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--verify", "--compare-generated"],
+    ["basis", "--list", "--verify"],
+    ["basis", "--list", "--compare-generated"],
+    ["basis", "--verify", "--index", "1,0"],
+    ["basis", "--compare-generated", "--index", "2,1"],
+])
+def test_basis_mode_conflicts_exit_2(capsys, argv):
+    # one mode per run; --index belongs to list mode alone
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:      # argparse rejects a second mode flag
+        rc = exc.code
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +560,15 @@ def test_json_csv_mutually_exclusive():
 
 
 def test_broken_invariant_exits_1_with_one_line(capsys, monkeypatch):
-    # measure_report takes each single-qubit cut from both sides in one
-    # stacked SVD; a side_b gather table that repeats a row makes those
-    # matrices rank one and breaks their Schmidt symmetry.
+    # measure_report takes each two-two cut from both sides in one stacked
+    # SVD, after the six pairs; a side_b gather table that repeats a row
+    # changes those matrices' spectra and breaks their Schmidt symmetry.
     real_gather = measures._gather
 
     def corrupted(sides):
         index = real_gather(sides).copy()
-        if sides == measures._SINGLE_CUT_SIDES:
-            index[4:, 1] = index[4:, 0]
+        if sides == measures.PAIRS + measures._PAIR_CUT_SIDES:
+            index[9:, 1] = index[9:, 0]
         return index
 
     monkeypatch.setattr(measures, "_gather", corrupted)

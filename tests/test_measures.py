@@ -230,8 +230,8 @@ def test_invariant_check_survives_optimized_mode():
 
 def test_measure_report_symmetry_check_survives_optimized_mode():
     # measure_report's own Schmidt-symmetry check runs on the kernel; corrupt
-    # the side_b gather of the single-qubit cuts (a repeated row makes those
-    # matrices rank one) and it must raise, also under `python -O`
+    # the side_b gather of the two-two cuts (a repeated row changes those
+    # matrices' spectra) and it must raise, also under `python -O`
     code = (
         "import sys\n"
         "from ges4 import measures\n"
@@ -239,8 +239,8 @@ def test_measure_report_symmetry_check_survives_optimized_mode():
         "real = measures._gather\n"
         "def corrupted(sides):\n"
         "    index = real(sides).copy()\n"
-        "    if sides == measures._SINGLE_CUT_SIDES:\n"
-        "        index[4:, 1] = index[4:, 0]\n"
+        "    if sides == measures.PAIRS + measures._PAIR_CUT_SIDES:\n"
+        "        index[9:, 1] = index[9:, 0]\n"
         "    return index\n"
         "measures._gather = corrupted\n"
         "try:\n"
@@ -451,7 +451,7 @@ def test_kernel_stacked_equals_one_at_a_time():
         assert np.array_equal(_bits(_conc(amps, PAIRS)), _bits(conc)), kind
         assert np.array_equal(_bits(_ent(amps, two_two)), _bits(ent)), kind
         single_ent = _ent(amps, single)
-        assert single_ent.shape == (5, 2, 8)
+        assert single_ent.shape == (5, 2, 4)
         for values, sides, one in ((conc, PAIRS, _conc), (ent, two_two, _ent),
                                    (single_ent, single, _ent)):
             for k, side in enumerate(sides):
@@ -482,7 +482,7 @@ def test_svd_calls_per_sweep_block_calibration_and_report(monkeypatch, capsys):
     assert calls == [(40, 2, 9, 4, 4)]
     calls.clear()
     measure_report(canonical_state("w4"))
-    assert calls == [(1, 12, 4, 4), (1, 8, 2, 8)]
+    assert calls == [(1, 12, 4, 4), (1, 4, 2, 8)]
 
 
 def _report_rows(report) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,9 @@
 """The verify report's rewritten pieces against in-test copies of their earlier forms.
 
 Each seeded check now takes its random inputs in one `rng.uniform` call, the
-dense circuits exponentiate the five distinct eigenvalues of the summed
-cavity generator instead of all 64, the photon-number commutator is taken
-elementwise, the Pauli strings are built once at import, and the detector
+dense circuits exponentiate the five levels 0..4 of the summed cavity
+generator's diagonal instead of all 64, the photon-number commutator is
+taken elementwise, the Pauli strings are built once at import, and the detector
 check shares one norm pass and one kernel call. Each must give the bits of
 the form it replaced, copied here, and leave the rng where it was. Floats
 are compared as uint64 views, so a difference in the last bit fails.
@@ -47,22 +47,6 @@ def _conjugated_splitter():
 # ---------------------------------------------------------------------------
 # the dense circuits: five exponentials per phase vs all 64
 
-
-def _old_phases(phis, splitter):
-    levels, inverse, bv, vhb = circuit._circuit_eigensystem(
-        splitter.space, splitter.mat.tobytes())
-    w = levels[inverse]
-    return np.exp(-1j * np.multiply.outer(np.asarray(phis, dtype=float), w)), bv, vhb
-
-
-def test_the_eigensystem_has_five_levels_that_rebuild_the_eigenvalues():
-    levels, inverse, _, _ = circuit._circuit_eigensystem(
-        beam_splitter().space, beam_splitter().mat.tobytes())
-    total = sum(circuit._cavity_generator(i).mat for i in (1, 2, 3, 4))
-    assert len(levels) == 5
-    assert _same_bits(levels[inverse], np.linalg.eigh(total)[0])
-
-
 _PHIS = st.lists(st.one_of(st.floats(-50.0, 50.0), st.sampled_from([0.0, math.pi, 2 * math.pi])),
                  min_size=1, max_size=8)
 
@@ -70,15 +54,17 @@ _PHIS = st.lists(st.one_of(st.floats(-50.0, 50.0), st.sampled_from([0.0, math.pi
 @settings(max_examples=60, deadline=None)
 @given(phis=_PHIS, conjugate=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_dense_forms_equal_the_64_exponential_forms_bit_for_bit(phis, conjugate, seed):
+    # B diag(exp(-i phi g)) B with all 64 exponentials taken
     splitter = _conjugated_splitter() if conjugate else beam_splitter()
-    phases, bv, vhb = _old_phases(phis, splitter)
-    scaled = bv * phases[:, None, :]
-    want = (scaled.reshape(-1, 64) @ vhb).reshape(scaled.shape)
+    bs = np.kron(splitter.mat, np.eye(16))
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(phis, dtype=float), circuit._G))
+    scaled = bs * phases[:, None, :]
+    want = (scaled.reshape(-1, 64) @ bs).reshape(scaled.shape)
     assert _same_bits(circuit._dense_circuits(phis, splitter), want)
 
     thetas = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(len(phis), 4))
     states = circuit._initial_states(thetas)
-    want_rows = ((states @ vhb.T) * phases) @ bv.T
+    want_rows = ((states @ bs.T) * phases) @ bs.T
     assert _same_bits(circuit._dense_apply(phis, splitter, states), want_rows)
 
 
