@@ -4,8 +4,10 @@
 #   bash .github/scripts/same-bytes.sh BASE_TREE HEAD_TREE
 #
 # Runs `python -m ges4.cli` from each tree's src/ on:
-#   - `verify --seed s` for s = 0..19, with --json and with --csv, plain and
-#     with --fault conjugate_bs;
+#   - `verify --seed s` for s = 0..19, as text, with --json and with --csv,
+#     plain and with --fault conjugate_bs;
+#   - `verify --seed s --discrepancies PATH` for s = 0, 3, 16, plain and with
+#     --fault conjugate_bs, comparing the discrepancy-log file as well;
 #   - the default `sweep --csv`, a 3-axis sweep grid, a grid with empty
 #     branches and degenerate closed forms, a grid of two kernel blocks, and
 #     one --json grid over theta1 and theta4;
@@ -15,8 +17,8 @@
 #     click and forcing d1 and d2, with and without --measures, and
 #     `simulate --measures --json` over all four outcomes;
 #   - `decompose` of every named state over both bases.
-# Each command's stdout, stderr and exit code must be identical in the two
-# trees. Every command runs; each one that differs is named, and the script
+# Each command's stdout, stderr, exit code and side file (if any) must be
+# identical in the two trees. Every command runs; each one that differs is named, and the script
 # then exits 1 if any differed.
 set -euo pipefail
 
@@ -33,19 +35,29 @@ for tree in "$base" "$head"; do
   esac
 done
 
-run() {  # run TREE FILE ARGS...: stdout, stderr, then the exit code, into FILE
+run() {  # run TREE FILE ARGS...: stdout, stderr, the exit code, then the side file, into FILE
   local tree=$1 file=$2 code=0
   shift 2
-  PYTHONPATH="$tree/src" python -m ges4.cli "$@" > "$file" 2> "$file.err" || code=$?
+  local argv=("${@/#SIDE_FILE/$file.side}")    # the argument SIDE_FILE names the side file
+  rm -f "$file.side"
+  PYTHONPATH="$tree/src" python -m ges4.cli "${argv[@]}" > "$file" 2> "$file.err" || code=$?
   cat "$file.err" >> "$file"
   echo "exit $code" >> "$file"
+  if [ -e "$file.side" ]; then
+    echo "side file:" >> "$file"
+    cat "$file.side" >> "$file"
+  fi
 }
 
 cases=()
 for s in $(seq 0 19); do
-  for fmt in --json --csv; do
+  for fmt in "" --json --csv; do
     cases+=("verify --seed $s $fmt" "verify --seed $s $fmt --fault conjugate_bs")
   done
+done
+for s in 0 3 16; do
+  cases+=("verify --seed $s --discrepancies SIDE_FILE"
+          "verify --seed $s --fault conjugate_bs --discrepancies SIDE_FILE")
 done
 cases+=("sweep --csv"
         "sweep --csv --phi 0:pi:4 --theta1 0:pi/2:3 --theta3 0.2:1.1:3 --eta 0.5,1"

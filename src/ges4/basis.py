@@ -259,6 +259,10 @@ def canonical_state(name: str) -> StateVector:
     return StateVector._wrap(ATOMIC_SPACE, _table_amplitudes(_CANONICAL_AMPLITUDES[key]))
 
 
+# A healthy basis: Gram and completeness deviations within this, every element genuine.
+HEALTH_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class RepresentationReport:
     """Numerical health report of a sixteen-state basis."""
@@ -267,6 +271,11 @@ class RepresentationReport:
     max_completeness_dev: float
     state_reports: dict
     all_genuine: bool
+
+    @property
+    def healthy(self) -> bool:
+        return (max(self.max_orthonormality_dev, self.max_completeness_dev) <= HEALTH_TOL
+                and self.all_genuine)
 
 
 def verify_representation(basis: GesBasis) -> RepresentationReport:

@@ -1,9 +1,11 @@
 """Command-line front end: simulate, sweep, basis, decompose, verify.
 
 Payload -> renderer -> writer: each command builds its result once, as the
-data its ``--json`` output shows (undefined entries ``None``); a renderer per
-format turns that payload alone into JSON, CSV or text; ``main`` hands the
-text to ``_write``, the one function that writes to stdout (or ``--out``).
+data its ``--json`` output shows (undefined entries ``None``); ``verify``'s
+payload is its ``VerificationReport``, which ``report_to_json`` serializes.
+A renderer per format turns that payload alone into JSON, CSV or text;
+``main`` hands the text to ``_write``, the one function that writes to
+stdout (or ``--out``).
 Diagnostics go to stderr, and ``main`` alone maps errors to exit codes: 0 on
 success, 1 when a verification run reports failures or an internal invariant
 breaks (``InvariantError``), 2 on usage or input errors, including an output
@@ -73,7 +75,7 @@ from .basis import (
     generate_basis,
     verify_representation,
 )
-from .verify import FAULT_MODES, CheckResult, VerificationReport, run_all_checks
+from .verify import FAULT_MODES, report_to_json, run_all_checks
 
 __all__ = ["main", "parse_angle"]
 
@@ -539,16 +541,13 @@ def cmd_basis(args) -> Output:
     basis = explicit_basis()
     if args.verify:
         rep = verify_representation(basis)
-        healthy = (rep.max_orthonormality_dev <= 1e-12
-                   and rep.max_completeness_dev <= 1e-12
-                   and rep.all_genuine)
         payload = {
             "max_orthonormality_dev": rep.max_orthonormality_dev,
             "max_completeness_dev": rep.max_completeness_dev,
             "all_genuine": rep.all_genuine,
             "states": {idx.label: rep.state_reports[idx].as_dict() for idx in ALL_INDICES},
         }
-        return Output(payload, _basis_verify_text, _basis_verify_csv, code=0 if healthy else 1)
+        return Output(payload, _basis_verify_text, _basis_verify_csv, code=0 if rep.healthy else 1)
 
     indices = [_parse_index(args.index)] if args.index is not None else list(ALL_INDICES)
     payload = {"states": [{"index": idx.label,
@@ -661,23 +660,22 @@ def _decompose_csv(payload) -> str:
 
 def cmd_verify(args) -> Output:
     report = run_all_checks(seed=args.seed, fault=args.fault)
-    payload = report.as_dict()
-    log = ((args.discrepancies, payload["discrepancy_log"]),) if args.discrepancies else ()
-    return Output(payload, _verify_text, _verify_csv,
+    log = ((args.discrepancies, report.discrepancy_log),) if args.discrepancies else ()
+    return Output(report, _verify_text, _verify_csv, _verify_json,
                   code=0 if report.all_passed else 1, side_files=log)
 
 
-def _verify_text(payload) -> str:
-    report = VerificationReport(payload["seed"],
-                                tuple(CheckResult(**c) for c in payload["checks"]),
-                                payload["discrepancy_log"])
-    return _text(report.lines() + ["discrepancy log:"]) + _json_text(payload["discrepancy_log"])
+def _verify_text(report) -> str:
+    return _text(report.lines() + ["discrepancy log:"]) + _json_text(report.discrepancy_log)
 
 
-def _verify_csv(payload) -> str:
+def _verify_csv(report) -> str:
     return _csv_text(["name", "passed", "measured", "detail"], [
-        [c["name"], str(c["passed"]).lower(), _fmt(c["measured"]), c["detail"]]
-        for c in payload["checks"]])
+        [c.name, str(c.passed).lower(), _fmt(c.measured), c.detail] for c in report.checks])
+
+
+def _verify_json(report) -> str:
+    return report_to_json(report) + "\n"
 
 
 # --------------------------------------------------------------------------

@@ -380,6 +380,18 @@ def test_basis_verify(capsys):
     assert len(doc["states"]) == 16
 
 
+def test_basis_health_is_decided_in_one_place(capsys, monkeypatch):
+    # below the basis's own deviation, both `basis --verify` and verify's basis check fail
+    from ges4 import basis, verify
+    rc, healthy = run_json(capsys, ["basis", "--verify", "--json"])
+    monkeypatch.setattr(basis, "HEALTH_TOL", 0.0)
+    rc_tight, doc = run_json(capsys, ["basis", "--verify", "--json"])
+    assert (rc, rc_tight, doc) == (0, 1, healthy)
+    [failed] = [c for c in verify.run_all_checks(seed=0).checks if not c.passed]
+    assert failed.name == "basis_orthonormal_complete_genuine"
+    assert failed.detail.endswith("16/16 elements genuine")
+
+
 def test_basis_compare_generated(capsys):
     rc, doc = run_json(capsys, ["basis", "--compare-generated", "--json"])
     assert rc == 0

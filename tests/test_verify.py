@@ -1,5 +1,6 @@
 """Tests for the self-check suite, its determinism, and fault injection."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -90,26 +91,103 @@ def test_fault_injection_is_caught():
     assert failed == ["oracle_equivalence"]
 
 
-def test_fault_is_caught_on_the_fast_path_alone(monkeypatch):
+def test_fault_is_caught_on_the_fast_path_alone(monkeypatch, run_check):
     # a healthy dense oracle leaves only the fast kernel to see the fault
     real = circuit._dense_apply
     monkeypatch.setattr(verify, "_dense_apply",
                         lambda phis, splitter, states: real(phis, beam_splitter(), states))
     rng = np.random.default_rng(0)
-    assert verify._check_oracle_equivalence(rng, None).passed
-    check = verify._check_oracle_equivalence(rng, "conjugate_bs")
+    assert run_check("oracle_equivalence", rng).passed
+    check = run_check("oracle_equivalence", rng, "conjugate_bs")
     assert not check.passed and check.measured > 0.1
 
 
-def test_fault_is_caught_on_the_dense_path_alone(monkeypatch):
+def test_fault_is_caught_on_the_dense_path_alone(monkeypatch, run_check):
     # a healthy fast kernel leaves only the dense oracle to see the fault
     real = circuit._one_photon_output
     monkeypatch.setattr(verify, "_one_photon_output",
                         lambda phi, thetas, splitter: real(phi, thetas, circuit._BS_BLOCK))
     rng = np.random.default_rng(0)
-    assert verify._check_oracle_equivalence(rng, None).passed
-    check = verify._check_oracle_equivalence(rng, "conjugate_bs")
+    assert run_check("oracle_equivalence", rng).passed
+    check = run_check("oracle_equivalence", rng, "conjugate_bs")
     assert not check.passed and check.measured > 0.1
+
+
+def _failed_checks(report):
+    return [c for c in report.checks if not c.passed]
+
+
+def test_a_click_without_a_pure_state_fails_ges_preparation(monkeypatch):
+    real = verify.detect
+    monkeypatch.setattr(verify, "detect", lambda *args, **kw: (None, real(*args, **kw)[1]))
+    assert _failed_checks(run_all_checks(seed=0)) == [
+        CheckResult("ges_preparation", False, 1.0, "outcome d2 produced no pure state")]
+
+
+def test_a_non_genuine_target_fails_the_genuineness_check(monkeypatch):
+    real = verify._measure_reports
+    monkeypatch.setattr(verify, "_measure_reports", lambda states: [
+        dataclasses.replace(r, is_genuine=False) if n == 1 else r
+        for n, r in enumerate(real(states))])
+    assert _failed_checks(run_all_checks(seed=0)) == [
+        CheckResult("target_state_genuineness", False, 1.0,
+                    "double_prime branch failed the criterion")]
+
+
+def test_a_non_genuine_basis_element_fails_the_basis_check(monkeypatch):
+    real = verify.verify_representation(explicit_basis())
+    worst = max(real.max_orthonormality_dev, real.max_completeness_dev)
+    reports = {idx: dataclasses.replace(r, is_genuine=False) if idx.family == 2 else r
+               for idx, r in real.state_reports.items()}
+    monkeypatch.setattr(verify, "verify_representation", lambda basis: dataclasses.replace(
+        real, state_reports=reports, all_genuine=False))
+    # measured stays the Gram/completeness deviation, not the 1.0 of the other early failures
+    assert worst < 1e-12
+    assert _failed_checks(run_all_checks(seed=0)) == [
+        CheckResult("basis_orthonormal_complete_genuine", False, worst,
+                    "Gram and completeness deviations; 12/16 elements genuine")]
+
+
+GOLDEN_ORDER = [c["name"] for c in json.loads(
+    (Path(__file__).parent / "golden" / "verify_seed0.json").read_text())["checks"]]
+
+
+@pytest.mark.parametrize("fault", [None, "conjugate_bs"])
+def test_every_check_passes_exactly_within_its_bound_and_condition(monkeypatch, fault):
+    bounds = {name: bound for name, bound, _, _ in verify.CHECKS}
+    assert list(bounds) == GOLDEN_ORDER
+    assert bounds == {**dict.fromkeys(GOLDEN_ORDER, 1e-12),
+                      "target_state_genuineness": 1e-10, "closed_form_measures": 1e-9}
+    conditions = {}
+
+    def recording(name, measure):
+        def run(r):
+            got = measure(r)
+            conditions[name] = got[1] if isinstance(got, tuple) else True
+            return got
+        return run
+
+    monkeypatch.setattr(verify, "CHECKS", tuple((name, bound, detail, recording(name, measure))
+                                                for name, bound, detail, measure in verify.CHECKS))
+    for seed in range(10):
+        conditions.clear()
+        report = run_all_checks(seed, fault)
+        assert [c.name for c in report.checks] == GOLDEN_ORDER
+        for c in report.checks:
+            assert c.passed == (c.measured <= bounds[c.name] and conditions[c.name]), c
+        want = ["oracle_equivalence"] if fault else []
+        assert [c.name for c in report.checks if not c.passed] == want
+
+
+@pytest.mark.parametrize("got, passed", [(1e-13, True), (1e-11, False), (float("nan"), False),
+                                         ((1e-13, True), True), ((1e-13, False), False),
+                                         ((1e-11, True), False)])
+def test_a_row_passes_when_its_measure_is_within_bound_and_its_condition_holds(got, passed):
+    row = ("x", 1e-12, "detail", lambda run: got)
+    check = verify._run_check(row, verify._Run(0, None, None, {}))
+    assert (check.name, check.passed, check.detail) == ("x", passed, "detail")
+    want = got[0] if isinstance(got, tuple) else got
+    assert np.array_equal(check.measured, want, equal_nan=True)
 
 
 def test_unknown_fault_rejected():
@@ -226,19 +304,20 @@ def test_warm_report_runs_no_eigensolver_and_stacks_every_oracle_draw(monkeypatc
     assert [len(np.unique(phis)) for phis in built] == [25, 10]
 
 
-def test_oracle_check_consumes_the_rng_like_scalar_draws():
+def test_oracle_check_consumes_the_rng_like_scalar_draws(run_check):
     # later checks read the same stream: 200 draws of one phase and four angles
     rng = np.random.default_rng(11)
-    verify._check_oracle_equivalence(rng, None)
+    run_check("oracle_equivalence", rng)
     scalar = np.random.default_rng(11)
     for _ in range(200 * (1 + 4)):
         scalar.uniform()
     assert rng.bit_generator.state == scalar.bit_generator.state
 
 
-@pytest.mark.parametrize("check, n", [(verify._check_unitarity, 25),
-                                      (verify._check_photon_conservation, 10)])
-def test_circuit_checks_draw_their_phases_like_scalar_draws(monkeypatch, check, n):
+@pytest.mark.parametrize("check, n", [("circuit_unitarity", 25),
+                                      ("photon_number_conservation", 10)],
+                         ids=("unitarity", "photon"))
+def test_circuit_checks_draw_their_phases_like_scalar_draws(monkeypatch, run_check, check, n):
     # one stacked draw of n phases: the same values, and the same stream
     # position for the checks after it, as n scalar draws
     seen = []
@@ -250,7 +329,7 @@ def test_circuit_checks_draw_their_phases_like_scalar_draws(monkeypatch, check, 
 
     monkeypatch.setattr(verify, "_dense_circuits", building)
     rng = np.random.default_rng(11)
-    check(rng)
+    run_check(check, rng)
     scalar = np.random.default_rng(11)
     assert seen == [float(scalar.uniform(0.0, 2.0 * np.pi)) for _ in range(n)]
     assert rng.bit_generator.state == scalar.bit_generator.state
@@ -266,13 +345,14 @@ def _record(monkeypatch, name, seen):
     monkeypatch.setattr(verify, name, recording)
 
 
-def test_oracle_and_branch_norm_checks_draw_their_angles_like_scalar_draws(monkeypatch):
+def test_oracle_and_branch_norm_checks_draw_their_angles_like_scalar_draws(monkeypatch,
+                                                                         run_check):
     # one draw call each: the values of the per-draw loops they replaced
     seen = []
     _record(monkeypatch, "_closed_form_pairs", seen)
     rng = np.random.default_rng(11)
-    verify._check_oracle_equivalence(rng, None)
-    verify._check_branch_norms(rng)
+    run_check("oracle_equivalence", rng)
+    run_check("branch_normalization", rng)
     scalar = np.random.default_rng(11)
     oracle = [(scalar.uniform(0.0, 2.0 * np.pi), scalar.uniform(0.0, np.pi / 2.0, size=4))
               for _ in range(200)]
@@ -284,13 +364,13 @@ def test_oracle_and_branch_norm_checks_draw_their_angles_like_scalar_draws(monke
     assert rng.bit_generator.state == scalar.bit_generator.state
 
 
-def test_detection_check_draws_its_points_like_scalar_draws(monkeypatch):
+def test_detection_check_draws_its_points_like_scalar_draws(monkeypatch, run_check):
     # point n: four angles, then eta, as the per-point loop drew them
     kernel, povm = [], []
     _record(monkeypatch, "_one_photon_output", kernel)
     _record(monkeypatch, "_povm", povm)
     rng = np.random.default_rng(11)
-    verify._check_detection(rng)
+    run_check("detector_model", rng)
     scalar = np.random.default_rng(11)
     points = [(scalar.uniform(0.0, np.pi / 2.0, size=4).tolist(), float(scalar.uniform(0.0, 1.0)))
               for _ in range(10)]
@@ -308,15 +388,15 @@ def _scalar_parseval_states(rng):
     return [StateVector(ATOMIC_SPACE, raw / np.linalg.norm(raw)) for raw in raws]
 
 
-def test_parseval_check_consumes_the_rng_like_scalar_draws():
+def test_parseval_check_consumes_the_rng_like_scalar_draws(run_check):
     rng = np.random.default_rng(11)
-    verify._check_parseval(rng)
+    run_check("parseval_completeness", rng)
     scalar = np.random.default_rng(11)
     _scalar_parseval_states(scalar)
     assert rng.bit_generator.state == scalar.bit_generator.state
 
 
-def test_stacked_parseval_equals_per_state_decompose():
+def test_stacked_parseval_equals_per_state_decompose(run_check):
     # the check's own draws, expanded in one stack and one state at a time
     basis = explicit_basis()
     states = _scalar_parseval_states(np.random.default_rng(5))
@@ -328,7 +408,8 @@ def test_stacked_parseval_equals_per_state_decompose():
         np.testing.assert_allclose(c[n], want, rtol=0, atol=1e-15)
         assert abs(residual[n] - dec.residual) <= 1e-15
         worst = max(worst, abs(np.sum(np.abs(want) ** 2) - 1.0), dec.residual)
-    assert abs(verify._check_parseval(np.random.default_rng(5)).measured - worst) <= 1e-15
+    got = run_check("parseval_completeness", np.random.default_rng(5)).measured
+    assert abs(got - worst) <= 1e-15
 
 
 def test_stacked_expansion_raises_on_any_bad_row():

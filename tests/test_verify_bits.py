@@ -90,8 +90,8 @@ def _old_photon_check(rng):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_photon_check_measures_what_the_products_measured(seed):
-    got = verify._check_photon_conservation(np.random.default_rng(seed))
+def test_photon_check_measures_what_the_products_measured(run_check, seed):
+    got = run_check("photon_number_conservation", np.random.default_rng(seed))
     assert _same_bits(got.measured, _old_photon_check(np.random.default_rng(seed)))
 
 
@@ -186,15 +186,17 @@ def _old_detection_check(rng):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_seeded_checks_equal_their_scalar_forms_and_leave_the_same_stream(seed):
+def test_seeded_checks_equal_their_scalar_forms_and_leave_the_same_stream(run_check, seed):
     new, old = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert _same_bits(verify._check_branch_norms(new).measured, _old_branch_norms_check(old))
+    got = run_check("branch_normalization", new).measured
+    assert _same_bits(got, _old_branch_norms_check(old))
     assert new.bit_generator.state == old.bit_generator.state
 
-    check, log = verify._check_detection(new)
+    log = {}
+    check = run_check("detector_model", new, log=log)
     worst, success = _old_detection_check(old)
     assert _same_bits(check.measured, worst)
-    assert log["computed_success_probability"] == success
+    assert log["success_probability_scaling"]["computed_success_probability"] == success
     assert new.bit_generator.state == old.bit_generator.state
 
 
