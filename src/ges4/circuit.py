@@ -341,11 +341,6 @@ def photon_branch(psi: StateVector, n_u: int, n_l: int) -> StateVector:
     return StateVector._wrap(ATOMIC_SPACE, psi.amp.reshape(4, ATOMIC_SPACE.dim)[n_u * 2 + n_l])
 
 
-# Weight group of each four-qubit basis string, by its excitation number
-# z = 0..4; group g takes the g-th weight pair of `_closed_form_pairs`.
-_CF_GROUP = np.array([0, 2, 4, 3, 1])[_N1]
-
-
 def _closed_form_pairs(phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Closed-form branch pairs (chi', chi''), unnormalized, as (N, 2, 16).
 
@@ -362,13 +357,13 @@ def _closed_form_pairs(phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     cos1, sin1 = np.cos(phis), np.sin(phis)
     cos2, sin2 = np.cos(2 * phis), np.sin(2 * phis)
     one, zero = np.ones_like(phis), np.zeros_like(phis)
-    # weights[n, branch, group]
-    weights = np.concatenate([cos2, cos2, cos1, cos1, one,
-                              sin2, -sin2, sin1, -sin1, zero], axis=1).reshape(-1, 2, 5)
+    # weights[n, branch, z]
+    weights = np.concatenate([cos2, cos1, one, cos1, cos2,
+                              sin2, sin1, zero, -sin1, -sin2], axis=1).reshape(-1, 2, 5)
     f = np.where(_BITS, np.sin(th)[:, None, :], np.cos(th)[:, None, :])
     a = f[..., 0] * f[..., 1] * f[..., 2] * f[..., 3]          # (N, 16), q1 first
     pairs = np.zeros((len(th), 2, ATOMIC_SPACE.dim), dtype=complex)
-    pairs += weights[..., _CF_GROUP] * a[:, None, :]
+    pairs += weights[..., _N1] * a[:, None, :]
 
     total = np.sum(pairs.real**2 + pairs.imag**2, axis=(1, 2))
     bad = ~(np.abs(total - 1.0) <= STRUCT_TOL)

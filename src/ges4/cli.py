@@ -9,16 +9,17 @@ stdout (or ``--out``).
 Diagnostics go to stderr, and ``main`` alone maps errors to exit codes: 0 on
 success, 1 when a verification run reports failures or an internal invariant
 breaks (``InvariantError``), 2 on usage or input errors, including an output
-path that cannot be written. Angles are accepted as decimal radians or as
-exact fractions of pi ("pi/4", "3pi/8", "-pi/2"). Re-running a command with
-identical flags and seed reproduces its output byte for byte.
+path that cannot be written; every path is checked before any is written.
+Angles are accepted as decimal radians or as exact fractions of pi ("pi/4",
+"3pi/8", "-pi/2"). Re-running a command with identical flags and seed
+reproduces its output byte for byte.
 
 ``sweep`` evaluates its grid as arrays: one closed-form and one Gamma call
 over the distinct angle rows, then, per block of up to 4096 points, one
-call of the circuit kernel and one stacked SVD call for the numerical
-measures. The first point's states are checked against ``evolve``. Its
-CSV formats each point once, with one ``%``-template, and shares the
-result between the point's eta rows.
+call of the circuit kernel and one ``_branch_measures`` call (one stacked
+SVD) for the numerical measures. The first point's states are checked
+against ``evolve``. Its CSV formats each point once, with one
+``%``-template, and shares the result between the point's eta rows.
 
 State files are JSON lists of records ``{"basis_label": "0101", "re": x,
 "im": y}``; labels are strings of four characters of 0/1, ``re`` and ``im``
@@ -61,8 +62,8 @@ from .circuit import (
 from .measures import (
     FORMULA_CUT,
     FORMULA_PAIR,
+    _branch_measures,
     _closed_form_measures,
-    _svd_measures,
     measure_report,
 )
 from .basis import (
@@ -484,7 +485,7 @@ def cmd_sweep(args) -> Output:
     c_closed, s_closed = _closed_form_measures(theta_rows)
 
     # Points run phi-major, through the circuit kernel and one stacked SVD
-    # call a block at a time; a branch without population has no numeric measures.
+    # call a block at a time; an empty branch's numeric measures are NaN.
     n_theta = len(theta_rows)
     points = np.empty((len(phis) * n_theta, 19))
     for start in range(0, len(points), _SWEEP_BLOCK):
@@ -494,12 +495,8 @@ def cmd_sweep(args) -> Output:
         amps = _one_photon_output(phis[at_phi], thetas, _BS_BLOCK)
         if start == 0:
             _check_first_point(phi_axis[0], theta_rows[0], amps[0])
-        norms = np.linalg.norm(amps, axis=-1)
-        live = norms ** 2 >= 1e-12
-        states = amps / np.where(live, norms, 1.0)[..., None]
-        conc, ent = _svd_measures(states, (FORMULA_PAIR,), (FORMULA_CUT.side_a,))
-        c_num = np.where(live, conc[..., 0], np.nan)
-        s_num = np.where(live, ent[..., 0], np.nan)
+        conc, ent = _branch_measures(amps, (FORMULA_PAIR,), (FORMULA_CUT.side_a,))
+        c_num, s_num = conc[..., 0], ent[..., 0]
         c_cl, s_cl = c_closed[rows], s_closed[rows]
         branch_cells = np.stack([c_cl, c_num, np.abs(c_cl - c_num),
                                  s_cl, s_num, np.abs(s_cl - s_num)], axis=-1)
@@ -786,6 +783,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         out = args.func(args)
+        for path in filter(None, (args.out, *(path for path, _ in out.side_files))):
+            if Path(path).is_dir() or not Path(path).parent.is_dir():   # before any write
+                raise CliInputError(f"cannot write {path}: not a file in an existing folder")
         render = out.json if args.json else out.csv if args.csv else out.text
         _write(render(out.payload), args.out)
         for path, payload in out.side_files:

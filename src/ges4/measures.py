@@ -5,10 +5,11 @@ Numerical side, two paths. The fast path is one amplitude kernel,
 spectrum and every pair's Wootters lambdas are singular values, both of
 reshapes of the 16 amplitudes, so stacked states are measured over any
 pairs and cuts, named by their qubit labels, with one stacked SVD and no
-density matrix. `sweep`, the closed-form calibration and all of
-`measure_report` (six concurrences, seven cut entropies and its
-Schmidt-symmetry check) run on it. The oracle path is the density matrix:
-Wootters `concurrence` for arbitrary two-qubit density matrices,
+density matrix. All of `measure_report` (six concurrences, seven cut
+entropies and its Schmidt-symmetry check) runs on it, and so does every
+closed-form-versus-numerics comparison, through `_branch_measures` and its
+one empty-branch rule. The oracle path is the density matrix: Wootters
+`concurrence` for arbitrary two-qubit density matrices,
 `von_neumann_entropy` of arbitrary reductions and `bipartition_entropy`,
 reached through `density_matrix` and `partial_trace`; the tests check the
 kernel against it. Closed-form side: the protocol's analytic expressions for
@@ -130,17 +131,18 @@ def concurrence(rho: DensityMatrix) -> float:
     Equals max(0, sqrt(mu_1) - sqrt(mu_2) - sqrt(mu_3) - sqrt(mu_4)) with
     mu_k the descending eigenvalues of rho (sy x sy) rho* (sy x sy),
     conjugation in the computational basis. Computed as the singular values
-    of sqrt(rho) (sy x sy) sqrt(rho)*, which have the same spectrum. Square
-    roots of rho's eigenvalues make it ill-conditioned on a rank-deficient
-    reduction: roundoff leaves the zero eigenvalues near +-1e-17, and the
-    result can be off by about sqrt(eps) ~ 1e-8.
+    of sqrt(rho) (sy x sy) sqrt(rho)*, which have the same spectrum. Roundoff
+    leaves a rank-deficient reduction's zero eigenvalues near +-1e-17, whose
+    square roots would cost about sqrt(eps) ~ 1e-8 of accuracy, so every
+    eigenvalue at or below 4 eps times the largest counts as 0.
     """
     if rho.space.dim != 4:
         raise ValueError("concurrence is defined for two-qubit (4x4) density matrices")
     w, v = np.linalg.eigh(rho.mat)
     if float(w.min()) < -EIG_TOL:
         raise ValueError("density matrix has a significantly negative eigenvalue")
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    w = np.where(w > 4.0 * np.finfo(float).eps * w.max(), w, 0.0)
+    sqrt_rho = (v * np.sqrt(w)) @ v.conj().T
     lam = np.linalg.svd(sqrt_rho @ _YY @ sqrt_rho.conj(), compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
@@ -300,15 +302,17 @@ _PAIR_CUT_SIDES = (*(cut.side_a for cut in PAIR_CUTS), *(cut.side_b for cut in P
 _SINGLE_CUT_SIDES = tuple(cut.side_a for cut in SINGLE_CUTS)
 
 
-def _closed_form_branches(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form branches (chi', chi'') at phi = pi/2, one per row of thetas.
+def _branch_measures(amps: np.ndarray, pairs: tuple, cuts: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """`_svd_measures` of unnormalized branches (..., 16), each scaled to unit norm.
 
-    Returns the normalized amplitudes (n, 2, 16) and the norms (n, 2); a
-    zero branch stays zero.
+    The one empty-branch rule of every closed-form-versus-numerics
+    comparison: a branch of weight ||chi||^2 < 1e-12 has no state to
+    measure, and all its cells read NaN.
     """
-    amps = _closed_form_pairs(np.full(len(thetas), math.pi / 2.0), thetas)
-    norms = np.linalg.norm(amps, axis=-1)
-    return amps / np.where(norms > 0.0, norms, 1.0)[..., None], norms
+    norms = np.linalg.norm(amps, axis=-1)[..., None]
+    live = norms ** 2 >= 1e-12
+    conc, ent = _svd_measures(amps / np.where(live, norms, 1.0), pairs, cuts)
+    return np.where(live, conc, np.nan), np.where(live, ent, np.nan)
 
 
 def _delta_entropy(delta: float) -> float:
@@ -407,32 +411,26 @@ def calibrate_closed_forms(n_samples: int = 40, seed: int = 20260823) -> dict:
     """
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.1, 1.4, size=(n_samples, 4))
-    states, _ = _closed_form_branches(thetas)
+    amps = _closed_form_pairs(np.full(n_samples, math.pi / 2.0), thetas)
     lam, s_closed = _closed_form_measures(thetas)
-    conc, ent = _svd_measures(states, PAIRS, tuple(cut.side_a for cut in PAIR_CUTS))
-    c_dev = np.abs(conc - lam[..., None])
-    s_dev = np.abs(ent - s_closed[..., None])
-    c_dev, s_dev = c_dev.max(axis=0, initial=0.0), s_dev.max(axis=0, initial=0.0)
-    pair_dev = {branch: dict(zip(PAIRS, c_dev[j].tolist()))
+    conc, ent = _branch_measures(amps, PAIRS, _PAIR_CUT_SIDES[:3])
+    c_dev = np.abs(conc - lam[..., None]).max(axis=0, initial=0.0)
+    s_dev = np.abs(ent - s_closed[..., None]).max(axis=0, initial=0.0)
+    pair_dev = {branch: dict(zip(map("".join, PAIRS), c_dev[j].tolist()))
                 for j, branch in enumerate(BRANCHES)}
     cut_dev = {branch: dict(zip(map(str, PAIR_CUTS), s_dev[j].tolist()))
                for j, branch in enumerate(BRANCHES)}
 
-    matching_pairs = {
-        branch: [pair for pair, dev in devs.items() if dev <= CALIBRATION_MATCH_TOL]
-        for branch, devs in pair_dev.items()
-    }
-    matching_cuts = {
-        branch: [cut for cut, dev in devs.items() if dev <= CALIBRATION_MATCH_TOL]
-        for branch, devs in cut_dev.items()
-    }
+    def matching(devs: dict) -> dict:
+        return {branch: [name for name, dev in by_name.items() if dev <= CALIBRATION_MATCH_TOL]
+                for branch, by_name in devs.items()}
     return {
         "n_samples": n_samples,
         "seed": seed,
-        "pair_max_dev": {b: {"".join(p): d for p, d in devs.items()} for b, devs in pair_dev.items()},
+        "pair_max_dev": pair_dev,
         "cut_max_dev": cut_dev,
-        "matching_pairs": {b: ["".join(p) for p in ps] for b, ps in matching_pairs.items()},
-        "matching_cuts": matching_cuts,
+        "matching_pairs": matching(pair_dev),
+        "matching_cuts": matching(cut_dev),
         "formula_pair": "".join(FORMULA_PAIR),
         "formula_cut": str(FORMULA_CUT),
     }

@@ -668,6 +668,20 @@ def test_unwritable_output_exits_2_with_one_line(capsys, tmp_path, argv, target)
     assert _one_error_line(captured.err), captured.err
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+@pytest.mark.parametrize("bad", ["--out", "--discrepancies"])
+def test_one_unwritable_output_leaves_no_file_at_all(capsys, tmp_path, bad, target):
+    # the report goes to one path and the log to the other; one is bad
+    good = "--discrepancies" if bad == "--out" else "--out"
+    good_path = tmp_path / "written.json"
+    rc = cli.main(["verify", "--csv", bad, str(tmp_path / target), good, str(good_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert _one_error_line(captured.err) and "cannot write" in captured.err, captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []     # the good path was not written either
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9", "-0.5"])
 def test_tol_must_be_finite_and_nonnegative(capsys, tol):
     assert _exit_code(["simulate", f"--tol={tol}", "--json"]) == 2

@@ -14,10 +14,11 @@ and concurrences `measure_report` prints, were written before it ran its
 cut entropies on the amplitude kernel.
 
 The text and CSV renderings of every simulate, basis, decompose and verify
-mode, and two sweeps, are pinned byte for byte (`BYTE_GOLDENS`): they print
-floats to a fixed number of digits, so they must not move at all. The sweep
-goldens were written before the sweep ran all its points through one kernel
-call. In the verify goldens, the `measured` cells of `circuit_unitarity`,
+mode, and three sweeps, are pinned byte for byte (`BYTE_GOLDENS`): they print
+floats to a fixed number of digits, so they must not move at all. The first
+two sweep goldens were written before the sweep ran all its points through
+one kernel call; the third, at the empty-branch boundary, before the sweep
+measured its branches through `measures._branch_measures`. In the verify goldens, the `measured` cells of `circuit_unitarity`,
 `oracle_equivalence` and `parseval_completeness` were re-recorded when the
 dense oracle moved to one eigensystem of the summed cavity generator and
 Parseval to one stacked product: they are roundoff residues of identities
@@ -81,6 +82,9 @@ BYTE_GOLDENS = {
                     "--theta4", "0.4:pi/2:3", "--eta", "0.3,0.7,1"], 0),
     # locked angles, negative and beyond pi/2, at phi = -0 (printed as given)
     "sweep_locked": (["sweep", "--phi=-0", "--thetas=-pi/2:pi:7", "--eta", "0,0.5,1"], 0),
+    # the empty-branch boundary: chi''s numeric cells turn from NaN to numbers
+    # between theta = 5e-7 and 7.5e-7, where its weight crosses 1e-12
+    "sweep_empty_edge": (["sweep", "--phi", "pi/2", "--thetas", "0:2e-6:9"], 0),
 }
 
 
