@@ -17,6 +17,8 @@
 #     click and forcing d1 and d2, with and without --measures, and
 #     `simulate --measures --json` over all four outcomes;
 #   - `decompose` of every named state over both bases.
+# It also runs each of HEAD_TREE's demos/*.py scripts, from each tree's own
+# demos/ against that tree's src/.
 # Each command's stdout, stderr, exit code and side file (if any) must be
 # identical in the two trees. Every command runs; each one that differs is named, and the script
 # then exits 1 if any differed.
@@ -39,8 +41,12 @@ run() {  # run TREE FILE ARGS...: stdout, stderr, the exit code, then the side f
   local tree=$1 file=$2 code=0
   shift 2
   local argv=("${@/#SIDE_FILE/$file.side}")    # the argument SIDE_FILE names the side file
+  local cmd=(python -m ges4.cli "${argv[@]}")
+  if [ "${argv[0]}" = demo ]; then             # `demo NAME` runs the tree's demos/NAME
+    cmd=(python "$tree/demos/${argv[1]}")
+  fi
   rm -f "$file.side"
-  PYTHONPATH="$tree/src" python -m ges4.cli "${argv[@]}" > "$file" 2> "$file.err" || code=$?
+  PYTHONPATH="$tree/src" "${cmd[@]}" > "$file" 2> "$file.err" || code=$?
   cat "$file.err" >> "$file"
   echo "exit $code" >> "$file"
   if [ -e "$file.side" ]; then
@@ -96,6 +102,10 @@ for state in ghz4 w4 cl4 d4; do
   for b in explicit generated; do
     cases+=("decompose $state --basis $b --json" "decompose $state --basis $b --csv")
   done
+done
+
+for demo in "$head"/demos/*.py; do
+  cases+=("demo ${demo##*/}")
 done
 
 differ=0

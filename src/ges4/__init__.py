@@ -30,7 +30,7 @@ from .circuit import (
     mz_circuit,
     initial_state,
     evolve,
-    closed_form_chi,
+    closed_form_pair,
     gamma_factors,
     detect,
     prepare_ges,
@@ -69,7 +69,7 @@ __all__ = [
     "partial_trace", "unitary_exp",
     "SchemeParams", "PhysicalParams", "DetectionOutcome",
     "phase_from_physical", "beam_splitter",
-    "mz_circuit", "initial_state", "evolve", "closed_form_chi",
+    "mz_circuit", "initial_state", "evolve", "closed_form_pair",
     "gamma_factors", "detect", "prepare_ges", "ges_target_state",
     "Bipartition", "MeasureReport", "concurrence", "concurrence_closed_form",
     "von_neumann_entropy", "bipartition_entropy", "entropy_closed_form",

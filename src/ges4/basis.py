@@ -2,9 +2,9 @@
 
 Sixteen mutually orthonormal four-qubit states, each genuinely entangled
 (every pairwise concurrence zero, every bipartition maximally mixed), form a
-complete basis of the four-qubit space. They are the images of one seed state
-under the sixteen Pauli strings {I, sz on q1} x {sigma^mu on q2} x
-{I, sz on q3}.
+complete basis of the four-qubit space. They are the images of one seed, the
+prime branch target state, under the sixteen Pauli strings {I, sz on q1} x
+{sigma^mu on q2} x {I, sz on q3}.
 
 Two constructions are available: `explicit_basis` holds the canonical
 amplitude tables of record, and `generate_basis` applies the Pauli strings to
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Optional
 
 import numpy as np
 
@@ -188,20 +187,9 @@ _PAULI_STRINGS = np.stack([
 _PAULI_STRINGS.setflags(write=False)
 
 
-def generate_basis(seed: Optional[StateVector] = None) -> GesBasis:
-    """Apply the sixteen Pauli strings to a seed state (default: the prime
-    branch target state), all in one stacked product.
-
-    The result is orthonormal for the default seed; an arbitrary normalized
-    seed may fail the orthonormality invariant, which raises.
-    """
-    if seed is None:
-        seed = ges_target_state(BRANCH_PRIME)
-    if seed.space != ATOMIC_SPACE:
-        raise ValueError("seed must live on the four-qubit space")
-    if not seed.is_normalized:
-        raise ValueError("seed must be normalized")
-    amps = _PAULI_STRINGS @ seed.amp
+def generate_basis() -> GesBasis:
+    """The sixteen Pauli strings applied to the prime branch target state, in one product."""
+    amps = _PAULI_STRINGS @ ges_target_state(BRANCH_PRIME).amp
     amps.setflags(write=False)
     return GesBasis({idx: StateVector._wrap(ATOMIC_SPACE, amp)
                      for idx, amp in zip(ALL_INDICES, amps)}, "generated")

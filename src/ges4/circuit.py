@@ -374,25 +374,14 @@ def _closed_form_pairs(phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
 
 def closed_form_pair(params: SchemeParams) -> tuple[StateVector, StateVector]:
-    """Both closed-form branch states (chi', chi''), unnormalized.
+    """Both closed-form branch states (chi', chi''), unnormalized: the |01>
+    (detector D2) and the |10> (detector D1) photonic components.
 
     The one-draw case of `_closed_form_pairs`, which gives the weights and
     raises InvariantError when ||chi'||^2 + ||chi''||^2 is off 1.
     """
     prime, dprime = _closed_form_pairs([params.phi], [params.thetas])[0]
     return StateVector._wrap(ATOMIC_SPACE, prime), StateVector._wrap(ATOMIC_SPACE, dprime)
-
-
-def closed_form_chi(params: SchemeParams, branch: str) -> StateVector:
-    """Closed-form four-qubit branch state (unnormalized).
-
-    `branch` selects "prime" (the |01> photonic component, detector D2) or
-    "double_prime" (the |10> component, detector D1). Serves as an
-    independent oracle for the circuit evolution.
-    """
-    check_branch(branch)
-    prime, dprime = closed_form_pair(params)
-    return prime if branch == BRANCH_PRIME else dprime
 
 
 def _cos2_products(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -614,6 +614,9 @@ def cmd_decompose(args) -> Output:
         raise CliInputError("give exactly one input: a state name "
                             f"({'/'.join(_CANONICAL_NAMES)}) or --file")
     if args.state is not None:
+        if args.normalize:
+            raise CliInputError("--normalize rescales a --file state; it does not combine "
+                                "with a state name")
         name = args.state.lower()
         if name not in _CANONICAL_NAMES:
             raise CliInputError(f"unknown state {args.state!r}; expected one of "
@@ -717,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "either click yields the same state")
     p_sim.add_argument("--measures", action="store_true",
                        help="include concurrence/entropy tables for pure "
-                            "conditional states")
+                            "conditional states (text and JSON; not in --csv)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", parents=[common],

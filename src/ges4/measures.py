@@ -242,10 +242,15 @@ def _gather(sides: tuple) -> np.ndarray:
     Row digits are the side's qubits, column digits the other qubits, each in
     the given order, so a matrix m has m m^dag as the side's reduced density
     matrix. A three-qubit side is gathered transposed (rest by side, 2x8),
-    so every cut of the four qubits is 4x4 or 2x8. Built once per side set.
+    so every cut of the four qubits is 4x4 or 2x8; sides that do not all share
+    one of these shapes raise ValueError. Built and checked once per side set.
     """
+    sizes = (2,) if sides and len(sides[0]) == 2 else (1, 3)
     index = []
     for side in sides:
+        if len(side) not in sizes or len(set(side) & set(QUBIT_LABELS)) != len(side):
+            raise ValueError(f"side {side!r} does not fit: one call's sides must all be "
+                             "two-qubit (4x4), or all one- or three-qubit (2x8), over q1..q4")
         qubits = [QUBIT_LABELS.index(q) for q in side]
         order = np.array(qubits + [q for q in range(4) if q not in qubits])
         k = len(side)
@@ -295,7 +300,7 @@ def _svd_measures(amps: np.ndarray, pairs: tuple, cuts: tuple) -> tuple[np.ndarr
     return conc, _schmidt_entropy(lam[..., n:, :])
 
 
-# The sides of `_measure_rows`' two calls: both sides of each two-two cut,
+# The sides of `_measure_reports`' two calls: both sides of each two-two cut,
 # side_a first, and side_a of each single-qubit cut, whose side_b is gathered
 # transposed into the same 2x8 matrix.
 _PAIR_CUT_SIDES = (*(cut.side_a for cut in PAIR_CUTS), *(cut.side_b for cut in PAIR_CUTS))
@@ -347,40 +352,27 @@ def entropy_closed_form(thetas: Sequence[float], branch: str) -> float:
     return _delta_entropy(_one_branch(delta, branch))
 
 
-def _measure_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concurrences (N, 6) and cut entropies (N, 7) of normalized states (N, 16).
-
-    Concurrences follow PAIRS; entropies follow PAIR_CUTS, then SINGLE_CUTS.
-    Two `_svd_measures` calls: one over the 4x4 matrices of the six pairs and
-    of the two-two cuts from both sides, one over the 2x8 matrices of the
-    single-qubit cuts. Each two-two cut's two entropies must agree to
-    EIG_TOL (Schmidt symmetry, a check on the index gathers; side_b feeds
-    only that check), else InvariantError.
-    """
-    conc, pair = _svd_measures(amps, PAIRS, _PAIR_CUT_SIDES)
-    _, single = _svd_measures(amps, (), _SINGLE_CUT_SIDES)
-    s_a, s_b = pair[..., :3], pair[..., 3:]
-    dev = np.abs(s_a - s_b)
-    if dev.max() > EIG_TOL:
-        row, worst = np.unravel_index(np.argmax(dev), dev.shape)
-        raise InvariantError(f"Schmidt symmetry violated across {PAIR_CUTS[worst]}: "
-                             f"{s_a[row, worst]} vs {s_b[row, worst]}")
-    return conc, np.concatenate([s_a, single], axis=-1)
-
-
 def _measure_reports(states: Sequence[StateVector]) -> list[MeasureReport]:
-    """`measure_report` of each state, all measured in one `_measure_rows` pass."""
+    """`measure_report` of each state, all in the same two `_svd_measures` calls."""
     for state in states:
         if state.space != ATOMIC_SPACE:
             raise ValueError("state must live on the four-qubit space")
         if not state.is_normalized:
             raise ValueError("state must be normalized")
-    conc, ent = _measure_rows(np.stack([state.amp for state in states]))
+    amps = np.stack([state.amp for state in states])
+    conc, pair = _svd_measures(amps, PAIRS, _PAIR_CUT_SIDES)
+    _, single = _svd_measures(amps, (), _SINGLE_CUT_SIDES)
+    s_a, s_b = pair[:, :3], pair[:, 3:]
+    dev = np.abs(s_a - s_b)
+    if dev.max() > EIG_TOL:
+        row, worst = np.unravel_index(np.argmax(dev), dev.shape)
+        raise InvariantError(f"Schmidt symmetry violated across {PAIR_CUTS[worst]}: "
+                             f"{s_a[row, worst]} vs {s_b[row, worst]}")
     reports = []
-    for pairwise, entropies in zip(conc.tolist(), ent.tolist()):
+    for pairwise, pair_ent, single_ent in zip(conc.tolist(), s_a.tolist(), single.tolist()):
         pairwise = dict(zip(PAIRS, pairwise))
-        pair_ent = dict(zip(PAIR_CUTS, entropies[:3]))
-        single_ent = {cut.side_a[0]: h for cut, h in zip(SINGLE_CUTS, entropies[3:])}
+        pair_ent = dict(zip(PAIR_CUTS, pair_ent))
+        single_ent = {cut.side_a[0]: h for cut, h in zip(SINGLE_CUTS, single_ent)}
         genuine = (all(c <= GENUINE_CONCURRENCE_TOL for c in pairwise.values())
                    and all(s >= 1.0 - GENUINE_ENTROPY_TOL for s in pair_ent.values())
                    and all(s >= 1.0 - GENUINE_ENTROPY_TOL for s in single_ent.values()))
@@ -391,10 +383,12 @@ def _measure_reports(states: Sequence[StateVector]) -> list[MeasureReport]:
 def measure_report(state: StateVector) -> MeasureReport:
     """Full entanglement signature of a normalized four-qubit state.
 
-    The one-row case of `_measure_rows`: two `_svd_measures` calls and no
-    density matrix. Each two-two cut's entropy is taken from side_a and again
-    from side_b; the two must agree to EIG_TOL (Schmidt symmetry, a check on
-    the kernel's index gather), else InvariantError. The density-matrix route
+    The one-row case of `_measure_reports`: two `_svd_measures` calls, one
+    over the 4x4 matrices of the pairs and two-two cuts, one over the 2x8
+    matrices of the single-qubit cuts, and no density matrix. Each two-two
+    cut's entropy is taken from side_a and again from side_b; the two must
+    agree to EIG_TOL (Schmidt symmetry, a check on the kernel's index
+    gather), else InvariantError. The density-matrix route
     (`bipartition_entropy`) is the oracle.
     """
     return _measure_reports([state])[0]

@@ -59,7 +59,7 @@ from .circuit import (
     _povm,
     _row_norms,
     beam_splitter,
-    closed_form_chi,
+    closed_form_pair,
     detect,
     evolve,
     ges_target_state,
@@ -303,7 +303,7 @@ def _closed_forms(run: _Run) -> tuple:
                   for b in BRANCHES)
     thetas = (np.pi / 8.0,) * 4
     s_prime = entropy_closed_form(thetas, BRANCH_PRIME)
-    chi = closed_form_chi(SchemeParams(phi=np.pi / 2.0, thetas=thetas), BRANCH_PRIME)
+    chi, _ = closed_form_pair(SchemeParams(phi=np.pi / 2.0, thetas=thetas))
     run.log["entropy_spot_theta_pi_8"] = {
         "agrees": False,
         "computed": float(s_prime),

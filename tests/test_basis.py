@@ -115,14 +115,6 @@ def test_pauli_strings_equal_their_embedded_composition():
         assert np.array_equal(basis._PAULI_STRINGS[k], _embedded_pauli_string(idx))
 
 
-def test_generate_basis_seed_validation():
-    with pytest.raises(ValueError):
-        generate_basis(StateVector(ATOMIC_SPACE, 0.5 * np.eye(16)[0]))
-    # a product seed cannot give sixteen orthonormal images
-    with pytest.raises(ValueError):
-        generate_basis(StateVector(ATOMIC_SPACE, np.eye(16)[0].astype(complex)))
-
-
 def test_compare_generated_matches_up_to_frozen_phases():
     records = {r["index"]: r for r in compare_generated()}
     assert len(records) == 16

@@ -31,7 +31,6 @@ from ges4.circuit import (
     _one_photon_output,
     beam_splitter,
     check_branch,
-    closed_form_chi,
     closed_form_pair,
     detect,
     evolve,
@@ -140,10 +139,8 @@ def test_evolve_matches_closed_form(rng):
                               thetas=tuple(rng.uniform(0, PI / 2, size=4)))
         psi = evolve(params)
         phase = -1j * np.exp(-2j * params.phi)
-        for branch, (n_u, n_l) in ((BRANCH_PRIME, (0, 1)),
-                                   (BRANCH_DOUBLE_PRIME, (1, 0))):
+        for want, (n_u, n_l) in zip(closed_form_pair(params), ((0, 1), (1, 0))):
             got = photon_branch(psi, n_u, n_l)
-            want = closed_form_chi(params, branch)
             np.testing.assert_allclose(got.amp, phase * want.amp, atol=1e-12)
 
 
@@ -184,8 +181,9 @@ def test_branch_norms_equal_gammas(rng):
         thetas = tuple(rng.uniform(0, PI / 2, size=4))
         params = SchemeParams(phi=PI / 2, thetas=thetas)
         g1, g2 = gamma_factors(thetas)
-        assert abs(closed_form_chi(params, BRANCH_PRIME).norm ** 2 - g1) < 1e-12
-        assert abs(closed_form_chi(params, BRANCH_DOUBLE_PRIME).norm ** 2 - g2) < 1e-12
+        prime, dprime = closed_form_pair(params)
+        assert abs(prime.norm ** 2 - g1) < 1e-12
+        assert abs(dprime.norm ** 2 - g2) < 1e-12
 
 
 def test_ges_target_state_sign_tables():

@@ -494,6 +494,14 @@ def test_decompose_input_validation(capsys, tmp_path):
          {"basis_label": "0000", "re": 0.6, "im": 0.0}]))
     assert cli.main(["decompose", "--file", str(dup)]) == 2
     assert cli.main(["decompose", "nosuchstate"]) == 2
+    capsys.readouterr()
+
+    # --normalize rescales a --file state; a named state is already normalized
+    assert cli.main(["decompose", "ghz4", "--normalize"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --normalize rescales a --file state; it does not "
+                            "combine with a state name\n")
 
 
 # ---------------------------------------------------------------------------

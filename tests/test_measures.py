@@ -24,7 +24,7 @@ from ges4.circuit import (
     QUBIT_LABELS,
     DetectionOutcome,
     SchemeParams,
-    closed_form_chi,
+    closed_form_pair,
     detect,
     evolve,
     photon_branch,
@@ -131,8 +131,8 @@ def test_closed_forms_match_numerics(rng):
     for _ in range(25):
         thetas = tuple(rng.uniform(0.1, 1.4, size=4))
         params = SchemeParams(phi=PI / 2, thetas=thetas)
-        for branch in BRANCHES:
-            state = closed_form_chi(params, branch).normalized()
+        for branch, chi in zip(BRANCHES, closed_form_pair(params)):
+            state = chi.normalized()
             rho_pair = partial_trace(density_matrix(state), list(FORMULA_PAIR))
             assert abs(concurrence(rho_pair)
                        - concurrence_closed_form(thetas, branch)) < 1e-11
@@ -146,7 +146,7 @@ def test_closed_forms_do_not_describe_other_pairs(rng):
     for _ in range(10):
         thetas = tuple(rng.uniform(0.3, 1.2, size=4))
         params = SchemeParams(phi=PI / 2, thetas=thetas)
-        state = closed_form_chi(params, BRANCH_PRIME).normalized()
+        state = closed_form_pair(params)[0].normalized()
         rho = partial_trace(density_matrix(state), ["q1", "q2"])
         worst = max(worst, abs(concurrence(rho)
                                - concurrence_closed_form(thetas, BRANCH_PRIME)))
@@ -442,7 +442,7 @@ def _kernel_batch(kind: str) -> np.ndarray:
 def test_kernel_stacked_equals_one_at_a_time():
     # Pairs and cuts in one call equal each group alone, each side alone and
     # each row alone, as uint64; the 4x4 and the 2x8 matrices are stacked
-    # the way `_measure_rows` stacks them.
+    # the way `_measure_reports` stacks them.
     two_two = measures._PAIR_CUT_SIDES
     single = measures._SINGLE_CUT_SIDES
     for kind in ("random", "sparse", "product", "bell_product"):
@@ -460,6 +460,23 @@ def test_kernel_stacked_equals_one_at_a_time():
                                       _bits(values[..., k])), (kind, side)
                 for i, j in np.ndindex(5, 2):
                     assert _bits(one(amps[i, j], [side])[0]) == _bits(values[i, j, k])
+
+
+@pytest.mark.parametrize("pairs, cuts, bad", [
+    (PAIRS, (("q1",),), ("q1",)),
+    ((), (("q1", "q2"), ("q1", "q2", "q3")), ("q1", "q2", "q3")),
+    ((), (("q5",),), ("q5",)),
+    ((), (("q1", "q1"),), ("q1", "q1")),
+    ((), (("q1", "q2", "q3", "q4"),), ("q1", "q2", "q3", "q4")),
+], ids=["single_beside_pairs", "three_beside_two", "unknown", "repeated", "all_four"])
+def test_kernel_names_a_side_that_does_not_fit(pairs, cuts, bad):
+    amps = _kernel_batch("random")
+    for call in (_svd_measures, measures._branch_measures):
+        with pytest.raises(ValueError) as err:
+            call(amps, pairs, cuts)
+        assert str(err.value) == (
+            f"side {bad!r} does not fit: one call's sides must all be two-qubit (4x4), "
+            "or all one- or three-qubit (2x8), over q1..q4")
 
 
 def test_svd_calls_per_sweep_block_calibration_and_report(monkeypatch, capsys):
@@ -495,15 +512,15 @@ def _report_rows(report) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _assert_stacked_rows_equal_one_row_reports(states) -> None:
-    # Bit for bit: the stacked core's rows, the one-row measure_report, and
+    # Bit for bit: the stacked reports' rows, the one-row measure_report, and
     # the kernel's one-group calls on the pairs and on each kind of cut.
-    conc, ent = measures._measure_rows(np.stack([state.amp for state in states]))
     stacked = measures._measure_reports(states)
-    assert conc.shape == (len(states), 6) and ent.shape == (len(states), 7)
+    assert len(stacked) == len(states)
     for k, state in enumerate(states):
         report = measure_report(state)
         c, e = _report_rows(report)
-        assert np.array_equal(c, conc[k]) and np.array_equal(e, ent[k]), k
+        conc, ent = _report_rows(stacked[k])
+        assert np.array_equal(_bits(c), _bits(conc)) and np.array_equal(_bits(e), _bits(ent)), k
         assert stacked[k] == report
         assert np.array_equal(c, _conc(state.amp, PAIRS))
         assert np.array_equal(e, np.concatenate([

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Removed with no caller in the package, its commands, demos or benchmark.
 REMOVED = ("eig_hermitian", "equal_up_to_global_phase", "phase_between",
-           "atom_photon_unitary")
+           "atom_photon_unitary", "closed_form_chi")
 
 
 def test_star_import_resolves_every_exported_name():
