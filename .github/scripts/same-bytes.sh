@@ -15,7 +15,10 @@
 #     text, --csv and --json;
 #   - `simulate --deterministic` over several theta and eta, choosing the
 #     click and forcing d1 and d2, with and without --measures, and
-#     `simulate --measures --json` over all four outcomes;
+#     `simulate --measures --json` over all four outcomes, at angles where
+#     the no-click state is mixed and, with --phi 1.1 --eta 0.4 and theta 0
+#     or 0,0,0,pi/2, where it is a pure product state that only detect's
+#     SVD finds;
 #   - `decompose` of every named state over both bases.
 # It also runs each of HEAD_TREE's demos/*.py scripts, from each tree's own
 # demos/ against that tree's src/.
@@ -96,6 +99,9 @@ for theta in pi/4 0.3 0.3,0.5,0.7,0.9; do
   for eta in 0.4 1; do
     cases+=("simulate --measures --json --theta $theta --eta $eta")
   done
+done
+for theta in 0 0,0,0,pi/2; do
+  cases+=("simulate --measures --json --phi 1.1 --theta $theta --eta 0.4")
 done
 
 for state in ghz4 w4 cl4 d4; do

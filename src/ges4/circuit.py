@@ -180,6 +180,12 @@ def phase_from_physical(p: PhysicalParams) -> float:
     return p.dipole**2 * field**2 * p.tau / (p.hbar**2 * p.detuning)
 
 
+# Known fault injections into the splitter, used as negative controls: a
+# build with a deliberately broken splitter must fail the verification
+# suite's oracle-equivalence check (`verify.run_all_checks(fault=...)`).
+FAULT_MODES = ("conjugate_bs",)
+
+
 @functools.cache
 def beam_splitter() -> Operator:
     """50/50 splitter exp[-i (pi/4)(a_U^+ a_L + a_L^+ a_U)] on the photonic sector.
@@ -435,14 +441,21 @@ def _row_norms(rows: np.ndarray) -> list[float]:
     return [math.sqrt(re.dot(re) + im.dot(im)) for re, im in zip(rows.real, rows.imag)]
 
 
-def _branch_norms(state: StateVector) -> tuple[np.ndarray, list[float]]:
+@functools.lru_cache(maxsize=1)
+def _branch_norms(state: StateVector) -> tuple[np.ndarray, tuple[float, ...]]:
     """Branches (4, 16), row n_U * 2 + n_L at |n_U n_L>, and their four
     `_row_norms`. ValueError unless the state is normalized, on the full
-    space and in the one-photon sector."""
+    space and in the one-photon sector.
+
+    The last state's split is cached, so asking `detect` for several
+    outcomes of one state validates and splits it once. That is sound
+    because a StateVector is frozen, hashes by identity and holds read-only
+    amplitudes; the branches are a read-only view and the norms a tuple.
+    """
     if state.space != FULL_SPACE:
         raise ValueError("state must live on the full photonic+atomic space")
     branches = state.amp.reshape(4, ATOMIC_SPACE.dim)
-    norms = _row_norms(branches)
+    norms = tuple(_row_norms(branches))
     if abs(sum(n * n for n in norms) - 1.0) > STRUCT_TOL:
         raise ValueError("state must be normalized")
     if norms[0]**2 + norms[3]**2 > STRUCT_TOL:
@@ -450,7 +463,7 @@ def _branch_norms(state: StateVector) -> tuple[np.ndarray, list[float]]:
     return branches, norms
 
 
-def _povm(norms: list[float], outcome: DetectionOutcome, eta: float
+def _povm(norms: Sequence[float], outcome: DetectionOutcome, eta: float
           ) -> tuple[list[tuple[int, float]], float]:
     """(branch row, POVM weight) of each branch with nonzero weight, and the
     outcome probability sum_k w_k |branch_k|^2, both in row order."""
@@ -464,14 +477,36 @@ def _povm(norms: list[float], outcome: DetectionOutcome, eta: float
     return weights, float(probability)
 
 
-def _detect(branches: np.ndarray, norms: list[float], outcome: DetectionOutcome,
-            eta: float) -> tuple[Optional[StateVector], float]:
-    """`detect` on a state already split by `_branch_norms`: one SVD at most."""
-    weights, probability = _povm(norms, outcome, eta)
-    weighted = [math.sqrt(w) * branches[k] for k, w in weights if norms[k] > 0.0]
-    if probability < 1e-14 or not weighted:
-        return None, probability
+# Two weighted branches whose Gram matrix has det/trace above this are mixed
+# without an SVD: det/trace bounds the smaller eigenvalue s[1]^2 from below,
+# so s[1] > 1e-6, four orders above EIG_TOL, while the Gram entries' roundoff
+# moves det/trace by a few eps at most.
+_MIXED_MARGIN = 1e-12
 
+
+def _detect(branches: np.ndarray, norms: Sequence[float], outcome: DetectionOutcome,
+            eta: float) -> tuple[Optional[StateVector], float]:
+    """`detect` on a state already split by `_branch_norms`.
+
+    An outcome with no live weighted branch, or probability below 1e-14,
+    returns None at once. Two live branches (a no-click at 0 < eta < 1) whose
+    2x2 Gram matrix, from their norms and one `np.vdot`, clears
+    `_MIXED_MARGIN` are mixed and return None with no SVD. Every other case
+    (one branch, or two near-parallel or near-empty ones) runs one SVD and
+    decides by s[1] > EIG_TOL.
+    """
+    weights, probability = _povm(norms, outcome, eta)
+    live = [(k, w) for k, w in weights if norms[k] > 0.0]
+    if probability < 1e-14 or not live:
+        return None, probability
+    if len(live) == 2:
+        (j, w_j), (k, w_k) = live
+        g_jj, g_kk = w_j * norms[j]**2, w_k * norms[k]**2
+        g_jk2 = w_j * w_k * abs(np.vdot(branches[j], branches[k]))**2
+        if (g_jj * g_kk - g_jk2) / (g_jj + g_kk) > _MIXED_MARGIN:
+            return None, probability   # conditional state is mixed
+
+    weighted = [math.sqrt(w) * branches[k] for k, w in live]
     _, s, vh = np.linalg.svd(np.array(weighted), full_matrices=False)
     if len(s) > 1 and s[1] > EIG_TOL:
         return None, probability   # conditional state is mixed
@@ -490,7 +525,11 @@ def detect(state: StateVector, outcome: DetectionOutcome, eta: float
     state is mixed (e.g. a no-click at 0 < eta < 1 leaves both photonic
     branches alive), which a state vector cannot represent. Click-conditioned
     states are independent of eta. One validation and norm pass
-    (`_branch_norms`) and one SVD, for this outcome's post-state only.
+    (`_branch_norms`) per state, shared by consecutive calls on the same
+    state. An SVD runs only for a state that may be pure: one live branch,
+    or two near-parallel or near-empty ones; a no-click at 0 < eta < 1 with
+    two clearly independent branches is found mixed from their 2x2 Gram
+    matrix instead.
     """
     if not (0.0 <= eta <= 1.0):
         raise ValueError("eta must lie in [0, 1]")

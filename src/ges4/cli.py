@@ -49,6 +49,7 @@ from .circuit import (
     BRANCHES,
     BRANCH_PRIME,
     BRANCH_DOUBLE_PRIME,
+    FAULT_MODES,
     DetectionOutcome,
     SchemeParams,
     _BS_BLOCK,
@@ -76,7 +77,6 @@ from .basis import (
     generate_basis,
     verify_representation,
 )
-from .verify import FAULT_MODES, report_to_json, run_all_checks
 
 __all__ = ["main", "parse_angle"]
 
@@ -659,6 +659,9 @@ def _decompose_csv(payload) -> str:
 
 
 def cmd_verify(args) -> Output:
+    # imported here so that the other commands never load the verification suite
+    from .verify import run_all_checks
+
     report = run_all_checks(seed=args.seed, fault=args.fault)
     log = ((args.discrepancies, report.discrepancy_log),) if args.discrepancies else ()
     return Output(report, _verify_text, _verify_csv, _verify_json,
@@ -675,6 +678,8 @@ def _verify_csv(report) -> str:
 
 
 def _verify_json(report) -> str:
+    from .verify import report_to_json
+
     return report_to_json(report) + "\n"
 
 

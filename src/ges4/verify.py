@@ -41,17 +41,16 @@ from .circuit import (
     BRANCHES,
     BRANCH_PRIME,
     BRANCH_DOUBLE_PRIME,
+    FAULT_MODES,
     FULL_SPACE,
     PHOTONIC_SPACE,
     DetectionOutcome,
     SchemeParams,
     _BS_BLOCK,
-    _branch_norms,
     _closed_form_pairs,
     _dense_apply,
     _dense_circuit,
     _dense_circuits,
-    _detect,
     _gammas,
     _initial_states,
     _one_photon_block,
@@ -92,10 +91,6 @@ from .basis import (
 
 __all__ = ["CHECKS", "CheckFailed", "CheckResult", "VerificationReport", "run_all_checks",
            "report_to_json", "FAULT_MODES", "ENTROPY_SPOT_PI_8"]
-
-# Known fault injections, used as negative controls by the test suite: a build
-# with a deliberately broken circuit must fail the oracle-equivalence check.
-FAULT_MODES = ("conjugate_bs",)
 
 # Entropy of the chi' branch across the {q1,q2}|{q3,q4} cut at theta = pi/8,
 # phi = pi/2.  Equals the binary-like entropy at delta = 0.8 and is confirmed
@@ -379,16 +374,17 @@ def _parseval(run: _Run) -> float:
 
 def _detector_model(run: _Run) -> float:
     """POVM completeness, eta-independence, and the success-probability log: 22
-    detections on one `_branch_norms` pass, then random points' `_povm` sums."""
+    detections of one state (one cached branch split), then random points'
+    `_povm` sums."""
     etas = (0.0, 0.25, 0.5, 0.8, 1.0)
     worst = 0.0
-    branches, norms = _branch_norms(evolve(SchemeParams(phi=np.pi / 2.0)))
-    reference = {outcome: _detect(branches, norms, outcome, 1.0)[0] for outcome in (_D1, _D2)}
+    psi = evolve(SchemeParams(phi=np.pi / 2.0))
+    reference = {outcome: detect(psi, outcome, 1.0)[0] for outcome in (_D1, _D2)}
     success = {}
     for eta in etas:
         probs = {}
         for outcome in DetectionOutcome:
-            state, prob = _detect(branches, norms, outcome, eta)
+            state, prob = detect(psi, outcome, eta)
             probs[outcome] = prob
             if eta > 0.0 and outcome in reference and state is not None:
                 fidelity = abs(inner(reference[outcome], state))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ges4 import basis, hilbert, measures
+from ges4 import basis, circuit, hilbert, measures
 from ges4.hilbert import (PAULIS, HilbertSpace, InvariantError, Operator, StateVector, embed,
                           inner)
 from ges4.circuit import (ATOMIC_SPACE, BRANCH_DOUBLE_PRIME, BRANCH_PRIME, DetectionOutcome,
@@ -308,6 +308,26 @@ def test_warm_single_shot_request_builds_no_checked_state_and_two_svds(monkeypat
     # the counters do see the public constructor
     StateVector(ATOMIC_SPACE, state.amp)
     assert counts["post_init"] == 1
+
+    # all four outcomes of one state at 0 < eta < 1, whose no-click leaves two
+    # live, independent branches: one branch split, and SVDs for the clicks only
+    psi = evolve(SchemeParams(phi=1.1, thetas=(0.3, 0.5, 0.7, 0.9), eta=0.4))
+    before = circuit._branch_norms.cache_info()
+    counts["svd"] = 0
+    posts = {outcome: detect(psi, outcome, 0.4)[0] for outcome in DetectionOutcome}
+    after = circuit._branch_norms.cache_info()
+    assert counts["svd"] == 2
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 3)
+    assert [o for o, post in posts.items() if post is None] == [
+        DetectionOutcome.NO_CLICK, DetectionOutcome.DOUBLE_CLICK]
+    # at theta = 0 both branches are multiples of |0000>: the no-click state
+    # is pure, and only its SVD can say so
+    psi = evolve(SchemeParams(phi=1.1, thetas=0.0, eta=0.4))
+    counts["svd"] = 0
+    post, probability = detect(psi, DetectionOutcome.NO_CLICK, 0.4)
+    assert counts["svd"] == 1
+    assert np.allclose(post.amp, np.eye(16)[0], rtol=0.0, atol=1e-15)
+    assert abs(probability - 0.6) <= 1e-15
 
 
 def test_explicit_basis_states_are_read_only(basis16):

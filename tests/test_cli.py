@@ -4,7 +4,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -788,3 +792,26 @@ def test_unnormalized_extreme_amplitudes_name_the_norm(capsys, tmp_path):
     err = capsys.readouterr().err
     assert _one_error_line(err)
     assert "state norm 1.41421356237e+308" in err and "--normalize" in err
+
+
+# The verification suite loads only for `ges4 verify`: each argv runs in a
+# fresh interpreter, which must not have imported ges4.verify afterwards.
+_NO_VERIFY_PROBE = """
+import sys
+from ges4 import cli
+code = cli.main(sys.argv[1:])
+assert code == 0, code
+assert "ges4.verify" not in sys.modules, "ges4.verify was imported"
+"""
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--csv", "--out", "OUT"],
+                                  ["simulate", "--phi", "1.1", "--eta", "0.4"]])
+def test_sweep_and_simulate_do_not_load_the_verification_suite(tmp_path, argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [str(tmp_path / "out.csv") if a == "OUT" else a for a in argv]
+    out = subprocess.run([sys.executable, "-c", _NO_VERIFY_PROBE, *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""

@@ -9,7 +9,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ges4 import circuit, measures
@@ -310,22 +310,45 @@ def _ent(amps, sides) -> np.ndarray:
     return _svd_measures(amps, (), tuple(sides))[1]
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _dense_allowance(state: StateVector, pair) -> float:
+    """Bound on the dense route's concurrence error at a pair, from its
+    eigenvalue roundoff, and never below EIG_TOL.
+
+    `concurrence(rho)` square-roots the eigenvalues w_k that `eigh` gives
+    for the pair's reduction, each off by about eps * w_max. An eigenvalue
+    it keeps passes that on to sqrt(rho) as eps * w_max / (2 sqrt(w_k)); one
+    at or below its cutoff, 4 eps * w_max, plus that roundoff, is dropped
+    whole, an error of sqrt(w_k). Each of the four singular values of
+    sqrt(rho) (sy x sy) sqrt(rho)* then moves by at most 2 sqrt(w_max) times
+    the error in sqrt(rho), so the concurrence by 8 sqrt(w_max) times the
+    sum. The w_k are the squared singular values of the pair-by-rest matrix,
+    which keep small eigenvalues to eps relative to the largest.
+    """
+    i, j = (QUBIT_LABELS.index(q) for q in pair)
+    m = np.moveaxis(state.amp.reshape(2, 2, 2, 2), (i, j), (0, 1)).reshape(4, 4)
+    w = np.linalg.svd(m, compute_uv=False) ** 2
+    dropped = w <= 5.0 * _EPS * w[0]
+    err = np.where(dropped, np.sqrt(w), _EPS * w[0] / (2.0 * np.sqrt(np.where(dropped, 1.0, w))))
+    return max(EIG_TOL, 8.0 * math.sqrt(w[0]) * float(err.sum()))
+
+
 def _oracle_concurrence(state: StateVector, pair) -> tuple[float, float]:
-    """Dense concurrence of a pair and the smallest eigenvalue of its reduction."""
+    """Dense concurrence of a pair and `_dense_allowance` for its error."""
     rho = partial_trace(density_matrix(state), list(pair))
-    return concurrence(rho), float(np.linalg.eigvalsh(rho.mat)[0])
+    return concurrence(rho), _dense_allowance(state, pair)
 
 
 def _assert_kernel_matches_oracle(state: StateVector) -> None:
     for pair in PAIRS:
-        dense, w_min = _oracle_concurrence(state, pair)
-        # The dense route takes square roots of the reduction's eigenvalues.
-        # It zeroes those at roundoff level, but an eigenvalue just above
-        # that (~1e-14) still carries roundoff of size eps into its square
-        # root: up to 1.7e-10 on near-empty branches, measured over 4,000
-        # draws. Where every eigenvalue is at least 1e-10 its error is
-        # below 1e-11.
-        tol = EIG_TOL if w_min >= 1e-10 else 1e-9
+        # The dense route takes square roots of the reduction's eigenvalues,
+        # so an eigenvalue of ~1e-15 turns eigh's eps-size roundoff into an
+        # error of ~1e-9 (1.31e-9 on `_SMALL_EIGENVALUE_PARTS`, against an
+        # allowance of 1.2e-8 there); the kernel stays within 1e-15 of the
+        # 40-digit value.
+        dense, tol = _oracle_concurrence(state, pair)
         assert abs(float(_conc(state.amp, [pair])[0]) - dense) <= tol, pair
     for cut in ALL_CUTS:
         got = float(_ent(state.amp, [cut.side_a])[0])
@@ -361,10 +384,7 @@ def _assert_report_matches_oracle(state: StateVector) -> None:
     """measure_report, which runs the kernel, against the density-matrix route."""
     report = measure_report(state)
     for pair in PAIRS:
-        dense, w_min = _oracle_concurrence(state, pair)
-        # same allowance as in _assert_kernel_matches_oracle for the dense
-        # route's error at nearly rank-deficient reductions
-        tol = EIG_TOL if w_min >= 1e-10 else 1e-9
+        dense, tol = _oracle_concurrence(state, pair)
         assert abs(report.pairwise_concurrence[pair] - dense) <= tol, pair
     for cut in PAIR_CUTS:
         assert abs(report.pair_entropy[cut] - bipartition_entropy(state, cut)) <= EIG_TOL, str(cut)
@@ -377,9 +397,17 @@ def _assert_report_matches_oracle(state: StateVector) -> None:
                 for s in (*report.pair_entropy.values(), *report.single_entropy.values())))
 
 
+# Real then imaginary parts of (|0010>(1+i) + |1011> + 1.19e-7 i|1101> +
+# i|1110>)/2: a Hypothesis draw on which the dense route is 1.31e-9 off on
+# q1q2 and q1q4, whose reductions keep an eigenvalue of 2.4e-15.
+_SMALL_EIGENVALUE_PARTS = [1.0 if k in (2, 11, 18, 30) else 1.192092896e-07 if k == 29
+                           else 0.0 for k in range(32)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(parts=st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
        zeros=st.lists(st.booleans(), min_size=16, max_size=16))
+@example(parts=_SMALL_EIGENVALUE_PARTS, zeros=[False] * 16)
 def test_measure_report_matches_dense_oracle_on_random_states(parts, zeros):
     # `zeros` blanks a random subset of amplitudes, so sparse states with
     # rank-deficient reductions are drawn as well as dense ones
@@ -588,6 +616,18 @@ def test_measure_report_concurrence_is_exact_at_a_nearly_rank_deficient_pair():
     assert abs(reported - exact) <= 1e-15
     assert abs(float(_conc(state.amp, [("q1", "q2")])[0]) - exact) <= 1e-15
     assert abs(_oracle_concurrence(state, ("q1", "q2"))[0] - exact) <= _DENSE_EXACT_TOL
+
+
+def test_kernel_is_exact_where_the_dense_route_loses_digits():
+    parts = np.array(_SMALL_EIGENVALUE_PARTS)
+    state = _state(parts[:16] + 1j * parts[16:])
+    report = measure_report(state)
+    for value, pair in zip(_conc(state.amp, PAIRS), PAIRS):
+        exact = _mp_concurrence(state.amp, pair)
+        assert abs(value - exact) <= 1e-15, pair
+        assert abs(report.pairwise_concurrence[pair] - exact) <= 1e-15, pair
+        dense, tol = _oracle_concurrence(state, pair)
+        assert abs(dense - exact) <= tol, pair
 
 
 def test_kernel_and_dense_concurrence_are_exact_at_rank_deficient_pairs():

@@ -1,6 +1,7 @@
 """The single-shot request against in-test copies of its earlier forms, bit for bit.
 
-`detect` takes its four branch norms in one pass, `measure_report` runs two
+`detect` takes its four branch norms in one pass, cached per state, and finds
+a clearly mixed no-click outcome without an SVD, `measure_report` runs two
 SVD calls instead of three, and `decompose` has its own one-row path. Each
 must return the same bits as the form it replaced, which is copied here:
 four `np.linalg.norm` calls per `detect`, the single-qubit cuts in their
@@ -12,6 +13,8 @@ views, so a difference in the last bit fails.
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ges4 import measures
 from ges4.basis import _expand, decompose, explicit_basis, generate_basis
@@ -131,6 +134,31 @@ def test_single_shot_outputs_are_bit_identical_to_the_earlier_forms():
                                       c[0].view(np.uint64))
                 assert _bits(dec.residual) == _bits(residual[0])
     assert n_cases >= 2000 and n_states >= 800
+
+
+_PHI = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, math.pi / 2, math.pi]))
+# edges, tiny angles (whose branches are near-parallel) and the rest
+_THETA = st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2]),
+                   st.floats(1e-12, 1e-4), st.floats(-10.0, 10.0))
+_ETA = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+_PARAMS = st.builds(SchemeParams, _PHI, st.tuples(_THETA, _THETA, _THETA, _THETA), _ETA)
+_CALLS = [(i, outcome) for i in (0, 1) for outcome in DetectionOutcome]
+
+
+@settings(max_examples=150, deadline=None)
+@given(first=_PARAMS, second=_PARAMS, order=st.permutations(_CALLS))
+def test_detect_is_bit_identical_to_the_earlier_form_in_any_call_order(first, second, order):
+    # Two states' outcomes asked in a shuffled, interleaved order, so the
+    # branch-split cache both hits and misses.
+    params = (first, second)
+    psis = (evolve(first), evolve(second))
+    for i, outcome in order:
+        state, prob = detect(psis[i], outcome, params[i].eta)
+        old_amp, old_prob = _old_detect(psis[i], outcome, params[i].eta)
+        assert _bits(prob) == _bits(old_prob), (params[i], outcome)
+        assert (state is None) == (old_amp is None), (params[i], outcome)
+        if state is not None:
+            assert np.array_equal(state.amp.view(np.uint64), old_amp.view(np.uint64))
 
 
 def test_prepared_states_are_bit_identical_to_the_earlier_detect_path():
