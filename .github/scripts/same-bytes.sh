@@ -18,8 +18,12 @@
 #     `simulate --measures --json` over all four outcomes, at angles where
 #     the no-click state is mixed and, with --phi 1.1 --eta 0.4 and theta 0
 #     or 0,0,0,pi/2, where it is a pure product state that only detect's
-#     SVD finds;
-#   - `decompose` of every named state over both bases.
+#     SVD finds, and `simulate --measures --json` at --phi 0.7 and 2.9 with
+#     generic angles, whose post-states have no table amplitudes;
+#   - `decompose` of every named state over both bases, and `decompose --file`
+#     of three seeded state files (a dense generic state, a sparse one with a
+#     1e-9 amplitude, and one whose norm is off, with and without
+#     --normalize) over both bases, as text, with --json and with --csv.
 # It also runs each of HEAD_TREE's demos/*.py scripts, from each tree's own
 # demos/ against that tree's src/.
 # Each command's stdout, stderr, exit code and side file (if any) must be
@@ -103,11 +107,42 @@ done
 for theta in 0 0,0,0,pi/2; do
   cases+=("simulate --measures --json --phi 1.1 --theta $theta --eta 0.4")
 done
+for phi in 0.7 2.9; do
+  cases+=("simulate --measures --json --phi $phi --theta 0.3,0.5,0.7,0.9 --eta 0.6")
+done
 
 for state in ghz4 w4 cl4 d4; do
   for b in explicit generated; do
     cases+=("decompose $state --basis $b --json" "decompose $state --basis $b --csv")
   done
+done
+
+# the state files, written once from a fixed seed and read by both trees
+python - "$out" <<'PY'
+import json, sys
+import numpy as np
+rng = np.random.default_rng(20261019)
+def write(name, amp):
+    records = [{"basis_label": format(i, "04b"), "re": float(a.real), "im": float(a.imag)}
+               for i, a in enumerate(amp) if a != 0]
+    with open(f"{sys.argv[1]}/{name}.json", "w") as f:
+        json.dump(records, f)
+dense = rng.normal(size=16) + 1j * rng.normal(size=16)
+write("dense", dense / np.linalg.norm(dense))
+sparse = np.zeros(16, dtype=complex)
+sparse[rng.choice(16, size=5, replace=False)] = rng.normal(size=5) + 1j * rng.normal(size=5)
+sparse[np.flatnonzero(sparse)[0]] = 1e-9 * (1 + 1j)
+write("sparse", sparse / np.linalg.norm(sparse))
+off = rng.normal(size=16) + 1j * rng.normal(size=16)
+write("off", 1.7 * off / np.linalg.norm(off))
+PY
+for b in explicit generated; do
+  for fmt in "" --json --csv; do
+    cases+=("decompose --file $out/dense.json --basis $b $fmt"
+            "decompose --file $out/sparse.json --basis $b $fmt"
+            "decompose --file $out/off.json --basis $b --normalize $fmt")
+  done
+  cases+=("decompose --file $out/off.json --basis $b")
 done
 
 for demo in "$head"/demos/*.py; do

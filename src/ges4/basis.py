@@ -49,6 +49,11 @@ class GesIndex:
             raise ValueError("family must be in 1..4")
         if self.component not in (0, 1, 2, 3):
             raise ValueError("component must be in 0..3")
+        # the generated hash, taken once: each coefficient dict hashes 16 keys
+        object.__setattr__(self, "_hash", hash((self.family, self.component)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def label(self) -> str:
@@ -128,8 +133,9 @@ class GesBasis:
 
     Orthonormality is enforced on construction for either provenance
     ("explicit" amplitude tables or "generated" Pauli-string images). The
-    states are stacked into the basis matrix once, on construction, and
-    `states` becomes a read-only mapping.
+    states are stacked into the basis matrix once, on construction, with its
+    complex conjugate beside it for `decompose`, and `states` becomes a
+    read-only mapping.
     """
 
     states: dict
@@ -142,6 +148,9 @@ class GesBasis:
         m = np.column_stack([self.states[idx].amp for idx in ALL_INDICES])
         m.setflags(write=False)
         object.__setattr__(self, "_matrix", m)
+        conj = m.conj()
+        conj.setflags(write=False)
+        object.__setattr__(self, "_conj", conj)
         dev = self.orthonormality_deviation()
         if dev > STRUCT_TOL:
             raise ValueError(f"basis is not orthonormal (max Gram deviation {dev:.3e})")
@@ -227,15 +236,26 @@ def _expand(amps: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def decompose(state: StateVector, basis: GesBasis) -> Decomposition:
     """Expand a normalized four-qubit state over the sixteen-state basis.
 
-    The one-row case of `_expand`: InvariantError if the reconstruction or
-    norm identity fails.
+    The one-row case of `_expand`, with the same bits: the same two products,
+    the conjugate matrix taken from the basis, and the same norm of the
+    reconstruction's remainder. Its two checks, with `_expand`'s messages,
+    run on Python floats: InvariantError if the reconstruction or norm
+    identity fails.
     """
     if state.space != ATOMIC_SPACE:
         raise ValueError("state must live on the four-qubit space")
     if not state.is_normalized:
         raise ValueError("state must be normalized")
-    c, residual = _expand(state.amp[None], basis.matrix())
-    return Decomposition(dict(zip(ALL_INDICES, c[0].tolist())), float(residual[0]))
+    amps = state.amp[None]
+    c = amps @ basis._conj
+    residual = float(np.linalg.norm(amps - c @ basis.matrix().T, axis=-1)[0])
+    coefficients = c[0].tolist()
+    total = sum([abs(z) ** 2 for z in coefficients]) + residual**2
+    if abs(total - 1.0) > STRUCT_TOL:
+        raise InvariantError(f"sum |c|^2 + residual^2 = {total}, not 1")
+    if residual > STRUCT_TOL:
+        raise InvariantError(f"reconstruction residual {residual} exceeds {STRUCT_TOL}")
+    return Decomposition(dict(zip(ALL_INDICES, coefficients)), residual)
 
 
 def canonical_state(name: str) -> StateVector:

@@ -506,8 +506,12 @@ def _detect(branches: np.ndarray, norms: Sequence[float], outcome: DetectionOutc
         if (g_jj * g_kk - g_jk2) / (g_jj + g_kk) > _MIXED_MARGIN:
             return None, probability   # conditional state is mixed
 
-    weighted = [math.sqrt(w) * branches[k] for k, w in live]
-    _, s, vh = np.linalg.svd(np.array(weighted), full_matrices=False)
+    if len(live) == 1:      # one weighted branch: no list to copy into an array
+        (k, w), = live
+        weighted = (math.sqrt(w) * branches[k])[None]
+    else:
+        weighted = np.array([math.sqrt(w) * branches[k] for k, w in live])
+    _, s, vh = np.linalg.svd(weighted, full_matrices=False)
     if len(s) > 1 and s[1] > EIG_TOL:
         return None, probability   # conditional state is mixed
     post = canonical_phase(vh[0])

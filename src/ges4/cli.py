@@ -158,6 +158,11 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _tol(args) -> float:
+    """--tol where a command reads it: the given value, or 1e-9 when it was not given."""
+    return 1e-9 if args.tol is None else args.tol
+
+
 # --------------------------------------------------------------------------
 # formats and the one writer
 
@@ -319,14 +324,14 @@ def cmd_simulate(args) -> Output:
         payload["mode"] = "deterministic"
         payload["conditioned_on"] = prepared.outcome.value
         payload.update(_outcome_entry(prepared.state, prepared.probability,
-                                      args.measures, args.tol))
+                                      args.measures, _tol(args)))
     elif outcome is not None:
         payload["outcome"] = outcome.value
         payload.update(_outcome_entry(*detect(psi, outcome, params.eta),
-                                      args.measures, args.tol))
+                                      args.measures, _tol(args)))
     else:
         payload["outcomes"] = {
-            o.value: _outcome_entry(*detect(psi, o, params.eta), args.measures, args.tol)
+            o.value: _outcome_entry(*detect(psi, o, params.eta), args.measures, _tol(args))
             for o in DetectionOutcome}
     return Output(payload, _simulate_text, _simulate_csv)
 
@@ -527,6 +532,9 @@ def cmd_basis(args) -> Output:
     if args.index is not None and (args.verify or args.compare_generated):
         raise CliInputError("--index restricts --list; it does not combine with "
                             "--verify or --compare-generated")
+    if args.tol is not None and (args.verify or args.compare_generated):
+        raise CliInputError("--tol sets the amplitudes --list shows; it does not combine "
+                            "with --verify or --compare-generated")
     if args.compare_generated:
         payload = [{"index": r["index"], "overlap_magnitude": r["overlap_magnitude"],
                     "phase_re": float(r["phase"].real), "phase_im": float(r["phase"].imag),
@@ -548,7 +556,7 @@ def cmd_basis(args) -> Output:
 
     indices = [_parse_index(args.index)] if args.index is not None else list(ALL_INDICES)
     payload = {"states": [{"index": idx.label,
-                           "amplitudes": _state_records(basis.states[idx], args.tol)}
+                           "amplitudes": _state_records(basis.states[idx], _tol(args))}
                           for idx in indices]}
     return Output(payload, _basis_list_text, _basis_list_csv)
 
@@ -617,6 +625,9 @@ def cmd_decompose(args) -> Output:
         if args.normalize:
             raise CliInputError("--normalize rescales a --file state; it does not combine "
                                 "with a state name")
+        if args.tol is not None:
+            raise CliInputError("--tol checks the norm of a --file state; it does not "
+                                "combine with a state name")
         name = args.state.lower()
         if name not in _CANONICAL_NAMES:
             raise CliInputError(f"unknown state {args.state!r}; expected one of "
@@ -624,7 +635,7 @@ def cmd_decompose(args) -> Output:
         state = canonical_state(name)
         source = name
     else:
-        state = read_state_file(args.file, args.normalize, args.tol)
+        state = read_state_file(args.file, args.normalize, _tol(args))
         source = args.file
 
     basis = generate_basis() if args.basis == "generated" else explicit_basis()
@@ -699,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH",
                         help="write output to a file instead of stdout")
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=_tolerance, default=1e-9,
+    tol.add_argument("--tol", type=_tolerance, default=None,    # None: not given
                      help="display/validation tolerance, finite and >= 0 (default 1e-9)")
 
     parser = argparse.ArgumentParser(

@@ -12,6 +12,7 @@ four-qubit label "q1q2q3q4" maps to the integer q1*8 + q2*4 + q3*2 + q4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -148,7 +149,9 @@ class StateVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amp))
+        """sqrt(re.re + im.im) by two `dot` calls: the bits of 1-D `np.linalg.norm`."""
+        re, im = self.amp.real, self.amp.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
 
     @property
     def is_normalized(self) -> bool:
@@ -339,6 +342,6 @@ def canonical_phase(amp: np.ndarray) -> np.ndarray:
     top = float(mags.max())
     if top == 0.0:
         return amp.copy()
-    pivot = int(np.nonzero(mags >= top * (1.0 - 1e-12))[0][0])
+    pivot = int((mags >= top * (1.0 - 1e-12)).argmax())
     z = amp[pivot] / abs(amp[pivot])
     return amp * np.conj(z)

@@ -1,14 +1,14 @@
 """Entanglement measures and their closed-form comparators.
 
 Numerical side, two paths. The fast path is one amplitude kernel,
-`_svd_measures`: for a pure four-qubit state every cut entropy is a Schmidt
+`_svd_values`: for a pure four-qubit state every cut entropy is a Schmidt
 spectrum and every pair's Wootters lambdas are singular values, both of
 reshapes of the 16 amplitudes, so stacked states are measured over any
 pairs and cuts, named by their qubit labels, with one stacked SVD and no
 density matrix. All of `measure_report` (six concurrences, seven cut
 entropies and its Schmidt-symmetry check) runs on it, and so does every
-closed-form-versus-numerics comparison, through `_branch_measures` and its
-one empty-branch rule. The oracle path is the density matrix: Wootters
+closed-form-versus-numerics comparison, through `_svd_measures`,
+`_branch_measures` and its one empty-branch rule. The oracle path is the density matrix: Wootters
 `concurrence` for arbitrary two-qubit density matrices,
 `von_neumann_entropy` of arbitrary reductions and `bipartition_entropy`,
 reached through `density_matrix` and `partial_trace`; the tests check the
@@ -261,11 +261,6 @@ def _gather(sides: tuple) -> np.ndarray:
     return index
 
 
-def _wootters(lam: np.ndarray) -> np.ndarray:
-    """max(0, l_0 - l_1 - l_2 - l_3) over the last axis of descending lambdas."""
-    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
-
-
 def _schmidt_entropy(s: np.ndarray) -> np.ndarray:
     """Entropy (bits) of the Schmidt coefficients s along the last axis.
 
@@ -274,20 +269,18 @@ def _schmidt_entropy(s: np.ndarray) -> np.ndarray:
     """
     p = s * s
     keep = p > 1e-15
-    h = -np.sum(np.where(keep, p * np.log2(np.where(keep, p, 1.0)), 0.0), axis=-1)
+    h = -np.add.reduce(np.where(keep, p * np.log2(np.where(keep, p, 1.0)), 0.0), axis=-1)
     return np.maximum(0.0, h)
 
 
-def _svd_measures(amps: np.ndarray, pairs: tuple, cuts: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Concurrences (..., len(pairs)) and cut entropies (..., len(cuts)) of
-    normalized pure states (..., 16), in one SVD call.
+def _svd_values(amps: np.ndarray, pairs: tuple, cuts: tuple) -> np.ndarray:
+    """Singular values (..., len(pairs) + len(cuts), k) of normalized pure states
+    (..., 16) in one SVD call, the one gather-and-factor step of every measure.
 
-    With m a pair's pair-by-rest matrix, the singular values of
-    m^T (sy x sy) m are the Wootters lambdas of its reduction m m^dag, and the
-    concurrence is max(0, l_0 - l_1 - l_2 - l_3), as in `concurrence`. A
-    cut's entropy comes from the singular values of its side's matrix, by
-    `_schmidt_entropy`. Pairs need two-qubit cuts beside them (all 4x4).
-    LAPACK factors each matrix of a stack on its own, so an entry equals the
+    With m a pair's pair-by-rest matrix, the values of m^T (sy x sy) m are the
+    Wootters lambdas of its reduction m m^dag; a cut's are its Schmidt
+    coefficients. Pairs need two-qubit cuts beside them (all 4x4). LAPACK
+    factors each matrix of a stack on its own, so an entry equals the
     one-row, one-side call bit for bit.
     """
     n = len(pairs)
@@ -295,8 +288,17 @@ def _svd_measures(amps: np.ndarray, pairs: tuple, cuts: tuple) -> tuple[np.ndarr
     if n:   # a fresh gather: each pair's m^T (sy x sy) m takes the place of its m
         m = mats[..., :n, :, :]
         mats[..., :n, :, :] = np.swapaxes(m, -1, -2) @ _YY @ m
-    lam = np.linalg.svd(mats, compute_uv=False)
-    conc = _wootters(lam[..., :n, :]) if n else lam[..., :0, 0]
+    return np.linalg.svd(mats, compute_uv=False)
+
+
+def _svd_measures(amps: np.ndarray, pairs: tuple, cuts: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Concurrences max(0, l_0 - l_1 - l_2 - l_3), as in `concurrence`, and
+    `_schmidt_entropy` cut entropies of `_svd_values`' stack, as (..., len(pairs))
+    and (..., len(cuts))."""
+    n = len(pairs)
+    lam = _svd_values(amps, pairs, cuts)
+    w = lam[..., :n, :]
+    conc = np.maximum(0.0, w[..., 0] - w[..., 1] - w[..., 2] - w[..., 3]) if n else w[..., 0]
     return conc, _schmidt_entropy(lam[..., n:, :])
 
 
@@ -305,6 +307,7 @@ def _svd_measures(amps: np.ndarray, pairs: tuple, cuts: tuple) -> tuple[np.ndarr
 # transposed into the same 2x8 matrix.
 _PAIR_CUT_SIDES = (*(cut.side_a for cut in PAIR_CUTS), *(cut.side_b for cut in PAIR_CUTS))
 _SINGLE_CUT_SIDES = tuple(cut.side_a for cut in SINGLE_CUTS)
+_SINGLE_KEYS = tuple(cut.side_a[0] for cut in SINGLE_CUTS)
 
 
 def _branch_measures(amps: np.ndarray, pairs: tuple, cuts: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -353,39 +356,48 @@ def entropy_closed_form(thetas: Sequence[float], branch: str) -> float:
 
 
 def _measure_reports(states: Sequence[StateVector]) -> list[MeasureReport]:
-    """`measure_report` of each state, all in the same two `_svd_measures` calls."""
+    """`measure_report` of each state, from the same two `_svd_values` calls.
+
+    The single cuts' two Schmidt coefficients are padded with zeros to four, so
+    one `_schmidt_entropy` pass takes all ten sides (a pad's p = 0 is masked to
+    0.0 and summed last: the same bits). Wootters, the symmetry check and the
+    reports run on Python floats."""
     for state in states:
         if state.space != ATOMIC_SPACE:
             raise ValueError("state must live on the four-qubit space")
         if not state.is_normalized:
             raise ValueError("state must be normalized")
-    amps = np.stack([state.amp for state in states])
-    conc, pair = _svd_measures(amps, PAIRS, _PAIR_CUT_SIDES)
-    _, single = _svd_measures(amps, (), _SINGLE_CUT_SIDES)
-    s_a, s_b = pair[:, :3], pair[:, 3:]
-    dev = np.abs(s_a - s_b)
-    if dev.max() > EIG_TOL:
-        row, worst = np.unravel_index(np.argmax(dev), dev.shape)
-        raise InvariantError(f"Schmidt symmetry violated across {PAIR_CUTS[worst]}: "
-                             f"{s_a[row, worst]} vs {s_b[row, worst]}")
+    amps = np.array([state.amp for state in states])
+    lam = _svd_values(amps, PAIRS, _PAIR_CUT_SIDES)
+    sides = np.zeros((len(states), 10, 4))
+    sides[:, :6] = lam[:, 6:]
+    sides[:, 6:, :2] = _svd_values(amps, (), _SINGLE_CUT_SIDES)
+    # per state: the pairs' lambdas, and the entropies of side_a and side_b
+    # of each two-two cut, then of the four single cuts
+    lams, ents = lam[:, :6].tolist(), _schmidt_entropy(sides).tolist()
+    dev = [abs(ent[k] - ent[3 + k]) for ent in ents for k in range(3)]
+    if max(dev) > EIG_TOL:
+        row, k = divmod(dev.index(max(dev)), 3)
+        raise InvariantError(f"Schmidt symmetry violated across {PAIR_CUTS[k]}: "
+                             f"{ents[row][k]} vs {ents[row][3 + k]}")
     reports = []
-    for pairwise, pair_ent, single_ent in zip(conc.tolist(), s_a.tolist(), single.tolist()):
-        pairwise = dict(zip(PAIRS, pairwise))
-        pair_ent = dict(zip(PAIR_CUTS, pair_ent))
-        single_ent = {cut.side_a[0]: h for cut, h in zip(SINGLE_CUTS, single_ent)}
-        genuine = (all(c <= GENUINE_CONCURRENCE_TOL for c in pairwise.values())
-                   and all(s >= 1.0 - GENUINE_ENTROPY_TOL for s in pair_ent.values())
-                   and all(s >= 1.0 - GENUINE_ENTROPY_TOL for s in single_ent.values()))
-        reports.append(MeasureReport(pairwise, pair_ent, single_ent, genuine))
+    for pair_lams, ent in zip(lams, ents):
+        conc = [l0 - l1 - l2 - l3 for l0, l1, l2, l3 in pair_lams]
+        conc = [0.0 if c <= 0.0 else c for c in conc]    # np.maximum(0.0, c), NaN kept
+        pair_ent, single_ent = ent[:3], ent[6:]
+        genuine = (all(c <= GENUINE_CONCURRENCE_TOL for c in conc)
+                   and all(s >= 1.0 - GENUINE_ENTROPY_TOL for s in pair_ent + single_ent))
+        reports.append(MeasureReport(dict(zip(PAIRS, conc)), dict(zip(PAIR_CUTS, pair_ent)),
+                                     dict(zip(_SINGLE_KEYS, single_ent)), genuine))
     return reports
 
 
 def measure_report(state: StateVector) -> MeasureReport:
     """Full entanglement signature of a normalized four-qubit state.
 
-    The one-row case of `_measure_reports`: two `_svd_measures` calls, one
-    over the 4x4 matrices of the pairs and two-two cuts, one over the 2x8
-    matrices of the single-qubit cuts, and no density matrix. Each two-two
+    The one-row case of `_measure_reports`: two SVD calls, one over the 4x4
+    matrices of the pairs and two-two cuts, one over the 2x8 matrices of the
+    single-qubit cuts, one entropy pass, and no density matrix. Each two-two
     cut's entropy is taken from side_a and again from side_b; the two must
     agree to EIG_TOL (Schmidt symmetry, a check on the kernel's index
     gather), else InvariantError. The density-matrix route

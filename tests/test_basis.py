@@ -359,6 +359,7 @@ class _RawBasis:
 
     def __init__(self, m):
         self._m = m
+        self._conj = m.conj()      # held beside the matrix, as GesBasis does
 
     def matrix(self):
         return self._m

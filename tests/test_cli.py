@@ -508,6 +508,42 @@ def test_decompose_input_validation(capsys, tmp_path):
                             "combine with a state name\n")
 
 
+_TOL_UNREAD = "error: --tol sets the amplitudes --list shows; it does not combine with " \
+              "--verify or --compare-generated\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["decompose", "ghz4", "--tol", "1e-6"],
+     "error: --tol checks the norm of a --file state; it does not combine with a state name\n"),
+    (["decompose", "w4", "--basis", "generated", "--tol=1e-9", "--json"],
+     "error: --tol checks the norm of a --file state; it does not combine with a state name\n"),
+    (["basis", "--verify", "--tol", "0"], _TOL_UNREAD),
+    (["basis", "--compare-generated", "--tol", "1e-9", "--csv"], _TOL_UNREAD),
+], ids=["decompose-name", "decompose-name-json", "basis-verify", "basis-compare"])
+def test_tol_where_nothing_reads_it_exits_2_with_one_line(capsys, argv, err):
+    # an explicit --tol is rejected where no amplitude is shown or checked,
+    # even when it equals the default
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
+def test_tol_still_applies_where_it_is_read(capsys, tmp_path):
+    # the default and an explicit 1e-9 give the same bytes where --tol is read
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps([{"basis_label": "0000", "re": 0.6, "im": 0.0},
+                                {"basis_label": "1111", "re": 0.8 + 1e-10, "im": 0.0}]))
+    for argv in (["simulate", "--theta", "0.3", "--json"], ["basis", "--index", "2,1"],
+                 ["decompose", "--file", str(path), "--csv"]):
+        assert cli.main(argv) == 0
+        default = capsys.readouterr().out
+        assert cli.main(argv + ["--tol", "1e-9"]) == 0
+        assert capsys.readouterr().out == default
+    # a tighter --tol rejects the same file
+    assert cli.main(["decompose", "--file", str(path), "--tol", "1e-11"]) == 2
+    assert capsys.readouterr().err.startswith("error: state norm")
+
+
 # ---------------------------------------------------------------------------
 # verify
 
