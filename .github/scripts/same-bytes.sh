@@ -24,6 +24,9 @@
 #     of three seeded state files (a dense generic state, a sparse one with a
 #     1e-9 amplitude, and one whose norm is off, with and without
 #     --normalize) over both bases, as text, with --json and with --csv.
+#   - with `--out PATH`, comparing the written file as well: the two-block
+#     sweep grid with --csv, `verify --seed 0 --json`, `basis --list --csv`
+#     and `decompose w4` as text.
 # It also runs each of HEAD_TREE's demos/*.py scripts, from each tree's own
 # demos/ against that tree's src/.
 # Each command's stdout, stderr, exit code and side file (if any) must be
@@ -144,6 +147,11 @@ for b in explicit generated; do
   done
   cases+=("decompose --file $out/off.json --basis $b")
 done
+
+cases+=("sweep --csv --phi 0:pi:3 --thetas 0:pi/2:1400 --out SIDE_FILE"
+        "verify --seed 0 --json --out SIDE_FILE"
+        "basis --list --csv --out SIDE_FILE"
+        "decompose w4 --out SIDE_FILE")
 
 for demo in "$head"/demos/*.py; do
   cases+=("demo ${demo##*/}")

@@ -45,6 +45,9 @@ class GesIndex:
     component: int
 
     def __post_init__(self):
+        if any(isinstance(x, bool) or not hasattr(x, "__index__")     # True, 2.0
+               for x in (self.family, self.component)):
+            raise ValueError("family and component must be integers")
         if self.family not in (1, 2, 3, 4):
             raise ValueError("family must be in 1..4")
         if self.component not in (0, 1, 2, 3):

@@ -1,11 +1,12 @@
 """Command-line front end: simulate, sweep, basis, decompose, verify.
 
-Payload -> renderer -> writer: each command builds its result once, as the
-data its ``--json`` output shows (undefined entries ``None``); ``verify``'s
-payload is its ``VerificationReport``, which ``report_to_json`` serializes.
-A renderer per format turns that payload alone into JSON, CSV or text;
-``main`` hands the text to ``_write``, the one function that writes to
-stdout (or ``--out``).
+Payload -> renderer chunks -> the one writer: each command builds its result
+once, as the data its ``--json`` output shows (undefined entries ``None``;
+``verify``'s payload is its ``VerificationReport``). A renderer per format
+turns that payload alone into ``str`` chunks: text renderers yield lines,
+CSV renderers hand rows of raw values to ``_csv_lines``, the one place a CSV
+cell is formatted, and JSON is one chunk. ``main`` hands the chunks to
+``_write``, which writes them in order to stdout (or ``--out``).
 Diagnostics go to stderr, and ``main`` alone maps errors to exit codes: 0 on
 success, 1 when a verification run reports failures or an internal invariant
 breaks (``InvariantError``), 2 on usage or input errors, including an output
@@ -19,7 +20,8 @@ over the distinct angle rows, then, per block of up to 4096 points, one
 call of the circuit kernel and one ``_branch_measures`` call (one stacked
 SVD) for the numerical measures. The first point's states are checked
 against ``evolve``. Its CSV formats each point once, with one
-``%``-template, and shares the result between the point's eta rows.
+``%``-template, shares the result between the point's eta rows, and yields
+one chunk per block of points.
 
 State files are JSON lists of records ``{"basis_label": "0101", "re": x,
 "im": y}``; labels are strings of four characters of 0/1, ``re`` and ``im``
@@ -32,14 +34,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import re
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -167,8 +168,13 @@ def _tol(args) -> float:
 # formats and the one writer
 
 
-def _fmt(x) -> str:
-    """CSV float format: 17 significant digits, '.' separator, 'nan' for NaN or None."""
+def _cell(x) -> str:
+    """A CSV cell by type: a str as is, a bool as true/false, and a number as
+    17 significant digits with '.' separator, 'nan' for NaN or None."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, bool):
+        return "true" if x else "false"
     if x is None or x != x:
         return "nan"
     return format(float(x), ".17g")
@@ -179,60 +185,58 @@ def _jsonable(x: float):
     return None if x != x else float(x)
 
 
-def _csv_text(header: Sequence[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+class _Echo:
+    """A file whose write returns the line, so csv.writer's writerow returns it."""
+
+    def write(self, line: str) -> str:
+        return line
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """The CSV lines of `header` and of `rows` of raw values, one `_cell` each."""
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    yield writer.writerow(header)
+    for row in rows:
+        yield writer.writerow([_cell(x) for x in row])
 
 
-def _text(lines: list) -> str:
-    return "\n".join(lines) + "\n"
+def _json_chunks(payload) -> Iterator[str]:
+    yield json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write(text: str, path: Optional[str]) -> None:
-    """The one place output leaves the program: the file at `path`, or stdout."""
+def _write(chunks: Iterable[str], path: Optional[str]) -> None:
+    """The one place output leaves the program: `chunks` in order, to the file
+    at `path` or to stdout, which stays open."""
     try:
         if path:
-            Path(path).write_text(text)
+            with open(path, "w") as out:
+                out.writelines(chunks)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
     except OSError as exc:
         raise CliInputError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}")
 
 
 class Output(NamedTuple):
-    """A command's payload, a renderer per format, its exit code, and
-    (path, payload) pairs written as JSON after it (verify's discrepancy log)."""
+    """A command's payload, a renderer per format (payload -> str chunks), its
+    exit code, and (path, payload) pairs written as JSON after it (verify's
+    discrepancy log)."""
 
     payload: object
-    text: Callable[[object], str]
-    csv: Callable[[object], str]
-    json: Callable[[object], str] = _json_text
+    text: Callable[[object], Iterable[str]]
+    csv: Callable[[object], Iterable[str]]
+    json: Callable[[object], Iterable[str]] = _json_chunks
     code: int = 0
     side_files: tuple = ()
 
 
 def _state_records(state: StateVector, tol: float) -> list:
-    records = []
-    for i in range(state.space.dim):
-        a = state.amp[i]
-        if abs(a) > tol:
-            records.append({
-                "basis_label": state.space.basis_label(i),
-                "re": float(a.real),
-                "im": float(a.imag),
-            })
-    return records
+    return [{"basis_label": state.space.basis_label(i), "re": float(a.real), "im": float(a.imag)}
+            for i, a in enumerate(state.amp) if abs(a) > tol]
 
 
-def _record_lines(records: list) -> list:
-    return [f"  |{r['basis_label']}>  {r['re']:+.12f}  {r['im']:+.12f}" for r in records]
+def _record_lines(records: list) -> Iterator[str]:
+    return (f"  |{r['basis_label']}>  {r['re']:+.12f}  {r['im']:+.12f}\n" for r in records)
 
 
 def read_state_file(path: str, normalize: bool, tol: float) -> StateVector:
@@ -314,6 +318,7 @@ def cmd_simulate(args) -> Output:
                                BRANCH_DOUBLE_PRIME: float(photon_branch(psi, 1, 0).norm ** 2)},
     }
     outcome = DetectionOutcome(args.outcome) if args.outcome else None
+    entry = functools.partial(_outcome_entry, want_measures=args.measures, tol=_tol(args))
     if args.deterministic:
         # an off-operating-point warning becomes one diagnostic line
         with warnings.catch_warnings(record=True) as caught:
@@ -323,16 +328,13 @@ def cmd_simulate(args) -> Output:
             print(f"warning: {warning.message}", file=sys.stderr)
         payload["mode"] = "deterministic"
         payload["conditioned_on"] = prepared.outcome.value
-        payload.update(_outcome_entry(prepared.state, prepared.probability,
-                                      args.measures, _tol(args)))
+        payload.update(entry(prepared.state, prepared.probability))
     elif outcome is not None:
         payload["outcome"] = outcome.value
-        payload.update(_outcome_entry(*detect(psi, outcome, params.eta),
-                                      args.measures, _tol(args)))
+        payload.update(entry(*detect(psi, outcome, params.eta)))
     else:
-        payload["outcomes"] = {
-            o.value: _outcome_entry(*detect(psi, o, params.eta), args.measures, _tol(args))
-            for o in DetectionOutcome}
+        payload["outcomes"] = {o.value: entry(*detect(psi, o, params.eta))
+                               for o in DetectionOutcome}
     return Output(payload, _simulate_text, _simulate_csv)
 
 
@@ -343,50 +345,48 @@ def _simulate_entries(payload) -> dict:
     return {payload.get("conditioned_on", payload.get("outcome")): payload}
 
 
-def _measures_lines(m: dict, indent: str) -> list:
-    lines = [f"{indent}pairwise concurrence:"]
-    lines += [f"{indent}  {pair}: {c:.12f}" for pair, c in m["pairwise_concurrence"].items()]
-    lines.append(f"{indent}bipartition entropy:")
-    lines += [f"{indent}  {cut}: {s:.12f}" for cut, s in m["pair_entropy"].items()]
-    lines += [f"{indent}  {q}|rest: {s:.12f}" for q, s in m["single_entropy"].items()]
-    lines.append(f"{indent}genuine: {'yes' if m['is_genuine'] else 'no'}")
-    return lines
+def _measures_lines(m: dict, indent: str) -> Iterator[str]:
+    yield f"{indent}pairwise concurrence:\n"
+    yield from (f"{indent}  {pair}: {c:.12f}\n" for pair, c in m["pairwise_concurrence"].items())
+    yield f"{indent}bipartition entropy:\n"
+    yield from (f"{indent}  {cut}: {s:.12f}\n" for cut, s in m["pair_entropy"].items())
+    yield from (f"{indent}  {q}|rest: {s:.12f}\n" for q, s in m["single_entropy"].items())
+    yield f"{indent}genuine: {'yes' if m['is_genuine'] else 'no'}\n"
 
 
-def _simulate_text(payload) -> str:
+def _simulate_text(payload) -> Iterator[str]:
     prob = payload["branch_probability"]
-    lines = [
-        f"phi = {payload['phi']:.12f}, theta = ("
-        + ", ".join(f"{t:.12f}" for t in payload["thetas"]) + f"), eta = {payload['eta']:g}",
-        f"branch probabilities: prime = {prob[BRANCH_PRIME]:.12f}, "
-        f"double_prime = {prob[BRANCH_DOUBLE_PRIME]:.12f}",
-    ]
+    yield (f"phi = {payload['phi']:.12f}, theta = ("
+           + ", ".join(f"{t:.12f}" for t in payload["thetas"]) + f"), eta = {payload['eta']:g}\n")
+    yield (f"branch probabilities: prime = {prob[BRANCH_PRIME]:.12f}, "
+           f"double_prime = {prob[BRANCH_DOUBLE_PRIME]:.12f}\n")
     title = ("deterministic preparation, conditioned on" if "conditioned_on" in payload
              else "outcome")
     # one outcome gets a "state:" heading; a list of them is indented further
     nested = "outcomes" in payload
     for name, entry in _simulate_entries(payload).items():
-        lines.append(f"{title} {name}: probability {entry['probability']:.12f}")
+        yield f"{title} {name}: probability {entry['probability']:.12f}\n"
         if entry["state"] is None:
-            lines.append("  (no pure conditional state)")
+            yield "  (no pure conditional state)\n"
             continue
-        lines += ([] if nested else ["state:"]) + _record_lines(entry["state"])
+        if not nested:
+            yield "state:\n"
+        yield from _record_lines(entry["state"])
         if "measures" in entry:
-            lines += _measures_lines(entry["measures"], "    " if nested else "  ")
-    return _text(lines)
+            yield from _measures_lines(entry["measures"], "    " if nested else "  ")
 
 
-def _simulate_csv(payload) -> str:
-    rows = [["phi", _fmt(payload["phi"]), ""]]
-    rows += [[f"theta{i}", _fmt(t), ""] for i, t in enumerate(payload["thetas"], start=1)]
-    rows.append(["eta", _fmt(payload["eta"]), ""])
-    rows += [[f"branch_probability_{branch}", _fmt(payload["branch_probability"][branch]), ""]
+def _simulate_csv(payload) -> Iterator[str]:
+    rows = [["phi", payload["phi"], ""]]
+    rows += [[f"theta{i}", t, ""] for i, t in enumerate(payload["thetas"], start=1)]
+    rows.append(["eta", payload["eta"], ""])
+    rows += [[f"branch_probability_{branch}", payload["branch_probability"][branch], ""]
              for branch in BRANCHES]
     for name, entry in _simulate_entries(payload).items():
-        rows.append([f"probability_{name}", _fmt(entry["probability"]), ""])
-        rows += [[f"amplitude_{name}:{r['basis_label']}", _fmt(r["re"]), _fmt(r["im"])]
+        rows.append([f"probability_{name}", entry["probability"], ""])
+        rows += [[f"amplitude_{name}:{r['basis_label']}", r["re"], r["im"]]
                  for r in entry["state"] or ()]
-    return _csv_text(["field", "value_re", "value_im"], rows)
+    return _csv_lines(["field", "value_re", "value_im"], rows)
 
 
 # --------------------------------------------------------------------------
@@ -417,29 +417,26 @@ def _sweep_cells(point, eta) -> list:
 _SWEEP_ROW = ",".join(_sweep_cells(["%.17g"] * 19, "%%s")) + "\n"
 
 
-def _sweep_points(payload):
-    """The payload's points as lists of floats, converted a block at a time."""
+def _sweep_csv(payload) -> Iterator[str]:
+    """The header, then one chunk of rows per `_SWEEP_BLOCK` points."""
+    etas = [("%.17g" % eta,) * 2 for eta in payload["etas"]]
+    yield ",".join(_SWEEP_COLUMNS) + "\n"
     points = payload["points"]
     for start in range(0, len(points), _SWEEP_BLOCK):
-        yield from points[start:start + _SWEEP_BLOCK].tolist()
+        lines = []
+        for point in points[start:start + _SWEEP_BLOCK].tolist():
+            row = _SWEEP_ROW % tuple(point)
+            lines += [row % eta for eta in etas]
+        yield "".join(lines)
 
 
-def _sweep_csv(payload) -> str:
-    etas = [("%.17g" % eta,) * 2 for eta in payload["etas"]]
-    lines = [",".join(_SWEEP_COLUMNS) + "\n"]
-    for point in _sweep_points(payload):
-        row = _SWEEP_ROW % tuple(point)
-        lines += [row % eta for eta in etas]
-    return "".join(lines)
-
-
-def _sweep_json(payload) -> str:
+def _sweep_json(payload) -> Iterator[str]:
     etas = [_jsonable(eta) for eta in payload["etas"]]
     rows = []
-    for point in _sweep_points(payload):
+    for point in payload["points"].tolist():
         cells = [_jsonable(v) for v in point]
         rows += [dict(zip(_SWEEP_COLUMNS, _sweep_cells(cells, eta))) for eta in etas]
-    return _json_text({"columns": _SWEEP_COLUMNS, "rows": rows})
+    return _json_chunks({"columns": _SWEEP_COLUMNS, "rows": rows})
 
 
 def _check_first_point(phi: float, thetas, branches: np.ndarray) -> None:
@@ -561,56 +558,46 @@ def cmd_basis(args) -> Output:
     return Output(payload, _basis_list_text, _basis_list_csv)
 
 
-def _compare_text(payload) -> str:
-    lines = []
+def _compare_text(payload) -> Iterator[str]:
     for r in payload:
         dev = r["max_dev_after_alignment"]
-        lines.append(f"{r['index']}: overlap {r['overlap_magnitude']:.12f}, "
-                     f"phase {r['phase_re']:+.6f}{r['phase_im']:+.6f}j, "
-                     f"match={'yes' if r['matches_up_to_phase'] else 'no'}, "
-                     f"dev {math.nan if dev is None else dev:.3e}")
-    return _text(lines)
+        yield (f"{r['index']}: overlap {r['overlap_magnitude']:.12f}, "
+               f"phase {r['phase_re']:+.6f}{r['phase_im']:+.6f}j, "
+               f"match={'yes' if r['matches_up_to_phase'] else 'no'}, "
+               f"dev {math.nan if dev is None else dev:.3e}\n")
 
 
-def _compare_csv(payload) -> str:
+def _compare_csv(payload) -> Iterator[str]:
     columns = ["index", "overlap_magnitude", "phase_re", "phase_im",
                "matches_up_to_phase", "max_dev_after_alignment"]
-    return _csv_text(columns, [
-        [r["index"], _fmt(r["overlap_magnitude"]), _fmt(r["phase_re"]), _fmt(r["phase_im"]),
-         str(r["matches_up_to_phase"]).lower(), _fmt(r["max_dev_after_alignment"])]
-        for r in payload])
+    return _csv_lines(columns, ([r[c] for c in columns] for r in payload))
 
 
-def _basis_verify_text(payload) -> str:
+def _basis_verify_text(payload) -> Iterator[str]:
     n = sum(s["is_genuine"] for s in payload["states"].values())
-    return _text([
-        f"max orthonormality deviation: {payload['max_orthonormality_dev']:.3e}",
-        f"max completeness deviation:   {payload['max_completeness_dev']:.3e}",
-        f"genuine states: {n}/16",
-        f"all genuine: {'yes' if payload['all_genuine'] else 'no'}",
-    ])
+    yield f"max orthonormality deviation: {payload['max_orthonormality_dev']:.3e}\n"
+    yield f"max completeness deviation:   {payload['max_completeness_dev']:.3e}\n"
+    yield f"genuine states: {n}/16\n"
+    yield f"all genuine: {'yes' if payload['all_genuine'] else 'no'}\n"
 
 
-def _basis_verify_csv(payload) -> str:
-    rows = [["max_orthonormality_dev", _fmt(payload["max_orthonormality_dev"])],
-            ["max_completeness_dev", _fmt(payload["max_completeness_dev"])],
-            ["all_genuine", str(payload["all_genuine"]).lower()]]
-    rows += [[f"genuine_{label}", str(s["is_genuine"]).lower()]
-             for label, s in payload["states"].items()]
-    return _csv_text(["field", "value"], rows)
+def _basis_verify_csv(payload) -> Iterator[str]:
+    rows = [[field, payload[field]]
+            for field in ("max_orthonormality_dev", "max_completeness_dev", "all_genuine")]
+    rows += [[f"genuine_{label}", s["is_genuine"]] for label, s in payload["states"].items()]
+    return _csv_lines(["field", "value"], rows)
 
 
-def _basis_list_text(payload) -> str:
-    lines = []
+def _basis_list_text(payload) -> Iterator[str]:
     for entry in payload["states"]:
-        lines += [f"{entry['index']}:", *_record_lines(entry["amplitudes"])]
-    return _text(lines)
+        yield f"{entry['index']}:\n"
+        yield from _record_lines(entry["amplitudes"])
 
 
-def _basis_list_csv(payload) -> str:
-    return _csv_text(["index", "basis_label", "re", "im"], [
-        [entry["index"], r["basis_label"], _fmt(r["re"]), _fmt(r["im"])]
-        for entry in payload["states"] for r in entry["amplitudes"]])
+def _basis_list_csv(payload) -> Iterator[str]:
+    return _csv_lines(["index", "basis_label", "re", "im"], (
+        [entry["index"], r["basis_label"], r["re"], r["im"]]
+        for entry in payload["states"] for r in entry["amplitudes"]))
 
 
 # --------------------------------------------------------------------------
@@ -648,21 +635,18 @@ def cmd_decompose(args) -> Output:
     return Output(payload, _decompose_text, _decompose_csv)
 
 
-def _decompose_text(payload) -> str:
-    lines = [f"decomposition of {payload['input']} over the {payload['basis']} basis:"]
-    lines += [f"  {e['label']}  {e['re']:+.12f}  {e['im']:+.12f}  |c|^2 = {e['abs2']:.12f}"
-              for e in payload["coefficients"]]
-    lines.append(f"  residual = {payload['residual']:.3e}")
-    return _text(lines)
+def _decompose_text(payload) -> Iterator[str]:
+    yield f"decomposition of {payload['input']} over the {payload['basis']} basis:\n"
+    yield from (f"  {e['label']}  {e['re']:+.12f}  {e['im']:+.12f}  |c|^2 = {e['abs2']:.12f}\n"
+                for e in payload["coefficients"])
+    yield f"  residual = {payload['residual']:.3e}\n"
 
 
-def _decompose_csv(payload) -> str:
-    rows = [[str(e["family"]), str(e["component"]), e["label"],
-             _fmt(e["re"]), _fmt(e["im"]), _fmt(e["abs2"])]
-            for e in payload["coefficients"]]
+def _decompose_csv(payload) -> Iterator[str]:
+    columns = ["family", "component", "label", "re", "im", "abs2"]
+    rows = [[e[c] for c in columns] for e in payload["coefficients"]]
     residual = payload["residual"]
-    rows.append(["", "", "residual", _fmt(residual), _fmt(0.0), _fmt(residual ** 2)])
-    return _csv_text(["family", "component", "label", "re", "im", "abs2"], rows)
+    return _csv_lines(columns, [*rows, ["", "", "residual", residual, 0.0, residual ** 2]])
 
 
 # --------------------------------------------------------------------------
@@ -679,19 +663,21 @@ def cmd_verify(args) -> Output:
                   code=0 if report.all_passed else 1, side_files=log)
 
 
-def _verify_text(report) -> str:
-    return _text(report.lines() + ["discrepancy log:"]) + _json_text(report.discrepancy_log)
+def _verify_text(report) -> Iterator[str]:
+    yield from (line + "\n" for line in report.lines())
+    yield "discrepancy log:\n"
+    yield from _json_chunks(report.discrepancy_log)
 
 
-def _verify_csv(report) -> str:
-    return _csv_text(["name", "passed", "measured", "detail"], [
-        [c.name, str(c.passed).lower(), _fmt(c.measured), c.detail] for c in report.checks])
+def _verify_csv(report) -> Iterator[str]:
+    return _csv_lines(["name", "passed", "measured", "detail"],
+                      ([c.name, c.passed, c.measured, c.detail] for c in report.checks))
 
 
-def _verify_json(report) -> str:
+def _verify_json(report) -> Iterator[str]:
     from .verify import report_to_json
 
-    return report_to_json(report) + "\n"
+    yield report_to_json(report) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -808,7 +794,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         render = out.json if args.json else out.csv if args.csv else out.text
         _write(render(out.payload), args.out)
         for path, payload in out.side_files:
-            _write(_json_text(payload), path)
+            _write(_json_chunks(payload), path)
         return out.code
     except (CliInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

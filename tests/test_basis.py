@@ -48,6 +48,12 @@ def test_ges_index_validation():
         GesIndex(0, 0)
     with pytest.raises(ValueError):
         GesIndex(1, 4)
+    # bools and floats equal to a valid value are not integers
+    for family, component in [(True, 2), (1, 2.0), (True, 2.0), (2.0, 0), (1, False),
+                              (np.True_, 1), (1, np.float64(2.0))]:
+        with pytest.raises(ValueError, match="must be integers"):
+            GesIndex(family, component)
+    assert GesIndex(np.int64(3), 1) == GesIndex(3, 1)
 
 
 def test_explicit_basis_is_orthonormal_and_complete(basis16):

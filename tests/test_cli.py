@@ -293,22 +293,33 @@ def test_sweep_checks_its_first_point_against_evolve(capsys, monkeypatch, broken
 
 def test_sweep_runs_the_kernel_in_blocks(capsys, monkeypatch):
     # A grid larger than a block takes several kernel calls, which together
-    # cover every point once and give the same table as one call.
+    # cover every point once and give the same table as one call; its CSV
+    # reaches the writer a block of rows at a time.
     argv = ["sweep", "--phi", "0:pi:3", "--thetas", "0:pi/2:7", "--eta", "0.5,1", "--csv"]
     assert cli.main(argv) == 0
     whole = capsys.readouterr().out
-    real_kernel = cli._one_photon_output
-    sizes = []
+    real_kernel, real_write = cli._one_photon_output, cli._write
+    sizes, chunks = [], []
 
     def kernel(phis, thetas, splitter):
         sizes.append(len(phis))
         return real_kernel(phis, thetas, splitter)
 
+    def write(parts, path):
+        def recorded():
+            for part in parts:
+                chunks.append(part)
+                yield part
+        real_write(recorded(), path)
+
     monkeypatch.setattr(cli, "_SWEEP_BLOCK", 4)
     monkeypatch.setattr(cli, "_one_photon_output", kernel)
+    monkeypatch.setattr(cli, "_write", write)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == whole
     assert sizes == [4, 4, 4, 4, 4, 1]
+    assert len(chunks) > 1 and "".join(chunks) == whole
+    assert max(chunk.count("\n") for chunk in chunks) <= 4 * 2    # a block of points, two etas
 
 
 def test_sweep_closed_form_inconsistency_exits_2(capsys, monkeypatch):
@@ -577,6 +588,25 @@ def test_verify_writes_files(capsys, tmp_path):
     logged = json.loads(log.read_text())
     assert "success_probability_scaling" in logged
     assert "entropy_spot_theta_pi_8" in logged
+
+
+@pytest.mark.parametrize("existing", ["symlink", "longer_file"])
+def test_out_replaces_what_the_path_names(capsys, tmp_path, existing):
+    # --out writes through a symlink to its target, leaving the link a link,
+    # and replaces all of an existing file, however long.
+    argv = ["decompose", "w4", "--csv"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+    target = tmp_path / "target.csv"
+    target.write_text("x" * 3 * len(want) + "\n")
+    out = target
+    if existing == "symlink":
+        out = tmp_path / "link.csv"
+        out.symlink_to(target)
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == want
+    assert out.is_symlink() == (existing == "symlink")
 
 
 def test_verify_text_mode(capsys):
