@@ -11,6 +11,11 @@
 #   - the default `sweep --csv`, a 3-axis sweep grid, a grid with empty
 #     branches and degenerate closed forms, a grid of two kernel blocks, and
 #     one --json grid over theta1 and theta4;
+#   - three sweeps of more than one 4096-point block, each as --csv, as
+#     --csv --out PATH (comparing the written file) and as --json: two whose
+#     theta rows outnumber a block (4352 rows over four axes at two phis,
+#     5000 locked rows at one phi), and one whose block boundary has empty
+#     branches on both sides (phi = 0, where every point has an empty branch);
 #   - every argv of BYTE_GOLDENS in HEAD_TREE's tests/test_golden.py, as
 #     text, --csv and --json;
 #   - `simulate --deterministic` over several theta and eta, choosing the
@@ -80,6 +85,11 @@ cases+=("sweep --csv"
         "sweep --csv --phi 0:2pi:5 --thetas 0:pi/2:125 --eta 0.5,1"
         "sweep --csv --phi 0:pi:3 --thetas 0:pi/2:1400"
         "sweep --json --phi 0:2pi:7 --theta1 0:pi/2:5 --theta4 0:pi:4")
+for grid in "--phi 0:pi/2:2 --theta1 0:pi/2:17 --theta2 0.1:1.4:16 --theta3 0:pi/2:4 --theta4 0.4:pi/2:4 --eta 0.5" \
+            "--phi 1.1 --thetas 0:pi:5000" \
+            "--phi 0:pi:2 --thetas 0:pi/2:4500 --eta 0.3"; do
+  cases+=("sweep --csv $grid" "sweep --csv $grid --out SIDE_FILE" "sweep --json $grid")
+done
 
 # argv words hold no spaces, so one line per argv
 mapfile -t goldens < <(cd "$head/tests" && PYTHONPATH="$head/src" python -c '

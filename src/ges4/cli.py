@@ -15,13 +15,13 @@ Angles are accepted as decimal radians or as exact fractions of pi ("pi/4",
 "3pi/8", "-pi/2"). Re-running a command with identical flags and seed
 reproduces its output byte for byte.
 
-``sweep`` evaluates its grid as arrays: one closed-form and one Gamma call
-over the distinct angle rows, then, per block of up to 4096 points, one
-call of the circuit kernel and one ``_branch_measures`` call (one stacked
-SVD) for the numerical measures. The first point's states are checked
-against ``evolve``. Its CSV formats each point once, with one
-``%``-template, shares the result between the point's eta rows, and yields
-one chunk per block of points.
+``sweep`` computes, checks and renders its grid one block of up to 4096
+points at a time: one closed-form and one Gamma call over the block's
+distinct angle rows, one circuit-kernel call, and one ``_branch_measures``
+call (one SVD over the nonempty branches). The first block, whose first
+point is checked against ``evolve``, is computed before any output. Its CSV
+formats each angle row once per block and each point once for all its eta
+rows; its JSON reads the CSV's cells back.
 
 State files are JSON lists of records ``{"basis_label": "0101", "re": x,
 "im": y}``; labels are strings of four characters of 0/1, ``re`` and ``im``
@@ -32,10 +32,13 @@ vector must be normalized within ``--tol`` unless ``--normalize`` is given.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -141,11 +144,9 @@ def _axis_spec(text: str) -> tuple:
     raise CliInputError(f"axis {text!r} must be 'value' or 'start:stop:count'")
 
 
-def _axis_values(spec: tuple) -> list:
+def _axis_values(spec: tuple) -> np.ndarray:
     start, stop, count = spec
-    if stop is None:
-        return [start]
-    return [float(x) for x in np.linspace(start, stop, count)]
+    return np.array([start]) if stop is None else np.linspace(start, stop, count)
 
 
 def _tolerance(text: str) -> float:
@@ -206,13 +207,23 @@ def _json_chunks(payload) -> Iterator[str]:
 
 def _write(chunks: Iterable[str], path: Optional[str]) -> None:
     """The one place output leaves the program: `chunks` in order, to the file
-    at `path` or to stdout, which stays open."""
+    at `path` or to stdout, which stays open. An error while a file is written
+    (raised by a chunk, or an OSError) removes the regular file `path` names,
+    through any symlink, so no partial output stays there; stdout keeps it."""
     try:
-        if path:
-            with open(path, "w") as out:
-                out.writelines(chunks)
-        else:
+        if not path:
             sys.stdout.writelines(chunks)
+            return
+        out = open(path, "w")
+        try:
+            with out:
+                out.writelines(chunks)
+        except BaseException:
+            target = os.path.realpath(path)
+            with contextlib.suppress(OSError):
+                if os.path.isfile(target):
+                    os.remove(target)
+            raise
     except OSError as exc:
         raise CliInputError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}")
 
@@ -401,41 +412,40 @@ _SWEEP_COLUMNS = (
 )
 
 
-# Grid points per kernel call; bounds the arrays a sweep holds besides its table.
+# Grid points per block: each block is computed, checked and rendered before
+# the next, so a sweep holds one block's arrays and its axes, whatever its size.
 _SWEEP_BLOCK = 4096
 
-
-def _sweep_cells(point, eta) -> list:
-    """A sweep row from a point's 19 cells (phi, theta1..4, gamma1, gamma2 and
-    the twelve branch cells): eta goes after theta4 and again as the success
-    probability."""
-    return [*point[:5], eta, *point[5:7], eta, *point[7:]]
-
-
-# The CSV formats each point once into a row with its two eta cells left
-# open: "%%s" formats to "%s", and no number contains "%".
-_SWEEP_ROW = ",".join(_sweep_cells(["%.17g"] * 19, "%%s")) + "\n"
+# A theta row's branch cells, its closed forms formatted and its point's
+# numeric cells left open: "%%.17g" formats to "%.17g", and no number contains "%".
+_SWEEP_TAIL = ",".join(["%.17g,%%.17g,%%.17g"] * 4) + "\n"
 
 
 def _sweep_csv(payload) -> Iterator[str]:
-    """The header, then one chunk of rows per `_SWEEP_BLOCK` points."""
-    etas = [("%.17g" % eta,) * 2 for eta in payload["etas"]]
+    """The header, then one chunk of rows per block. Each phi and each theta
+    row's angle-only cells are formatted once per block, and each point's
+    eight numeric cells once for all its eta rows, which splice in the eta cells."""
+    joins = [",%.17g," % eta for eta in payload["etas"]]
     yield ",".join(_SWEEP_COLUMNS) + "\n"
-    points = payload["points"]
-    for start in range(0, len(points), _SWEEP_BLOCK):
+    for phis, at_phi, rows, at_row, numeric in payload["blocks"]:
+        phis = ["%.17g" % phi for phi in phis.tolist()]
+        rows = [(",%.17g,%.17g,%.17g,%.17g" % tuple(r[:4]), "%.17g,%.17g" % tuple(r[4:6]),
+                 _SWEEP_TAIL % tuple(r[6:])) for r in rows.tolist()]
         lines = []
-        for point in points[start:start + _SWEEP_BLOCK].tolist():
-            row = _SWEEP_ROW % tuple(point)
-            lines += [row % eta for eta in etas]
+        for i, k, cells in zip(at_phi.tolist(), at_row.tolist(), numeric.tolist()):
+            thetas, gammas, tail = rows[k]
+            parts = (phis[i] + thetas, gammas, tail % tuple(cells))
+            lines += [join.join(parts) for join in joins]
         yield "".join(lines)
 
 
 def _sweep_json(payload) -> Iterator[str]:
-    etas = [_jsonable(eta) for eta in payload["etas"]]
-    rows = []
-    for point in payload["points"].tolist():
-        cells = [_jsonable(v) for v in point]
-        rows += [dict(zip(_SWEEP_COLUMNS, _sweep_cells(cells, eta))) for eta in etas]
+    """The CSV's rows as one document, built whole in memory. Each cell is read
+    back from its 17 significant digits, which give every float exactly."""
+    chunks = _sweep_csv(payload)
+    next(chunks)    # the header
+    rows = [dict(zip(_SWEEP_COLUMNS, (_jsonable(float(x)) for x in line.split(","))))
+            for chunk in chunks for line in chunk.splitlines()]
     return _json_chunks({"columns": _SWEEP_COLUMNS, "rows": rows})
 
 
@@ -471,40 +481,48 @@ def cmd_sweep(args) -> Output:
         raise CliInputError(f"grid has {total} points, exceeding the cap "
                             f"{args.cap}; raise --cap to proceed")
 
-    phi_axis = np.array(_axis_values(phi_spec))
+    phi_axis = _axis_values(phi_spec)
     theta_axes = [_axis_values(spec) for spec in theta_specs]
-    # theta1 varies slowest and theta4 fastest; locked rows repeat one angle.
-    theta_rows = (np.repeat(np.array(theta_axes[0])[:, None], 4, axis=1) if locked
-                  else np.stack(np.meshgrid(*theta_axes, indexing="ij"), axis=-1).reshape(-1, 4))
-    # SchemeParams checks each point and reduces its phi mod 2 pi. A
-    # non-finite angle can only come from a single-value axis, which every
-    # theta row shares, so checking the first row checks them all.
-    phis = np.array([SchemeParams(phi=phi, thetas=theta_rows[0]).phi for phi in phi_axis])
+    shape = [len(axis) for axis in theta_axes]
+    n_theta = math.prod(shape)
+    n_points = len(phi_axis) * n_theta
 
-    # Gamma and the closed forms depend on the angles alone: one call each
-    # over the theta rows.
-    gammas = _gammas(theta_rows)
-    c_closed, s_closed = _closed_form_measures(theta_rows)
-
-    # Points run phi-major, through the circuit kernel and one stacked SVD
-    # call a block at a time; an empty branch's numeric measures are NaN.
-    n_theta = len(theta_rows)
-    points = np.empty((len(phis) * n_theta, 19))
-    for start in range(0, len(points), _SWEEP_BLOCK):
-        at_phi, rows = np.divmod(np.arange(start, min(start + _SWEEP_BLOCK, len(points))),
-                                 n_theta)
-        thetas = theta_rows[rows]
-        amps = _one_photon_output(phis[at_phi], thetas, _BS_BLOCK)
+    def block(start: int) -> tuple:
+        # Points run phi-major: point p lies at phi p // n_theta and theta row
+        # p % n_theta, theta1 varying slowest and theta4 fastest; locked rows
+        # repeat one angle.
+        n = min(_SWEEP_BLOCK, n_points - start)
+        distinct = np.arange(start, start + min(n, n_theta)) % n_theta
+        at_row = np.arange(n) % len(distinct)
+        at_phi = np.arange(start, start + n) // n_theta
+        phis = phi_axis[at_phi[0]:at_phi[-1] + 1]
+        at_phi -= at_phi[0]
+        thetas = (np.repeat(theta_axes[0][distinct, None], 4, axis=1) if locked else np.stack(
+            [axis[i] for axis, i in zip(theta_axes, np.unravel_index(distinct, shape))], axis=-1))
+        # SchemeParams checks each point and reduces its phi mod 2 pi. A
+        # non-finite angle can only come from a single-value axis, which every
+        # point shares, so the first block's first row checks them all.
+        reduced = np.array([SchemeParams(phi=phi, thetas=thetas[0]).phi for phi in phis.tolist()])
+        amps = _one_photon_output(reduced[at_phi], thetas[at_row], _BS_BLOCK)
         if start == 0:
-            _check_first_point(phi_axis[0], theta_rows[0], amps[0])
+            _check_first_point(phi_axis[0], thetas[0], amps[0])
+        # Gamma and the closed forms depend on the angles alone: one call each
+        # over the block's theta rows. An empty branch's numeric cells are NaN.
+        closed = np.stack(_closed_form_measures(thetas), axis=-1)      # (row, branch, measure)
         conc, ent = _branch_measures(amps, (FORMULA_PAIR,), (FORMULA_CUT.side_a,))
-        c_num, s_num = conc[..., 0], ent[..., 0]
-        c_cl, s_cl = c_closed[rows], s_closed[rows]
-        branch_cells = np.stack([c_cl, c_num, np.abs(c_cl - c_num),
-                                 s_cl, s_num, np.abs(s_cl - s_num)], axis=-1)
-        points[start:start + len(rows)] = np.column_stack(
-            [phi_axis[at_phi], thetas, gammas[rows], branch_cells.reshape(len(rows), -1)])
-    return Output({"etas": etas, "points": points}, _sweep_csv, _sweep_csv, _sweep_json)
+        num = np.concatenate([conc, ent], axis=-1)
+        numeric = np.stack([num, np.abs(closed[at_row] - num)], axis=-1).reshape(n, 8)
+        # Point i lies at phis[at_phi[i]] and theta row at_row[i]. A row holds
+        # theta1..4, gamma1, gamma2 and the closed forms, and a point each
+        # branch's conc_numeric, conc_absdiff, entropy_numeric, entropy_absdiff.
+        rows = np.column_stack([thetas, _gammas(thetas), closed.reshape(-1, 4)])
+        return phis, at_phi, rows, at_row, numeric
+
+    # The first block, with every check that can fail on it, runs before any
+    # output; the others run one at a time as the output is written.
+    blocks = map(block, range(0, n_points, _SWEEP_BLOCK))
+    payload = {"etas": etas, "blocks": itertools.chain([next(blocks)], blocks)}
+    return Output(payload, _sweep_csv, _sweep_csv, _sweep_json)
 
 
 # --------------------------------------------------------------------------
@@ -727,7 +745,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="tabulate closed-form vs numerical measures "
-                                  "over a parameter grid (CSV by default)")
+                                  "over a parameter grid (CSV by default)",
+                             description="Text and CSV are computed and written one block "
+                                         "of 4096 points at a time, in memory bounded "
+                                         "whatever the grid size. --json builds the whole "
+                                         "document in memory first, about 6.7 KB per point.")
     p_sweep.add_argument("--phi", default="pi/2",
                          help="phi axis: value or start:stop:count (default pi/2)")
     p_sweep.add_argument("--thetas", default=None,

@@ -321,12 +321,15 @@ def _branch_measures(amps: np.ndarray, pairs: tuple, cuts: tuple) -> tuple[np.nd
 
     The one empty-branch rule of every closed-form-versus-numerics
     comparison: a branch of weight ||chi||^2 < 1e-12 has no state to
-    measure, and all its cells read NaN.
+    measure, and all its cells read NaN. Only live branches are factored:
+    LAPACK factors each matrix on its own, so their bits do not change.
     """
-    norms = np.linalg.norm(amps, axis=-1)[..., None]
+    norms = np.linalg.norm(amps, axis=-1)
     live = norms ** 2 >= 1e-12
-    conc, ent = _svd_measures(amps / np.where(live, norms, 1.0), pairs, cuts)
-    return np.where(live, conc, np.nan), np.where(live, ent, np.nan)
+    conc = np.full((*norms.shape, len(pairs)), np.nan)
+    ent = np.full((*norms.shape, len(cuts)), np.nan)
+    conc[live], ent[live] = _svd_measures(amps[live] / norms[live, None], pairs, cuts)
+    return conc, ent
 
 
 def _delta_entropy(delta: float) -> float:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,8 +15,10 @@ import numpy as np
 import pytest
 
 from ges4 import cli, measures
-from ges4.hilbert import StateVector
+from ges4.circuit import BRANCHES
+from ges4.hilbert import InvariantError, StateVector
 from ges4.cli import CliInputError, _axis_spec, _axis_values, parse_angle, parse_thetas
+from test_golden import BYTE_GOLDENS, GOLDEN, SWEEP_ARGV
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +336,171 @@ def test_sweep_closed_form_inconsistency_exits_2(capsys, monkeypatch):
     assert captured.err == "error: delta = 1.5 lies outside [-1, 1]\n"
 
 
+# Three phis, 300 theta rows each: phi = 0 empties a branch at every point, so
+# at blocks of 7 and 81 points empty branches lie on both sides of a boundary,
+# and the theta endpoints empty the other branch too.
+_BOUNDARY_SWEEP = ["sweep", "--phi", "0:pi:3", "--theta1", "0:pi/2:5", "--theta2", "0:pi/2:3",
+                   "--theta3", "0.2:1.1:2", "--theta4", "0:pi/2:10", "--eta", "0.5,1"]
+_BLOCK_SWEEPS = {**{stem: argv for stem, (argv, _) in BYTE_GOLDENS.items()
+                    if stem.startswith("sweep")},
+                 "sweep_small": SWEEP_ARGV[:-1], "boundary": _BOUNDARY_SWEEP}
+
+
+def _empty_points(csv_text: str) -> list:
+    """For each point of a sweep CSV with two etas: has it an empty branch?"""
+    rows = list(csv.DictReader(io.StringIO(csv_text)))[::2]
+    return [any(row[f"conc_numeric_{b}"] == "nan" for b in BRANCHES) for row in rows]
+
+
+@pytest.mark.parametrize("name", _BLOCK_SWEEPS)
+def test_sweep_bytes_do_not_depend_on_the_block_size(capsys, monkeypatch, name):
+    # Each block computes its own theta rows, closed forms and measures, and
+    # formats its own cells; the bytes are those of one whole-grid pass.
+    argv = _BLOCK_SWEEPS[name]
+    outputs = {}
+    for block in (4096, 81, 7, 1):
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK", block)
+        outputs[block] = []
+        for fmt in ("--csv", "--json"):
+            assert cli.main([*argv, fmt]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs[block].append(captured.out)
+    assert all(out == outputs[4096] for out in outputs.values())
+    if name in BYTE_GOLDENS:
+        assert outputs[1][0] == (GOLDEN / f"{name}.csv").read_text()
+    if name == "boundary":
+        empty = _empty_points(outputs[4096][0])
+        assert len(empty) == 3 * 300
+        for block in (7, 81):
+            assert any(empty[b - 1] and empty[b] for b in range(block, len(empty), block))
+
+
+def test_sweep_computes_a_block_only_when_its_rows_are_written(capsys, monkeypatch):
+    # The first block is computed before any output; each later one when the
+    # writer asks for its chunk.
+    argv = ["sweep", "--phi", "0:pi:3", "--thetas", "0:pi/2:7", "--eta", "0.5,1", "--csv"]
+    real_kernel = cli._one_photon_output
+    kernel_calls, seen = [], []
+
+    def kernel(phis, thetas, splitter):
+        kernel_calls.append(len(phis))
+        return real_kernel(phis, thetas, splitter)
+
+    def write(chunks, path):
+        for chunk in chunks:
+            seen.append((chunk.count("\n"), len(kernel_calls)))
+
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK", 4)
+    monkeypatch.setattr(cli, "_one_photon_output", kernel)
+    monkeypatch.setattr(cli, "_write", write)
+    assert cli.main(argv) == 0
+    # (lines in the chunk, blocks computed when it was handed over): the
+    # header, then 4 points x 2 etas per block, the 21st point last
+    assert seen == [(1, 1), (8, 1), (8, 2), (8, 3), (8, 4), (8, 5), (2, 6)]
+
+
+def _failing_on_second_call(real, error):
+    calls = []
+
+    def wrapped(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise error
+        return real(*args)
+    return wrapped
+
+
+_MID_STREAM_FAILURES = {
+    "invariant": ("_branch_measures", InvariantError("injected"), 1,
+                  "internal check failed: injected\n"),
+    "closed_form": ("_closed_form_measures",
+                    measures.ClosedFormInconsistencyError("delta = 1.5 lies outside [-1, 1]"), 2,
+                    "error: delta = 1.5 lies outside [-1, 1]\n"),
+}
+
+
+@pytest.mark.parametrize("failure", _MID_STREAM_FAILURES)
+@pytest.mark.parametrize("where", ["stdout", "new_file", "longer_file", "symlink"])
+def test_a_sweep_that_fails_mid_stream_leaves_no_partial_file(capsys, monkeypatch, tmp_path,
+                                                               failure, where):
+    # A failure in the second block, after the header and the first block's
+    # rows are written, still ends with exit 1 or 2 and one stderr line; no
+    # file is left at the --out path, nor where a symlink there points.
+    name, error, code, message = _MID_STREAM_FAILURES[failure]
+    argv = ["sweep", "--phi", "0:pi:3", "--thetas", "0:pi/2:7", "--eta", "0.5,1", "--csv"]
+    assert cli.main(argv) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK", 4)
+    monkeypatch.setattr(cli, name, _failing_on_second_call(getattr(cli, name), error))
+    target = out = tmp_path / "sweep.csv"
+    if where == "longer_file":
+        target.write_text("x" * 3 * len(whole) + "\n")
+    if where == "symlink":
+        out = tmp_path / "link.csv"
+        out.symlink_to(target)
+    assert cli.main(argv if where == "stdout" else [*argv, "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == message
+    if where == "stdout":
+        assert whole.startswith(captured.out) and captured.out.count("\n") == 1 + 4 * 2
+    else:
+        assert captured.out == ""
+        assert not target.exists()
+        assert out.is_symlink() == (where == "symlink")
+
+
+_FILE_SIZE_LIMIT = """
+import resource, sys
+from ges4 import cli
+resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("through_symlink", [False, True])
+def test_a_write_error_mid_stream_leaves_no_partial_file(tmp_path, through_symlink):
+    # A file-size limit below the CSV's size makes a write fail with EFBIG
+    # once 100 kB are written (Python ignores SIGXFSZ): exit 2, one line, and
+    # nothing left where the output went.
+    target = out = tmp_path / "sweep.csv"
+    if through_symlink:
+        out = tmp_path / "link.csv"
+        out.symlink_to(target)
+    argv = ["sweep", "--phi", "0:pi:3", "--thetas", "0:pi/2:1400", "--csv", "--out", str(out)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", _FILE_SIZE_LIMIT, *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == f"error: cannot write {out}: File too large\n"
+    assert not target.exists()
+    assert out.is_symlink() == through_symlink
+
+
+def test_sweep_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
+    # Nothing a sweep holds grows with its point count but the axis values
+    # (here 70 or 100 of them): a grid four times larger peaks at about the
+    # same traced memory.
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK", 256)
+
+    def peak(n4: int) -> int:
+        argv = ["sweep", "--theta1", "0:pi/2:10", "--theta2", "0:pi/2:10", "--theta3",
+                "0.1:1.4:10", "--theta4", f"0:pi/2:{n4}", "--csv", "--out",
+                str(tmp_path / "sweep.csv")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)     # first-call caches
+    small, large = peak(10), peak(40)
+    assert large <= 1.5 * small, (small, large)
+
+
 def test_parser_is_built_once_and_parses_each_call_afresh(capsys):
     assert cli.build_parser() is cli.build_parser()
     rc, first = run_json(capsys, ["verify", "--seed", "3", "--json"])
@@ -593,20 +761,22 @@ def test_verify_writes_files(capsys, tmp_path):
 @pytest.mark.parametrize("existing", ["symlink", "longer_file"])
 def test_out_replaces_what_the_path_names(capsys, tmp_path, existing):
     # --out writes through a symlink to its target, leaving the link a link,
-    # and replaces all of an existing file, however long.
-    argv = ["decompose", "w4", "--csv"]
-    assert cli.main(argv) == 0
-    want = capsys.readouterr().out
-    target = tmp_path / "target.csv"
-    target.write_text("x" * 3 * len(want) + "\n")
-    out = target
-    if existing == "symlink":
-        out = tmp_path / "link.csv"
-        out.symlink_to(target)
-    assert cli.main([*argv, "--out", str(out)]) == 0
-    assert capsys.readouterr().out == ""
-    assert target.read_text() == want
-    assert out.is_symlink() == (existing == "symlink")
+    # and replaces all of an existing file, however long; also when the
+    # output is a sweep of two blocks, written one block at a time.
+    for argv in (["decompose", "w4", "--csv"],
+                 ["sweep", "--phi", "0:pi:3", "--thetas", "0:pi/2:1400", "--csv"]):
+        assert cli.main(argv) == 0
+        want = capsys.readouterr().out
+        target = tmp_path / f"{argv[0]}.csv"
+        target.write_text("x" * 3 * len(want) + "\n")
+        out = target
+        if existing == "symlink":
+            out = tmp_path / f"{argv[0]}_link.csv"
+            out.symlink_to(target)
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_text() == want
+        assert out.is_symlink() == (existing == "symlink")
 
 
 def test_verify_text_mode(capsys):

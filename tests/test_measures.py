@@ -509,7 +509,11 @@ def test_kernel_names_a_side_that_does_not_fit(pairs, cuts, bad):
 
 def test_svd_calls_per_sweep_block_calibration_and_report(monkeypatch, capsys):
     # One SVD call per sweep block (a 4200-point grid is two blocks), one per
-    # closed-form calibration and two per measure_report.
+    # closed-form calibration and two per measure_report. A sweep block
+    # factors its nonempty branches alone: an empty one's cells read nan.
+    import csv
+    import io
+
     from ges4 import cli
 
     calls = []
@@ -521,11 +525,13 @@ def test_svd_calls_per_sweep_block_calibration_and_report(monkeypatch, capsys):
 
     monkeypatch.setattr(np.linalg, "svd", svd)
     assert cli.main(["sweep", "--phi", "0:pi:3", "--thetas", "0:pi/2:1400", "--csv"]) == 0
-    capsys.readouterr()
-    assert calls == [(4096, 2, 2, 4, 4), (104, 2, 2, 4, 4)]
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    live = [sum(row[f"conc_numeric_{b}"] != "nan" for b in BRANCHES) for row in rows]
+    assert calls == [(sum(live[:4096]), 2, 4, 4), (sum(live[4096:]), 2, 4, 4)]
+    assert sum(live) < 2 * len(rows) == 2 * 4200      # phi = 0 empties a branch
     calls.clear()
     calibrate_closed_forms()
-    assert calls == [(40, 2, 9, 4, 4)]
+    assert calls == [(80, 9, 4, 4)]
     calls.clear()
     measure_report(canonical_state("w4"))
     assert calls == [(1, 12, 4, 4), (1, 4, 2, 8)]
