@@ -202,7 +202,6 @@ _PAULI_STRINGS.setflags(write=False)
 def generate_basis() -> GesBasis:
     """The sixteen Pauli strings applied to the prime branch target state, in one product."""
     amps = _PAULI_STRINGS @ ges_target_state(BRANCH_PRIME).amp
-    amps.setflags(write=False)
     return GesBasis({idx: StateVector._wrap(ATOMIC_SPACE, amp)
                      for idx, amp in zip(ALL_INDICES, amps)}, "generated")
 

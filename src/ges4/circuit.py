@@ -231,11 +231,6 @@ def _dense_circuits(phis: np.ndarray, splitter: Operator) -> np.ndarray:
     return (scaled.reshape(-1, FULL_SPACE.dim) @ bs).reshape(scaled.shape)
 
 
-def _dense_circuit(phi: float, splitter: Operator) -> Operator:
-    """The one-phase case of `_dense_circuits`."""
-    return Operator(FULL_SPACE, _dense_circuits([phi], splitter)[0])
-
-
 def _dense_apply(phis: np.ndarray, splitter: Operator, states: np.ndarray) -> np.ndarray:
     """Rows of `states` (N, 64) through the dense interferometer, row n at phis[n].
 
@@ -253,7 +248,7 @@ def mz_circuit(phi: float) -> Operator:
     The slow oracle, built from the cavity generators; `evolve` does not use
     it. The one-phase case of `_dense_circuits`.
     """
-    return _dense_circuit(phi, beam_splitter())
+    return Operator(FULL_SPACE, _dense_circuits([phi], beam_splitter())[0])
 
 
 # Photon in arm U, as amplitudes over the photonic basis |00>, |01>, |10>, |11>.
@@ -333,9 +328,7 @@ def evolve(params: SchemeParams) -> StateVector:
     """
     amp = np.zeros((4, ATOMIC_SPACE.dim), dtype=complex)
     amp[1:3] = _one_photon_output([params.phi], [params.thetas], _BS_BLOCK)[0]
-    amp = amp.reshape(FULL_SPACE.dim)
-    amp.setflags(write=False)
-    return StateVector._wrap(FULL_SPACE, amp)
+    return StateVector._wrap(FULL_SPACE, amp.reshape(FULL_SPACE.dim))
 
 
 def photon_branch(psi: StateVector, n_u: int, n_l: int) -> StateVector:
@@ -390,6 +383,16 @@ def closed_form_pair(params: SchemeParams) -> tuple[StateVector, StateVector]:
     return StateVector._wrap(ATOMIC_SPACE, prime), StateVector._wrap(ATOMIC_SPACE, dprime)
 
 
+def _double_angle(th: np.ndarray, sine: bool = False) -> np.ndarray:
+    """cos(2 theta), or sin(2 theta), of finite angles; where 2 theta overflows
+    (|theta| above ~8.99e307), by the double-angle identity on cos and sin theta."""
+    big = np.abs(th) > np.finfo(float).max / 2.0
+    out = (np.sin if sine else np.cos)(2.0 * np.where(big, 0.0, th))
+    c, s = np.cos(th[big]), np.sin(th[big])
+    out[big] = 2.0 * s * c if sine else (c - s) * (c + s)
+    return out
+
+
 def _cos2_products(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cos(2 theta_i) as (N, 4) and their product, left to right, as (N,).
 
@@ -400,7 +403,7 @@ def _cos2_products(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("four angles required")
     if not np.isfinite(th).all():
         raise ValueError("thetas must be finite")
-    x = np.cos(2.0 * th)
+    x = _double_angle(th)
     return x, x[:, 0] * x[:, 1] * x[:, 2] * x[:, 3]
 
 
@@ -422,11 +425,10 @@ def gamma_factors(thetas: Sequence[float]) -> tuple[float, float]:
 
 
 def _table_amplitudes(table: dict, scale: float = 1.0) -> np.ndarray:
-    """Read-only amplitudes: value * scale at the table's basis strings, 0 elsewhere."""
+    """Amplitudes: value * scale at the table's basis strings, 0 elsewhere."""
     amp = np.zeros(ATOMIC_SPACE.dim, dtype=complex)
     for bits, value in table.items():
         amp[ATOMIC_SPACE.index_of([int(c) for c in bits])] = value * scale
-    amp.setflags(write=False)
     return amp
 
 
@@ -514,9 +516,7 @@ def _detect(branches: np.ndarray, norms: Sequence[float], outcome: DetectionOutc
     _, s, vh = np.linalg.svd(weighted, full_matrices=False)
     if len(s) > 1 and s[1] > EIG_TOL:
         return None, probability   # conditional state is mixed
-    post = canonical_phase(vh[0])
-    post.setflags(write=False)
-    return StateVector._wrap(ATOMIC_SPACE, post), probability
+    return StateVector._wrap(ATOMIC_SPACE, canonical_phase(vh[0])), probability
 
 
 def detect(state: StateVector, outcome: DetectionOutcome, eta: float
@@ -584,6 +584,5 @@ def prepare_ges(params: SchemeParams,
     if outcome is DetectionOutcome.D1_CLICK_D2_NULL:
         # q4 is the least significant digit: act on the last axis.
         flipped = canonical_phase((post.amp.reshape(8, 2) @ PAULIS[2].T).reshape(-1))
-        flipped.setflags(write=False)
         post = StateVector._wrap(ATOMIC_SPACE, flipped)
     return PreparedGes(post, outcome, float(p_d1 + p_d2))

@@ -4,8 +4,9 @@ Payload -> renderer chunks -> the one writer: each command builds its result
 once, as the data its ``--json`` output shows (undefined entries ``None``;
 ``verify``'s payload is its ``VerificationReport``). A renderer per format
 turns that payload alone into ``str`` chunks: text renderers yield lines,
-CSV renderers hand rows of raw values to ``_csv_lines``, the one place a CSV
-cell is formatted, and JSON is one chunk. ``main`` hands the chunks to
+CSV renderers hand rows of raw values to ``_csv_lines``, which formats each
+cell with ``_cell`` (the sweep's ``_sweep_csv`` writes the same ``%.17g``
+cells itself), and JSON is one chunk. ``main`` hands the chunks to
 ``_write``, which writes them in order to stdout (or ``--out``).
 Diagnostics go to stderr, and ``main`` alone maps errors to exit codes: 0 on
 success, 1 when a verification run reports failures or an internal invariant

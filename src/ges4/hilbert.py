@@ -136,12 +136,11 @@ class StateVector:
         """A state over an array the package built itself, with no check and no copy.
 
         For internal results only: `amp` must be a finite complex array of
-        shape (space.dim,) that nothing else writes to, and it must already be
-        read-only (InvariantError otherwise). Input from outside the package
-        goes through the public constructor, which validates and copies.
+        shape (space.dim,) that nothing else writes to; it is made read-only
+        here. Input from outside the package goes through the public
+        constructor, which validates and copies.
         """
-        if amp.flags.writeable:
-            raise InvariantError("an internal state must wrap a read-only array")
+        amp.setflags(write=False)
         state = object.__new__(cls)
         object.__setattr__(state, "space", space)
         object.__setattr__(state, "amp", amp)
@@ -208,7 +207,7 @@ class Operator:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace matrix; validated on construction."""
+    """Hermitian, unit-trace, positive semidefinite (to EIG_TOL); checked once, on construction."""
 
     space: HilbertSpace
     mat: np.ndarray

@@ -7,14 +7,16 @@ reshapes of the 16 amplitudes, so stacked states are measured over any
 pairs and cuts, named by their qubit labels, with one stacked SVD and no
 density matrix. All of `measure_report` (six concurrences, seven cut
 entropies and its Schmidt-symmetry check) runs on it, and so does every
-closed-form-versus-numerics comparison, through `_svd_measures`,
-`_branch_measures` and its one empty-branch rule. The oracle path is the density matrix: Wootters
-`concurrence` for arbitrary two-qubit density matrices,
-`von_neumann_entropy` of arbitrary reductions and `bipartition_entropy`,
-reached through `density_matrix` and `partial_trace`; the tests check the
-kernel against it. Closed-form side: the protocol's analytic expressions for
-the concurrence of one qubit pair and the entropy of one two-two cut of the
-post-selected branch states at phi = pi/2.
+closed-form-versus-numerics comparison, through `_svd_measures` and
+`_branch_measures`. One liveness rule serves both sides: a branch of weight
+below `_EMPTY_WEIGHT` is empty, and its numeric and closed-form cells are NaN.
+The oracle path is the density matrix: Wootters `concurrence` for arbitrary
+two-qubit density matrices, `von_neumann_entropy` of arbitrary reductions
+and `bipartition_entropy`, reached through `density_matrix` and
+`partial_trace`; the tests check the kernel against it. Closed-form side:
+the protocol's analytic expressions for the concurrence of one qubit pair
+and the entropy of one two-two cut of the post-selected branch states at
+phi = pi/2.
 
 Which pair and which cut the closed forms describe is not guessed: the
 formulas are asymmetric in the theta indices, so `calibrate_closed_forms`
@@ -47,6 +49,7 @@ from .circuit import (
     _BITS,
     _closed_form_pairs,
     _cos2_products,
+    _double_angle,
     check_branch,
 )
 
@@ -56,6 +59,8 @@ GENUINE_CONCURRENCE_TOL = 1e-10
 GENUINE_ENTROPY_TOL = 1e-10
 # `calibrate_closed_forms` counts a candidate pair or cut within this as a match.
 CALIBRATION_MATCH_TOL = 1e-11
+# A branch below this weight, ||chi||^2 or Gamma, has no state: all its cells are NaN.
+_EMPTY_WEIGHT = 1e-12
 
 _YY = np.kron(PAULIS[2], PAULIS[2])
 
@@ -64,7 +69,7 @@ PAIRS = (("q1", "q2"), ("q1", "q3"), ("q1", "q4"),
 
 
 class DegenerateBranchError(ValueError):
-    """A closed form was requested for a branch of zero post-selection probability."""
+    """A closed form was requested for an empty branch, Gamma below `_EMPTY_WEIGHT`."""
 
 
 class ClosedFormInconsistencyError(ValueError):
@@ -145,8 +150,6 @@ def concurrence(rho: DensityMatrix) -> float:
     if rho.space.dim != 4:
         raise ValueError("concurrence is defined for two-qubit (4x4) density matrices")
     w, v = np.linalg.eigh(rho.mat)
-    if float(w.min()) < -EIG_TOL:
-        raise ValueError("density matrix has a significantly negative eigenvalue")
     w = np.where(w > 4.0 * np.finfo(float).eps * w.max(), w, 0.0)
     sqrt_rho = (v * np.sqrt(w)) @ v.conj().T
     lam = np.linalg.svd(sqrt_rho @ _YY @ sqrt_rho.conj(), compute_uv=False)
@@ -160,15 +163,16 @@ def _lambda_delta(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form lambda and delta of both branches, as two (N, 2) arrays.
 
     One row per row of four finite angles, columns in BRANCHES order; the
-    branch sign is + for chi' and - for chi''. A branch whose denominator
-    1 +- prod_i cos2theta_i is below 1e-12 has zero post-selection
-    probability, and both of its entries are NaN.
+    branch sign is + for chi' and - for chi''. The denominator
+    1 +- prod_i cos2theta_i is 2 Gamma: a branch with Gamma below
+    `_EMPTY_WEIGHT` is empty, and both of its entries are NaN.
     """
     th = np.asarray(thetas, dtype=float)
     x, prod = _cos2_products(th)
     den = 1.0 + _BRANCH_SIGNS * prod[:, None]
-    den[np.abs(den) < 1e-12] = np.nan
-    num = np.abs(x[:, 0] * x[:, 1] * np.sin(2.0 * th[:, 2]) * np.sin(2.0 * th[:, 3]))
+    den[den * 0.5 < _EMPTY_WEIGHT] = np.nan
+    num = np.abs(x[:, 0] * x[:, 1] * _double_angle(th[:, 2], sine=True)
+                 * _double_angle(th[:, 3], sine=True))
     lam = np.maximum(0.0, num[:, None] / den)
     delta = ((x[:, 2] * x[:, 3])[:, None] + _BRANCH_SIGNS * (x[:, 0] * x[:, 1])[:, None]) / den
     return lam, delta
@@ -203,8 +207,8 @@ def concurrence_closed_form(thetas: Sequence[float], branch: str) -> float:
 
     lambda = |cos2theta_1 cos2theta_2 sin2theta_3 sin2theta_4| /
     (1 +- prod_i cos2theta_i), the sign following the branch. Raises
-    DegenerateBranchError where the branch has zero post-selection
-    probability, and ValueError unless given four finite angles.
+    DegenerateBranchError where the branch is empty (its Gamma is below
+    `_EMPTY_WEIGHT`), and ValueError unless given four finite angles.
     """
     check_branch(branch)
     lam, _ = _lambda_delta([thetas])
@@ -214,8 +218,6 @@ def concurrence_closed_form(thetas: Sequence[float], branch: str) -> float:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr rho log2 rho with the 0 log 0 := 0 convention."""
     p = np.linalg.eigvalsh(rho.mat)
-    if float(p.min()) < -EIG_TOL:
-        raise ValueError("density matrix has a significantly negative eigenvalue")
     p = p[p > 1e-15]
     return float(max(0.0, -np.sum(p * np.log2(p))))
 
@@ -319,13 +321,13 @@ _SINGLE_KEYS = tuple(cut.side_a[0] for cut in SINGLE_CUTS)
 def _branch_measures(amps: np.ndarray, pairs: tuple, cuts: tuple) -> tuple[np.ndarray, np.ndarray]:
     """`_svd_measures` of unnormalized branches (..., 16), each scaled to unit norm.
 
-    The one empty-branch rule of every closed-form-versus-numerics
-    comparison: a branch of weight ||chi||^2 < 1e-12 has no state to
-    measure, and all its cells read NaN. Only live branches are factored:
-    LAPACK factors each matrix on its own, so their bits do not change.
+    The numeric side of the one liveness rule: a branch of weight ||chi||^2
+    below `_EMPTY_WEIGHT` has no state, and its cells read NaN, as its closed
+    forms do in `_lambda_delta`. Only live branches are factored: LAPACK
+    factors each matrix on its own, so their bits do not change.
     """
     norms = np.linalg.norm(amps, axis=-1)
-    live = norms ** 2 >= 1e-12
+    live = norms ** 2 >= _EMPTY_WEIGHT
     conc = np.full((*norms.shape, len(pairs)), np.nan)
     ent = np.full((*norms.shape, len(cuts)), np.nan)
     conc[live], ent[live] = _svd_measures(amps[live] / norms[live, None], pairs, cuts)
@@ -342,11 +344,9 @@ def _delta_entropy(delta: float) -> float:
         raise ClosedFormInconsistencyError(
             f"delta = {delta} lies outside [-1, 1]; the closed form does not "
             f"describe a valid spectrum at these angles")
-
-    def xlog2x(x: float) -> float:
-        return x * math.log2(x) if x > 0.0 else 0.0
     d = min(abs(delta), 1.0)
-    return 1.0 - 0.5 * (xlog2x(1.0 + d) + xlog2x(1.0 - d))
+    a, b = 1.0 + d, 1.0 - d     # a >= 1; b log2 b is 0 at b = 0
+    return 1.0 - 0.5 * (a * math.log2(a) + (b * math.log2(b) if b > 0.0 else 0.0))
 
 
 def entropy_closed_form(thetas: Sequence[float], branch: str) -> float:

@@ -49,7 +49,6 @@ from .circuit import (
     _BS_BLOCK,
     _closed_form_pairs,
     _dense_apply,
-    _dense_circuit,
     _dense_circuits,
     _gammas,
     _initial_states,
@@ -183,7 +182,7 @@ def _faulty_circuit(phi: float) -> Operator:
     The verification suite injects the fault through `_splitter`; this
     function is what the benchmark's own checks call for a broken circuit.
     """
-    return _dense_circuit(phi, _splitter("conjugate_bs"))
+    return Operator(FULL_SPACE, _dense_circuits([phi], _splitter("conjugate_bs"))[0])
 
 
 # --------------------------------------------------------------------------

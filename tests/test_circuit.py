@@ -26,7 +26,6 @@ from ges4.circuit import (
     DetectionOutcome,
     PhysicalParams,
     SchemeParams,
-    _dense_circuit,
     _one_photon_block,
     _one_photon_output,
     beam_splitter,
@@ -287,7 +286,7 @@ def test_prepare_ges_sigma_y_map(target_prime, target_dprime):
 
 def test_internal_states_are_read_only():
     # evolve, detect and prepare_ges wrap their own arrays without a copy,
-    # so each must have made the array read-only first
+    # and `StateVector._wrap` makes each of them read-only
     psi = evolve(SchemeParams(phi=1.1, thetas=(0.3, 0.5, 0.7, 0.9), eta=0.6))
     states = [psi]
     for outcome in DetectionOutcome:
@@ -367,7 +366,8 @@ def test_fast_evolve_matches_dense_circuit_and_closed_form(phi, thetas):
 def test_conjugated_splitter_moves_dense_and_fast_alike(phi, thetas):
     params = SchemeParams(phi=phi, thetas=thetas)
     bad = _conjugated_splitter()
-    dense = _dense_circuit(params.phi, bad) @ initial_state(params.thetas)
+    dense = StateVector(FULL_SPACE, circuit._dense_circuits([params.phi], bad)[0]
+                        @ initial_state(params.thetas).amp)
     fast = _one_photon_output([params.phi], [params.thetas], _one_photon_block(bad))
     dev_dense = _deviation(photon_branch(dense, 0, 1).amp,
                            photon_branch(dense, 1, 0).amp, params)
@@ -379,7 +379,7 @@ def test_hot_paths_never_build_the_dense_circuit(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense circuit built on a hot path")
 
-    for name in ("mz_circuit", "_dense_circuit"):
+    for name in ("mz_circuit", "_dense_circuits"):
         monkeypatch.setattr(circuit, name, forbidden)
     evolve(SchemeParams(phi=0.4, thetas=(0.1, 0.5, 0.9, 1.3)))
     prepare_ges(SchemeParams(phi=PI / 2))
@@ -481,7 +481,7 @@ def test_dense_circuit_equals_a_product_of_fresh_factors(phis, conjugate):
             want = _fresh_factor(i, phi) @ want
         want = bs @ want
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(_dense_circuit(phis[0], splitter).mat, stacked[0],
+    np.testing.assert_allclose(circuit._dense_circuits(phis[:1], splitter)[0], stacked[0],
                                rtol=0, atol=1e-13)
 
 
@@ -514,8 +514,8 @@ def test_dense_apply_rows_equal_per_draw_dense_circuits(draws, conjugate):
     phis, thetas, params = _stack(draws)
     got = circuit._dense_apply(phis, splitter, circuit._initial_states(thetas))
     for row, p in zip(got, params):
-        want = _dense_circuit(p.phi, splitter) @ initial_state(p.thetas)
-        np.testing.assert_allclose(row, want.amp, rtol=0, atol=1e-13)
+        want = circuit._dense_circuits([p.phi], splitter)[0] @ initial_state(p.thetas).amp
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-13)
 
 
 @settings(max_examples=100, deadline=None)

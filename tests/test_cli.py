@@ -518,6 +518,38 @@ def test_parser_is_built_once_and_parses_each_call_afresh(capsys):
     assert again == first
 
 
+def test_sweep_at_angles_whose_double_overflows_warns_nothing():
+    # 2 theta overflows above ~8.99e307; the closed forms and Gamma take the
+    # double-angle identity there, with no numpy warning on stderr
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-m", "ges4.cli", "sweep", "--thetas", "1e308",
+                          "--csv"], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0 and out.stderr == ""
+    [row] = [{k: float(v) for k, v in row.items()}
+             for row in csv.DictReader(io.StringIO(out.stdout))]
+    assert all(math.isfinite(v) for v in row.values())
+    assert abs(row["gamma1"] + row["gamma2"] - 1.0) <= 1e-15
+    assert max(v for k, v in row.items() if "_absdiff_" in k) <= 1e-12
+
+
+@pytest.mark.parametrize("edge", [0.0, math.pi / 2])
+def test_sweep_closed_and_numeric_cells_of_a_branch_are_nan_together(capsys, edge):
+    # At phi = pi/2 the closed forms describe the numeric states, and chi''
+    # is empty for both below the one weight 1e-12, at |theta - edge| < 5e-7;
+    # the axis steps 5e-8 and passes that crossing 1.3e-8 away.
+    axis = f"{edge - 2.013e-6!r}:{edge + 1.987e-6!r}:81"
+    assert cli.main(["sweep", "--phi", "pi/2", f"--thetas={axis}", "--csv"]) == 0
+    empty = []
+    for row in csv.DictReader(io.StringIO(capsys.readouterr().out)):
+        for branch in BRANCHES:
+            cells = {row[f"{q}_{branch}"] == "nan" for q in (
+                "conc_closed", "conc_numeric", "entropy_closed", "entropy_numeric")}
+            assert len(cells) == 1, (row["theta1"], branch)
+            empty += cells
+    assert 0 < sum(empty) < len(empty)
+
+
 def test_sweep_point_cap(capsys):
     rc = cli.main(["sweep", "--phi", "0:pi:1001", "--thetas", "0:pi/2:1001"])
     assert rc == 2

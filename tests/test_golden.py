@@ -175,3 +175,17 @@ def test_text_and_csv_match_golden_bytes(capsys, stem, fmt):
     assert rc == want_rc
     assert captured.err == ""
     assert captured.out == (GOLDEN / f"{stem}.{fmt}").read_bytes().decode()
+
+
+def test_sweep_golden_cells_are_the_cell_format_of_their_floats():
+    # `_sweep_csv` writes its own %.17g cells; each must be the cell `_cell`
+    # writes for the float it reads back as, NaN and negative zero included
+    seen = set()
+    for stem in [stem for stem in BYTE_GOLDENS if stem.startswith("sweep")]:
+        rows = list(csv.reader(io.StringIO((GOLDEN / f"{stem}.csv").read_text())))
+        assert len(rows) > 1
+        for row in rows[1:]:
+            for cell in row:
+                assert cell == cli._cell(float(cell)), (stem, cell)
+            seen.update(row)
+    assert {"nan", "-0", "0", "1"} <= seen

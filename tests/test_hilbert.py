@@ -5,7 +5,6 @@ import pytest
 
 from ges4.hilbert import (
     HilbertSpace,
-    InvariantError,
     StateVector,
     Operator,
     DensityMatrix,
@@ -96,12 +95,15 @@ def test_public_state_vector_copies_its_input():
 
 
 def test_internal_wrap_takes_a_read_only_array_as_it_is():
-    amp = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
-    with pytest.raises(InvariantError):
-        StateVector._wrap(SPACE2, amp)
-    amp.setflags(write=False)
-    psi = StateVector._wrap(SPACE2, amp)
-    assert psi.amp is amp and psi.space == SPACE2 and psi.is_normalized
+    # no copy, and the wrapped array becomes read-only whatever it was before
+    for writeable in (True, False):
+        amp = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+        amp.setflags(write=writeable)
+        psi = StateVector._wrap(SPACE2, amp)
+        assert psi.amp is amp and psi.space == SPACE2 and psi.is_normalized
+        assert not amp.flags.writeable
+        with pytest.raises(ValueError):
+            psi.amp[0] = 1.0
 
 
 def test_state_vector_immutable():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -659,14 +660,15 @@ _CF_ROWS = st.lists(st.lists(_CF_ANGLE, min_size=4, max_size=4), min_size=1, max
 
 def _math_reference(thetas):
     """Gamma, lambda and S of both branches as scalar `math` code, with the
-    operations in the order the batched code keeps; NaN where undefined."""
+    operations in the order the batched code keeps; NaN where undefined, that
+    is where the branch's Gamma = den / 2 is below the empty weight 1e-12."""
     x = [math.cos(2.0 * t) for t in thetas]
     prod = x[0] * x[1] * x[2] * x[3]
     gammas = ((1.0 + prod) / 2.0, (1.0 - prod) / 2.0)
     cells = []
     for sign in (1.0, -1.0):
         den = 1.0 + sign * prod
-        if abs(den) < 1e-12:
+        if den / 2.0 < 1e-12:
             cells.append((math.nan, math.nan, 0.0))
             continue
         num = abs(x[0] * x[1] * math.sin(2.0 * thetas[2]) * math.sin(2.0 * thetas[3]))
@@ -690,6 +692,9 @@ def _same(got, want) -> bool:
 
 @settings(max_examples=150, deadline=None)
 @given(rows=_CF_ROWS)
+# Gamma_2 = 5.2e-13 and 8.1e-13: empty branches whose 1 - prod is above 1e-12
+@example(rows=[[3.6e-7] * 4])
+@example(rows=[[4.5e-7] * 4, [-4.5e-7, 4.5e-7, 4.5e-7, 4.5e-7]])
 def test_batched_closed_forms_and_gammas_equal_the_scalar_ones_bit_for_bit(rows):
     reference = [_math_reference(thetas) for thetas in rows]
     if any(abs(delta) > 1.0 + 1e-12 for _, cells in reference for *_, delta in cells):
@@ -705,8 +710,9 @@ def test_batched_closed_forms_and_gammas_equal_the_scalar_ones_bit_for_bit(rows)
             assert _same(float(entropy[n, j]), want_s), (n, branch)
             assert _same(_scalar_cell(concurrence_closed_form, thetas, branch), want_lam)
             assert _same(_scalar_cell(entropy_closed_form, thetas, branch), want_s)
-    # a branch is undefined exactly where its probability 2 Gamma is below 1e-12
-    undefined = np.abs(2.0 * gammas) < 1e-12
+    # a branch is undefined exactly where its probability Gamma is below 1e-12,
+    # the weight below which `_branch_measures` finds no state
+    undefined = gammas < 1e-12
     assert np.array_equal(np.isnan(lam), undefined)
     assert np.array_equal(np.isnan(entropy), undefined)
 
@@ -743,3 +749,99 @@ def test_closed_forms_reject_non_finite_or_missing_angles(thetas):
             closed_form(thetas, BRANCH_PRIME)
     with pytest.raises(ValueError):
         circuit.gamma_factors(thetas)
+
+
+@pytest.mark.parametrize("edge", [0.0, PI / 2])
+def test_closed_forms_raise_exactly_where_the_branch_has_no_state(edge):
+    # At phi = pi/2, chi'' weighs about 4 eps^2 at theta_i = edge + eps and
+    # empties below 1e-12 at |eps| = 5e-7: its closed forms must stop where
+    # `_branch_measures` finds no state, not at half that weight. The closed
+    # form's Gamma = (1 - prod)/2 holds only ~4 digits there (1.0000889e-12
+    # against a weight of 1e-12 at 5e-7), so the grid keeps 1 % away from it.
+    eps = np.linspace(-2e-6, 2e-6, 160)
+    assert (np.abs(np.abs(eps) - 5e-7) > 5e-9).all()
+    thetas = np.repeat(edge + eps[:, None], 4, axis=1)
+    amps = circuit._closed_form_pairs(np.full(len(thetas), PI / 2), thetas)
+    conc, _ = measures._branch_measures(amps, (FORMULA_PAIR,), (FORMULA_CUT.side_a,))
+    empty = np.isnan(conc[..., 0])
+    assert not empty[:, 0].any() and 0 < empty[:, 1].sum() < len(thetas)
+    lam, entropy = measures._closed_form_measures(thetas)
+    assert np.array_equal(np.isnan(lam), empty) and np.array_equal(np.isnan(entropy), empty)
+    for row, row_empty in zip(thetas.tolist(), empty.tolist()):
+        for branch, is_empty in zip(BRANCHES, row_empty):
+            for closed_form in (concurrence_closed_form, entropy_closed_form):
+                if is_empty:
+                    with pytest.raises(DegenerateBranchError):
+                        closed_form(row, branch)
+                else:
+                    assert math.isfinite(closed_form(row, branch))
+
+
+# ---------------------------------------------------------------------------
+# angles whose double overflows: 2 theta is infinite above half the largest float
+
+_HALF_MAX = np.finfo(float).max / 2.0
+_HUGE = [1e308, -1e308, 1.2345e308, float(np.finfo(float).max),
+         float(np.nextafter(_HALF_MAX, np.inf))]
+
+
+def test_closed_forms_and_gammas_take_angles_whose_double_overflows():
+    rows = [[t] * 4 for t in _HUGE] + [_HUGE[:4], [1e308, 0.3, -1e308, 1.1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # numpy's overflow warnings included
+        cos2, _ = circuit._cos2_products(rows)
+        sin2 = circuit._double_angle(np.array(rows), sine=True)
+        for thetas in rows:
+            g1, g2 = circuit.gamma_factors(thetas)
+            assert min(g1, g2) > 1e-5 and abs(g1 + g2 - 1.0) <= 1e-15
+            for branch in BRANCHES:
+                assert math.isfinite(concurrence_closed_form(thetas, branch))
+                assert math.isfinite(entropy_closed_form(thetas, branch))
+    # the double-angle identity against mpmath, which reduces any argument exactly
+    for row, c_row, s_row in zip(rows, cos2.tolist(), sin2.tolist()):
+        for t, c, s in zip(row, c_row, s_row):
+            assert abs(c - float(mpmath.cos(2 * mpmath.mpf(t)))) <= 4e-16, t
+            assert abs(s - float(mpmath.sin(2 * mpmath.mpf(t)))) <= 4e-16, t
+
+
+def test_double_angles_keep_their_bits_where_two_theta_is_finite():
+    rng = np.random.default_rng(20261019)
+    signs = rng.choice([-1.0, 1.0], 4000)
+    th = np.concatenate([rng.uniform(-10.0, 10.0, 4000),
+                         signs * 10.0 ** rng.uniform(-300.0, 307.95, 4000),
+                         [0.0, -0.0, PI / 4, _HALF_MAX, -_HALF_MAX]])
+    for fn, sine in ((np.cos, False), (np.sin, True)):
+        got = circuit._double_angle(th, sine=sine)
+        assert np.array_equal(got.view(np.uint64), fn(2.0 * th).view(np.uint64))
+
+
+def _old_delta_entropy(delta):
+    """`measures._delta_entropy` as it was, with its nested `xlog2x`, frozen."""
+    if abs(delta) > 1.0 + 1e-12:
+        raise measures.ClosedFormInconsistencyError(f"delta = {delta} lies outside [-1, 1]")
+
+    def xlog2x(x: float) -> float:
+        return x * math.log2(x) if x > 0.0 else 0.0
+    d = min(abs(delta), 1.0)
+    return 1.0 - 0.5 * (xlog2x(1.0 + d) + xlog2x(1.0 - d))
+
+
+def test_delta_entropy_is_bit_identical_to_the_nested_closure_form():
+    rng = np.random.default_rng(20261019)
+    n = 50_000
+    signs = rng.choice([-1.0, 1.0], (3, n))
+    deltas = np.concatenate([
+        rng.uniform(-1.0, 1.0, n),
+        signs[0] * (1.0 - 10.0 ** rng.uniform(-17.0, 0.0, n)),      # near |delta| = 1
+        signs[1] * 10.0 ** rng.uniform(-320.0, 0.0, n),            # near 0
+        signs[2] * (1.0 + rng.uniform(0.0, 1e-12, n)),             # roundoff overshoot
+        [0.0, -0.0, 1.0, -1.0, 1.0 + 1e-12, -1.0 - 1e-12, 5e-324, np.nextafter(1.0, 0.0)],
+    ]).tolist()
+    assert len(deltas) >= 200_000
+    got = np.array([measures._delta_entropy(d) for d in deltas])
+    want = np.array([_old_delta_entropy(d) for d in deltas])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for delta in (1.0 + 2e-12, -1.5):
+        for form in (measures._delta_entropy, _old_delta_entropy):
+            with pytest.raises(measures.ClosedFormInconsistencyError):
+                form(delta)

@@ -46,13 +46,13 @@ def test_names_imported_or_patched_from_outside_exist():
 def test_faulty_circuit_is_the_dense_circuit_with_a_conjugated_splitter():
     # `bench/test_checks.py` uses it as the broken interferometer
     from ges4 import verify
-    from ges4.circuit import PHOTONIC_SPACE, _dense_circuit, beam_splitter
+    from ges4.circuit import PHOTONIC_SPACE, _dense_circuits, beam_splitter
     from ges4.hilbert import Operator
 
     conjugated = Operator(PHOTONIC_SPACE, beam_splitter().mat.conj())
     for phi in (0.0, 1.1, np.pi / 2, 5.3):
         got = verify._faulty_circuit(phi)
-        assert np.array_equal(got.mat, _dense_circuit(phi, conjugated).mat)
+        assert np.array_equal(got.mat, _dense_circuits([phi], conjugated)[0])
 
 
 def test_benchmark_sweep_check_rejects_a_wrong_table(tmp_path, monkeypatch):
@@ -86,3 +86,19 @@ def test_benchmark_sweep_check_rejects_a_wrong_table(tmp_path, monkeypatch):
     assert rc == 0
     bad, problems = sweep.check(grid, rc)
     assert bad > 0 and problems and all(p.startswith("row ") for p in problems)
+
+
+def test_benchmark_sweep_check_passes_the_former_empty_branch_band(tmp_path, monkeypatch):
+    # At theta_i = 4.5e-7 and phi = pi/2, chi'' weighs 8.1e-13: below the one
+    # empty weight 1e-12, so its closed forms must be NaN beside its NaN
+    # numerics, as the benchmark's reference has them.
+    import math
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import SweepGrid
+
+    grid = {"axes": {"phi": (math.pi / 2, 2.0, 2),
+                     **{f"theta{i}": (4.5e-7, 4.5e-7, 1) for i in (1, 2, 3, 4)}},
+            "etas": (1.0,)}
+    sweep = SweepGrid(tmp_path)
+    assert sweep.check(grid, sweep.call(grid)) == (0, [])
