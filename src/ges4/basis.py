@@ -34,7 +34,11 @@ from .circuit import (
     _table_amplitudes,
     ges_target_state,
 )
-from .measures import _measure_reports
+from .measures import _check_four_qubit, _measure_reports
+
+# What `ges4` exports from this module.
+__all__ = ["GesIndex", "GesBasis", "Decomposition", "explicit_basis", "generate_basis",
+           "decompose", "canonical_state", "verify_representation", "compare_generated"]
 
 
 @dataclass(frozen=True, order=True)
@@ -244,10 +248,7 @@ def decompose(state: StateVector, basis: GesBasis) -> Decomposition:
     run on Python floats: InvariantError if the reconstruction or norm
     identity fails.
     """
-    if state.space != ATOMIC_SPACE:
-        raise ValueError("state must live on the four-qubit space")
-    if not state.is_normalized:
-        raise ValueError("state must be normalized")
+    _check_four_qubit(state)
     amps = state.amp[None]
     c = amps @ basis._conj
     residual = float(np.linalg.norm(amps - c @ basis.matrix().T, axis=-1)[0])

@@ -12,20 +12,21 @@ number, so the one-photon input never leaks into |00> or |11>.
 
 The circuit is computed along two independent paths. The fast path used
 everywhere, `_one_photon_output`, exploits the structure: on the one-photon
-sector the interferometer is the 2x2 splitter block, then the diagonal
-phase exp(-i phi n0) on arm U and exp(-i phi n1) on arm L (n0 and n1 count
-the qubits in |0> and |1>), then the splitter block again. It takes a stack
-of (phi, theta) points and returns both output branches in BRANCHES order,
-chi' (arm L) then chi'' (arm U): `evolve` is its one-point case, and `sweep`
-and the oracle check pass all their points in one call. The dense oracle
-builds the 64x64 unitary from the cavity generators, which are diagonal:
-the four cavities are exp(-i phi G), G their sum, with diagonal g taking
-the values 0..4, so with the splitter B (extended by identity on the
-qubits) U(phi) = B diag(exp(-i phi g)) B, five exponentials a phase and no
-eigensolver. `_dense_circuits` stacks these circuits, one GEMM each;
-`_dense_apply` sends stacked input rows through the same factors in two
-tall GEMMs, and the verification suite checks the fast path against it
-and against `_closed_form_pairs`.
+sector, rows |01> (arm L) and |10> (arm U) in BRANCHES order (`_ONE_PHOTON`),
+the interferometer is the 2x2 splitter block, then the diagonal phase
+exp(-i phi n1) on arm L and exp(-i phi n0) on arm U (n0 and n1 count the
+qubits in |0> and |1>), then the splitter block again. It takes a stack of
+(phi, theta) points and returns both output branches, chi' then chi'':
+`evolve` is its one-point case, and `sweep` and the oracle check pass all
+their points in one call; other modules read those rows through
+`_branch_rows`. The dense oracle builds the 64x64 unitary from the cavity
+generators, which are diagonal: the four cavities are exp(-i phi G), G
+their sum, with diagonal g taking the values 0..4, so with the splitter B
+(extended by identity on the qubits) U(phi) = B diag(exp(-i phi g)) B, five
+exponentials a phase and no eigensolver. `_dense_circuits` stacks these
+circuits, one GEMM each; `_dense_apply` sends stacked input rows through
+the same factors in two tall GEMMs, and the verification suite checks the
+fast path against it and against `_closed_form_pairs`.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ from .hilbert import (
     canonical_phase,
     unitary_exp,
 )
+
+# What `ges4` exports from this module.
+__all__ = ["SchemeParams", "PhysicalParams", "DetectionOutcome", "phase_from_physical",
+           "beam_splitter", "mz_circuit", "initial_state", "evolve", "closed_form_pair",
+           "gamma_factors", "detect", "prepare_ges", "ges_target_state"]
 
 QUBIT_LABELS = ("q1", "q2", "q3", "q4")
 
@@ -273,8 +279,8 @@ def initial_state(thetas: Sequence[float]) -> StateVector:
     return StateVector(FULL_SPACE, _initial_states([th])[0])
 
 
-# Photonic basis indices of the one-photon sector, photon in arm U then L.
-_ONE_PHOTON = [2, 1]    # |10>, |01>
+# Photonic rows of the one-photon sector: |01> (arm L, chi'), |10> (arm U, chi'').
+_ONE_PHOTON = slice(1, 3)
 # Per four-qubit basis string (first qubit most significant): its bits and
 # the number of qubits in |1> and in |0>.
 _BITS = ((np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1).astype(bool)
@@ -285,11 +291,17 @@ _EXCITATIONS = np.arange(5).astype(complex)
 
 
 def _one_photon_block(splitter: Operator) -> np.ndarray:
-    """2x2 action of a photon-number-conserving splitter on (|10>, |01>)."""
-    return splitter.mat[np.ix_(_ONE_PHOTON, _ONE_PHOTON)]
+    """2x2 action of a photon-number-conserving splitter on (|01>, |10>)."""
+    return splitter.mat[_ONE_PHOTON, _ONE_PHOTON]
 
 
 _BS_BLOCK = _one_photon_block(beam_splitter())
+
+
+def _branch_rows(amp: np.ndarray) -> np.ndarray:
+    """The one-photon rows (|01>, |10>) of full-space amplitudes (..., 64), chi'
+    then chi'', as a (..., 2, 16) view: a write through it reaches `amp`."""
+    return amp.reshape(*amp.shape[:-1], 4, ATOMIC_SPACE.dim)[..., _ONE_PHOTON, :]
 
 
 def _one_photon_output(phis: np.ndarray, thetas: np.ndarray, splitter: np.ndarray
@@ -300,19 +312,19 @@ def _one_photon_output(phis: np.ndarray, thetas: np.ndarray, splitter: np.ndarra
     is the output at phis[n] (already reduced mod 2 pi) with the input
     photon in arm U and the atoms in the product state
     (x)_i (cos theta_i, sin theta_i) of the four angles thetas[n].
-    `splitter` is the 2x2 one-photon block of the beam splitter, applied
-    before and after the cavity phases. Every row is computed by the same
+    `splitter` is the 2x2 one-photon block on (|01>, |10>), applied before
+    and after the cavity phases. Every row is computed by the same
     elementwise operations, so it is bit-identical to a one-row call.
     """
     th = np.asarray(thetas, dtype=float)
     product = np.multiply.reduce(
         np.where(_BITS, np.sin(th)[:, None, :], np.cos(th)[:, None, :]), axis=-1)
     phases = np.exp(np.multiply.outer(-1j * np.asarray(phis, dtype=float), _EXCITATIONS))
-    arm_u = splitter[0, 0] * phases.take(_N0, axis=1) * product
-    arm_l = splitter[1, 0] * phases.take(_N1, axis=1) * product
+    arm_l = splitter[0, 1] * phases.take(_N1, axis=1) * product
+    arm_u = splitter[1, 1] * phases.take(_N0, axis=1) * product
     out = np.empty((len(th), 2, ATOMIC_SPACE.dim), dtype=complex)
-    out[:, 0] = splitter[1, 0] * arm_u + splitter[1, 1] * arm_l
-    out[:, 1] = splitter[0, 0] * arm_u + splitter[0, 1] * arm_l
+    out[:, 0] = splitter[0, 1] * arm_u + splitter[0, 0] * arm_l
+    out[:, 1] = splitter[1, 1] * arm_u + splitter[1, 0] * arm_l
     return out
 
 
@@ -320,15 +332,15 @@ def evolve(params: SchemeParams) -> StateVector:
     """Run the circuit on the standard input state (the fast path).
 
     The output has support only on the one-photon sector and splits as
-    |01> (x) chi' + |10> (x) chi'' up to a global phase: rows 1 and 2 of its
-    (4, 16) branch layout (row n_U * 2 + n_L) are the one-row case of
-    `_one_photon_output`, computed from the circuit's structure without
-    building the dense unitary; the result equals
+    |01> (x) chi' + |10> (x) chi'' up to a global phase: its `_branch_rows`
+    (|01>, |10>) are the one-row case of `_one_photon_output`, computed from
+    the circuit's structure without building the dense unitary, and its rows
+    |00> and |11> are exactly 0; the result equals
     `mz_circuit(phi) @ initial_state(thetas)` to roundoff.
     """
-    amp = np.zeros((4, ATOMIC_SPACE.dim), dtype=complex)
-    amp[1:3] = _one_photon_output([params.phi], [params.thetas], _BS_BLOCK)[0]
-    return StateVector._wrap(FULL_SPACE, amp.reshape(FULL_SPACE.dim))
+    amp = np.zeros(FULL_SPACE.dim, dtype=complex)
+    _branch_rows(amp)[:] = _one_photon_output([params.phi], [params.thetas], _BS_BLOCK)[0]
+    return StateVector._wrap(FULL_SPACE, amp)
 
 
 def photon_branch(psi: StateVector, n_u: int, n_l: int) -> StateVector:

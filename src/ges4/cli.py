@@ -58,11 +58,12 @@ from .circuit import (
     DetectionOutcome,
     SchemeParams,
     _BS_BLOCK,
+    _branch_rows,
     _gammas,
     _one_photon_output,
+    _row_norms,
     detect,
     evolve,
-    photon_branch,
     prepare_ges,
 )
 from .measures import (
@@ -75,6 +76,7 @@ from .measures import (
 from .basis import (
     ALL_INDICES,
     GesIndex,
+    _CANONICAL_AMPLITUDES,
     canonical_state,
     compare_generated,
     decompose,
@@ -90,7 +92,7 @@ _ANGLE_RE = re.compile(
     re.IGNORECASE,
 )
 
-_CANONICAL_NAMES = ("ghz4", "w4", "cl4", "d4")
+_CANONICAL_NAMES = tuple(_CANONICAL_AMPLITUDES)
 
 
 class CliInputError(Exception):
@@ -322,12 +324,12 @@ def cmd_simulate(args) -> Output:
     params = SchemeParams(phi=parse_angle(args.phi), thetas=parse_thetas(args.theta),
                           eta=args.eta)
     psi = evolve(params)
+    norms = _row_norms(_branch_rows(psi.amp))
     payload = {
         "phi": params.phi,
         "thetas": list(params.thetas),
         "eta": params.eta,
-        "branch_probability": {BRANCH_PRIME: float(photon_branch(psi, 0, 1).norm ** 2),
-                               BRANCH_DOUBLE_PRIME: float(photon_branch(psi, 1, 0).norm ** 2)},
+        "branch_probability": dict(zip(BRANCHES, (n ** 2 for n in norms))),
     }
     outcome = DetectionOutcome(args.outcome) if args.outcome else None
     entry = functools.partial(_outcome_entry, want_measures=args.measures, tol=_tol(args))
@@ -453,8 +455,7 @@ def _sweep_json(payload) -> Iterator[str]:
 def _check_first_point(phi: float, thetas, branches: np.ndarray) -> None:
     """The sweep's branch amplitudes at its first grid point must be the ones
     `evolve` returns there, branch order and phi reduction included."""
-    psi = evolve(SchemeParams(phi=phi, thetas=tuple(thetas))).amp
-    want = psi.reshape(4, ATOMIC_SPACE.dim)[1:3]     # rows |01>, |10>
+    want = _branch_rows(evolve(SchemeParams(phi=phi, thetas=tuple(thetas))).amp)
     if not np.max(np.abs(branches - want)) <= STRUCT_TOL:
         raise InvariantError("sweep states differ from evolve at the first grid point")
 

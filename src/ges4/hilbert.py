@@ -18,6 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
+# What `ges4` exports from this module.
+__all__ = ["HilbertSpace", "StateVector", "Operator", "DensityMatrix", "InvariantError",
+           "basis_state", "density_matrix", "tensor", "embed", "inner", "partial_trace",
+           "unitary_exp"]
+
 # Structural identities (unitarity, Gram matrices, reconstructions) must hold
 # to STRUCT_TOL; anything funneled through an eigensolver gets EIG_TOL.
 STRUCT_TOL = 1e-12

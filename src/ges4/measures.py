@@ -53,6 +53,12 @@ from .circuit import (
     check_branch,
 )
 
+# What `ges4` exports from this module.
+__all__ = ["Bipartition", "MeasureReport", "concurrence", "concurrence_closed_form",
+           "von_neumann_entropy", "bipartition_entropy", "entropy_closed_form",
+           "measure_report", "calibrate_closed_forms", "DegenerateBranchError",
+           "ClosedFormInconsistencyError"]
+
 # Genuine multipartite entanglement signature: every pairwise concurrence
 # vanishes while every bipartition is maximally entangled.
 GENUINE_CONCURRENCE_TOL = 1e-10
@@ -61,6 +67,8 @@ GENUINE_ENTROPY_TOL = 1e-10
 CALIBRATION_MATCH_TOL = 1e-11
 # A branch below this weight, ||chi||^2 or Gamma, has no state: all its cells are NaN.
 _EMPTY_WEIGHT = 1e-12
+# Entropies drop eigenvalues, or squared Schmidt coefficients, at or below this.
+_SCHMIDT_CUTOFF = 1e-15
 
 _YY = np.kron(PAULIS[2], PAULIS[2])
 
@@ -218,7 +226,7 @@ def concurrence_closed_form(thetas: Sequence[float], branch: str) -> float:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr rho log2 rho with the 0 log 0 := 0 convention."""
     p = np.linalg.eigvalsh(rho.mat)
-    p = p[p > 1e-15]
+    p = p[p > _SCHMIDT_CUTOFF]
     return float(max(0.0, -np.sum(p * np.log2(p))))
 
 
@@ -272,11 +280,11 @@ def _gather(sides: tuple) -> np.ndarray:
 def _schmidt_entropy(s: np.ndarray) -> np.ndarray:
     """Entropy (bits) of the Schmidt coefficients s along the last axis.
 
-    The probabilities p = s^2 drop p <= 1e-15 and the entropy is clamped at
-    0, as in `von_neumann_entropy`.
+    The probabilities p = s^2 drop p <= `_SCHMIDT_CUTOFF` and the entropy is
+    clamped at 0, as in `von_neumann_entropy`.
     """
     p = s * s
-    keep = p > 1e-15
+    keep = p > _SCHMIDT_CUTOFF
     h = -np.add.reduce(np.where(keep, p * np.log2(np.where(keep, p, 1.0)), 0.0), axis=-1)
     return np.maximum(0.0, h)
 
@@ -315,7 +323,6 @@ def _svd_measures(amps: np.ndarray, pairs: tuple, cuts: tuple) -> tuple[np.ndarr
 # transposed into the same 2x8 matrix.
 _PAIR_CUT_SIDES = (*(cut.side_a for cut in PAIR_CUTS), *(cut.side_b for cut in PAIR_CUTS))
 _SINGLE_CUT_SIDES = tuple(cut.side_a for cut in SINGLE_CUTS)
-_SINGLE_KEYS = tuple(cut.side_a[0] for cut in SINGLE_CUTS)
 
 
 def _branch_measures(amps: np.ndarray, pairs: tuple, cuts: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -364,6 +371,14 @@ def entropy_closed_form(thetas: Sequence[float], branch: str) -> float:
     return _delta_entropy(_one_branch(delta, branch))
 
 
+def _check_four_qubit(state: StateVector) -> None:
+    """ValueError unless the state is a normalized four-qubit state."""
+    if state.space != ATOMIC_SPACE:
+        raise ValueError("state must live on the four-qubit space")
+    if not state.is_normalized:
+        raise ValueError("state must be normalized")
+
+
 def _measure_reports(states: Sequence[StateVector]) -> list[MeasureReport]:
     """`measure_report` of each state, from the same two `_svd_values` calls.
 
@@ -372,10 +387,7 @@ def _measure_reports(states: Sequence[StateVector]) -> list[MeasureReport]:
     0.0 and summed last: the same bits). Wootters, the symmetry check and the
     reports run on Python floats."""
     for state in states:
-        if state.space != ATOMIC_SPACE:
-            raise ValueError("state must live on the four-qubit space")
-        if not state.is_normalized:
-            raise ValueError("state must be normalized")
+        _check_four_qubit(state)
     amps = np.array([state.amp for state in states])
     lam = _svd_values(amps, PAIRS, _PAIR_CUT_SIDES)
     sides = np.zeros((len(states), 10, 4))
@@ -397,7 +409,7 @@ def _measure_reports(states: Sequence[StateVector]) -> list[MeasureReport]:
         genuine = (all(c <= GENUINE_CONCURRENCE_TOL for c in conc)
                    and all(s >= 1.0 - GENUINE_ENTROPY_TOL for s in pair_ent + single_ent))
         reports.append(MeasureReport(dict(zip(PAIRS, conc)), dict(zip(PAIR_CUTS, pair_ent)),
-                                     dict(zip(_SINGLE_KEYS, single_ent)), genuine))
+                                     dict(zip(QUBIT_LABELS, single_ent)), genuine))
     return reports
 
 

@@ -47,6 +47,7 @@ from .circuit import (
     DetectionOutcome,
     SchemeParams,
     _BS_BLOCK,
+    _branch_rows,
     _closed_form_pairs,
     _dense_apply,
     _dense_circuits,
@@ -67,6 +68,7 @@ from .measures import (
     FORMULA_CUT,
     FORMULA_PAIR,
     SINGLE_CUTS,
+    _SINGLE_CUT_SIDES,
     _branch_measures,
     _closed_form_measures,
     _measure_reports,
@@ -222,8 +224,7 @@ def _oracle_equivalence(run: _Run) -> float:
     # component carrying its branch, under one common prefactor.
     phase = -1j * np.exp(-2j * phis)
     want = phase[:, None, None] * _closed_form_pairs(phis, thetas)
-    rows = _dense_apply(phis, splitter, _initial_states(thetas))
-    dense = rows.reshape(len(rows), 4, ATOMIC_SPACE.dim)[:, 1:3]    # rows |01>, |10>
+    dense = _branch_rows(_dense_apply(phis, splitter, _initial_states(thetas)))
     fast = _one_photon_output(phis, thetas, block)
     return float(max(np.max(np.abs(dense - want)), np.max(np.abs(fast - want))))
 
@@ -495,7 +496,7 @@ def _one_vs_three_entry(rng: np.random.Generator) -> dict:
     thetas = rng.uniform(0.1, 1.4, size=(25, 4))
     _, formula = _closed_form_measures(thetas)
     _, ent = _branch_measures(_closed_form_pairs(np.full(25, np.pi / 2.0), thetas), (),
-                              tuple(cut.side_a for cut in SINGLE_CUTS))
+                              _SINGLE_CUT_SIDES)
     dev = np.abs(ent - formula[..., None])
     worst = float(dev[dev == dev].max(initial=0.0))    # NaN cells: empty branches
     at_pi4 = bipartition_entropy(ges_target_state(BRANCH_PRIME), SINGLE_CUTS[0])

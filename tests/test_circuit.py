@@ -548,6 +548,37 @@ def test_kernel_rows_equal_one_row_calls_bit_for_bit(draws, conjugate):
             assert np.array_equal(photon_branch(psi, 1, 0).amp, out[n, 1])
 
 
+# The last is a splitter with a phase on arm U: its block is asymmetric, so
+# reading it in (U, L) order differs from (L, U).
+@pytest.mark.parametrize("splitter", [
+    beam_splitter(), _conjugated_splitter(),
+    Operator(PHOTONIC_SPACE, np.diag([1, 1, 1j, 1j]) @ beam_splitter().mat),
+], ids=["plain", "conjugated", "phase_on_u"])
+def test_one_photon_block_is_the_splitter_on_rows_01_then_10(splitter):
+    assert np.array_equal(_one_photon_block(splitter), splitter.mat[1:3, 1:3])
+
+
+@settings(max_examples=50, deadline=None)
+@given(draws=_DRAWS)
+def test_branch_rows_are_a_view_of_rows_01_and_10_in_branches_order(draws):
+    phis, thetas, params = _stack(draws)
+    amps = circuit._dense_apply(phis, beam_splitter(), circuit._initial_states(thetas))
+    rows = circuit._branch_rows(amps)
+    assert rows.shape == (len(params), 2, 16)
+    for n in range(len(params)):
+        psi = StateVector(FULL_SPACE, amps[n])
+        assert np.array_equal(rows[n, 0], photon_branch(psi, 0, 1).amp)
+        assert np.array_equal(rows[n, 1], photon_branch(psi, 1, 0).amp)
+    before = amps.reshape(len(params), 4, 16).copy()
+    rows[...] = 0.0     # the write reaches the input rows, and only them
+    after = amps.reshape(len(params), 4, 16)
+    assert not after[:, 1:3].any()
+    assert np.array_equal(after[:, [0, 3]], before[:, [0, 3]])
+    for p in params:
+        out = evolve(p).amp.reshape(4, 16)
+        assert np.all(out[0] == 0.0) and np.all(out[3] == 0.0)
+
+
 def test_branch_sum_invariant_survives_optimized_mode():
     # `python -O` strips asserts; a non-finite branch sum must still raise
     code = (

@@ -27,6 +27,15 @@ def test_star_import_resolves_every_exported_name():
         assert getattr(ges4, name) is namespace[name]
 
 
+def test_each_exported_name_is_declared_once_in_its_home_module():
+    modules = (ges4.hilbert, ges4.circuit, ges4.measures, ges4.basis)
+    assert [name for m in modules for name in m.__all__] == ges4.__all__
+    assert len(set(ges4.__all__)) == len(ges4.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(ges4, name).__module__ == module.__name__, name
+
+
 def test_removed_helpers_are_not_exported():
     for name in REMOVED:
         assert name not in ges4.__all__
