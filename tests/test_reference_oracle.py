@@ -15,7 +15,9 @@ eta. Its states are the interferometer's, and states whose two branches are
 near-parallel, both where the pure/mixed decision takes `_detect`'s SVD and
 around its `_MIXED_MARGIN` shortcut. The representation is checked against
 `_reference_coefficients`, c_k = <phi_k|psi> by one `np.vdot` per basis
-state, on random, sparse and conditioned states.
+state, on random, sparse and conditioned states. The sixteen basis states are
+checked against the paper's construction: the reference's D2 branch at the
+operating point under Pauli strings written out with `np.kron`.
 """
 
 import cmath
@@ -269,3 +271,37 @@ def test_decompose_equals_the_reference_coefficients(psi, name):
     rebuilt = sum(w * basis.states[idx].amp for w, idx in zip(want, ALL_INDICES))
     assert np.max(np.abs(rebuilt - psi)) <= 1e-12
     assert abs(sum(abs(w) ** 2 for w in want) - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the sixteen states, from the paper's construction
+
+
+_I2 = np.eye(2)
+_SZ = np.diag([1.0, -1.0])
+_SIGMA = (_I2, np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]]), _SZ)
+
+
+def _paper_state(family: int, component: int, seed: np.ndarray) -> np.ndarray:
+    """sz^a (x) sigma^component (x) sz^b (x) I on the seed, a = 1 for families 2
+    and 4, b = 1 for families 3 and 4."""
+    first = _SZ if family in (2, 4) else _I2
+    third = _SZ if family in (3, 4) else _I2
+    return np.kron(np.kron(np.kron(first, _SIGMA[component]), third), _I2) @ seed
+
+
+def test_the_sixteen_states_are_the_paper_construction_of_the_reference_seed():
+    # the seed is the D2 branch chi' (mode L) at the operating point
+    seed = ref.interferometer(math.pi / 2, [math.pi / 4] * 4)[1]
+    seed = seed / np.linalg.norm(seed)
+    images = np.array([_paper_state(i.family, i.component, seed) for i in ALL_INDICES])
+    basis = explicit_basis()
+    for idx, g in zip(ALL_INDICES, images):
+        assert abs(abs(np.vdot(basis.states[idx].amp, g)) - 1.0) <= 1e-12, idx
+    assert np.max(np.abs(images.conj() @ images.T - np.eye(16))) <= 1e-12     # Gram
+    assert np.max(np.abs(images.T @ images.conj() - np.eye(16))) <= 1e-12     # completeness
+    # genuinely entangled: no pair entangled, one bit across every cut
+    for pair in _PAIR_INDICES:
+        assert np.max(ref.concurrence(images, pair)) <= 1e-10
+    for side in _SIDES:
+        assert np.max(np.abs(ref.cut_entropy(images, side) - 1.0)) <= 1e-10
