@@ -27,13 +27,16 @@ their sum, with diagonal g taking the values 0..4, so with the splitter B
 exponentials a phase and no eigensolver. `_dense_circuits` stacks these
 circuits, one GEMM each; `_dense_apply` sends stacked input rows through
 the same factors in two tall GEMMs, and the verification suite checks the
-fast path against it and against `_closed_form_pairs`.
+fast path against it and against `_closed_form_pairs`. At phi = pi/2 the
+branch weights Gamma are closed forms of the angles; `_angle_terms` gives
+them, with the double angles the closed-form measures read, in one pass.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -130,7 +133,7 @@ class SchemeParams:
         object.__setattr__(self, "phi", phi % (2.0 * math.pi))
 
         raw = self.thetas
-        if isinstance(raw, (int, float)):
+        if isinstance(raw, numbers.Real):     # numpy scalars included
             th = (float(raw),) * 4
         else:
             th = tuple(float(t) for t in raw)
@@ -394,44 +397,42 @@ def closed_form_pair(params: SchemeParams) -> tuple[StateVector, StateVector]:
     return StateVector._wrap(ATOMIC_SPACE, prime), StateVector._wrap(ATOMIC_SPACE, dprime)
 
 
-def _double_angle(th: np.ndarray, sine: bool = False) -> np.ndarray:
-    """cos(2 theta), or sin(2 theta), of finite angles; where 2 theta overflows
-    (|theta| above ~8.99e307), by the double-angle identity on cos and sin theta."""
-    big = np.abs(th) > np.finfo(float).max / 2.0
-    out = (np.sin if sine else np.cos)(2.0 * np.where(big, 0.0, th))
-    c, s = np.cos(th[big]), np.sin(th[big])
-    out[big] = 2.0 * s * c if sine else (c - s) * (c + s)
-    return out
+# The sign of prod_i cos 2theta_i in 1 +- prod, per branch: chi', chi''.
+_BRANCH_SIGNS = np.array([1.0, -1.0])
 
 
-def _cos2_products(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos(2 theta_i) as (N, 4) and their product, left to right, as (N,).
+def _angle_terms(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos 2theta_i and sin 2theta_i as (N, 4), and Gamma as (N, 2), one row per
+    row of four finite angles (else ValueError).
 
-    Rows must hold four finite angles, else ValueError.
+    Gamma = (1 +- prod_i cos 2theta_i)/2, the product taken left to right, is
+    the pair of branch weights at phi = pi/2 in BRANCHES order, and 2 Gamma is
+    exactly the closed forms' denominator 1 +- prod. Where 2 theta overflows
+    (|theta| above ~8.99e307) the double angles come from the identities on
+    cos and sin theta.
     """
     th = np.asarray(thetas, dtype=float)
     if th.ndim != 2 or th.shape[1] != 4:
         raise ValueError("four angles required")
     if not np.isfinite(th).all():
         raise ValueError("thetas must be finite")
-    x = _double_angle(th)
-    return x, x[:, 0] * x[:, 1] * x[:, 2] * x[:, 3]
-
-
-def _gammas(thetas: np.ndarray) -> np.ndarray:
-    """(Gamma_1, Gamma_2) of `gamma_factors` as (N, 2), one row per four angles."""
-    _, prod = _cos2_products(thetas)
-    return np.stack([(1.0 + prod) / 2.0, (1.0 - prod) / 2.0], axis=-1)
+    big = np.abs(th) > np.finfo(float).max / 2.0
+    double = 2.0 * np.where(big, 0.0, th)
+    cos2, sin2 = np.cos(double), np.sin(double)
+    c, s = np.cos(th[big]), np.sin(th[big])
+    cos2[big], sin2[big] = (c - s) * (c + s), 2.0 * s * c
+    prod = cos2[:, 0] * cos2[:, 1] * cos2[:, 2] * cos2[:, 3]
+    return cos2, sin2, (1.0 + _BRANCH_SIGNS * prod[:, None]) / 2.0
 
 
 def gamma_factors(thetas: Sequence[float]) -> tuple[float, float]:
     """Branch probabilities (Gamma_1, Gamma_2) at phi = pi/2.
 
     Gamma_1 = (1 + prod cos 2theta_i)/2 is the D2-click weight and Gamma_2
-    its complement. The one-row case of `_gammas`. Raises ValueError
+    its complement. The one-row case of `_angle_terms`. Raises ValueError
     unless given four finite angles.
     """
-    g1, g2 = _gammas([thetas])[0].tolist()
+    g1, g2 = _angle_terms([thetas])[2][0].tolist()
     return g1, g2
 
 

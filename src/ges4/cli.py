@@ -17,7 +17,7 @@ Angles are accepted as decimal radians or as exact fractions of pi ("pi/4",
 reproduces its output byte for byte.
 
 ``sweep`` computes, checks and renders its grid one block of up to 4096
-points at a time: one closed-form and one Gamma call over the block's
+points at a time: one call for Gamma and the closed forms over the block's
 distinct angle rows, one circuit-kernel call, and one ``_branch_measures``
 call (one SVD over the nonempty branches). The first block, whose first
 point is checked against ``evolve``, is computed before any output. Its CSV
@@ -59,7 +59,6 @@ from .circuit import (
     SchemeParams,
     _BS_BLOCK,
     _branch_rows,
-    _gammas,
     _one_photon_output,
     _row_norms,
     detect,
@@ -508,16 +507,17 @@ def cmd_sweep(args) -> Output:
         amps = _one_photon_output(reduced[at_phi], thetas[at_row], _BS_BLOCK)
         if start == 0:
             _check_first_point(phi_axis[0], thetas[0], amps[0])
-        # Gamma and the closed forms depend on the angles alone: one call each
-        # over the block's theta rows. An empty branch's numeric cells are NaN.
-        closed = np.stack(_closed_form_measures(thetas), axis=-1)      # (row, branch, measure)
+        # Gamma and the closed forms depend on the angles alone: one call over
+        # the block's theta rows. An empty branch's numeric cells are NaN.
+        gammas, lam, s = _closed_form_measures(thetas)
+        closed = np.stack([lam, s], axis=-1)                          # (row, branch, measure)
         conc, ent = _branch_measures(amps, (FORMULA_PAIR,), (FORMULA_CUT.side_a,))
         num = np.concatenate([conc, ent], axis=-1)
         numeric = np.stack([num, np.abs(closed[at_row] - num)], axis=-1).reshape(n, 8)
         # Point i lies at phis[at_phi[i]] and theta row at_row[i]. A row holds
         # theta1..4, gamma1, gamma2 and the closed forms, and a point each
         # branch's conc_numeric, conc_absdiff, entropy_numeric, entropy_absdiff.
-        rows = np.column_stack([thetas, _gammas(thetas), closed.reshape(-1, 4)])
+        rows = np.column_stack([thetas, gammas, closed.reshape(-1, 4)])
         return phis, at_phi, rows, at_row, numeric
 
     # The first block, with every check that can fail on it, runs before any

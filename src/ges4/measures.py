@@ -10,6 +10,8 @@ entropies and its Schmidt-symmetry check) runs on it, and so does every
 closed-form-versus-numerics comparison, through `_svd_measures` and
 `_branch_measures`. One liveness rule serves both sides: a branch of weight
 below `_EMPTY_WEIGHT` is empty, and its numeric and closed-form cells are NaN.
+The numerics read the weight ||chi||^2; the closed forms read Gamma, which
+`circuit._angle_terms` gives with their double angles in one pass.
 The oracle path is the density matrix: Wootters `concurrence` for arbitrary
 two-qubit density matrices, `von_neumann_entropy` of arbitrary reductions
 and `bipartition_entropy`, reached through `density_matrix` and
@@ -47,9 +49,9 @@ from .circuit import (
     BRANCHES,
     QUBIT_LABELS,
     _BITS,
+    _BRANCH_SIGNS,
+    _angle_terms,
     _closed_form_pairs,
-    _cos2_products,
-    _double_angle,
     check_branch,
 )
 
@@ -164,41 +166,35 @@ def concurrence(rho: DensityMatrix) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-_BRANCH_SIGNS = np.array([1.0, -1.0])    # chi', chi''
-
-
-def _lambda_delta(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form lambda and delta of both branches, as two (N, 2) arrays.
-
-    One row per row of four finite angles, columns in BRANCHES order; the
-    branch sign is + for chi' and - for chi''. The denominator
-    1 +- prod_i cos2theta_i is 2 Gamma: a branch with Gamma below
-    `_EMPTY_WEIGHT` is empty, and both of its entries are NaN.
+def _lambda_delta(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gamma and the closed-form lambda and delta of both branches: three (N, 2)
+    arrays from one `_angle_terms` pass, one row per row of four finite angles,
+    columns in BRANCHES order (sign + for chi', - for chi''). The denominator
+    1 +- prod_i cos2theta_i is exactly 2 Gamma: a branch with Gamma below
+    `_EMPTY_WEIGHT` is empty, and its lambda and delta are NaN.
     """
-    th = np.asarray(thetas, dtype=float)
-    x, prod = _cos2_products(th)
-    den = 1.0 + _BRANCH_SIGNS * prod[:, None]
-    den[den * 0.5 < _EMPTY_WEIGHT] = np.nan
-    num = np.abs(x[:, 0] * x[:, 1] * _double_angle(th[:, 2], sine=True)
-                 * _double_angle(th[:, 3], sine=True))
-    lam = np.maximum(0.0, num[:, None] / den)
-    delta = ((x[:, 2] * x[:, 3])[:, None] + _BRANCH_SIGNS * (x[:, 0] * x[:, 1])[:, None]) / den
-    return lam, delta
+    cos2, sin2, gammas = _angle_terms(thetas)
+    den = 2.0 * gammas
+    den[gammas < _EMPTY_WEIGHT] = np.nan
+    c12, c34 = cos2[:, 0] * cos2[:, 1], cos2[:, 2] * cos2[:, 3]
+    lam = np.maximum(0.0, np.abs(c12 * sin2[:, 2] * sin2[:, 3])[:, None] / den)
+    delta = (c34[:, None] + _BRANCH_SIGNS * c12[:, None]) / den
+    return gammas, lam, delta
 
 
-def _closed_form_measures(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form concurrence lambda and entropy S(delta) of both branches.
+def _closed_form_measures(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gamma, closed-form concurrence lambda and entropy S(delta) of both branches.
 
-    Two (N, 2) arrays, one row per row of four angles, columns in BRANCHES
-    order, NaN where the branch is degenerate. A delta outside [-1, 1] by
-    more than 1e-12 raises ClosedFormInconsistencyError, as in
+    Three (N, 2) arrays, one row per row of four angles, columns in BRANCHES
+    order, lambda and S NaN where the branch is degenerate. A delta outside
+    [-1, 1] by more than 1e-12 raises ClosedFormInconsistencyError, as in
     `entropy_closed_form`; `concurrence_closed_form` and
     `entropy_closed_form` are the one-branch cases.
     """
-    lam, delta = _lambda_delta(thetas)
+    gammas, lam, delta = _lambda_delta(thetas)
     # math.log2, not np.log2: the two differ in the last bit on some inputs
     s = [_delta_entropy(d) if d == d else math.nan for d in delta.ravel().tolist()]
-    return lam, np.array(s).reshape(delta.shape)
+    return gammas, lam, np.array(s).reshape(delta.shape)
 
 
 def _one_branch(values: np.ndarray, branch: str) -> float:
@@ -219,7 +215,7 @@ def concurrence_closed_form(thetas: Sequence[float], branch: str) -> float:
     `_EMPTY_WEIGHT`), and ValueError unless given four finite angles.
     """
     check_branch(branch)
-    lam, _ = _lambda_delta([thetas])
+    _, lam, _ = _lambda_delta([thetas])
     return _one_branch(lam, branch)
 
 
@@ -367,7 +363,7 @@ def entropy_closed_form(thetas: Sequence[float], branch: str) -> float:
     and ValueError as `concurrence_closed_form` does.
     """
     check_branch(branch)
-    _, delta = _lambda_delta([thetas])
+    *_, delta = _lambda_delta([thetas])
     return _delta_entropy(_one_branch(delta, branch))
 
 
@@ -439,7 +435,7 @@ def calibrate_closed_forms(n_samples: int = 40, seed: int = 20260823) -> dict:
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.1, 1.4, size=(n_samples, 4))
     amps = _closed_form_pairs(np.full(n_samples, math.pi / 2.0), thetas)
-    lam, s_closed = _closed_form_measures(thetas)
+    _, lam, s_closed = _closed_form_measures(thetas)
     conc, ent = _branch_measures(amps, PAIRS, _PAIR_CUT_SIDES[:3])
     c_dev = np.abs(conc - lam[..., None]).max(axis=0, initial=0.0)
     s_dev = np.abs(ent - s_closed[..., None]).max(axis=0, initial=0.0)

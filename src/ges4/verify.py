@@ -47,11 +47,11 @@ from .circuit import (
     DetectionOutcome,
     SchemeParams,
     _BS_BLOCK,
+    _angle_terms,
     _branch_rows,
     _closed_form_pairs,
     _dense_apply,
     _dense_circuits,
-    _gammas,
     _initial_states,
     _one_photon_block,
     _one_photon_output,
@@ -242,7 +242,7 @@ def _branch_normalization(run: _Run) -> float:
     thetas = run.rng.uniform(0.0, np.pi / 2.0, size=(50, 4))
     pairs = _closed_form_pairs(np.full(50, np.pi / 2.0), thetas)
     worst = 0.0
-    for (g1, g2), n_p, n_dp in zip(_gammas(thetas).tolist(), _row_norms(pairs[:, 0]),
+    for (g1, g2), n_p, n_dp in zip(_angle_terms(thetas)[2].tolist(), _row_norms(pairs[:, 0]),
                                    _row_norms(pairs[:, 1])):
         n_p, n_dp = n_p ** 2, n_dp ** 2
         worst = max(worst, abs(n_p - g1), abs(n_dp - g2), abs(n_p + n_dp - 1.0))
@@ -494,7 +494,7 @@ def _d4_variant_entry() -> dict:
 
 def _one_vs_three_entry(rng: np.random.Generator) -> dict:
     thetas = rng.uniform(0.1, 1.4, size=(25, 4))
-    _, formula = _closed_form_measures(thetas)
+    *_, formula = _closed_form_measures(thetas)
     _, ent = _branch_measures(_closed_form_pairs(np.full(25, np.pi / 2.0), thetas), (),
                               _SINGLE_CUT_SIDES)
     dev = np.abs(ent - formula[..., None])

@@ -58,6 +58,15 @@ def test_scheme_params_broadcast_and_validation():
         SchemeParams(phi=0.0, eta=1.5)
 
 
+@pytest.mark.parametrize("angle", [np.float32(0.3), np.int64(1)])
+def test_scheme_params_take_one_numpy_scalar_as_one_angle(angle):
+    p = SchemeParams(phi=0.7, thetas=angle)
+    assert p.thetas == (float(angle),) * 4
+    assert all(type(t) is float for t in p.thetas)
+    want = evolve(SchemeParams(phi=0.7, thetas=float(angle))).amp
+    assert np.array_equal(evolve(p).amp, want)
+
+
 def test_check_branch():
     assert check_branch("prime") == "prime"
     with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ges4 import cli, measures
+from ges4 import circuit, cli, measures
 from ges4.circuit import BRANCHES
 from ges4.hilbert import InvariantError, StateVector
 from ges4.cli import CliInputError, _axis_spec, _axis_values, parse_angle, parse_thetas
@@ -398,6 +398,27 @@ def test_sweep_computes_a_block_only_when_its_rows_are_written(capsys, monkeypat
     # (lines in the chunk, blocks computed when it was handed over): the
     # header, then 4 points x 2 etas per block, the 21st point last
     assert seen == [(1, 1), (8, 1), (8, 2), (8, 3), (8, 4), (8, 5), (2, 6)]
+
+
+def test_sweep_takes_gamma_and_the_closed_forms_from_one_angle_pass_per_block(
+        capsys, monkeypatch):
+    # 3 phis x 7 theta rows in blocks of 4 points: six blocks, each reading
+    # its rows' cos 2theta, sin 2theta and Gamma in one `_angle_terms` call.
+    argv = ["sweep", "--phi", "0:pi:3", "--thetas", "0:pi/2:7", "--eta", "0.5,1", "--csv"]
+    assert cli.main(argv) == 0
+    whole = capsys.readouterr().out
+    real, rows = circuit._angle_terms, []
+
+    def angle_terms(thetas):
+        rows.append(len(thetas))
+        return real(thetas)
+
+    monkeypatch.setattr(circuit, "_angle_terms", angle_terms)
+    monkeypatch.setattr(measures, "_angle_terms", angle_terms)
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK", 4)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == whole
+    assert rows == [4, 4, 4, 4, 4, 1]
 
 
 def _failing_on_second_call(real, error):

@@ -29,6 +29,10 @@ structural comparison: they were re-recorded from the program once the
 1e-12 comparison had let 19 float cells of the plain report and 2 of the
 fault report drift at roundoff, so a change that moves any printed bit of
 either report now fails.
+
+The Gamma cells of the sweep goldens are also audited against Gamma at 50
+digits (`_GAMMA_AUDIT`): a table of each file's worst error, which a change
+that moves those cells may only tighten.
 """
 
 import csv
@@ -37,6 +41,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from ges4 import cli
@@ -189,3 +194,38 @@ def test_sweep_golden_cells_are_the_cell_format_of_their_floats():
                 assert cell == cli._cell(float(cell)), (stem, cell)
             seen.update(row)
     assert {"nan", "-0", "0", "1"} <= seen
+
+
+# Each sweep golden's worst (absolute, relative) error per Gamma column against
+# Gamma = (1 +- prod_i cos 2theta_i)/2 at 50 digits, from the theta cells read
+# back as exact doubles; the measured figures rounded up. Roundoff in 1 +- prod
+# is about 1e-16 absolute, so the relative error grows as Gamma shrinks: 8.9e-5
+# at Gamma_2 ~ 1e-12 in sweep_empty_edge, and 1 where the true Gamma is below
+# 1e-31 and the cell reads 0. A change may tighten a bound, never loosen it.
+_GAMMA_AUDIT = {
+    "sweep_empty_edge": {"gamma1": (1.11e-16, 1.11e-16), "gamma2": (1.11e-16, 8.90e-5)},
+    "sweep_grid": {"gamma1": (5.65e-17, 1.0), "gamma2": (5.65e-17, 1.0)},
+    "sweep_locked": {"gamma1": (6.0e-32, 6.0e-32), "gamma2": (6.0e-32, 1.0)},
+    "sweep_small": {"gamma1": (5.65e-17, 1.0), "gamma2": (5.65e-17, 1.0)},
+}
+
+
+def test_every_sweep_golden_has_a_gamma_audit_entry():
+    assert sorted(path.stem for path in GOLDEN.glob("sweep_*.csv")) == sorted(_GAMMA_AUDIT)
+
+
+@pytest.mark.parametrize("stem", sorted(_GAMMA_AUDIT))
+def test_sweep_golden_gamma_cells_are_within_their_50_digit_audit(stem):
+    worst = {column: [0.0, 0.0] for column in ("gamma1", "gamma2")}
+    with mpmath.workdps(50):
+        for row in csv.DictReader(io.StringIO((GOLDEN / f"{stem}.csv").read_text())):
+            prod = mpmath.fprod(mpmath.cos(2 * mpmath.mpf(float(row[f"theta{i}"])))
+                                for i in (1, 2, 3, 4))
+            for column, true in (("gamma1", (1 + prod) / 2), ("gamma2", (1 - prod) / 2)):
+                err = abs(mpmath.mpf(float(row[column])) - true)
+                rel = err / abs(true) if true != 0 else (0 if err == 0 else mpmath.inf)
+                worst[column][0] = max(worst[column][0], float(err))
+                worst[column][1] = max(worst[column][1], float(rel))
+    for column, (abs_bound, rel_bound) in _GAMMA_AUDIT[stem].items():
+        assert worst[column][0] <= abs_bound, (column, worst[column])
+        assert worst[column][1] <= rel_bound, (column, worst[column])

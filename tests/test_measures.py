@@ -701,8 +701,8 @@ def test_batched_closed_forms_and_gammas_equal_the_scalar_ones_bit_for_bit(rows)
         with pytest.raises(measures.ClosedFormInconsistencyError):
             measures._closed_form_measures(rows)
         return
-    lam, entropy = measures._closed_form_measures(rows)
-    gammas = circuit._gammas(rows)
+    gammas, lam, entropy = measures._closed_form_measures(rows)
+    assert np.array_equal(gammas, circuit._angle_terms(rows)[2])
     for n, (thetas, (want_gammas, cells)) in enumerate(zip(rows, reference)):
         assert tuple(gammas[n].tolist()) == want_gammas == circuit.gamma_factors(thetas)
         for j, (branch, (want_lam, want_s, _)) in enumerate(zip(BRANCHES, cells)):
@@ -719,7 +719,7 @@ def test_batched_closed_forms_and_gammas_equal_the_scalar_ones_bit_for_bit(rows)
 
 def test_degenerate_edges_give_nan_in_batch_and_raise_one_row():
     rows = [(0.0,) * 4, (PI / 2,) * 4, (0.0, PI / 2, 0.0, PI / 2), (PI / 4,) * 4]
-    lam, entropy = measures._closed_form_measures(rows)
+    _, lam, entropy = measures._closed_form_measures(rows)
     # prod cos 2theta = 1, 1, 1, 0: chi'' is empty on the first three rows
     assert np.isnan(lam[:3, 1]).all() and np.isnan(entropy[:3, 1]).all()
     assert not np.isnan(lam[:, 0]).any() and not np.isnan(lam[3]).any()
@@ -732,12 +732,13 @@ def test_degenerate_edges_give_nan_in_batch_and_raise_one_row():
 
 def test_batched_entropy_raises_on_the_first_delta_out_of_range(monkeypatch):
     delta = np.array([[0.5, math.nan], [1.0 + 1e-13, -1.5], [2.0, 0.0]])
-    monkeypatch.setattr(measures, "_lambda_delta", lambda thetas: (np.zeros((3, 2)), delta))
+    monkeypatch.setattr(measures, "_lambda_delta",
+                        lambda thetas: (np.full((3, 2), 0.5), np.zeros((3, 2)), delta))
     with pytest.raises(measures.ClosedFormInconsistencyError, match=r"^delta = -1.5 lies"):
         measures._closed_form_measures([(0.1,) * 4] * 3)
     # overshoot within 1e-12 is roundoff: S(1) = 0
     delta[1:] = [[1.0 + 1e-13, -1.0], [0.0, 0.0]]
-    _, entropy = measures._closed_form_measures([(0.1,) * 4] * 3)
+    *_, entropy = measures._closed_form_measures([(0.1,) * 4] * 3)
     assert np.isnan(entropy[0, 1])
     assert entropy[1].tolist() == [0.0, 0.0] and entropy[2].tolist() == [1.0, 1.0]
 
@@ -765,7 +766,7 @@ def test_closed_forms_raise_exactly_where_the_branch_has_no_state(edge):
     conc, _ = measures._branch_measures(amps, (FORMULA_PAIR,), (FORMULA_CUT.side_a,))
     empty = np.isnan(conc[..., 0])
     assert not empty[:, 0].any() and 0 < empty[:, 1].sum() < len(thetas)
-    lam, entropy = measures._closed_form_measures(thetas)
+    _, lam, entropy = measures._closed_form_measures(thetas)
     assert np.array_equal(np.isnan(lam), empty) and np.array_equal(np.isnan(entropy), empty)
     for row, row_empty in zip(thetas.tolist(), empty.tolist()):
         for branch, is_empty in zip(BRANCHES, row_empty):
@@ -789,8 +790,7 @@ def test_closed_forms_and_gammas_take_angles_whose_double_overflows():
     rows = [[t] * 4 for t in _HUGE] + [_HUGE[:4], [1e308, 0.3, -1e308, 1.1]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # numpy's overflow warnings included
-        cos2, _ = circuit._cos2_products(rows)
-        sin2 = circuit._double_angle(np.array(rows), sine=True)
+        cos2, sin2, _ = circuit._angle_terms(rows)
         for thetas in rows:
             g1, g2 = circuit.gamma_factors(thetas)
             assert min(g1, g2) > 1e-5 and abs(g1 + g2 - 1.0) <= 1e-15
@@ -810,8 +810,8 @@ def test_double_angles_keep_their_bits_where_two_theta_is_finite():
     th = np.concatenate([rng.uniform(-10.0, 10.0, 4000),
                          signs * 10.0 ** rng.uniform(-300.0, 307.95, 4000),
                          [0.0, -0.0, PI / 4, _HALF_MAX, -_HALF_MAX]])
-    for fn, sine in ((np.cos, False), (np.sin, True)):
-        got = circuit._double_angle(th, sine=sine)
+    th = np.concatenate([th, [0.0] * (-len(th) % 4)]).reshape(-1, 4)    # rows of four
+    for fn, got in zip((np.cos, np.sin), circuit._angle_terms(th)):
         assert np.array_equal(got.view(np.uint64), fn(2.0 * th).view(np.uint64))
 
 

@@ -18,10 +18,18 @@ around its `_MIXED_MARGIN` shortcut. The representation is checked against
 state, on random, sparse and conditioned states. The sixteen basis states are
 checked against the paper's construction: the reference's D2 branch at the
 operating point under Pauli strings written out with `np.kron`.
+
+The command line is checked end to end: the `--json` output of every
+`simulate` and `decompose` golden argv, and of random decimal `simulate`
+argv, has each of its numbers recomputed from the reference and numpy
+alone, with the inputs written out in the test rather than parsed by ges4.
 """
 
 import cmath
+import contextlib
 import importlib.util
+import io
+import json
 import math
 from pathlib import Path
 
@@ -30,11 +38,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ges4 import cli
 from ges4.basis import ALL_INDICES, decompose, explicit_basis, generate_basis
 from ges4.circuit import (_BS_BLOCK, _MIXED_MARGIN, ATOMIC_SPACE, FULL_SPACE, QUBIT_LABELS,
                           DetectionOutcome, _one_photon_output, detect)
 from ges4.hilbert import EIG_TOL, STRUCT_TOL, StateVector
 from ges4.measures import PAIRS, _branch_measures
+from test_golden import BYTE_GOLDENS, DECOMPOSE_ARGV, SIMULATE_ARGV
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
 
@@ -290,11 +300,16 @@ def _paper_state(family: int, component: int, seed: np.ndarray) -> np.ndarray:
     return np.kron(np.kron(np.kron(first, _SIGMA[component]), third), _I2) @ seed
 
 
-def test_the_sixteen_states_are_the_paper_construction_of_the_reference_seed():
-    # the seed is the D2 branch chi' (mode L) at the operating point
+def _paper_images() -> np.ndarray:
+    """The sixteen paper states in ALL_INDICES order, (16, 16). The seed is
+    the reference's D2 branch chi' (mode L) at the operating point."""
     seed = ref.interferometer(math.pi / 2, [math.pi / 4] * 4)[1]
     seed = seed / np.linalg.norm(seed)
-    images = np.array([_paper_state(i.family, i.component, seed) for i in ALL_INDICES])
+    return np.array([_paper_state(i.family, i.component, seed) for i in ALL_INDICES])
+
+
+def test_the_sixteen_states_are_the_paper_construction_of_the_reference_seed():
+    images = _paper_images()
     basis = explicit_basis()
     for idx, g in zip(ALL_INDICES, images):
         assert abs(abs(np.vdot(basis.states[idx].amp, g)) - 1.0) <= 1e-12, idx
@@ -305,3 +320,190 @@ def test_the_sixteen_states_are_the_paper_construction_of_the_reference_seed():
         assert np.max(ref.concurrence(images, pair)) <= 1e-10
     for side in _SIDES:
         assert np.max(np.abs(ref.cut_entropy(images, side) - 1.0)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the command line end to end: every number of a command's JSON, recomputed
+
+
+# The inputs of each simulate golden, written out: (phi reduced mod 2 pi,
+# the four thetas, eta).
+_OPERATING = (math.pi / 2, [math.pi / 4] * 4, 1.0)
+_SIM_ANGLES = [0.3, 0.5, 0.7, 0.9]
+_SIMULATE_INPUTS = {
+    "simulate_outcomes": (1.1, _SIM_ANGLES, 0.6),
+    "simulate_outcome_d1": (1.1, _SIM_ANGLES, 1.0),
+    "simulate_outcome_none": (1.1, _SIM_ANGLES, 0.6),
+    "simulate_deterministic": (math.pi / 2, _SIM_ANGLES, 0.8),
+    "simulate_deterministic_measures": _OPERATING,
+    "simulate_measures": (1.1, _SIM_ANGLES, 0.6),
+    "simulate_outcome_measures": (math.pi / 2, [0.2] * 4, 1.0),
+    "SIMULATE_ARGV": (1.1, _SIM_ANGLES, 0.6),
+}
+_SIMULATE_CASES = {**{stem: argv for stem, (argv, _) in BYTE_GOLDENS.items()
+                      if argv[0] == "simulate"}, "SIMULATE_ARGV": SIMULATE_ARGV}
+
+# The four-qubit states decompose takes by name, and each golden's (state, basis).
+_W4 = np.zeros(16)
+_W4[[0b0001, 0b0010, 0b0100, 0b1000]] = 0.5
+_D4 = np.zeros(16)
+_D4[[0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]] = 1.0 / math.sqrt(6.0)
+_DECOMPOSE_INPUTS = {"decompose_w4": ("w4", _W4, "explicit"),
+                     "decompose_d4_generated": ("d4", _D4, "generated"),
+                     "DECOMPOSE_ARGV": ("d4", _D4, "generated")}
+_DECOMPOSE_CASES = {**{stem: argv for stem, (argv, _) in BYTE_GOLDENS.items()
+                       if argv[0] == "decompose"}, "DECOMPOSE_ARGV": DECOMPOSE_ARGV}
+
+_PAIR_KEYS = {"q1q2": (0, 1), "q1q3": (0, 2), "q1q4": (0, 3),
+              "q2q3": (1, 2), "q2q4": (1, 3), "q3q4": (2, 3)}
+_CUT_KEYS = {"q1q2|q3q4": (0, 1), "q1q3|q2q4": (0, 2), "q1q4|q2q3": (0, 3)}
+_SINGLE_KEYS = {"q1": (0,), "q2": (1,), "q3": (2,), "q4": (3,)}
+_RECORD_TOL = 1e-9      # the default --tol: smaller amplitudes are not listed
+_SY_ON_Q4 = np.kron(np.eye(8), np.array([[0.0, -1.0j], [1.0j, 0.0]]))
+
+
+def _cli_json(argv) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([*argv, "--json"]) == 0
+    return json.loads(out.getvalue())
+
+
+def _check_state(records, want: np.ndarray) -> None:
+    """Listed amplitudes are `want` up to one phase; the unlisted are below --tol."""
+    got = np.zeros(16, dtype=complex)
+    for r in records:
+        got[int(r["basis_label"], 2)] = complex(r["re"], r["im"])
+    assert np.max(np.abs(want[got != 0.0])) > _RECORD_TOL - 1e-11
+    assert ref.phase_distance(want, got) <= _RECORD_TOL + 1e-11
+
+
+def _check_measures(m: dict, psi: np.ndarray) -> None:
+    conc = {k: float(ref.concurrence(psi, pair)) for k, pair in _PAIR_KEYS.items()}
+    ent = {k: float(ref.cut_entropy(psi, side))
+           for k, side in {**_CUT_KEYS, **_SINGLE_KEYS}.items()}
+    assert sorted(m) == ["is_genuine", "pair_entropy", "pairwise_concurrence", "single_entropy"]
+    assert sorted(m["pairwise_concurrence"]) == sorted(_PAIR_KEYS)
+    assert sorted(m["pair_entropy"]) == sorted(_CUT_KEYS)
+    assert sorted(m["single_entropy"]) == sorted(_SINGLE_KEYS)
+    for k, c in m["pairwise_concurrence"].items():
+        assert abs(c - conc[k]) <= EIG_TOL, k
+    for k, e in {**m["pair_entropy"], **m["single_entropy"]}.items():
+        assert abs(e - ent[k]) <= EIG_TOL, k
+    genuine = max(conc.values()) <= 1e-10 and min(ent.values()) >= 1.0 - 1e-10
+    assert m["is_genuine"] is genuine
+
+
+def _check_entry(entry: dict, probability: float, post, measures: bool) -> None:
+    """An outcome's probability, post-state (None: no pure state) and measures."""
+    assert abs(entry["probability"] - probability) <= STRUCT_TOL
+    if post is None:
+        assert entry["state"] is None and "measures" not in entry
+        return
+    _check_state(entry["state"], post)
+    assert ("measures" in entry) == measures
+    if measures:
+        _check_measures(entry["measures"], post)
+
+
+def _reference_outcome(chi_u, chi_l, outcome: str, eta: float):
+    """(probability, normalized post-state or None) from `_reference_detection`."""
+    probability, rows, _, s1 = _reference_detection(chi_u, chi_l, outcome, eta)
+    if probability < 1e-14 or s1 > EIG_TOL:
+        return probability, None
+    return probability, _reference_post_state(rows)
+
+
+def _check_simulate(argv, phi: float, thetas, eta: float) -> None:
+    got = _cli_json(argv)
+    assert got["phi"] == phi and got["thetas"] == thetas and got["eta"] == eta
+    chi_u, chi_l = ref.interferometer(phi, thetas)
+    weights = {"prime": float(np.vdot(chi_l, chi_l).real),
+               "double_prime": float(np.vdot(chi_u, chi_u).real)}
+    assert sorted(got["branch_probability"]) == sorted(weights)
+    for branch, w in weights.items():
+        assert abs(got["branch_probability"][branch] - w) <= STRUCT_TOL, branch
+    measures = "--measures" in argv
+    forced = argv[argv.index("--outcome") + 1] if "--outcome" in argv else None
+    if "--deterministic" in argv:
+        p_d1, p_d2 = eta * weights["double_prime"], eta * weights["prime"]
+        chosen = forced or ("d1" if p_d1 - p_d2 > STRUCT_TOL else "d2")
+        assert got["mode"] == "deterministic" and got["conditioned_on"] == chosen
+        _, post = _reference_outcome(chi_u, chi_l, chosen, eta)
+        if chosen == "d1":      # sigma^y on q4 maps the D1 state onto the D2 one
+            post = _SY_ON_Q4 @ post
+        _check_entry(got, p_d1 + p_d2, post, measures)
+    elif forced is not None:
+        assert got["outcome"] == forced
+        _check_entry(got, *_reference_outcome(chi_u, chi_l, forced, eta), measures)
+    else:
+        assert sorted(got["outcomes"]) == ["d1", "d2", "double", "none"]
+        for outcome, entry in got["outcomes"].items():
+            _check_entry(entry, *_reference_outcome(chi_u, chi_l, outcome, eta), measures)
+
+
+def test_every_simulate_and_decompose_golden_input_is_written_out():
+    assert sorted(_SIMULATE_INPUTS) == sorted(_SIMULATE_CASES)
+    assert sorted(_DECOMPOSE_INPUTS) == sorted(_DECOMPOSE_CASES)
+
+
+@pytest.mark.parametrize("stem", sorted(_SIMULATE_CASES))
+def test_simulate_json_equals_the_reference(stem):
+    _check_simulate(_SIMULATE_CASES[stem], *_SIMULATE_INPUTS[stem])
+
+
+@pytest.mark.parametrize("stem", sorted(_DECOMPOSE_CASES))
+def test_decompose_json_equals_the_paper_construction(stem):
+    name, psi, basis = _DECOMPOSE_INPUTS[stem]
+    got = _cli_json(_DECOMPOSE_CASES[stem])
+    assert got["input"] == name and got["basis"] == basis
+    entries = got["coefficients"]
+    assert [(e["family"], e["component"]) for e in entries] == [
+        (f, c) for f in range(1, 5) for c in range(4)]
+    assert all(e["label"] == f"phi_{e['family']}_{e['component']}" for e in entries)
+    want = _paper_images().conj() @ psi
+    c = np.array([complex(e["re"], e["im"]) for e in entries])
+    abs2 = np.array([e["abs2"] for e in entries])
+    # the explicit states are the paper's up to a phase each: only |c|^2 is
+    # fixed; the generated ones are its Pauli strings on one seed, so c is
+    # fixed up to one global phase
+    assert np.max(np.abs(abs2 - np.abs(want) ** 2)) <= 1e-12
+    assert np.max(np.abs(np.abs(c) ** 2 - np.abs(want) ** 2)) <= 1e-12
+    if basis == "generated":
+        assert ref.phase_distance(want, c) <= 1e-12
+    assert 0.0 <= got["residual"] <= STRUCT_TOL
+
+
+_DECIMAL = st.decimals(-10, 10, places=6, allow_nan=False, allow_infinity=False).map(str)
+_DECIMAL_ANGLE = st.one_of(_DECIMAL, st.sampled_from(["0", "0.7853981633974483",
+                                                      "1.5707963267948966"]))
+_DECIMAL_ETA = st.one_of(st.sampled_from(["0", "1"]),
+                         st.decimals(0, 1, places=3, allow_nan=False).map(str))
+
+
+@st.composite
+def _simulate_argv(draw):
+    """A `simulate --phi --theta --eta [--outcome] [--measures]` argv of decimal
+    strings, and the phi, thetas and eta it means, written out from them."""
+    phi, eta = draw(_DECIMAL_ANGLE), draw(_DECIMAL_ETA)
+    thetas = draw(st.one_of(st.lists(_DECIMAL_ANGLE, min_size=1, max_size=1),
+                            st.lists(_DECIMAL_ANGLE, min_size=4, max_size=4)))
+    argv = ["simulate", f"--phi={phi}", f"--theta={','.join(thetas)}", "--eta", eta]
+    outcome = draw(st.sampled_from([None, "d1", "d2", "none", "double"]))
+    argv += ["--outcome", outcome] if outcome else []
+    argv += ["--measures"] if draw(st.booleans()) else []
+    values = [float(t) for t in thetas] * (4 // len(thetas))
+    return argv, float(phi) % (2.0 * math.pi), values, float(eta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_simulate_argv())
+def test_simulate_json_of_decimal_argv_equals_the_reference(case):
+    argv, phi, thetas, eta = case
+    chi_u, chi_l = ref.interferometer(phi, thetas)
+    for outcome in ("d1", "d2", "none"):
+        # roundoff alone would decide on which side of a threshold these fall
+        probability, _, _, s1 = _reference_detection(chi_u, chi_l, outcome, eta)
+        assume(not 0.5e-14 <= probability <= 2e-14)
+        assume(not 0.5 * EIG_TOL <= s1 <= 2.0 * EIG_TOL)
+    _check_simulate(argv, phi, thetas, eta)

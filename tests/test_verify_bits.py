@@ -133,7 +133,7 @@ def _old_branch_norms_check(rng):
     thetas = np.array([rng.uniform(0.0, np.pi / 2.0, size=4) for _ in range(50)])
     pairs = circuit._closed_form_pairs(np.full(50, np.pi / 2.0), thetas)
     worst = 0.0
-    for (g1, g2), (chi_p, chi_dp) in zip(circuit._gammas(thetas).tolist(), pairs):
+    for (g1, g2), (chi_p, chi_dp) in zip(circuit._angle_terms(thetas)[2].tolist(), pairs):
         n_p = float(np.linalg.norm(chi_p)) ** 2
         n_dp = float(np.linalg.norm(chi_dp)) ** 2
         worst = max(worst, float(max(abs(n_p - g1), abs(n_dp - g2), abs(n_p + n_dp - 1.0))))
