@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -133,7 +132,7 @@ class SchemeParams:
         object.__setattr__(self, "phi", phi % (2.0 * math.pi))
 
         raw = self.thetas
-        if isinstance(raw, numbers.Real):     # numpy scalars included
+        if getattr(raw, "ndim", None) == 0 or not hasattr(raw, "__iter__"):   # 0-d arrays too
             th = (float(raw),) * 4
         else:
             th = tuple(float(t) for t in raw)

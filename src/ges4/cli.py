@@ -2,19 +2,20 @@
 
 Payload -> renderer chunks -> the one writer: each command builds its result
 once, as the data its ``--json`` output shows (undefined entries ``None``;
-``verify``'s payload is its ``VerificationReport``). A renderer per format
-turns that payload alone into ``str`` chunks: text renderers yield lines,
-CSV renderers hand rows of raw values to ``_csv_lines``, which formats each
-cell with ``_cell`` (the sweep's ``_sweep_csv`` writes the same ``%.17g``
-cells itself), and JSON is one chunk. ``main`` hands the chunks to
-``_write``, which writes them in order to stdout (or ``--out``).
-Diagnostics go to stderr, and ``main`` alone maps errors to exit codes: 0 on
-success, 1 when a verification run reports failures or an internal invariant
-breaks (``InvariantError``), 2 on usage or input errors, including an output
-path that cannot be written; every path is checked before any is written.
-Angles are accepted as decimal radians or as exact fractions of pi ("pi/4",
-"3pi/8", "-pi/2"). Re-running a command with identical flags and seed
-reproduces its output byte for byte.
+``verify``'s is its report's ``as_dict()``; only ``sweep``'s streams, a block
+at a time). A renderer per format turns that payload alone into ``str``
+chunks: text renderers yield lines, CSV renderers hand rows of raw values to
+``_csv_lines``, which formats each cell with ``_cell`` (the sweep's
+``_sweep_csv`` writes the same ``%.17g`` cells itself), and JSON is one chunk.
+``main`` hands the chunks to ``_write``, which writes them in order to stdout
+(or ``--out``). Diagnostics go to stderr, and ``main`` alone maps errors to
+exit codes: 0 on success, 1 when a verification run reports failures or an
+internal invariant breaks (``InvariantError``), 2 on usage or input errors,
+including an output path that cannot be written; every path is checked before
+any is written. Angles are accepted as decimal radians or as exact fractions
+of pi ("pi/4", "3pi/8", "-pi/2"), as "--phi -pi/2" or "--phi=-pi/2".
+Re-running a command with identical flags and seed reproduces its output byte
+for byte.
 
 ``sweep`` computes, checks and renders its grid one block of up to 4096
 points at a time: one call for Gamma and the closed forms over the block's
@@ -91,6 +92,7 @@ _ANGLE_RE = re.compile(
     re.IGNORECASE,
 )
 
+_ANGLE_FLAGS = {"--phi", "--theta", "--thetas", *(f"--theta{i}" for i in (1, 2, 3, 4))}
 _CANONICAL_NAMES = tuple(_CANONICAL_AMPLITUDES)
 
 
@@ -677,27 +679,24 @@ def cmd_verify(args) -> Output:
     # imported here so that the other commands never load the verification suite
     from .verify import run_all_checks
 
-    report = run_all_checks(seed=args.seed, fault=args.fault)
-    log = ((args.discrepancies, report.discrepancy_log),) if args.discrepancies else ()
-    return Output(report, _verify_text, _verify_csv, _verify_json,
-                  code=0 if report.all_passed else 1, side_files=log)
+    payload = run_all_checks(seed=args.seed, fault=args.fault).as_dict()
+    log = ((args.discrepancies, payload["discrepancy_log"]),) if args.discrepancies else ()
+    return Output(payload, _verify_text, _verify_csv,
+                  code=0 if payload["all_passed"] else 1, side_files=log)
 
 
-def _verify_text(report) -> Iterator[str]:
-    yield from (line + "\n" for line in report.lines())
+def _verify_text(payload) -> Iterator[str]:
+    checks = payload["checks"]
+    yield from (f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: {c['detail']} "
+                f"(measured {c['measured']:.3e})\n" for c in checks)
+    yield f"{sum(c['passed'] for c in checks)}/{len(checks)} checks passed\n"
     yield "discrepancy log:\n"
-    yield from _json_chunks(report.discrepancy_log)
+    yield from _json_chunks(payload["discrepancy_log"])
 
 
-def _verify_csv(report) -> Iterator[str]:
-    return _csv_lines(["name", "passed", "measured", "detail"],
-                      ([c.name, c.passed, c.measured, c.detail] for c in report.checks))
-
-
-def _verify_json(report) -> Iterator[str]:
-    from .verify import report_to_json
-
-    yield report_to_json(report) + "\n"
+def _verify_csv(payload) -> Iterator[str]:
+    columns = ["name", "passed", "measured", "detail"]
+    return _csv_lines(columns, ([c[k] for k in columns] for c in payload["checks"]))
 
 
 # --------------------------------------------------------------------------
@@ -809,7 +808,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    tokens = []
+    for token in sys.argv[1:] if argv is None else argv:
+        # argparse takes a value like "-pi/8" for an option: join it onto its angle flag
+        if tokens and tokens[-1] in _ANGLE_FLAGS and re.match(r"-(?!-|h$)", token):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args = build_parser().parse_args(tokens)
     try:
         out = args.func(args)
         for path in filter(None, (args.out, *(path for path, _ in out.side_files))):

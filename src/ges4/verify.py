@@ -23,8 +23,9 @@ bugs, and hiding them would make the passing checks less trustworthy.
 
 The report is deterministic for a fixed seed — no timestamps, no environment
 data — so two runs with the same seed serialize to byte-identical JSON.
-``report_to_json`` is that serialization (``ges4 verify --json`` prints it);
-it and ``_faulty_circuit`` keep their names because the benchmark binds them.
+``report_to_json`` is that serialization, byte for byte what ``ges4 verify
+--json`` renders from ``as_dict``; it and ``_faulty_circuit`` keep their
+names because the benchmark binds them.
 """
 
 from __future__ import annotations
@@ -112,10 +113,6 @@ class CheckResult:
     measured: float
     detail: str
 
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"[{status}] {self.name}: {self.detail} (measured {self.measured:.3e})"
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -130,19 +127,13 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def as_dict(self) -> dict:
-        """The report as plain data: what `report_to_json` serializes."""
+        """The report as plain data: what `report_to_json` serializes and `ges4 verify` renders."""
         return {
             "seed": self.seed,
             "all_passed": self.all_passed,
             "checks": [asdict(c) for c in self.checks],
             "discrepancy_log": self.discrepancy_log,
         }
-
-    def lines(self) -> list:
-        out = [c.line() for c in self.checks]
-        n_pass = sum(c.passed for c in self.checks)
-        out.append(f"{n_pass}/{len(self.checks)} checks passed")
-        return out
 
 
 class CheckFailed(Exception):

@@ -58,7 +58,7 @@ def test_scheme_params_broadcast_and_validation():
         SchemeParams(phi=0.0, eta=1.5)
 
 
-@pytest.mark.parametrize("angle", [np.float32(0.3), np.int64(1)])
+@pytest.mark.parametrize("angle", [np.float32(0.3), np.int64(1), np.array(0.3), np.bool_(True)])
 def test_scheme_params_take_one_numpy_scalar_as_one_angle(angle):
     p = SchemeParams(phi=0.7, thetas=angle)
     assert p.thetas == (float(angle),) * 4
@@ -331,6 +331,35 @@ def test_phase_from_physical():
         phase_from_physical(PhysicalParams(dipole=1.0, tau=1.0, detuning=1.0))
     with pytest.raises(ValueError):
         PhysicalParams(dipole=1.0, tau=1.0, detuning=0.0)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"tau": -1.0}, "tau must be nonnegative"),
+    ({"dipole": math.inf}, "dipole must be finite"),
+    ({"tau": math.nan}, "tau must be finite"),
+    ({"detuning": -math.inf}, "detuning must be finite"),
+    ({"hbar": math.nan}, "hbar must be finite"),
+])
+def test_physical_params_reject_a_negative_or_non_finite_field(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PhysicalParams(**{"dipole": 1.0, "tau": 1.0, "detuning": 1.0, **fields})
+
+
+def test_photon_branch_and_detect_reject_a_state_on_the_wrong_space():
+    atomic = ges_target_state(BRANCH_PRIME)
+    with pytest.raises(ValueError, match="^state must live on the full photonic.atomic space$"):
+        photon_branch(atomic, 0, 1)
+    with pytest.raises(ValueError, match="^state must live on the full photonic.atomic space$"):
+        detect(atomic, DetectionOutcome.D2_CLICK_D1_NULL, 1.0)
+
+
+def test_prepare_ges_rejects_a_forced_click_of_zero_probability():
+    # at theta = 0 the chi'' branch, which D1 heralds, is empty
+    params = SchemeParams(phi=PI / 2, thetas=0.0)
+    with pytest.raises(ValueError, match="^outcome d1 has zero probability at these parameters$"):
+        prepare_ges(params, outcome=DetectionOutcome.D1_CLICK_D2_NULL)
+    prepared = prepare_ges(params, outcome=DetectionOutcome.D2_CLICK_D1_NULL)
+    assert abs(prepared.probability - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

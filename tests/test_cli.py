@@ -73,6 +73,31 @@ def test_parse_axis():
 # simulate
 
 
+# Each argv with its angle written as --flag=VALUE; the spaced form splits it.
+_NEGATIVE_ANGLES = [
+    ["simulate", "--theta=-pi/8"], ["simulate", "--phi=-pi/2"],
+    ["simulate", "--theta=-0.3,0.5,0.7,0.9", "--json"], ["simulate", "--phi=-1e-3", "--csv"],
+    ["sweep", "--thetas=-pi/2:pi:7"], ["sweep", "--phi=-1:1:3", "--theta3=-0.2", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", _NEGATIVE_ANGLES, ids=lambda argv: " ".join(argv))
+def test_a_negative_angle_may_follow_its_flag_after_a_space(capsys, argv):
+    assert cli.main(argv) == 0
+    joined = capsys.readouterr()
+    assert cli.main([part for token in argv for part in token.split("=")]) == 0
+    assert capsys.readouterr() == joined
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--theta", "--json"], ["simulate", "--phi", "-h"],
+                                  ["sweep", "--thetas", "--csv"]])
+def test_an_angle_flag_followed_by_an_option_still_lacks_its_value(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}: expected one argument" in capsys.readouterr().err
+
+
 def run_json(capsys, args):
     rc = cli.main(args)
     out = capsys.readouterr().out
@@ -832,6 +857,16 @@ def test_out_replaces_what_the_path_names(capsys, tmp_path, existing):
         assert out.is_symlink() == (existing == "symlink")
 
 
+@pytest.mark.parametrize("fault", [None, "conjugate_bs"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_verify_json_is_the_library_serialization(capsys, seed, fault):
+    from ges4.verify import report_to_json, run_all_checks
+
+    argv = ["verify", "--seed", str(seed), "--json"] + (["--fault", fault] if fault else [])
+    assert cli.main(argv) == (1 if fault else 0)
+    assert capsys.readouterr().out == report_to_json(run_all_checks(seed, fault)) + "\n"
+
+
 def test_verify_text_mode(capsys):
     rc = cli.main(["verify"])
     assert rc == 0
@@ -1053,6 +1088,35 @@ def test_state_file_rejects_an_integer_too_large_for_a_float(capsys, tmp_path):
     path.write_text('[{"basis_label": "0000", "re": 1' + "0" * 400 + ', "im": 0}]')
     assert cli.main(["decompose", "--file", str(path), "--normalize"]) == 2
     assert _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, records, err", [
+    (["sweep", "--eta", "0.5,x"], None, "bad --eta list '0.5,x'"),
+    (["basis", "--index", "1,x"], None, "--index takes two integers, got '1,x'"),
+    (["sweep", "--phi=-1e308:1e308:3"], None, "axis '-1e308:1e308:3' needs finite bounds"),
+    (["decompose"], {"basis_label": "0000", "re": 1.0, "im": 0.0},
+     "state file must be a JSON list of {basis_label, re, im} records"),
+    (["decompose"], [{"basis_label": "0000", "re": 1.0}],
+     "every record needs the fields basis_label, re and im"),
+    (["decompose", "--normalize"], [{"basis_label": "0000", "re": 0.0, "im": 0.0}],
+     "state file describes the zero vector"),
+], ids=["eta-list", "index", "axis-span", "file-not-a-list", "record-field", "zero-vector"])
+def test_each_input_error_exits_2_with_its_one_line(capsys, tmp_path, argv, records, err):
+    if records is not None:
+        argv = argv + ["--file", _state_file(tmp_path, records)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_decompose_reads_the_state_simulate_writes(capsys, tmp_path):
+    # simulate's JSON wraps the records as {"state": [...]}; decompose unwraps them
+    written = tmp_path / "s.json"
+    assert cli.main(["simulate", "--outcome", "d2", "--json", "--out", str(written)]) == 0
+    rc, wrapped = run_json(capsys, ["decompose", "--file", str(written), "--json"])
+    plain = _state_file(tmp_path, json.loads(written.read_text())["state"])
+    rc_plain, doc = run_json(capsys, ["decompose", "--file", plain, "--json"])
+    assert rc == rc_plain == 0
+    assert wrapped["coefficients"] == doc["coefficients"] and wrapped["residual"] < 1e-12
 
 
 @pytest.mark.parametrize("scale", [1e308, 1.5e-320])

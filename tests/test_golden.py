@@ -31,8 +31,9 @@ fault report drift at roundoff, so a change that moves any printed bit of
 either report now fails.
 
 The Gamma cells of the sweep goldens are also audited against Gamma at 50
-digits (`_GAMMA_AUDIT`): a table of each file's worst error, which a change
-that moves those cells may only tighten.
+digits (`_GAMMA_AUDIT`), and their closed-form cells against lambda and
+S(delta) at 50 digits (`_CLOSED_FORM_AUDIT`): tables of each file's worst
+error, which a change that moves those cells may only tighten.
 """
 
 import csv
@@ -45,6 +46,7 @@ import mpmath
 import pytest
 
 from ges4 import cli
+from ges4.circuit import BRANCHES
 from ges4.hilbert import EIG_TOL, STRUCT_TOL
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -196,6 +198,29 @@ def test_sweep_golden_cells_are_the_cell_format_of_their_floats():
     assert {"nan", "-0", "0", "1"} <= seen
 
 
+def _fifty_digit_closed_forms(row) -> dict:
+    """Branch -> (Gamma, lambda, S(delta)) at the working precision, from the
+    row's theta cells read back as exact doubles; lambda and S are None where
+    Gamma is 0."""
+    th = [mpmath.mpf(float(row[f"theta{i}"])) for i in (1, 2, 3, 4)]
+    c, s = [mpmath.cos(2 * t) for t in th], [mpmath.sin(2 * t) for t in th]
+    prod, out = mpmath.fprod(c), {}
+    for branch, sign in zip(BRANCHES, (1, -1)):
+        den = 1 + sign * prod        # 2 Gamma
+        if den == 0:
+            out[branch] = (den / 2, None, None)
+            continue
+        d = min(abs((c[2] * c[3] + sign * c[0] * c[1]) / den), 1)
+        plogp = (1 + d) * mpmath.log(1 + d, 2) + ((1 - d) * mpmath.log(1 - d, 2) if d < 1 else 0)
+        out[branch] = (den / 2, abs(c[0] * c[1] * s[2] * s[3]) / den, 1 - plogp / 2)
+    return out
+
+
+def _errors(cell: float, true) -> tuple:
+    err = abs(mpmath.mpf(cell) - true)
+    return float(err), float(err / abs(true) if true != 0 else (0 if err == 0 else mpmath.inf))
+
+
 # Each sweep golden's worst (absolute, relative) error per Gamma column against
 # Gamma = (1 +- prod_i cos 2theta_i)/2 at 50 digits, from the theta cells read
 # back as exact doubles; the measured figures rounded up. Roundoff in 1 +- prod
@@ -219,13 +244,67 @@ def test_sweep_golden_gamma_cells_are_within_their_50_digit_audit(stem):
     worst = {column: [0.0, 0.0] for column in ("gamma1", "gamma2")}
     with mpmath.workdps(50):
         for row in csv.DictReader(io.StringIO((GOLDEN / f"{stem}.csv").read_text())):
-            prod = mpmath.fprod(mpmath.cos(2 * mpmath.mpf(float(row[f"theta{i}"])))
-                                for i in (1, 2, 3, 4))
-            for column, true in (("gamma1", (1 + prod) / 2), ("gamma2", (1 - prod) / 2)):
-                err = abs(mpmath.mpf(float(row[column])) - true)
-                rel = err / abs(true) if true != 0 else (0 if err == 0 else mpmath.inf)
-                worst[column][0] = max(worst[column][0], float(err))
-                worst[column][1] = max(worst[column][1], float(rel))
+            exact = _fifty_digit_closed_forms(row)
+            for column, branch in zip(("gamma1", "gamma2"), BRANCHES):
+                err, rel = _errors(float(row[column]), exact[branch][0])
+                worst[column][0] = max(worst[column][0], err)
+                worst[column][1] = max(worst[column][1], rel)
     for column, (abs_bound, rel_bound) in _GAMMA_AUDIT[stem].items():
         assert worst[column][0] <= abs_bound, (column, worst[column])
         assert worst[column][1] <= rel_bound, (column, worst[column])
+
+
+# Each sweep golden's closed-form columns against lambda and S(delta) at 50
+# digits: the worst (absolute, relative) error over the rows where the cell is a
+# number and the 50-digit Gamma is at least the empty-branch weight 1e-12, and
+# the number of rows where the cell is NaN or a number but that Gamma says the
+# opposite; the measured figures rounded up. In sweep_empty_edge the row at
+# theta = 5e-7 has a double Gamma_2 of 1.000089e-12 against a true
+# 9.99999999999e-13, so its chi'' closed forms are numbers where they should
+# be NaN, and the next rows' lambda carries Gamma_2's relative error, up to
+# 2.2e-5. Entropy cells read 0 where the true S is below 5e-21 (relative
+# error 1). A change may tighten an entry, never loosen it.
+_CLOSED_FORM_AUDIT = {
+    "sweep_empty_edge": {"conc_closed_prime": (1.27e-27, 2.06e-16, 0),
+                         "entropy_closed_prime": (4.82e-21, 1.0, 0),
+                         "conc_closed_double_prime": (1.11e-5, 2.22e-5, 1),
+                         "entropy_closed_double_prime": (0.0, 0.0, 1)},
+    "sweep_grid": {"conc_closed_prime": (1.70e-16, 2.06e-16, 0),
+                   "entropy_closed_prime": (1.44e-16, 1.0, 0),
+                   "conc_closed_double_prime": (1.70e-16, 2.06e-16, 0),
+                   "entropy_closed_double_prime": (1.44e-16, 1.0, 0)},
+    "sweep_locked": {"conc_closed_prime": (5.18e-48, 1.54e-16, 0),
+                     "entropy_closed_prime": (0.0, 0.0, 0),
+                     "conc_closed_double_prime": (5.18e-48, 1.54e-16, 0),
+                     "entropy_closed_double_prime": (0.0, 0.0, 0)},
+    "sweep_small": {"conc_closed_prime": (3.81e-17, 2.06e-16, 0),
+                    "entropy_closed_prime": (1.07e-16, 1.0, 0),
+                    "conc_closed_double_prime": (3.81e-17, 2.06e-16, 0),
+                    "entropy_closed_double_prime": (1.07e-16, 1.0, 0)},
+}
+
+
+def test_every_sweep_golden_has_a_closed_form_audit_entry():
+    assert sorted(_CLOSED_FORM_AUDIT) == sorted(_GAMMA_AUDIT)
+    columns = [f"{m}_closed_{b}" for b in BRANCHES for m in ("conc", "entropy")]
+    assert all(sorted(table) == sorted(columns) for table in _CLOSED_FORM_AUDIT.values())
+
+
+@pytest.mark.parametrize("stem", sorted(_CLOSED_FORM_AUDIT))
+def test_sweep_golden_closed_form_cells_are_within_their_50_digit_audit(stem):
+    worst = dict.fromkeys(_CLOSED_FORM_AUDIT[stem], (0.0, 0.0, 0))
+    with mpmath.workdps(50):
+        empty = mpmath.mpf(1e-12)
+        for row in csv.DictReader(io.StringIO((GOLDEN / f"{stem}.csv").read_text())):
+            for branch, (gamma, lam, s) in _fifty_digit_closed_forms(row).items():
+                for column, true in ((f"conc_closed_{branch}", lam),
+                                     (f"entropy_closed_{branch}", s)):
+                    cell = float(row[column])
+                    err, rel, wrong = worst[column]
+                    if (cell != cell) != (gamma < empty):
+                        wrong += 1
+                    elif cell == cell:
+                        err, rel = map(max, (err, rel), _errors(cell, true))
+                    worst[column] = (err, rel, wrong)
+    for column, bounds in _CLOSED_FORM_AUDIT[stem].items():
+        assert all(got <= bound for got, bound in zip(worst[column], bounds)), worst

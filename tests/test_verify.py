@@ -12,7 +12,7 @@ import pytest
 
 import ges4
 from ges4 import basis as basis_module
-from ges4 import circuit, hilbert, verify
+from ges4 import circuit, cli, hilbert, verify
 from ges4.basis import ALL_INDICES, decompose, explicit_basis
 from ges4.circuit import ATOMIC_SPACE, FULL_SPACE, PHOTONIC_SPACE, beam_splitter
 from ges4.hilbert import Operator, StateVector, embed
@@ -59,16 +59,18 @@ def test_all_checks_pass(report):
     assert report.all_passed
     assert {c.name for c in report.checks} == EXPECTED_CHECKS
     for check in report.checks:
-        assert check.passed, check.line()
+        assert check.passed, check
 
 
 def test_report_lines_format(report):
-    lines = report.lines()
-    assert lines[-1] == f"{len(report.checks)}/{len(report.checks)} checks passed"
-    for line in lines[:-1]:
+    # the text `ges4 verify` renders from the report's data
+    n = len(report.checks)
+    lines = "".join(cli._verify_text(report.as_dict())).splitlines()
+    assert lines[n] == f"{n}/{n} checks passed"
+    for line in lines[:n]:
         assert line.startswith("[PASS] ")
-    failed = CheckResult("x", False, 1.0, "broken")
-    assert failed.line().startswith("[FAIL] x:")
+    failed = dataclasses.asdict(CheckResult("x", False, 1.0, "broken"))
+    assert next(cli._verify_text({"checks": [failed]})).startswith("[FAIL] x:")
 
 
 def test_json_report_is_deterministic(report):
