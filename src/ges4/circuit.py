@@ -439,7 +439,7 @@ def _table_amplitudes(table: dict, scale: float = 1.0) -> np.ndarray:
     """Amplitudes: value * scale at the table's basis strings, 0 elsewhere."""
     amp = np.zeros(ATOMIC_SPACE.dim, dtype=complex)
     for bits, value in table.items():
-        amp[ATOMIC_SPACE.index_of([int(c) for c in bits])] = value * scale
+        amp[int(bits, 2)] = value * scale
     return amp
 
 

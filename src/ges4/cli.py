@@ -6,7 +6,8 @@ once, as the data its ``--json`` output shows (undefined entries ``None``;
 at a time). A renderer per format turns that payload alone into ``str``
 chunks: text renderers yield lines, CSV renderers hand rows of raw values to
 ``_csv_lines``, which formats each cell with ``_cell`` (the sweep's
-``_sweep_csv`` writes the same ``%.17g`` cells itself), and JSON is one chunk.
+``_sweep_csv`` writes the same ``%.17g`` cells itself), and JSON is one chunk
+(the sweep's is one per block).
 ``main`` hands the chunks to ``_write``, which writes them in order to stdout
 (or ``--out``). Diagnostics go to stderr, and ``main`` alone maps errors to
 exit codes: 0 on success, 1 when a verification run reports failures or an
@@ -23,7 +24,7 @@ distinct angle rows, one circuit-kernel call, and one ``_branch_measures``
 call (one SVD over the nonempty branches). The first block, whose first
 point is checked against ``evolve``, is computed before any output. Its CSV
 formats each angle row once per block and each point once for all its eta
-rows; its JSON reads the CSV's cells back.
+rows; its JSON reads the CSV's cells back and streams a block at a time too.
 
 State files are JSON lists of records ``{"basis_label": "0101", "re": x,
 "im": y}``; labels are strings of four characters of 0/1, ``re`` and ``im``
@@ -290,7 +291,7 @@ def read_state_file(path: str, normalize: bool, tol: float) -> StateVector:
             value = float(parts[0]) + 1j * float(parts[1])
         except OverflowError as exc:
             raise CliInputError(f"amplitude out of range at label {label!r}: {exc}")
-        amp[ATOMIC_SPACE.index_of([int(c) for c in label])] = value
+        amp[int(label, 2)] = value
     state = StateVector(ATOMIC_SPACE, amp)
     # Dividing the real and imaginary parts by a power of two is exact, and keeps
     # amplitudes near either end of the float range from over- or underflowing the norm.
@@ -444,13 +445,20 @@ def _sweep_csv(payload) -> Iterator[str]:
 
 
 def _sweep_json(payload) -> Iterator[str]:
-    """The CSV's rows as one document, built whole in memory. Each cell is read
-    back from its 17 significant digits, which give every float exactly."""
+    """The CSV's rows as one document, one chunk per block: the bytes of
+    `_json_chunks({"columns": ..., "rows": rows})`, whose head and tail are
+    those of a one-row document. Each cell is read back from its 17
+    significant digits, which give every float exactly."""
     chunks = _sweep_csv(payload)
     next(chunks)    # the header
-    rows = [dict(zip(_SWEEP_COLUMNS, (_jsonable(float(x)) for x in line.split(","))))
-            for chunk in chunks for line in chunk.splitlines()]
-    return _json_chunks({"columns": _SWEEP_COLUMNS, "rows": rows})
+    # the head goes before the first block's rows, a row separator before each later block's
+    sep, tail = next(_json_chunks({"columns": _SWEEP_COLUMNS, "rows": [None]})).split("null")
+    for chunk in chunks:
+        rows = (json.dumps(dict(zip(_SWEEP_COLUMNS, (_jsonable(float(x)) for x in line.split(",")))),
+                           indent=2, sort_keys=True) for line in chunk.splitlines())
+        yield sep + ",\n".join(rows).replace("\n", "\n    ")
+        sep = ",\n    "
+    yield tail
 
 
 def _check_first_point(phi: float, thetas, branches: np.ndarray) -> None:
@@ -747,10 +755,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="tabulate closed-form vs numerical measures "
                                   "over a parameter grid (CSV by default)",
-                             description="Text and CSV are computed and written one block "
-                                         "of 4096 points at a time, in memory bounded "
-                                         "whatever the grid size. --json builds the whole "
-                                         "document in memory first, about 6.7 KB per point.")
+                             description="Every format is computed and written one "
+                                         "block of 4096 points at a time, in memory "
+                                         "bounded whatever the grid size.")
     p_sweep.add_argument("--phi", default="pi/2",
                          help="phi axis: value or start:stop:count (default pi/2)")
     p_sweep.add_argument("--thetas", default=None,

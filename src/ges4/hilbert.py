@@ -6,8 +6,10 @@ space with them, and the handful of operations (tensor, embed, inner product,
 partial trace, unitary exponential) are enough for a 2-mode + 4-qubit
 simulation at total dimension 64.
 
-Index convention: the first-listed factor is the most significant digit, so a
-four-qubit label "q1q2q3q4" maps to the integer q1*8 + q2*4 + q3*2 + q4.
+Index convention: the first-listed factor is the most significant digit. In
+the paper's scheme every factor is two-level (two photon modes, four atoms),
+so a basis label is a bit string and its index is `int(label, 2)`: a
+four-qubit label "q1q2q3q4" maps to q1*8 + q2*4 + q3*2 + q4.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 # What `ges4` exports from this module.
 __all__ = ["HilbertSpace", "StateVector", "Operator", "DensityMatrix", "InvariantError",
-           "basis_state", "density_matrix", "tensor", "embed", "inner", "partial_trace",
+           "density_matrix", "tensor", "embed", "inner", "partial_trace",
            "unitary_exp"]
 
 # Structural identities (unitarity, Gram matrices, reconstructions) must hold
@@ -87,36 +89,13 @@ class HilbertSpace:
                 return i
         raise KeyError(f"no factor labeled {label!r} in {self.labels}")
 
-    def restrict(self, labels: Sequence[str]) -> "HilbertSpace":
-        """Subspace of the named factors, kept in this space's order."""
-        keep = set(labels)
-        unknown = keep - set(self.labels)
-        if unknown:
-            raise KeyError(f"unknown labels {sorted(unknown)}")
-        return HilbertSpace(tuple(f for f in self.factors if f[0] in keep))
-
-    def index_of(self, digits: Sequence[int]) -> int:
-        """Mixed-radix digits (one per factor, first most significant) -> flat index."""
-        if len(digits) != len(self.factors):
-            raise ValueError("one digit per factor required")
-        idx = 0
-        for digit, (_, d) in zip(digits, self.factors):
-            if not 0 <= digit < d:
-                raise ValueError(f"digit {digit} out of range for dimension {d}")
-            idx = idx * d + digit
-        return idx
-
-    def digits_of(self, index: int) -> tuple[int, ...]:
-        """Flat index -> mixed-radix digits."""
-        out = []
-        for _, d in reversed(self.factors):
-            out.append(index % d)
-            index //= d
-        return tuple(reversed(out))
-
     def basis_label(self, index: int) -> str:
-        """Concatenated digit string of a basis index, e.g. 5 -> "0101"."""
-        return "".join(str(d) for d in self.digits_of(index))
+        """Concatenated mixed-radix digit string of a basis index, e.g. 5 -> "0101"."""
+        digits = []
+        for _, d in reversed(self.factors):
+            index, digit = divmod(index, d)
+            digits.append(str(digit))
+        return "".join(reversed(digits))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,11 +146,6 @@ class StateVector:
             raise ValueError("cannot normalize the zero vector")
         return StateVector(self.space, self.amp / n)
 
-    def amplitude(self, label: str) -> complex:
-        """Amplitude at the basis element given by a digit string like "0101"."""
-        digits = [int(c) for c in label]
-        return complex(self.amp[self.space.index_of(digits)])
-
 
 @dataclass(frozen=True, eq=False)
 class Operator:
@@ -188,11 +162,6 @@ class Operator:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
-
-    @property
-    def is_unitary(self) -> bool:
-        d = self.space.dim
-        return float(np.max(np.abs(self.mat.conj().T @ self.mat - np.eye(d)))) <= STRUCT_TOL
 
     @property
     def is_hermitian(self) -> bool:
@@ -231,14 +200,6 @@ class DensityMatrix:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
-
-
-def basis_state(space: HilbertSpace, label: str | Sequence[int]) -> StateVector:
-    """Computational basis state from a digit string ("0101") or digit sequence."""
-    digits = [int(c) for c in label]
-    amp = np.zeros(space.dim, dtype=complex)
-    amp[space.index_of(digits)] = 1.0
-    return StateVector(space, amp)
 
 
 def density_matrix(psi: StateVector) -> DensityMatrix:
@@ -324,7 +285,7 @@ def partial_trace(rho: DensityMatrix, keep_labels: Sequence[str]) -> DensityMatr
     dd = int(np.prod([dims[i] for i in drop_axes])) if drop_axes else 1
     t = t.reshape(dk, dd, dk, dd)
     reduced = np.einsum("ijkj->ik", t)
-    sub = rho.space.restrict([rho.space.labels[i] for i in keep_axes_sorted])
+    sub = HilbertSpace(tuple(rho.space.factors[i] for i in keep_axes_sorted))
     return DensityMatrix(sub, reduced)
 
 

@@ -170,7 +170,7 @@ def test_d4_variant_reconstructs_flipped_state(basis16):
     assert abs(np.linalg.norm(variant) - 1.0) < 1e-12
     assert abs(abs(np.vdot(d4, variant)) - 2.0 / 3.0) < 1e-12
     flipped = d4.copy()
-    flipped[ATOMIC_SPACE.index_of([1, 1, 0, 0])] *= -1.0
+    flipped[int("1100", 2)] *= -1.0
     np.testing.assert_allclose(variant, flipped, atol=1e-12)
 
 
@@ -394,17 +394,17 @@ def test_decompose_and_expand_enforce_the_same_rules(damage, rng):
 
 def test_canonical_state_tables():
     ghz = canonical_state("GHZ4")          # case-insensitive
-    assert abs(ghz.amplitude("0000") - 1 / math.sqrt(2)) < 1e-15
-    assert abs(ghz.amplitude("1111") - 1 / math.sqrt(2)) < 1e-15
+    assert abs(ghz.amp[int("0000", 2)] - 1 / math.sqrt(2)) < 1e-15
+    assert abs(ghz.amp[int("1111", 2)] - 1 / math.sqrt(2)) < 1e-15
     w4 = canonical_state("w4")
     for bits in ("0001", "0010", "0100", "1000"):
-        assert abs(w4.amplitude(bits) - 0.5) < 1e-15
+        assert abs(w4.amp[int(bits, 2)] - 0.5) < 1e-15
     cl4 = canonical_state("cl4")
-    assert abs(cl4.amplitude("1111") + 0.5) < 1e-15
+    assert abs(cl4.amp[int("1111", 2)] + 0.5) < 1e-15
     d4 = canonical_state("d4")
     weight2 = ("0011", "0101", "0110", "1001", "1010", "1100")
     for bits in weight2:
-        assert abs(d4.amplitude(bits) - 1 / math.sqrt(6)) < 1e-15
+        assert abs(d4.amp[int(bits, 2)] - 1 / math.sqrt(6)) < 1e-15
     for name in ("ghz4", "w4", "cl4", "d4"):
         assert abs(canonical_state(name).norm - 1.0) < 1e-12
     with pytest.raises(ValueError):

@@ -401,10 +401,10 @@ def test_sweep_bytes_do_not_depend_on_the_block_size(capsys, monkeypatch, name):
             assert any(empty[b - 1] and empty[b] for b in range(block, len(empty), block))
 
 
-def test_sweep_computes_a_block_only_when_its_rows_are_written(capsys, monkeypatch):
-    # The first block is computed before any output; each later one when the
-    # writer asks for its chunk.
-    argv = ["sweep", "--phi", "0:pi:3", "--thetas", "0:pi/2:7", "--eta", "0.5,1", "--csv"]
+def _chunks_as_blocks_are_computed(monkeypatch, fmt: str) -> list:
+    """(lines in each chunk, blocks computed when it was handed to the writer)
+    of a 21-point sweep in blocks of 4 points, two etas."""
+    argv = ["sweep", "--phi", "0:pi:3", "--thetas", "0:pi/2:7", "--eta", "0.5,1", fmt]
     real_kernel = cli._one_photon_output
     kernel_calls, seen = [], []
 
@@ -420,9 +420,24 @@ def test_sweep_computes_a_block_only_when_its_rows_are_written(capsys, monkeypat
     monkeypatch.setattr(cli, "_one_photon_output", kernel)
     monkeypatch.setattr(cli, "_write", write)
     assert cli.main(argv) == 0
-    # (lines in the chunk, blocks computed when it was handed over): the
-    # header, then 4 points x 2 etas per block, the 21st point last
-    assert seen == [(1, 1), (8, 1), (8, 2), (8, 3), (8, 4), (8, 5), (2, 6)]
+    return seen
+
+
+def test_sweep_computes_a_block_only_when_its_rows_are_written(capsys, monkeypatch):
+    # The first block is computed before any output; each later one when the
+    # writer asks for its chunk: the header, then 4 points x 2 etas per
+    # block, the 21st point last.
+    assert _chunks_as_blocks_are_computed(monkeypatch, "--csv") == [
+        (1, 1), (8, 1), (8, 2), (8, 3), (8, 4), (8, 5), (2, 6)]
+
+
+def test_sweep_json_computes_a_block_only_when_its_rows_are_written(capsys, monkeypatch):
+    # As for CSV: the 25-line head with the first block's rows (23 lines
+    # each, the last one's newline in the next chunk), then a block per
+    # chunk, then the document's 3-line tail.
+    assert _chunks_as_blocks_are_computed(monkeypatch, "--json") == [
+        (25 + 8 * 23 - 1, 1), (8 * 23, 2), (8 * 23, 3), (8 * 23, 4), (8 * 23, 5),
+        (2 * 23, 6), (3, 6)]
 
 
 def test_sweep_takes_gamma_and_the_closed_forms_from_one_angle_pass_per_block(
@@ -545,6 +560,34 @@ def test_sweep_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
     peak(1)     # first-call caches
     small, large = peak(10), peak(40)
     assert large <= 1.5 * small, (small, large)
+
+
+_PEAK_RSS = """
+import resource, sys
+from ges4 import cli
+code = cli.main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_sweep_json_streams_in_bounded_memory(tmp_path):
+    # A 4e4-point JSON sweep, a 36 MB document, is written a block at a time
+    # like its CSV: the process peaks far below the ~270 MB that building the
+    # whole document first takes (ru_maxrss is in kB on Linux).
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--phi", "0:pi:4", "--thetas", "0:pi/2:10000", "--json", "--out", str(out)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stderr == ""
+    code, peak_kb = run.stdout.split()
+    assert code == "0"
+    assert int(peak_kb) < 150 * 1024, peak_kb
+    with open(out) as fh:
+        rows = json.load(fh)["rows"]
+    assert len(rows) == 4 * 10_000
+    assert rows[-1]["phi"] == math.pi and rows[-1]["theta4"] == math.pi / 2
 
 
 def test_parser_is_built_once_and_parses_each_call_afresh(capsys):

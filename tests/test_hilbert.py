@@ -8,7 +8,7 @@ from ges4.hilbert import (
     StateVector,
     Operator,
     DensityMatrix,
-    basis_state,
+    STRUCT_TOL,
     canonical_phase,
     density_matrix,
     embed,
@@ -17,9 +17,20 @@ from ges4.hilbert import (
     tensor,
     unitary_exp,
 )
+from ges4.circuit import ATOMIC_SPACE, FULL_SPACE
 
 SPACE2 = HilbertSpace.of(("a", 2), ("b", 2))
 SPACE3 = HilbertSpace.of(("a", 2), ("b", 2), ("c", 2))
+
+
+def _ket(space, label):
+    """The computational basis state |label> of a space of two-level factors."""
+    return StateVector(space, np.eye(space.dim)[int(label, 2)])
+
+
+def _is_unitary(mat):
+    """U^dagger U = 1 entrywise to STRUCT_TOL."""
+    return float(np.max(np.abs(mat.conj().T @ mat - np.eye(len(mat))))) <= STRUCT_TOL
 
 
 def _random_state(space, rng):
@@ -30,18 +41,28 @@ def _random_state(space, rng):
 def test_space_indexing_first_factor_most_significant():
     space = HilbertSpace.of(("q1", 2), ("q2", 2), ("q3", 2), ("q4", 2))
     # |1000> -> 8, |0001> -> 1
-    assert space.index_of([1, 0, 0, 0]) == 8
-    assert space.index_of([0, 0, 0, 1]) == 1
+    assert space.basis_label(8) == "1000"
+    assert space.basis_label(1) == "0001"
     for i in range(space.dim):
-        assert space.index_of(space.digits_of(i)) == i
+        assert int(space.basis_label(i), 2) == i
     assert space.basis_label(5) == "0101"
+
+
+@pytest.mark.parametrize("space", [ATOMIC_SPACE, FULL_SPACE], ids=["atomic", "full"])
+def test_basis_label_is_the_binary_index(space):
+    # every label of the package's two-level spaces reads back as int(label, 2)
+    labels = [format(i, f"0{len(space.factors)}b") for i in range(space.dim)]
+    assert len(labels) == space.dim == 2 ** len(space.factors)
+    for b in labels:
+        assert space.basis_label(int(b, 2)) == b
 
 
 def test_space_mixed_radix():
     space = HilbertSpace.of(("m", 3), ("q", 2))
     assert space.dim == 6
-    assert space.index_of([2, 1]) == 5
-    assert space.digits_of(4) == (2, 0)
+    assert space.basis_label(5) == "21"
+    assert space.basis_label(4) == "20"
+    assert [space.basis_label(i) for i in range(6)] == ["00", "01", "10", "11", "20", "21"]
 
 
 def test_space_validation():
@@ -51,13 +72,6 @@ def test_space_validation():
         HilbertSpace.of(("a", 0))
     with pytest.raises(KeyError):
         SPACE2.axis("z")
-    with pytest.raises(ValueError):
-        SPACE2.index_of([2, 0])
-
-
-def test_space_restrict_keeps_order():
-    sub = SPACE3.restrict(["c", "a"])
-    assert sub.labels == ("a", "c")
 
 
 def test_state_vector_norm_and_validation():
@@ -107,19 +121,13 @@ def test_internal_wrap_takes_a_read_only_array_as_it_is():
 
 
 def test_state_vector_immutable():
-    psi = basis_state(SPACE2, "01")
+    psi = _ket(SPACE2, "01")
     with pytest.raises(ValueError):
         psi.amp[0] = 1.0
 
 
-def test_state_amplitude_lookup():
-    psi = StateVector(SPACE2, np.array([0.0, 1.0, 0.0, 0.0], dtype=complex))
-    assert psi.amplitude("01") == 1.0
-    assert psi.amplitude("00") == 0.0
-
-
 def test_basis_state_and_inner():
-    states = [basis_state(SPACE2, label) for label in ("00", "01", "10", "11")]
+    states = [_ket(SPACE2, label) for label in ("00", "01", "10", "11")]
     for i, a in enumerate(states):
         for j, b in enumerate(states):
             assert inner(a, b) == (1.0 if i == j else 0.0)
@@ -127,7 +135,7 @@ def test_basis_state_and_inner():
 
 def test_inner_space_mismatch():
     with pytest.raises(ValueError):
-        inner(basis_state(SPACE2, "00"), basis_state(SPACE3, "000"))
+        inner(_ket(SPACE2, "00"), _ket(SPACE3, "000"))
 
 
 def test_tensor_is_kron(rng):
@@ -166,9 +174,9 @@ def test_embed_dimension_mismatch():
 def test_operator_properties():
     h = Operator(SPACE2, np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex))
     assert h.is_hermitian
-    assert not h.is_unitary
+    assert not _is_unitary(h.mat)
     u = unitary_exp(h)
-    assert u.is_unitary
+    assert _is_unitary(u.mat)
     np.testing.assert_allclose(u.mat @ u.mat.conj().T, np.eye(4), atol=1e-14)
 
 
@@ -178,7 +186,7 @@ def test_operator_matmul_space_mismatch():
     with pytest.raises(ValueError):
         a @ b
     with pytest.raises(ValueError):
-        a @ basis_state(SPACE3, "000")
+        a @ _ket(SPACE3, "000")
 
 
 def test_density_matrix_validation():
@@ -186,7 +194,7 @@ def test_density_matrix_validation():
         DensityMatrix(SPACE2, np.eye(4, dtype=complex))  # trace 4
     with pytest.raises(ValueError):
         DensityMatrix(SPACE2, np.diag([1.0, 0.0, 0.0, 1.0j]))
-    rho = density_matrix(basis_state(SPACE2, "01"))
+    rho = density_matrix(_ket(SPACE2, "01"))
     assert rho.mat[1, 1] == 1.0
     with pytest.raises(ValueError):
         density_matrix(StateVector(SPACE2, np.array([2.0, 0, 0, 0])))
@@ -218,6 +226,13 @@ def test_partial_trace_keep_order(rng):
     )
     with pytest.raises(ValueError):
         partial_trace(rho, [])
+
+
+def test_partial_trace_unknown_label_raises_key_error(rng):
+    rho = density_matrix(_random_state(SPACE3, rng))
+    for keep in (["z"], ["a", "z"]):
+        with pytest.raises(KeyError):
+            partial_trace(rho, keep)
 
 
 def test_unitary_exp_known_rotation():

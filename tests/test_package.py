@@ -14,7 +14,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Removed with no caller in the package, its commands, demos or benchmark.
 REMOVED = ("eig_hermitian", "equal_up_to_global_phase", "phase_between",
-           "atom_photon_unitary", "closed_form_chi")
+           "atom_photon_unitary", "closed_form_chi", "basis_state")
+
+# Methods removed by the same rule: basis labels are bit strings, read with int(label, 2).
+REMOVED_METHODS = (("HilbertSpace", "index_of"), ("HilbertSpace", "digits_of"),
+                   ("HilbertSpace", "restrict"), ("StateVector", "amplitude"),
+                   ("Operator", "is_unitary"))
 
 
 def test_star_import_resolves_every_exported_name():
@@ -22,7 +27,7 @@ def test_star_import_resolves_every_exported_name():
     exec("from ges4 import *", namespace)
     exported = set(namespace) - {"__builtins__"}
     assert exported == set(ges4.__all__)
-    assert len(ges4.__all__) == len(set(ges4.__all__)) == 45
+    assert len(ges4.__all__) == len(set(ges4.__all__)) == 44
     for name in ges4.__all__:
         assert getattr(ges4, name) is namespace[name]
 
@@ -40,6 +45,13 @@ def test_removed_helpers_are_not_exported():
     for name in REMOVED:
         assert name not in ges4.__all__
         assert not hasattr(ges4, name)
+        for module in (ges4.hilbert, ges4.circuit, ges4.measures, ges4.basis):
+            assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_removed_methods_are_gone():
+    for cls, name in REMOVED_METHODS:
+        assert not hasattr(getattr(ges4, cls), name), (cls, name)
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

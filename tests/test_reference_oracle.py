@@ -20,17 +20,21 @@ checked against the paper's construction: the reference's D2 branch at the
 operating point under Pauli strings written out with `np.kron`.
 
 The command line is checked end to end: the `--json` output of every
-`simulate` and `decompose` golden argv, and of random decimal `simulate`
-argv, has each of its numbers recomputed from the reference and numpy
-alone, with the inputs written out in the test rather than parsed by ges4.
+`simulate`, `decompose`, `basis` and `sweep` golden argv, and of random
+decimal `simulate` and `sweep` argv, has each of its numbers recomputed from
+the reference and numpy alone, with the inputs written out in the test
+rather than parsed by ges4. The sweep cells known to differ are named one
+by one in `_KNOWN_SWEEP_MISMATCHES`, and must differ exactly there.
 """
 
 import cmath
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import math
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +43,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ges4 import cli
-from ges4.basis import ALL_INDICES, decompose, explicit_basis, generate_basis
+from ges4.basis import ALL_INDICES, GesIndex, decompose, explicit_basis, generate_basis
 from ges4.circuit import (_BS_BLOCK, _MIXED_MARGIN, ATOMIC_SPACE, FULL_SPACE, QUBIT_LABELS,
                           DetectionOutcome, _one_photon_output, detect)
 from ges4.hilbert import EIG_TOL, STRUCT_TOL, StateVector
 from ges4.measures import PAIRS, _branch_measures
-from test_golden import BYTE_GOLDENS, DECOMPOSE_ARGV, SIMULATE_ARGV
+from test_golden import BYTE_GOLDENS, DECOMPOSE_ARGV, SIMULATE_ARGV, SWEEP_ARGV
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
 
@@ -507,3 +511,220 @@ def test_simulate_json_of_decimal_argv_equals_the_reference(case):
         assume(not 0.5e-14 <= probability <= 2e-14)
         assume(not 0.5 * EIG_TOL <= s1 <= 2.0 * EIG_TOL)
     _check_simulate(argv, phi, thetas, eta)
+
+
+# ---------------------------------------------------------------------------
+# basis --json: every table and number from the paper construction
+
+
+def _listed_state(records) -> np.ndarray:
+    """A state's amplitude records as a vector; every label listed once."""
+    amp = np.zeros(16, dtype=complex)
+    for r in records:
+        amp[int(r["basis_label"], 2)] = complex(r["re"], r["im"])
+    assert len({r["basis_label"] for r in records}) == len(records)
+    return amp
+
+
+def _listed_tables() -> np.ndarray:
+    """The sixteen states `basis --json` lists, in ALL_INDICES order, (16, 16)."""
+    got = _cli_json(["basis"])
+    assert sorted(got) == ["states"]
+    assert [s["index"] for s in got["states"]] == [idx.label for idx in ALL_INDICES]
+    return np.array([_listed_state(s["amplitudes"]) for s in got["states"]])
+
+
+def test_basis_json_lists_the_paper_states():
+    # each table is the paper's state up to one phase per state
+    images = _paper_images()
+    tables = _listed_tables()
+    for idx, table, image in zip(ALL_INDICES, tables, images):
+        assert ref.phase_distance(image, table) <= 1e-12, idx.label
+    [one] = _cli_json(["basis", "--index", "3,2"])["states"]
+    assert one["index"] == "phi_3_2"
+    k = ALL_INDICES.index(GesIndex(3, 2))
+    assert np.array_equal(_listed_state(one["amplitudes"]), tables[k])
+    assert ref.phase_distance(images[k], tables[k]) <= 1e-12
+
+
+def test_basis_verify_json_equals_a_numpy_gram_and_the_reference_measures():
+    got = _cli_json(["basis", "--verify"])
+    assert sorted(got) == ["all_genuine", "max_completeness_dev",
+                           "max_orthonormality_dev", "states"]
+    m = _listed_tables().T          # columns are the states
+    gram = float(np.max(np.abs(m.conj().T @ m - np.eye(16))))
+    completeness = float(np.max(np.abs(m @ m.conj().T - np.eye(16))))
+    assert max(gram, completeness) <= STRUCT_TOL
+    assert abs(got["max_orthonormality_dev"] - gram) <= 1e-15
+    assert abs(got["max_completeness_dev"] - completeness) <= 1e-15
+    assert list(got["states"]) == [idx.label for idx in ALL_INDICES]
+    for idx, image in zip(ALL_INDICES, _paper_images()):
+        _check_measures(got["states"][idx.label], image)
+    assert got["all_genuine"] is all(s["is_genuine"] for s in got["states"].values())
+    assert got["all_genuine"] is True
+
+
+def test_basis_compare_json_phases_are_the_overlaps_with_the_paper_strings():
+    # The generated states are the paper's Pauli strings on chi', whose
+    # |0000> amplitude the paper writes as +1/sqrt(8); e is the listed table.
+    images = _paper_images()
+    images = images * (abs(images[0, 0]) / images[0, 0])
+    got = _cli_json(["basis", "--compare-generated"])
+    assert [r["index"] for r in got] == [idx.label for idx in ALL_INDICES]
+    for r, e, g in zip(got, _listed_tables(), images):
+        s = np.vdot(e, g)
+        z = s / abs(s)
+        assert sorted(r) == ["index", "matches_up_to_phase", "max_dev_after_alignment",
+                             "overlap_magnitude", "phase_im", "phase_re"]
+        assert abs(r["phase_re"] - z.real) <= 1e-12 and abs(r["phase_im"] - z.imag) <= 1e-12
+        assert abs(r["overlap_magnitude"] - abs(s)) <= 1e-12
+        assert r["matches_up_to_phase"] is True
+        assert abs(r["max_dev_after_alignment"] - np.max(np.abs(g - z * e))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# sweep --json: every cell from the reference, as the benchmark's check does
+
+_EMPTY = 1e-12          # a branch below this weight has no conditional state
+_FORMULA_PAIR = (2, 3)  # the closed forms describe the (q3, q4) pair
+_FORMULA_CUT = (0, 1)   # and the q1q2|q3q4 cut
+_BRANCH_ROW = {"prime": 1, "double_prime": 0}   # the reference's (U, L) rows
+
+# The inputs of each sweep golden, written out: the phi axis, the four theta
+# axes (one axis: locked, driving all four), and the etas.
+_HALF_PI = math.pi / 2
+_SWEEP_INPUTS = {
+    "sweep_grid": (np.linspace(_HALF_PI, 1.2, 2),
+                   [np.linspace(0, _HALF_PI, 3), np.linspace(0, _HALF_PI, 3),
+                    np.linspace(0, 1.1, 3), np.linspace(0.4, _HALF_PI, 3)], [0.3, 0.7, 1.0]),
+    "sweep_locked": ([-0.0], [np.linspace(-_HALF_PI, math.pi, 7)], [0.0, 0.5, 1.0]),
+    "sweep_empty_edge": ([_HALF_PI], [np.linspace(0, 2e-6, 9)], [1.0]),
+    "SWEEP_ARGV": (np.linspace(0, _HALF_PI, 3),
+                   [np.linspace(0, _HALF_PI, 3), np.linspace(0, _HALF_PI, 3),
+                    np.linspace(0, 1.1, 2), np.linspace(0.4, _HALF_PI, 2)], [0.3, 1.0]),
+}
+_SWEEP_CASES = {**{stem: argv for stem, (argv, _) in BYTE_GOLDENS.items()
+                   if argv[0] == "sweep"},
+                "SWEEP_ARGV": [a for a in SWEEP_ARGV if a != "--csv"]}
+
+# The cells known to differ from the reference, each (stem, theta, column).
+# 1 - Pi is formed from the cos 2theta_i in `circuit._angle_terms`, with an
+# absolute error of ~1e-16, so chi'' (Gamma_2 ~ 1e-12 here) has closed forms
+# ~1e-5 off: at theta = 5e-7 its Gamma_2 reads 1.00009e-12, above the empty
+# weight, where the true 9.99999999999e-13 says NaN, and from 7.5e-7 on its
+# concurrence (with its absdiff) is 8.6e-7 to 1.1e-5 off.
+_EDGE_THETAS = np.linspace(0, 2e-6, 9)
+_KNOWN_SWEEP_MISMATCHES = (
+    {("sweep_empty_edge", _EDGE_THETAS[2], column) for column in (
+        "conc_closed_double_prime", "entropy_closed_double_prime")}
+    | {("sweep_empty_edge", theta, column) for theta in _EDGE_THETAS[3:] for column in (
+        "conc_closed_double_prime", "conc_absdiff_double_prime")})
+
+
+def _sweep_grid(phis, theta_axes, etas) -> np.ndarray:
+    """The rows' phi, theta1..4 and eta, phi-major, theta4 then eta fastest."""
+    if len(theta_axes) == 1:
+        return np.array([(phi, *[t] * 4, eta)
+                         for phi, t, eta in itertools.product(phis, theta_axes[0], etas)])
+    return np.array(list(itertools.product(phis, *theta_axes, etas)))
+
+
+def _reference_sweep(grid: np.ndarray) -> dict:
+    """Every column of the sweep, from the reference: Gamma and the closed
+    forms at phi = pi/2, the numeric cells at the row's phi, NaN for an
+    empty branch."""
+    phi, thetas, eta = grid[:, 0], grid[:, 1:5], grid[:, 5]
+    here = ref.interferometer(phi, thetas)
+    at_op = ref.interferometer(np.full_like(phi, _HALF_PI), thetas)
+    w_here = (np.abs(here) ** 2).sum(axis=-1)
+    w_op = (np.abs(at_op) ** 2).sum(axis=-1)
+    cols = {name: grid[:, i] for i, name in enumerate(
+        ["phi", "theta1", "theta2", "theta3", "theta4", "eta"])}
+    cols.update(gamma1=w_op[:, 1], gamma2=w_op[:, 0], success_probability=eta * w_here.sum(axis=1))
+
+    def measures(branches, weights, row):
+        live = weights[:, row] >= _EMPTY
+        psi = branches[:, row] / np.sqrt(np.where(live, weights[:, row], 1.0))[:, None]
+        return (np.where(live, ref.concurrence(psi, _FORMULA_PAIR), np.nan),
+                np.where(live, ref.cut_entropy(psi, _FORMULA_CUT), np.nan))
+
+    for branch, row in _BRANCH_ROW.items():
+        c_num, s_num = measures(here, w_here, row)
+        c_cl, s_cl = measures(at_op, w_op, row)
+        cols.update({f"conc_closed_{branch}": c_cl, f"conc_numeric_{branch}": c_num,
+                     f"conc_absdiff_{branch}": np.abs(c_cl - c_num),
+                     f"entropy_closed_{branch}": s_cl, f"entropy_numeric_{branch}": s_num,
+                     f"entropy_absdiff_{branch}": np.abs(s_cl - s_num)})
+    return cols
+
+
+def _sweep_mismatches(argv, phis, theta_axes, etas) -> set:
+    """(theta1, column) of every cell of `argv --json` that differs from the
+    reference: axis cells by any bit, Gamma and the success probability by
+    more than STRUCT_TOL, the measures by more than EIG_TOL or on NaN."""
+    got = _cli_json(argv)
+    grid = _sweep_grid(phis, theta_axes, etas)
+    want = _reference_sweep(grid)
+    assert got["columns"] == list(want) and len(got["rows"]) == len(grid)
+    bad = set()
+    for column, expected in want.items():
+        cells = np.array([math.nan if r[column] is None else r[column] for r in got["rows"]])
+        if column in ("phi", "theta1", "theta2", "theta3", "theta4", "eta"):
+            off = cells != expected
+        else:
+            tol = STRUCT_TOL if column.startswith(("gamma", "success")) else EIG_TOL
+            off = ~((np.isnan(cells) & np.isnan(expected)) | (np.abs(cells - expected) <= tol))
+        bad |= {(float(theta), column) for theta in grid[off, 1]}
+    return bad
+
+
+def test_every_sweep_golden_input_is_written_out():
+    assert sorted(_SWEEP_INPUTS) == sorted(_SWEEP_CASES)
+
+
+@pytest.mark.parametrize("stem", sorted(_SWEEP_CASES))
+def test_sweep_json_equals_the_reference(stem):
+    known = {(float(theta), column) for s, theta, column in _KNOWN_SWEEP_MISMATCHES if s == stem}
+    assert _sweep_mismatches(_SWEEP_CASES[stem], *_SWEEP_INPUTS[stem]) == known
+
+
+_SWEEP_DECIMAL = st.decimals(Decimal("-3.2"), Decimal("3.2"), places=2, allow_nan=False, allow_infinity=False).map(str)
+_SWEEP_ETA = st.decimals(0, 1, places=2, allow_nan=False).map(str)
+
+
+@st.composite
+def _sweep_argv(draw):
+    """A `sweep --phi= [--thetas= | --theta1..4=] --eta` argv of small decimal
+    strings, at most 64 points, and its axes and etas, written out from them."""
+    def axis(max_count: int):
+        start, stop = draw(_SWEEP_DECIMAL), draw(_SWEEP_DECIMAL)
+        count = draw(st.integers(0, max_count))
+        if count == 0:
+            return start, [float(start)]
+        return f"{start}:{stop}:{count}", list(np.linspace(float(start), float(stop), count))
+
+    phi, phis = axis(4)
+    argv = ["sweep", f"--phi={phi}"]
+    if draw(st.booleans()):
+        spec, values = axis(4)
+        argv.append(f"--thetas={spec}")
+        theta_axes = [values]
+    else:
+        theta_axes = []
+        for i in (1, 2, 3, 4):
+            if draw(st.booleans()):
+                spec, values = axis(2)
+                argv.append(f"--theta{i}={spec}")
+            else:
+                values = [math.pi / 4]
+            theta_axes.append(values)
+    etas = draw(st.lists(_SWEEP_ETA, min_size=1, max_size=2))
+    argv += ["--eta", ",".join(etas)]
+    assume(len(phis) * math.prod(map(len, theta_axes)) * len(etas) <= 64)
+    return argv, phis, theta_axes, [float(eta) for eta in etas]
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_sweep_argv())
+def test_sweep_json_of_decimal_argv_equals_the_reference(case):
+    assert _sweep_mismatches(*case) == set()
