@@ -20,11 +20,13 @@
 #     text, --csv and --json;
 #   - `simulate --deterministic` over several theta and eta, choosing the
 #     click and forcing d1 and d2, with and without --measures, and
-#     `simulate --measures --json` over all four outcomes, at angles where
-#     the no-click state is mixed and, with --phi 1.1 --eta 0.4 and theta 0
-#     or 0,0,0,pi/2, where it is a pure product state that only detect's
-#     SVD finds, and `simulate --measures --json` at --phi 0.7 and 2.9 with
-#     generic angles, whose post-states have no table amplitudes;
+#     `simulate --measures --json` over all four outcomes at eta 0, 0.4 and
+#     1, at angles where the no-click state is mixed and, with --phi 1.1 and
+#     theta 0 or 0,0,0,pi/2, where it is a pure product state that only
+#     detect's SVD finds (at eta 0 too, where both clicks have weight 0 and
+#     the no-click keeps both branches at weight 1), and
+#     `simulate --measures --json` at --phi 0.7 and 2.9 with generic angles,
+#     whose post-states have no table amplitudes;
 #   - `decompose` of every named state over both bases, and `decompose --file`
 #     of three seeded state files (a dense generic state, a sparse one with a
 #     1e-9 amplitude, and one whose norm is off, with and without
@@ -113,12 +115,14 @@ for theta in pi/4 0.3 0.3,0.5,0.7,0.9 0 1e300; do
           "simulate --deterministic --phi 1.1 --theta $theta")
 done
 for theta in pi/4 0.3 0.3,0.5,0.7,0.9; do
-  for eta in 0.4 1; do
+  for eta in 0 0.4 1; do
     cases+=("simulate --measures --json --theta $theta --eta $eta")
   done
 done
 for theta in 0 0,0,0,pi/2; do
-  cases+=("simulate --measures --json --phi 1.1 --theta $theta --eta 0.4")
+  for eta in 0 0.4; do
+    cases+=("simulate --measures --json --phi 1.1 --theta $theta --eta $eta")
+  done
 done
 for phi in 0.7 2.9; do
   cases+=("simulate --measures --json --phi $phi --theta 0.3,0.5,0.7,0.9 --eta 0.6")

@@ -98,15 +98,14 @@ class DetectionOutcome(Enum):
     DOUBLE_CLICK = "double"
 
 
-# Outcome -> (row n_U * 2 + n_L, mode U factor, mode L factor) of each branch
-# |n_U n_L> it can come from, in row order. The POVM weight is the product of
-# the factors, indices into (1, eta, 1 - eta): a detector of efficiency eta
-# reports null on |n> with weight (1-eta)^n and a click with the complement.
-_POVM_TERMS = {
-    DetectionOutcome.D1_CLICK_D2_NULL: ((2, 1, 0), (3, 1, 2)),
-    DetectionOutcome.D2_CLICK_D1_NULL: ((1, 0, 1), (3, 2, 1)),
-    DetectionOutcome.NO_CLICK: ((0, 0, 0), (1, 0, 2), (2, 2, 0), (3, 2, 2)),
-    DetectionOutcome.DOUBLE_CLICK: ((3, 1, 1),),
+# Outcome -> the one-photon branches it reads, in BRANCHES order: 0 is chi'
+# (arm L, D2), 1 is chi'' (arm U, D1). The photon reaches one detector, which
+# clicks with weight eta and misses with 1 - eta; both never click.
+_POVM_BRANCHES = {
+    DetectionOutcome.D1_CLICK_D2_NULL: (1,),
+    DetectionOutcome.D2_CLICK_D1_NULL: (0,),
+    DetectionOutcome.NO_CLICK: (0, 1),
+    DetectionOutcome.DOUBLE_CLICK: (),
 }
 
 
@@ -455,10 +454,11 @@ def _row_norms(rows: np.ndarray) -> list[float]:
 
 
 @functools.lru_cache(maxsize=1)
-def _branch_norms(state: StateVector) -> tuple[np.ndarray, tuple[float, ...]]:
-    """Branches (4, 16), row n_U * 2 + n_L at |n_U n_L>, and their four
-    `_row_norms`. ValueError unless the state is normalized, on the full
-    space and in the one-photon sector.
+def _branch_norms(state: StateVector) -> tuple[np.ndarray, tuple[float, float]]:
+    """The branch pair (chi', chi''), the (2, 16) `_branch_rows` view, and its
+    two `_row_norms`. ValueError unless the state is on the full space,
+    normalized over all four photonic rows, and has at most STRUCT_TOL of
+    weight in |00> and |11>.
 
     The last state's split is cached, so asking `detect` for several
     outcomes of one state validates and splits it once. That is sound
@@ -467,27 +467,24 @@ def _branch_norms(state: StateVector) -> tuple[np.ndarray, tuple[float, ...]]:
     """
     if state.space != FULL_SPACE:
         raise ValueError("state must live on the full photonic+atomic space")
-    branches = state.amp.reshape(4, ATOMIC_SPACE.dim)
-    norms = tuple(_row_norms(branches))
+    rows = state.amp.reshape(4, ATOMIC_SPACE.dim)
+    norms = _row_norms(rows)
     if abs(sum(n * n for n in norms) - 1.0) > STRUCT_TOL:
         raise ValueError("state must be normalized")
     if norms[0]**2 + norms[3]**2 > STRUCT_TOL:
         raise ValueError("state lies outside the one-photon photonic sector")
-    return branches, norms
+    return rows[_ONE_PHOTON], tuple(norms[_ONE_PHOTON])
 
 
-def _povm(norms: Sequence[float], outcome: DetectionOutcome, eta: float
-          ) -> tuple[list[tuple[int, float]], float]:
-    """(branch row, POVM weight) of each branch with nonzero weight, and the
-    outcome probability sum_k w_k |branch_k|^2, both in row order."""
-    factors = (1.0, eta, 1.0 - eta)
-    weights, probability = [], 0.0
-    for k, u, l in _POVM_TERMS[outcome]:
-        w = factors[u] * factors[l]
-        if w != 0.0:
-            weights.append((k, w))
-            probability += w * norms[k]**2
-    return weights, float(probability)
+def _povm(norms: Sequence[float], outcome: DetectionOutcome, eta: float) -> tuple[float, float]:
+    """The POVM weight w that the outcome gives each branch it reads
+    (`_POVM_BRANCHES`): eta for a click, 1 - eta for a no-click; and the
+    outcome probability sum_k w |chi_k|^2, summed in BRANCHES order."""
+    weight = 1.0 - eta if outcome is DetectionOutcome.NO_CLICK else eta
+    probability = 0.0
+    for k in _POVM_BRANCHES[outcome]:
+        probability += weight * norms[k]**2
+    return weight, float(probability)
 
 
 # Two weighted branches whose Gram matrix has det/trace above this are mixed
@@ -499,31 +496,26 @@ _MIXED_MARGIN = 1e-12
 
 def _detect(branches: np.ndarray, norms: Sequence[float], outcome: DetectionOutcome,
             eta: float) -> tuple[Optional[StateVector], float]:
-    """`detect` on a state already split by `_branch_norms`.
+    """`detect` on a branch pair already split by `_branch_norms`.
 
-    An outcome with no live weighted branch, or probability below 1e-14,
-    returns None at once. Two live branches (a no-click at 0 < eta < 1) whose
-    2x2 Gram matrix, from their norms and one `np.vdot`, clears
-    `_MIXED_MARGIN` are mixed and return None with no SVD. Every other case
-    (one branch, or two near-parallel or near-empty ones) runs one SVD and
-    decides by s[1] > EIG_TOL.
+    An outcome with probability below 1e-14 returns None at once. The
+    branches it reads with nonzero norm are live; all share the weight w.
+    Two live branches (a no-click at 0 < eta < 1) whose 2x2 Gram matrix,
+    from their norms and one `np.vdot`, clears `_MIXED_MARGIN` are mixed and
+    return None with no SVD. Otherwise one SVD of sqrt(w) times the live
+    branches decides, by s[1] > EIG_TOL.
     """
-    weights, probability = _povm(norms, outcome, eta)
-    live = [(k, w) for k, w in weights if norms[k] > 0.0]
-    if probability < 1e-14 or not live:
+    weight, probability = _povm(norms, outcome, eta)
+    if probability < 1e-14:
         return None, probability
+    live = [k for k in _POVM_BRANCHES[outcome] if norms[k] > 0.0]
     if len(live) == 2:
-        (j, w_j), (k, w_k) = live
-        g_jj, g_kk = w_j * norms[j]**2, w_k * norms[k]**2
-        g_jk2 = w_j * w_k * abs(np.vdot(branches[j], branches[k]))**2
-        if (g_jj * g_kk - g_jk2) / (g_jj + g_kk) > _MIXED_MARGIN:
+        g_00, g_11 = weight * norms[0]**2, weight * norms[1]**2
+        g_01_sq = weight * weight * abs(np.vdot(branches[0], branches[1]))**2
+        if (g_00 * g_11 - g_01_sq) / (g_00 + g_11) > _MIXED_MARGIN:
             return None, probability   # conditional state is mixed
 
-    if len(live) == 1:      # one weighted branch: no list to copy into an array
-        (k, w), = live
-        weighted = (math.sqrt(w) * branches[k])[None]
-    else:
-        weighted = np.array([math.sqrt(w) * branches[k] for k, w in live])
+    weighted = math.sqrt(weight) * branches.take(live, axis=0)
     _, s, vh = np.linalg.svd(weighted, full_matrices=False)
     if len(s) > 1 and s[1] > EIG_TOL:
         return None, probability   # conditional state is mixed
@@ -534,17 +526,18 @@ def detect(state: StateVector, outcome: DetectionOutcome, eta: float
            ) -> tuple[Optional[StateVector], float]:
     """Apply the two-detector POVM and condition on one outcome.
 
+    The photon is in arm L (chi', |01>) or arm U (chi'', |10>): D2 or D1
+    clicks on its branch with weight eta, a no-click keeps both with weight
+    1 - eta, and a double click has probability 0. Every outcome ignores the
+    weight in |00> and |11>, which `_branch_norms` allows up to STRUCT_TOL.
+
     Returns (post_state, probability). The post state is the normalized
     four-qubit conditional state with a canonical global phase; it is None
     when the outcome has probability below 1e-14 or when the conditional
-    state is mixed (e.g. a no-click at 0 < eta < 1 leaves both photonic
-    branches alive), which a state vector cannot represent. Click-conditioned
-    states are independent of eta. One validation and norm pass
-    (`_branch_norms`) per state, shared by consecutive calls on the same
-    state. An SVD runs only for a state that may be pure: one live branch,
-    or two near-parallel or near-empty ones; a no-click at 0 < eta < 1 with
-    two clearly independent branches is found mixed from their 2x2 Gram
-    matrix instead.
+    state is mixed (a no-click at 0 < eta < 1 on independent branches),
+    which a state vector cannot represent. Click-conditioned states are
+    independent of eta. Consecutive calls on one state share one validation
+    and norm pass (`_branch_norms`); `_detect` says when an SVD runs.
     """
     if not (0.0 <= eta <= 1.0):
         raise ValueError("eta must lie in [0, 1]")

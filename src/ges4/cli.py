@@ -60,9 +60,9 @@ from .circuit import (
     DetectionOutcome,
     SchemeParams,
     _BS_BLOCK,
+    _branch_norms,
     _branch_rows,
     _one_photon_output,
-    _row_norms,
     detect,
     evolve,
     prepare_ges,
@@ -326,7 +326,7 @@ def cmd_simulate(args) -> Output:
     params = SchemeParams(phi=parse_angle(args.phi), thetas=parse_thetas(args.theta),
                           eta=args.eta)
     psi = evolve(params)
-    norms = _row_norms(_branch_rows(psi.amp))
+    _, norms = _branch_norms(psi)      # the split its `detect` calls reuse
     payload = {
         "phi": params.phi,
         "thetas": list(params.thetas),

@@ -383,13 +383,13 @@ def _detector_model(run: _Run) -> float:
         worst = max(worst, float(abs(sum(probs.values()) - 1.0)))
         worst = max(worst, float(probs[DetectionOutcome.DOUBLE_CLICK]))
         success[eta] = probs[_D1] + probs[_D2]
-    # Away from the symmetric point: point n draws four angles, then eta; its
-    # branches are the |01> and |10> rows `evolve` puts between two empty ones.
+    # Away from the symmetric point: point n draws four angles, then eta, and
+    # its branch pair (chi', chi'') is row n of one kernel call.
     draws = run.rng.uniform(0.0, [np.pi / 2.0] * 4 + [1.0], size=(10, 5))
     out = _one_photon_output(np.full(10, np.pi / 2.0), draws[:, :4].copy(), _BS_BLOCK)
     norms = _row_norms(out.reshape(-1, ATOMIC_SPACE.dim))
     for eta, n_l, n_u in zip(draws[:, 4].tolist(), norms[::2], norms[1::2]):
-        total = sum(_povm([0.0, n_l, n_u, 0.0], o, eta)[1] for o in DetectionOutcome)
+        total = sum(_povm((n_l, n_u), o, eta)[1] for o in DetectionOutcome)
         worst = max(worst, float(abs(total - 1.0)))
     run.log["success_probability_scaling"] = {
         "agrees": False,

@@ -11,13 +11,15 @@ to 0 and its measures turn to NaN.
 
 Detection is checked against `_reference_detection`, the eta-POVM written
 out from the physics: a photon in mode U (L) fires D1 (D2) with probability
-eta. Its states are the interferometer's, and states whose two branches are
-near-parallel, both where the pure/mixed decision takes `_detect`'s SVD and
-around its `_MIXED_MARGIN` shortcut. The representation is checked against
-`_reference_coefficients`, c_k = <phi_k|psi> by one `np.vdot` per basis
-state, on random, sparse and conditioned states. The sixteen basis states are
-checked against the paper's construction: the reference's D2 branch at the
-operating point under Pauli strings written out with `np.kron`.
+eta. Its states are the interferometer's, with and without up to STRUCT_TOL
+of weight in |00> and |11> (which no outcome reads), and states whose two
+branches are near-parallel, both where the pure/mixed decision takes
+`_detect`'s SVD and around its `_MIXED_MARGIN` shortcut. The representation
+is checked against `_reference_coefficients`, c_k = <phi_k|psi> by one
+`np.vdot` per basis state, on random, sparse and conditioned states. The
+sixteen basis states are checked against the paper's construction: the
+reference's D2 branch at the operating point under Pauli strings written out
+with `np.kron`.
 
 The command line is checked end to end: the `--json` output of every
 `simulate`, `decompose`, `basis` and `sweep` golden argv, and of random
@@ -39,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ges4 import cli
@@ -126,8 +128,10 @@ def _reference_detection(chi_u, chi_l, outcome: str, eta: float):
     clicks with probability eta when the photon is in U (L), and neither
     clicks with 1 - eta; both never click. The unnormalised conditional state
     is sum_k w_k |chi_k><chi_k| over the weighted branches, pure when s1
-    vanishes. Its Gram matrix comes from Gram-Schmidt: with b_perp the part
-    of b orthogonal to a, det = |a|^2 |b_perp|^2, and
+    vanishes. Its Gram matrix comes from Gram-Schmidt: with a the larger
+    weighted branch and b_perp the part of the smaller one b orthogonal to
+    a, det = |a|^2 |b_perp|^2 (det is symmetric in the two, and dividing by
+    the larger |a|^2 cannot overflow), and
     s1^2 = 2 det / (tr + sqrt(tr^2 - 4 det)), free of cancellation.
     """
     weights = {"d1": ((eta, chi_u),), "d2": ((eta, chi_l),),
@@ -136,7 +140,7 @@ def _reference_detection(chi_u, chi_l, outcome: str, eta: float):
     tr = sum(float(np.vdot(r, r).real) for r in rows)
     if len(rows) < 2 or min(np.vdot(r, r).real for r in rows) == 0.0:
         return tr, rows, 0.0, 0.0
-    a, b = rows
+    a, b = sorted(rows, key=lambda r: np.vdot(r, r).real, reverse=True)
     aa = float(np.vdot(a, a).real)
     b_perp = b - (np.vdot(a, b) / aa) * a
     det = aa * float(np.vdot(b_perp, b_perp).real)
@@ -152,10 +156,11 @@ def _reference_post_state(rows) -> np.ndarray:
     return top / np.linalg.norm(top)
 
 
-def _full_state(chi_u, chi_l) -> StateVector:
-    """|01> chi_l + |10> chi_u (rows n_U * 2 + n_L of the full space), normalized."""
+def _full_state(chi_u, chi_l, vacuum=0.0, pair=0.0) -> StateVector:
+    """|00> vacuum + |01> chi_l + |10> chi_u + |11> pair (rows n_U * 2 + n_L of
+    the full space), normalized."""
     amp = np.zeros((4, 16), dtype=complex)
-    amp[1], amp[2] = chi_l, chi_u
+    amp[0], amp[1], amp[2], amp[3] = vacuum, chi_l, chi_u, pair
     return StateVector(FULL_SPACE, (amp / np.linalg.norm(amp)).reshape(-1))
 
 
@@ -189,14 +194,23 @@ def _orthonormal_pair(draw):
 @st.composite
 def _detection_case(draw):
     """(state, outcome, eta): any outcome of the interferometer's output at a
-    drawn point, or of a state with one empty branch; or a no-click on
-    branches chi_l = c chi_u + eps n, with eps from exactly 0 through the SVD
-    route's EIG_TOL to well mixed, or set so that det/trace lies within a
-    factor 10 of `_MIXED_MARGIN`."""
-    kind = draw(st.sampled_from(["circuit", "one_empty", "near_parallel", "margin"]))
+    drawn point, of that output with a residue of weight w in |00> and |11>,
+    or of a state with one empty branch; or a no-click on branches
+    chi_l = c chi_u + eps n, with eps from exactly 0 through the SVD route's
+    EIG_TOL to well mixed, or set so that det/trace lies within a factor 10
+    of `_MIXED_MARGIN`. w runs from 1e-32 to STRUCT_TOL (short of it by a
+    relative 2e-9, so that roundoff cannot carry the normalized state over)."""
+    kind = draw(st.sampled_from(["circuit", "residue", "one_empty", "near_parallel",
+                                 "margin"]))
     if kind == "circuit":
         return _full_state(*ref.interferometer(*draw(_POINT))), draw(_OUTCOME), draw(_ETA)
     a, n = draw(_orthonormal_pair())
+    if kind == "residue":
+        w = 10.0 ** draw(st.floats(-32.0, math.log10(STRUCT_TOL) - 1e-9))
+        f = draw(st.floats(0.0, 1.0))
+        state = _full_state(*ref.interferometer(*draw(_POINT)),
+                            math.sqrt(w * f) * a, math.sqrt(w * (1.0 - f)) * n)
+        return state, draw(_OUTCOME), draw(_ETA)
     if kind == "one_empty":
         branches = (a, 0 * a) if draw(st.booleans()) else (0 * a, a)
         return _full_state(*branches), draw(_OUTCOME), draw(_ETA)
@@ -209,8 +223,15 @@ def _detection_case(draw):
     return _near_parallel(a, n, c, eps), "none", eta
 
 
+# (0.6 |01>|0000> + 0.8 |10>|1111> + 7e-7 |11>|0101>)/norm: 4.9e-13 of its
+# weight lies in |11>, which every outcome ignores.
+_RESIDUE = _full_state(0.8 * np.eye(16)[15], 0.6 * np.eye(16)[0], pair=7e-7 * np.eye(16)[5])
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=_detection_case())
+# chi'' of about 9e-161, whose |chi''|^2 is subnormal
+@example(case=(_full_state(*ref.interferometer(9e-161, [math.pi / 4] * 4)), "none", 0.0))
 def test_detect_equals_the_reference_povm(case):
     state, outcome, eta = case
     chi = state.amp.reshape(4, 16)
@@ -219,12 +240,26 @@ def test_detect_equals_the_reference_povm(case):
     assume(not 0.5e-14 <= probability <= 2e-14)
     assume(not 0.5 * EIG_TOL <= s1 <= 2.0 * EIG_TOL)
     post, got_probability = detect(state, DetectionOutcome(outcome), eta)
+    if outcome == "double":
+        assert (post, got_probability) == (None, 0.0)
     assert abs(got_probability - probability) <= STRUCT_TOL
     if probability < 1e-14 or s1 > EIG_TOL:
         assert post is None
         return
     assert post is not None and post.is_normalized
     assert ref.phase_distance(_reference_post_state(rows), post.amp) <= 1e-9
+
+
+@pytest.mark.parametrize("outcome, label", [("d1", "1111"), ("d2", "0000"),
+                                            ("none", None), ("double", None)])
+def test_detect_reads_only_the_one_photon_rows(outcome, label):
+    # the residue in |11> neither mixes a click nor makes a double click
+    post, probability = detect(_RESIDUE, DetectionOutcome(outcome), 0.9)
+    if label is None:
+        assert post is None
+        assert (probability == 0.0) == (outcome == "double")
+    else:
+        assert abs(post.amp[int(label, 2)]) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("factor", [0.5, 0.99, 1.01, 2.0])
