@@ -1,15 +1,15 @@
-"""Dense complex linear algebra over small labeled Hilbert spaces.
+"""Dense complex linear algebra over small labeled spaces of qubits.
 
-Everything here is deliberately minimal: composite spaces are described by an
-ordered list of (label, dimension) factors, states and operators carry their
-space with them, and the handful of operations (tensor, embed, inner product,
-partial trace, unitary exponential) are enough for a 2-mode + 4-qubit
-simulation at total dimension 64.
+Every factor is a qubit: in the paper's scheme the two photon modes hold 0 or
+1 photons and the four atoms are two-level, so a space is an ordered list of
+(label, 2) factors and its dimension is 2**n. States and operators carry their
+space with them. The fast paths read only `StateVector`, `inner` and
+`canonical_phase`; the rest (operators, density matrices, `tensor`, `embed`,
+`partial_trace`, `unitary_exp`) serves the density-matrix oracle and the tests.
 
-Index convention: the first-listed factor is the most significant digit. In
-the paper's scheme every factor is two-level (two photon modes, four atoms),
-so a basis label is a bit string and its index is `int(label, 2)`: a
-four-qubit label "q1q2q3q4" maps to q1*8 + q2*4 + q3*2 + q4.
+Index convention: the first-listed factor is the most significant bit, so a
+basis label is a bit string and its index is `int(label, 2)`: a four-qubit
+label "q1q2q3q4" maps to q1*8 + q2*4 + q3*2 + q4.
 """
 
 from __future__ import annotations
@@ -51,20 +51,20 @@ PAULIS = (
 
 @dataclass(frozen=True)
 class HilbertSpace:
-    """An ordered composite of labeled finite-dimensional factors."""
+    """An ordered, nonempty composite of labeled qubits: each factor is (label, 2)."""
 
     factors: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
         labels = [lab for lab, _ in self.factors]
+        if not labels:
+            raise ValueError("a space needs at least one factor")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate factor labels in {labels}")
-        if any(d < 1 for _, d in self.factors):
-            raise ValueError("factor dimensions must be positive")
+        if any(d != 2 for _, d in self.factors):
+            raise ValueError("every factor must be a qubit (dimension 2)")
         # Read on every state and operator construction; computed once here.
-        dims = tuple(d for _, d in self.factors)
-        object.__setattr__(self, "_dims", dims)
-        object.__setattr__(self, "_dim", int(np.prod(dims)) if dims else 1)
+        object.__setattr__(self, "_dim", 1 << len(labels))
 
     @staticmethod
     def of(*factors: tuple[str, int]) -> "HilbertSpace":
@@ -73,10 +73,6 @@ class HilbertSpace:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.factors)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self._dims
 
     @property
     def dim(self) -> int:
@@ -90,12 +86,10 @@ class HilbertSpace:
         raise KeyError(f"no factor labeled {label!r} in {self.labels}")
 
     def basis_label(self, index: int) -> str:
-        """Concatenated mixed-radix digit string of a basis index, e.g. 5 -> "0101"."""
-        digits = []
-        for _, d in reversed(self.factors):
-            index, digit = divmod(index, d)
-            digits.append(str(digit))
-        return "".join(reversed(digits))
+        """The n-bit string of a basis index, first factor most significant, e.g. 5 -> "0101"."""
+        if not 0 <= index < self._dim:
+            raise ValueError(f"basis index {index} is not in range({self._dim})")
+        return format(index, f"0{len(self.factors)}b")
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +207,8 @@ def tensor(a, b):
     """Tensor product of two StateVectors or two Operators.
 
     The result space is the concatenation of the factor lists, amplitudes and
-    entries following the mixed-radix (first factor most significant)
-    convention, i.e. a plain Kronecker product.
+    entries following the first-factor-most-significant convention, i.e. a
+    plain Kronecker product.
     """
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         space = HilbertSpace(a.space.factors + b.space.factors)
@@ -228,28 +222,23 @@ def tensor(a, b):
 def embed(op: Operator, target_labels: Sequence[str], full: HilbertSpace) -> Operator:
     """Extend `op` (acting on `target_labels`, in that order) by identity elsewhere.
 
-    `op.space` must list factors matching the targeted dimensions in the given
-    order. The returned operator lives on `full`.
+    `op.space` must have one qubit per target label. The returned operator
+    lives on `full`.
     """
     targets = list(target_labels)
     if len(set(targets)) != len(targets):
         raise ValueError("duplicate target labels")
     target_axes = [full.axis(lab) for lab in targets]
-    if list(op.space.dims) != [full.dims[ax] for ax in target_axes]:
+    if len(op.space.factors) != len(targets):
         raise ValueError("operator dimensions do not match the targeted factors")
 
-    rest_axes = [i for i in range(len(full.factors)) if i not in target_axes]
-    rest_dim = int(np.prod([full.dims[i] for i in rest_axes])) if rest_axes else 1
-
+    n = len(full.factors)
+    rest_axes = [i for i in range(n) if i not in target_axes]
     # Build on the permuted space (targets first, rest after), then permute the
     # tensor legs back into the full space's factor order.
-    big = np.kron(op.mat, np.eye(rest_dim, dtype=complex))
-    n = len(full.factors)
-    perm = target_axes + rest_axes            # permuted position -> full axis
-    dims_perm = [full.dims[ax] for ax in perm]
-    t = big.reshape(dims_perm + dims_perm)
-    inv = np.argsort(perm)                    # full axis -> permuted position
-    t = t.transpose(list(inv) + [n + i for i in inv])
+    big = np.kron(op.mat, np.eye(1 << len(rest_axes), dtype=complex))
+    inv = np.argsort(target_axes + rest_axes)     # full axis -> permuted position
+    t = big.reshape([2] * (2 * n)).transpose(list(inv) + [n + i for i in inv])
     return Operator(full, t.reshape(full.dim, full.dim))
 
 
@@ -270,22 +259,16 @@ def partial_trace(rho: DensityMatrix, keep_labels: Sequence[str]) -> DensityMatr
     keep = list(keep_labels)
     if not keep:
         raise ValueError("keep_labels must be nonempty")
-    keep_axes = [rho.space.axis(lab) for lab in keep]
-    keep_axes_sorted = sorted(keep_axes)
-    drop_axes = [i for i in range(len(rho.space.factors)) if i not in keep_axes_sorted]
-
-    dims = list(rho.space.dims)
-    n = len(dims)
-    t = rho.mat.reshape(dims + dims)
+    keep_axes = sorted(rho.space.axis(lab) for lab in keep)
+    n = len(rho.space.factors)
+    drop_axes = [i for i in range(n) if i not in keep_axes]
     # Reorder row and column legs as (kept..., dropped...) and contract the
     # dropped row legs against the dropped column legs.
-    order = keep_axes_sorted + drop_axes
-    t = t.transpose([*order, *[n + i for i in order]])
-    dk = int(np.prod([dims[i] for i in keep_axes_sorted]))
-    dd = int(np.prod([dims[i] for i in drop_axes])) if drop_axes else 1
-    t = t.reshape(dk, dd, dk, dd)
-    reduced = np.einsum("ijkj->ik", t)
-    sub = HilbertSpace(tuple(rho.space.factors[i] for i in keep_axes_sorted))
+    order = keep_axes + drop_axes
+    t = rho.mat.reshape([2] * (2 * n)).transpose([*order, *[n + i for i in order]])
+    dk, dd = 1 << len(keep_axes), 1 << len(drop_axes)
+    reduced = np.einsum("ijkj->ik", t.reshape(dk, dd, dk, dd))
+    sub = HilbertSpace(tuple(rho.space.factors[i] for i in keep_axes))
     return DensityMatrix(sub, reduced)
 
 
@@ -301,12 +284,18 @@ def canonical_phase(amp: np.ndarray) -> np.ndarray:
     """Rotate a global phase so the largest-magnitude amplitude is real positive.
 
     Ties in magnitude (within a relative 1e-12) resolve to the lowest index,
-    making the convention deterministic.
+    making the convention deterministic. numpy's complex division takes
+    1/|pivot|, which overflows below ~5.6e-309; only there is the pivot first
+    scaled by the exact power of two 2**600, so every other input keeps its bits.
     """
     mags = np.abs(amp)
     top = float(mags.max())
     if top == 0.0:
         return amp.copy()
     pivot = int((mags >= top * (1.0 - 1e-12)).argmax())
-    z = amp[pivot] / abs(amp[pivot])
+    p = amp[pivot]
+    if math.isinf(1.0 / float(mags[pivot])):
+        # part by part: a complex product would turn a -0 part into +0
+        p = np.complex128(complex(p.real * 2.0**600, p.imag * 2.0**600))
+    z = p / abs(p)
     return amp * np.conj(z)

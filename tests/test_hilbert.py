@@ -57,12 +57,24 @@ def test_basis_label_is_the_binary_index(space):
         assert space.basis_label(int(b, 2)) == b
 
 
-def test_space_mixed_radix():
-    space = HilbertSpace.of(("m", 3), ("q", 2))
-    assert space.dim == 6
-    assert space.basis_label(5) == "21"
-    assert space.basis_label(4) == "20"
-    assert [space.basis_label(i) for i in range(6)] == ["00", "01", "10", "11", "20", "21"]
+@pytest.mark.parametrize("factors", [(("m", 0),), (("m", 1),), (("m", 3),),
+                                     (("q", 2), ("m", 3)), ()],
+                         ids=["dim0", "dim1", "dim3", "qubit_and_dim3", "empty"])
+def test_every_factor_is_a_qubit(factors):
+    with pytest.raises(ValueError):
+        HilbertSpace.of(*factors)
+    with pytest.raises(ValueError):
+        HilbertSpace(factors)
+
+
+@pytest.mark.parametrize("space", [SPACE2, ATOMIC_SPACE, FULL_SPACE], ids=["two", "atomic", "full"])
+def test_basis_label_rejects_an_index_outside_the_space(space):
+    # the bits of 2**n or of -1 are not a label of the space
+    for index in (space.dim, space.dim + 5, -1, -space.dim):
+        with pytest.raises(ValueError, match="not in range"):
+            space.basis_label(index)
+    assert space.basis_label(0) == "0" * len(space.factors)
+    assert space.basis_label(space.dim - 1) == "1" * len(space.factors)
 
 
 def test_space_validation():
@@ -166,9 +178,13 @@ def test_embed_two_factors_any_order(rng):
 
 
 def test_embed_dimension_mismatch():
-    x = Operator(HilbertSpace.of(("m", 3)), np.eye(3, dtype=complex))
-    with pytest.raises(ValueError):
+    # a two-qubit operator aimed at one label, and a one-qubit operator at two
+    x = Operator(SPACE2, np.eye(4, dtype=complex))
+    with pytest.raises(ValueError, match="do not match"):
         embed(x, ["a"], SPACE3)
+    y = Operator(HilbertSpace.of(("m", 2)), np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="do not match"):
+        embed(y, ["a", "b"], SPACE3)
 
 
 def test_operator_properties():

@@ -16,10 +16,11 @@ ROOT = Path(__file__).resolve().parents[1]
 REMOVED = ("eig_hermitian", "equal_up_to_global_phase", "phase_between",
            "atom_photon_unitary", "closed_form_chi", "basis_state")
 
-# Methods removed by the same rule: basis labels are bit strings, read with int(label, 2).
+# Methods removed by the same rule: every factor is a qubit, and basis labels are bit
+# strings, read with int(label, 2).
 REMOVED_METHODS = (("HilbertSpace", "index_of"), ("HilbertSpace", "digits_of"),
                    ("HilbertSpace", "restrict"), ("StateVector", "amplitude"),
-                   ("Operator", "is_unitary"))
+                   ("Operator", "is_unitary"), ("HilbertSpace", "dims"))
 
 
 def test_star_import_resolves_every_exported_name():

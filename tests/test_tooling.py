@@ -4,7 +4,9 @@
 `bench/test_checks.py` imports `ges4.verify._faulty_circuit`, and the CLI
 tests monkeypatch a few names bound in `ges4.cli`. Removing one of them would
 break the benchmark's trace or its checks without failing anything here. The
-last test runs the benchmark's sweep check on a sweep whose table is wrong.
+sweep-check tests run the benchmark's sweep check on a sweep whose table is
+wrong. The mutation matrix (`.github/scripts/mutants.py`) finds each row's
+text by exact match, so a change that moves that code must update its row.
 """
 
 import importlib
@@ -13,15 +15,21 @@ from pathlib import Path
 
 import numpy as np
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 SPANS = BENCH / "spans.py"
+MUTANTS = ROOT / ".github" / "scripts" / "mutants.py"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _spans():
+    return _load("bench_spans", SPANS)
 
 
 def test_every_traced_function_resolves():
@@ -102,3 +110,14 @@ def test_benchmark_sweep_check_passes_the_former_empty_branch_band(tmp_path, mon
             "etas": (1.0,)}
     sweep = SweepGrid(tmp_path)
     assert sweep.check(grid, sweep.call(grid)) == (0, [])
+
+
+def test_every_mutant_row_names_a_text_that_occurs_once_and_existing_tests():
+    rows = _load("mutants", MUTANTS).MUTANTS
+    assert len({m.name for m in rows}) == len(rows) == 14
+    for m in rows:
+        assert (ROOT / m.path).read_text().count(m.text) == 1, m.name
+        assert m.replacement != m.text and m.nodes, m.name
+        for node in m.nodes:
+            path, test = node.split("::")
+            assert f"def {test.split('[')[0]}(" in (ROOT / path).read_text(), node
