@@ -97,13 +97,22 @@ MUTANTS = (
            ("tests/test_circuit.py::"
             "test_beam_splitter_constants_are_the_exponential_of_its_generator",)),
     Mutant("basis_label's bits reversed", "src/ges4/hilbert.py",
-           'return format(index, f"0{len(self.factors)}b")',
-           'return format(index, f"0{len(self.factors)}b")[::-1]',
+           'return format(index, f"0{len(self.labels)}b")',
+           'return format(index, f"0{len(self.labels)}b")[::-1]',
            ("tests/test_hilbert.py::test_space_indexing_first_factor_most_significant",)),
     Mutant("partial_trace keeps the labels in the order asked", "src/ges4/hilbert.py",
            "keep_axes = sorted(rho.space.axis(lab) for lab in keep)",
            "keep_axes = [rho.space.axis(lab) for lab in keep]",
            ("tests/test_hilbert.py::test_partial_trace_keep_order",)),
+    Mutant("HilbertSpace takes a repeated label", "src/ges4/hilbert.py",
+           "if len(set(labels)) != len(labels):", "if False:",
+           ("tests/test_hilbert.py::test_every_factor_is_a_qubit",)),
+    Mutant("partial_trace takes a repeated label", "src/ges4/hilbert.py",
+           "if lab in keep[:i]:", "if False:",
+           ("tests/test_hilbert.py::test_partial_trace_names_a_repeated_label",)),
+    Mutant("the frozen matrix takes NaN and inf", "src/ges4/hilbert.py",
+           "if not np.isfinite(arr).all():", "if False:",
+           ("tests/test_hilbert.py::test_operator_and_density_matrix_reject_non_finite_entries",)),
 )
 
 

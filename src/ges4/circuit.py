@@ -61,9 +61,9 @@ __all__ = ["SchemeParams", "PhysicalParams", "DetectionOutcome", "phase_from_phy
 
 QUBIT_LABELS = ("q1", "q2", "q3", "q4")
 
-PHOTONIC_SPACE = HilbertSpace.of(("U", 2), ("L", 2))
-ATOMIC_SPACE = HilbertSpace.of(*((q, 2) for q in QUBIT_LABELS))
-FULL_SPACE = HilbertSpace.of(("U", 2), ("L", 2), *((q, 2) for q in QUBIT_LABELS))
+PHOTONIC_SPACE = HilbertSpace(("U", "L"))
+ATOMIC_SPACE = HilbertSpace(QUBIT_LABELS)
+FULL_SPACE = HilbertSpace(("U", "L", *QUBIT_LABELS))
 
 BRANCH_PRIME = "prime"                  # photon exits in mode L (detector D2)
 BRANCH_DOUBLE_PRIME = "double_prime"    # photon exits in mode U (detector D1)
@@ -163,24 +163,32 @@ class PhysicalParams:
     epsilon0: Optional[float] = None
 
     def __post_init__(self):
-        if self.detuning == 0.0:
-            raise ValueError("detuning must be nonzero")
+        for name in ("detuning", "hbar"):
+            if getattr(self, name) == 0.0:
+                raise ValueError(f"{name} must be nonzero")
         if self.tau < 0.0:
             raise ValueError("tau must be nonnegative")
-        for name in ("dipole", "tau", "detuning", "hbar"):
-            if not math.isfinite(getattr(self, name)):
+        for name in ("dipole", "tau", "detuning", "hbar", "field", "omega", "volume", "epsilon0"):
+            if getattr(self, name) is not None and not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
 
 def phase_from_physical(p: PhysicalParams) -> float:
-    """Dispersive phase shift d^2 E^2 tau / (hbar^2 Delta)."""
+    """Dispersive phase shift d^2 E^2 tau / (hbar^2 Delta); ValueError unless it is finite."""
     field = p.field
     if field is None:
         missing = [n for n in ("omega", "volume", "epsilon0") if getattr(p, n) is None]
         if missing:
             raise ValueError(f"field not given and cannot be derived; missing {missing}")
-        field = math.sqrt(p.hbar * p.omega / (2.0 * p.epsilon0 * p.volume))
-    return p.dipole**2 * field**2 * p.tau / (p.hbar**2 * p.detuning)
+    try:
+        if field is None:
+            field = math.sqrt(p.hbar * p.omega / (2.0 * p.epsilon0 * p.volume))
+        phase = p.dipole**2 * field**2 * p.tau / (p.hbar**2 * p.detuning)
+    except (ArithmeticError, ValueError):   # overflow, a zero divisor, sqrt of a negative
+        phase = math.nan
+    if not math.isfinite(phase):
+        raise ValueError("these physical parameters give no finite phase")
+    return phase
 
 
 # Known fault injections into the splitter, used as negative controls: a

@@ -2,12 +2,12 @@
 
 Every factor is a qubit: in the paper's scheme the two photon modes hold 0 or
 1 photons and the four atoms are two-level, so a space is an ordered list of
-(label, 2) factors and its dimension is 2**n. States and operators carry their
-space with them. The fast paths read only `StateVector`, `inner` and
+distinct qubit labels and its dimension is 2**n. States and operators carry
+their space with them. The fast paths read only `StateVector`, `inner` and
 `canonical_phase`; the rest (operators, density matrices, `tensor`, `embed`,
 `partial_trace`, `unitary_exp`) serves the density-matrix oracle and the tests.
 
-Index convention: the first-listed factor is the most significant bit, so a
+Index convention: the first-listed qubit is the most significant bit, so a
 basis label is a bit string and its index is `int(label, 2)`: a four-qubit
 label "q1q2q3q4" maps to q1*8 + q2*4 + q3*2 + q4.
 """
@@ -51,45 +51,36 @@ PAULIS = (
 
 @dataclass(frozen=True)
 class HilbertSpace:
-    """An ordered, nonempty composite of labeled qubits: each factor is (label, 2)."""
+    """An ordered, nonempty list of distinct qubit labels, stored as a tuple of strings."""
 
-    factors: tuple[tuple[str, int], ...]
+    labels: tuple[str, ...]
 
     def __post_init__(self):
-        labels = [lab for lab, _ in self.factors]
-        if not labels:
-            raise ValueError("a space needs at least one factor")
+        # A bare string is not a list of labels: "ab" must not become ("a", "b").
+        labels = () if isinstance(self.labels, str) else tuple(self.labels)
+        if not labels or not all(isinstance(lab, str) for lab in labels):
+            raise ValueError(f"a space needs one or more string labels, not {self.labels!r}")
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate factor labels in {labels}")
-        if any(d != 2 for _, d in self.factors):
-            raise ValueError("every factor must be a qubit (dimension 2)")
+            raise ValueError(f"duplicate qubit labels in {labels}")
+        object.__setattr__(self, "labels", labels)
         # Read on every state and operator construction; computed once here.
         object.__setattr__(self, "_dim", 1 << len(labels))
-
-    @staticmethod
-    def of(*factors: tuple[str, int]) -> "HilbertSpace":
-        return HilbertSpace(tuple((str(lab), int(d)) for lab, d in factors))
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.factors)
 
     @property
     def dim(self) -> int:
         return self._dim
 
     def axis(self, label: str) -> int:
-        """Position of a labeled factor in the ordered factor list."""
-        for i, (lab, _) in enumerate(self.factors):
-            if lab == label:
-                return i
-        raise KeyError(f"no factor labeled {label!r} in {self.labels}")
+        """Position of a labeled qubit in the ordered label list."""
+        if label not in self.labels:
+            raise KeyError(f"no qubit labeled {label!r} in {self.labels}")
+        return self.labels.index(label)
 
     def basis_label(self, index: int) -> str:
-        """The n-bit string of a basis index, first factor most significant, e.g. 5 -> "0101"."""
+        """The n-bit string of a basis index, first qubit most significant, e.g. 5 -> "0101"."""
         if not 0 <= index < self._dim:
             raise ValueError(f"basis index {index} is not in range({self._dim})")
-        return format(index, f"0{len(self.factors)}b")
+        return format(index, f"0{len(self.labels)}b")
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +132,19 @@ class StateVector:
         return StateVector(self.space, self.amp / n)
 
 
+def _freeze_matrix(owner: "Operator | DensityMatrix") -> np.ndarray:
+    """Replace `owner.mat`, finite and (dim, dim), by a read-only complex copy; return it."""
+    arr = np.array(owner.mat, dtype=complex, order="C")
+    d = owner.space.dim
+    if arr.shape != (d, d):
+        raise ValueError(f"matrix shape {arr.shape} does not match dim {d}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+    arr.setflags(write=False)
+    object.__setattr__(owner, "mat", arr)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Dense square matrix over a labeled space."""
@@ -149,17 +153,7 @@ class Operator:
     mat: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.mat, dtype=complex)
-        d = self.space.dim
-        if arr.shape != (d, d):
-            raise ValueError(f"matrix shape {arr.shape} does not match dim {d}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "mat", arr)
-
-    @property
-    def is_hermitian(self) -> bool:
-        return float(np.max(np.abs(self.mat - self.mat.conj().T))) <= STRUCT_TOL
+        _freeze_matrix(self)
 
     def __matmul__(self, other):
         if isinstance(other, Operator):
@@ -181,19 +175,13 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.mat, dtype=complex)
-        d = self.space.dim
-        if arr.shape != (d, d):
-            raise ValueError(f"matrix shape {arr.shape} does not match dim {d}")
+        arr = _freeze_matrix(self)
         if float(np.max(np.abs(arr - arr.conj().T))) > STRUCT_TOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(arr).real - 1.0) > STRUCT_TOL or abs(np.trace(arr).imag) > STRUCT_TOL:
             raise ValueError("density matrix trace is not 1")
         if float(np.min(np.linalg.eigvalsh(arr))) < -EIG_TOL:
             raise ValueError("density matrix has a significantly negative eigenvalue")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "mat", arr)
 
 
 def density_matrix(psi: StateVector) -> DensityMatrix:
@@ -206,15 +194,15 @@ def density_matrix(psi: StateVector) -> DensityMatrix:
 def tensor(a, b):
     """Tensor product of two StateVectors or two Operators.
 
-    The result space is the concatenation of the factor lists, amplitudes and
-    entries following the first-factor-most-significant convention, i.e. a
+    The result space is the concatenation of the label lists, amplitudes and
+    entries following the first-qubit-most-significant convention, i.e. a
     plain Kronecker product.
     """
     if isinstance(a, StateVector) and isinstance(b, StateVector):
-        space = HilbertSpace(a.space.factors + b.space.factors)
+        space = HilbertSpace(a.space.labels + b.space.labels)
         return StateVector(space, np.kron(a.amp, b.amp))
     if isinstance(a, Operator) and isinstance(b, Operator):
-        space = HilbertSpace(a.space.factors + b.space.factors)
+        space = HilbertSpace(a.space.labels + b.space.labels)
         return Operator(space, np.kron(a.mat, b.mat))
     raise TypeError("tensor requires two StateVectors or two Operators")
 
@@ -229,13 +217,13 @@ def embed(op: Operator, target_labels: Sequence[str], full: HilbertSpace) -> Ope
     if len(set(targets)) != len(targets):
         raise ValueError("duplicate target labels")
     target_axes = [full.axis(lab) for lab in targets]
-    if len(op.space.factors) != len(targets):
-        raise ValueError("operator dimensions do not match the targeted factors")
+    if len(op.space.labels) != len(targets):
+        raise ValueError("operator dimensions do not match the targeted qubits")
 
-    n = len(full.factors)
+    n = len(full.labels)
     rest_axes = [i for i in range(n) if i not in target_axes]
     # Build on the permuted space (targets first, rest after), then permute the
-    # tensor legs back into the full space's factor order.
+    # tensor legs back into the full space's qubit order.
     big = np.kron(op.mat, np.eye(1 << len(rest_axes), dtype=complex))
     inv = np.argsort(target_axes + rest_axes)     # full axis -> permuted position
     t = big.reshape([2] * (2 * n)).transpose(list(inv) + [n + i for i in inv])
@@ -250,17 +238,20 @@ def inner(a: StateVector, b: StateVector) -> complex:
 
 
 def partial_trace(rho: DensityMatrix, keep_labels: Sequence[str]) -> DensityMatrix:
-    """Trace out every factor not named in keep_labels.
+    """Trace out every qubit not named in keep_labels.
 
-    The kept factors retain their original relative order. Tracing out
+    The kept qubits retain their original relative order. Tracing out
     everything is not representable as a DensityMatrix; keep_labels must be
-    nonempty.
+    nonempty and name each qubit at most once.
     """
     keep = list(keep_labels)
     if not keep:
         raise ValueError("keep_labels must be nonempty")
+    for i, lab in enumerate(keep):
+        if lab in keep[:i]:
+            raise ValueError(f"keep_labels names {lab!r} twice")
     keep_axes = sorted(rho.space.axis(lab) for lab in keep)
-    n = len(rho.space.factors)
+    n = len(rho.space.labels)
     drop_axes = [i for i in range(n) if i not in keep_axes]
     # Reorder row and column legs as (kept..., dropped...) and contract the
     # dropped row legs against the dropped column legs.
@@ -268,13 +259,13 @@ def partial_trace(rho: DensityMatrix, keep_labels: Sequence[str]) -> DensityMatr
     t = rho.mat.reshape([2] * (2 * n)).transpose([*order, *[n + i for i in order]])
     dk, dd = 1 << len(keep_axes), 1 << len(drop_axes)
     reduced = np.einsum("ijkj->ik", t.reshape(dk, dd, dk, dd))
-    sub = HilbertSpace(tuple(rho.space.factors[i] for i in keep_axes))
+    sub = HilbertSpace(rho.space.labels[i] for i in keep_axes)
     return DensityMatrix(sub, reduced)
 
 
 def unitary_exp(generator: Operator) -> Operator:
     """exp(-i G) for Hermitian G, via eigendecomposition (exact for normal matrices)."""
-    if not generator.is_hermitian:
+    if float(np.max(np.abs(generator.mat - generator.mat.conj().T))) > STRUCT_TOL:
         raise ValueError("generator must be Hermitian")
     w, v = np.linalg.eigh(generator.mat)
     return Operator(generator.space, (v * np.exp(-1j * w)) @ v.conj().T)

@@ -119,7 +119,7 @@ def test_criterion_3_conditioning_prepares_the_targets():
     fid_d2 = abs(inner(t_prime, state_d2)) ** 2
     fid_d1 = abs(inner(t_dprime, state_d1)) ** 2
 
-    sy4 = embed(Operator(HilbertSpace.of(("q4", 2)), PAULIS[2]), ["q4"],
+    sy4 = embed(Operator(HilbertSpace(("q4",)), PAULIS[2]), ["q4"],
                 ATOMIC_SPACE)
     fid_map = abs(inner(sy4 @ t_dprime, t_prime)) ** 2
     total = prepare_ges(params).probability

@@ -106,7 +106,7 @@ def test_generate_basis_default_seed(basis16):
 def _embedded_pauli_string(index: GesIndex) -> np.ndarray:
     """The Pauli string composed from single-qubit factors embedded one by one."""
     def on(qubit, pauli):
-        return embed(Operator(HilbertSpace.of((qubit, 2)), pauli), [qubit], ATOMIC_SPACE).mat
+        return embed(Operator(HilbertSpace((qubit,)), pauli), [qubit], ATOMIC_SPACE).mat
 
     op = on("q2", PAULIS[index.component])
     if index.family in (2, 4):

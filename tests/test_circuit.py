@@ -288,7 +288,7 @@ def test_prepare_ges_success_probability_scales_linearly(target_prime):
 
 def test_prepare_ges_sigma_y_map(target_prime, target_dprime):
     # sigma^y on q4 carries the d1-conditioned state onto the d2 one
-    sy4 = embed(Operator(HilbertSpace.of(("q4", 2)), PAULIS[2]), ["q4"],
+    sy4 = embed(Operator(HilbertSpace(("q4",)), PAULIS[2]), ["q4"],
                 ATOMIC_SPACE)
     mapped = sy4 @ target_dprime
     assert abs(abs(inner(mapped, target_prime)) - 1.0) < 1e-12
@@ -340,10 +340,33 @@ def test_phase_from_physical():
     ({"tau": math.nan}, "tau must be finite"),
     ({"detuning": -math.inf}, "detuning must be finite"),
     ({"hbar": math.nan}, "hbar must be finite"),
+    ({"field": math.nan}, "field must be finite"),
+    ({"field": math.inf}, "field must be finite"),
+    ({"omega": -math.inf}, "omega must be finite"),
+    ({"volume": math.nan}, "volume must be finite"),
+    ({"epsilon0": math.inf}, "epsilon0 must be finite"),
+    ({"hbar": 0.0}, "hbar must be nonzero"),
 ])
 def test_physical_params_reject_a_negative_or_non_finite_field(fields, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         PhysicalParams(**{"dipole": 1.0, "tau": 1.0, "detuning": 1.0, **fields})
+
+
+@pytest.mark.parametrize("fields", [
+    {"omega": 1.0, "volume": 1.0, "epsilon0": 0.0},
+    {"omega": 1.0, "volume": 0.0, "epsilon0": 1.0},
+    {"omega": 1.0, "volume": -1.0, "epsilon0": 1.0},
+    {"dipole": 1e200, "detuning": 1e-200, "field": 1e100},
+    {"dipole": 1e154, "field": 1e10},
+    {"dipole": 1e154, "field": 1e10, "tau": 0.0},
+    {"hbar": 1e-200, "detuning": 1e-200, "field": 1.0},
+], ids=["epsilon0_zero", "volume_zero", "volume_negative", "overflow_error",
+        "inf_product", "inf_times_zero", "divisor_underflow"])
+def test_phase_from_physical_is_finite_or_a_value_error(fields):
+    # SchemeParams rejects a phase that is not finite, so no input may give one
+    p = PhysicalParams(**{"dipole": 1.0, "tau": 1.0, "detuning": 1.0, **fields})
+    with pytest.raises(ValueError, match="^these physical parameters give no finite phase$"):
+        phase_from_physical(p)
 
 
 def test_photon_branch_and_detect_reject_a_state_on_the_wrong_space():
@@ -461,11 +484,11 @@ _ORACLE_PHIS = st.one_of(st.floats(-10.0, 10.0),
 def _fresh_generator(qubit_index):
     # n_U |0><0|_i + n_L |1><1|_i, built here without the circuit module
     qubit = f"q{qubit_index}"
-    qubit_space = HilbertSpace.of((qubit, 2))
+    qubit_space = HilbertSpace((qubit,))
     number = np.diag([0.0, 1.0]).astype(complex)
     terms = []
     for mode, projector in (("U", np.diag([1.0, 0.0])), ("L", np.diag([0.0, 1.0]))):
-        local = tensor(Operator(HilbertSpace.of((mode, 2)), number),
+        local = tensor(Operator(HilbertSpace((mode,)), number),
                        Operator(qubit_space, projector.astype(complex)))
         terms.append(embed(local, [mode, qubit], FULL_SPACE).mat)
     return terms[0] + terms[1]

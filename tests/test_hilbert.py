@@ -19,8 +19,8 @@ from ges4.hilbert import (
 )
 from ges4.circuit import ATOMIC_SPACE, FULL_SPACE
 
-SPACE2 = HilbertSpace.of(("a", 2), ("b", 2))
-SPACE3 = HilbertSpace.of(("a", 2), ("b", 2), ("c", 2))
+SPACE2 = HilbertSpace(("a", "b"))
+SPACE3 = HilbertSpace(("a", "b", "c"))
 
 
 def _ket(space, label):
@@ -39,7 +39,7 @@ def _random_state(space, rng):
 
 
 def test_space_indexing_first_factor_most_significant():
-    space = HilbertSpace.of(("q1", 2), ("q2", 2), ("q3", 2), ("q4", 2))
+    space = HilbertSpace(("q1", "q2", "q3", "q4"))
     # |1000> -> 8, |0001> -> 1
     assert space.basis_label(8) == "1000"
     assert space.basis_label(1) == "0001"
@@ -51,20 +51,36 @@ def test_space_indexing_first_factor_most_significant():
 @pytest.mark.parametrize("space", [ATOMIC_SPACE, FULL_SPACE], ids=["atomic", "full"])
 def test_basis_label_is_the_binary_index(space):
     # every label of the package's two-level spaces reads back as int(label, 2)
-    labels = [format(i, f"0{len(space.factors)}b") for i in range(space.dim)]
-    assert len(labels) == space.dim == 2 ** len(space.factors)
+    labels = [format(i, f"0{len(space.labels)}b") for i in range(space.dim)]
+    assert len(labels) == space.dim == 2 ** len(space.labels)
     for b in labels:
         assert space.basis_label(int(b, 2)) == b
 
 
-@pytest.mark.parametrize("factors", [(("m", 0),), (("m", 1),), (("m", 3),),
-                                     (("q", 2), ("m", 3)), ()],
-                         ids=["dim0", "dim1", "dim3", "qubit_and_dim3", "empty"])
-def test_every_factor_is_a_qubit(factors):
-    with pytest.raises(ValueError):
-        HilbertSpace.of(*factors)
-    with pytest.raises(ValueError):
-        HilbertSpace(factors)
+@pytest.mark.parametrize("labels, message", [
+    ((("m", 0),), "string labels"),
+    ((("m", 1),), "string labels"),
+    ((("m", 3),), "string labels"),
+    ((("q", 2), ("m", 3)), "string labels"),
+    ((), r"one or more string labels, not \(\)$"),
+    ((("q", 2),), "string labels"),
+    (("q", 2), "string labels"),
+    (("a", "a"), "duplicate qubit labels"),
+    ("ab", "string labels, not 'ab'$"),
+], ids=["dim0", "dim1", "dim3", "qubit_and_dim3", "empty", "qubit_pair", "bare_pair",
+        "repeated", "bare_string"])
+def test_every_factor_is_a_qubit(labels, message):
+    # a space is its qubit labels: a (label, dimension) pair, whatever the dimension,
+    # is not a label, and a bare string is not a list of one-letter labels
+    with pytest.raises(ValueError, match=message):
+        HilbertSpace(labels)
+
+
+def test_space_stores_any_iterable_of_labels_as_a_tuple():
+    for labels in (["a", "b"], ("a", "b"), (lab for lab in "ab")):
+        space = HilbertSpace(labels)
+        assert space.labels == ("a", "b") and space.dim == 4
+        assert space == SPACE2 and hash(space) == hash(SPACE2)
 
 
 @pytest.mark.parametrize("space", [SPACE2, ATOMIC_SPACE, FULL_SPACE], ids=["two", "atomic", "full"])
@@ -73,15 +89,15 @@ def test_basis_label_rejects_an_index_outside_the_space(space):
     for index in (space.dim, space.dim + 5, -1, -space.dim):
         with pytest.raises(ValueError, match="not in range"):
             space.basis_label(index)
-    assert space.basis_label(0) == "0" * len(space.factors)
-    assert space.basis_label(space.dim - 1) == "1" * len(space.factors)
+    assert space.basis_label(0) == "0" * len(space.labels)
+    assert space.basis_label(space.dim - 1) == "1" * len(space.labels)
 
 
 def test_space_validation():
     with pytest.raises(ValueError):
-        HilbertSpace.of(("a", 2), ("a", 2))
+        HilbertSpace(("a", "a"))
     with pytest.raises(ValueError):
-        HilbertSpace.of(("a", 0))
+        HilbertSpace(("a", 0))
     with pytest.raises(KeyError):
         SPACE2.axis("z")
 
@@ -151,8 +167,8 @@ def test_inner_space_mismatch():
 
 
 def test_tensor_is_kron(rng):
-    a = _random_state(HilbertSpace.of(("a", 2)), rng)
-    b = _random_state(HilbertSpace.of(("b", 2)), rng)
+    a = _random_state(HilbertSpace(("a",)), rng)
+    b = _random_state(HilbertSpace(("b",)), rng)
     ab = tensor(a, b)
     np.testing.assert_allclose(ab.amp, np.kron(a.amp, b.amp), atol=1e-15)
     assert ab.space.labels == ("a", "b")
@@ -160,7 +176,7 @@ def test_tensor_is_kron(rng):
 
 def test_embed_single_factor_matches_kron():
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    op = embed(Operator(HilbertSpace.of(("b", 2)), x), ["b"], SPACE3)
+    op = embed(Operator(HilbertSpace(("b",)), x), ["b"], SPACE3)
     manual = np.kron(np.kron(np.eye(2), x), np.eye(2))
     np.testing.assert_allclose(op.mat, manual, atol=1e-15)
 
@@ -170,8 +186,8 @@ def test_embed_two_factors_any_order(rng):
     # regardless of the order the target labels are listed in
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    op_a = Operator(HilbertSpace.of(("a", 2)), a)
-    op_c = Operator(HilbertSpace.of(("c", 2)), c)
+    op_a = Operator(HilbertSpace(("a",)), a)
+    op_c = Operator(HilbertSpace(("c",)), c)
     joint = embed(tensor(op_c, op_a), ["c", "a"], SPACE3)
     split = embed(op_c, ["c"], SPACE3) @ embed(op_a, ["a"], SPACE3)
     np.testing.assert_allclose(joint.mat, split.mat, atol=1e-13)
@@ -182,14 +198,13 @@ def test_embed_dimension_mismatch():
     x = Operator(SPACE2, np.eye(4, dtype=complex))
     with pytest.raises(ValueError, match="do not match"):
         embed(x, ["a"], SPACE3)
-    y = Operator(HilbertSpace.of(("m", 2)), np.eye(2, dtype=complex))
+    y = Operator(HilbertSpace(("m",)), np.eye(2, dtype=complex))
     with pytest.raises(ValueError, match="do not match"):
         embed(y, ["a", "b"], SPACE3)
 
 
 def test_operator_properties():
     h = Operator(SPACE2, np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex))
-    assert h.is_hermitian
     assert not _is_unitary(h.mat)
     u = unitary_exp(h)
     assert _is_unitary(u.mat)
@@ -205,6 +220,26 @@ def test_operator_matmul_space_mismatch():
         a @ _ket(SPACE3, "000")
 
 
+@pytest.mark.parametrize("mat", [np.full((2, 2), np.nan), np.diag([0.5, np.nan]),
+                                 np.diag([0.5, np.inf])], ids=["all_nan", "one_nan", "inf"])
+def test_operator_and_density_matrix_reject_non_finite_entries(mat):
+    # every check after the freeze is a `dev > tol`, which NaN would pass
+    space = HilbertSpace(("a",))
+    for kind in (Operator, DensityMatrix):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            kind(space, mat)
+
+
+def test_operator_and_density_matrix_keep_a_read_only_copy():
+    for kind in (Operator, DensityMatrix):
+        raw = np.diag([0.25, 0.75]).astype(complex)
+        frozen = kind(HilbertSpace(("a",)), raw)
+        want = raw.view(np.uint64).copy()
+        raw[0, 0] = 5.0
+        assert np.array_equal(frozen.mat.view(np.uint64), want)
+        assert frozen.mat is not raw and not frozen.mat.flags.writeable
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix(SPACE2, np.eye(4, dtype=complex))  # trace 4
@@ -217,8 +252,8 @@ def test_density_matrix_validation():
 
 
 def test_partial_trace_product_state(rng):
-    a = _random_state(HilbertSpace.of(("a", 2)), rng)
-    b = _random_state(HilbertSpace.of(("b", 2)), rng)
+    a = _random_state(HilbertSpace(("a",)), rng)
+    b = _random_state(HilbertSpace(("b",)), rng)
     rho = density_matrix(tensor(a, b))
     rho_a = partial_trace(rho, ["a"])
     np.testing.assert_allclose(rho_a.mat, np.outer(a.amp, a.amp.conj()), atol=1e-14)
@@ -244,6 +279,13 @@ def test_partial_trace_keep_order(rng):
         partial_trace(rho, [])
 
 
+def test_partial_trace_names_a_repeated_label(rng):
+    rho = density_matrix(_random_state(SPACE3, rng))
+    for keep in (["a", "a"], ["c", "a", "c"]):
+        with pytest.raises(ValueError, match=f"^keep_labels names {keep[-1]!r} twice$"):
+            partial_trace(rho, keep)
+
+
 def test_partial_trace_unknown_label_raises_key_error(rng):
     rho = density_matrix(_random_state(SPACE3, rng))
     for keep in (["z"], ["a", "z"]):
@@ -255,7 +297,7 @@ def test_unitary_exp_known_rotation():
     # exp(-i theta sigma_y) is the standard real rotation matrix
     theta = 0.37
     sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    u = unitary_exp(Operator(HilbertSpace.of(("q", 2)), theta * sy))
+    u = unitary_exp(Operator(HilbertSpace(("q",)), theta * sy))
     expected = np.array([[np.cos(theta), -np.sin(theta)],
                          [np.sin(theta), np.cos(theta)]])
     np.testing.assert_allclose(u.mat, expected, atol=1e-14)

@@ -20,13 +20,13 @@ from ges4.hilbert import DensityMatrix, HilbertSpace, Operator, embed, partial_t
 
 
 def _dims(space):
-    return [d for _, d in space.factors]
+    return [2] * len(space.labels)
 
 
 def _old_partial_trace(rho, keep_labels):
     """`partial_trace` as it was, over any factor dimensions: (labels, matrix)."""
     keep_axes_sorted = sorted(rho.space.axis(lab) for lab in keep_labels)
-    drop_axes = [i for i in range(len(rho.space.factors)) if i not in keep_axes_sorted]
+    drop_axes = [i for i in range(len(rho.space.labels)) if i not in keep_axes_sorted]
     dims = _dims(rho.space)
     n = len(dims)
     t = rho.mat.reshape(dims + dims)
@@ -42,10 +42,10 @@ def _old_embed(op, target_labels, full):
     """`embed` as it was, over any factor dimensions: the full matrix."""
     target_axes = [full.axis(lab) for lab in target_labels]
     dims = _dims(full)
-    rest_axes = [i for i in range(len(full.factors)) if i not in target_axes]
+    rest_axes = [i for i in range(len(full.labels)) if i not in target_axes]
     rest_dim = int(np.prod([dims[i] for i in rest_axes])) if rest_axes else 1
     big = np.kron(op.mat, np.eye(rest_dim, dtype=complex))
-    n = len(full.factors)
+    n = len(full.labels)
     perm = target_axes + rest_axes
     dims_perm = [dims[ax] for ax in perm]
     t = big.reshape(dims_perm + dims_perm)
@@ -78,7 +78,7 @@ def _density_matrices(space, rng):
 def test_partial_trace_is_bit_identical_to_the_generic_form(space, most):
     keeps = _keep_lists(space, most)
     assert len(keeps) == (64 if space is ATOMIC_SPACE else 156)
-    for rho in _density_matrices(space, np.random.default_rng(len(space.factors))):
+    for rho in _density_matrices(space, np.random.default_rng(len(space.labels))):
         for keep in keeps:
             reduced = partial_trace(rho, keep)
             labels, want = _old_partial_trace(rho, keep)
@@ -88,12 +88,12 @@ def test_partial_trace_is_bit_identical_to_the_generic_form(space, most):
 
 @pytest.mark.parametrize("space", [ATOMIC_SPACE, FULL_SPACE], ids=["atomic", "full"])
 def test_embed_is_bit_identical_to_the_generic_form(space):
-    rng = np.random.default_rng(10 + len(space.factors))
+    rng = np.random.default_rng(10 + len(space.labels))
     targets = _keep_lists(space, 2)
     assert len(targets) == (16 if space is ATOMIC_SPACE else 36)
     for target in targets:
         k = 1 << len(target)
-        op = Operator(HilbertSpace.of(*((f"t{i}", 2) for i in range(len(target)))),
+        op = Operator(HilbertSpace(f"t{i}" for i in range(len(target))),
                       rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
         full = embed(op, target, space)
         assert full.space == space

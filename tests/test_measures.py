@@ -50,7 +50,7 @@ from ges4.measures import (
 from ges4.basis import canonical_state, explicit_basis, generate_basis
 
 PI = math.pi
-TWO_QUBITS = HilbertSpace.of(("q3", 2), ("q4", 2))
+TWO_QUBITS = HilbertSpace(("q3", "q4"))
 
 
 def _bell_rho():
@@ -74,7 +74,7 @@ def test_concurrence_werner_states():
 
 
 def test_concurrence_requires_two_qubits():
-    rho = density_matrix(StateVector(HilbertSpace.of(("q", 2)), np.array([1.0, 0.0])))
+    rho = density_matrix(StateVector(HilbertSpace(("q",)), np.array([1.0, 0.0])))
     with pytest.raises(ValueError):
         concurrence(rho)
 
@@ -97,7 +97,7 @@ def test_cut_catalogs():
 def test_von_neumann_entropy_extremes():
     pure = density_matrix(StateVector(TWO_QUBITS, np.array([1, 0, 0, 0.0])))
     assert von_neumann_entropy(pure) < 1e-12
-    mixed = DensityMatrix(HilbertSpace.of(("q", 2)), np.eye(2) / 2.0)
+    mixed = DensityMatrix(HilbertSpace(("q",)), np.eye(2) / 2.0)
     assert abs(von_neumann_entropy(mixed) - 1.0) < 1e-12
     rank2 = DensityMatrix(TWO_QUBITS, np.diag([0.5, 0.5, 0.0, 0.0]))
     assert abs(von_neumann_entropy(rank2) - 1.0) < 1e-12
@@ -188,7 +188,7 @@ def test_measure_report_w_state_not_genuine():
 
 def test_measure_report_input_validation():
     with pytest.raises(ValueError):
-        measure_report(StateVector(HilbertSpace.of(("q", 2)), np.array([1.0, 0.0])))
+        measure_report(StateVector(HilbertSpace(("q",)), np.array([1.0, 0.0])))
     with pytest.raises(ValueError):
         measure_report(StateVector(ATOMIC_SPACE, 0.5 * np.eye(16)[0]))
 

@@ -20,7 +20,8 @@ REMOVED = ("eig_hermitian", "equal_up_to_global_phase", "phase_between",
 # strings, read with int(label, 2).
 REMOVED_METHODS = (("HilbertSpace", "index_of"), ("HilbertSpace", "digits_of"),
                    ("HilbertSpace", "restrict"), ("StateVector", "amplitude"),
-                   ("Operator", "is_unitary"), ("HilbertSpace", "dims"))
+                   ("Operator", "is_unitary"), ("HilbertSpace", "dims"),
+                   ("HilbertSpace", "of"), ("Operator", "is_hermitian"))
 
 
 def test_star_import_resolves_every_exported_name():
@@ -53,6 +54,8 @@ def test_removed_helpers_are_not_exported():
 def test_removed_methods_are_gone():
     for cls, name in REMOVED_METHODS:
         assert not hasattr(getattr(ges4, cls), name), (cls, name)
+    # a dataclass field without a default is an instance attribute only
+    assert not hasattr(ges4.circuit.ATOMIC_SPACE, "factors")
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
