@@ -113,6 +113,25 @@ MUTANTS = (
     Mutant("the frozen matrix takes NaN and inf", "src/ges4/hilbert.py",
            "if not np.isfinite(arr).all():", "if False:",
            ("tests/test_hilbert.py::test_operator_and_density_matrix_reject_non_finite_entries",)),
+    Mutant("_G with the U and L arm bits swapped", "src/ges4/circuit.py",
+           "np.where(_k >> (4 - i) & 1, _k >> 4 & 1, _k >> 5 & 1)",
+           "np.where(_k >> (4 - i) & 1, _k >> 5 & 1, _k >> 4 & 1)",
+           ("tests/test_circuit.py::"
+            "test_the_summed_generator_diagonal_takes_exactly_the_levels_0_to_4",)),
+    Mutant("_N_PHOTON as 0, 1, 2, 1", "src/ges4/verify.py",
+           "np.repeat([0.0, 1.0, 1.0, 2.0],", "np.repeat([0.0, 1.0, 2.0, 1.0],",
+           ("tests/test_verify.py::test_photon_number_operator_equals_the_embedded_one",)),
+    Mutant("Bipartition takes a repeated label", "src/ges4/measures.py",
+           "or len(self.side_a) + len(self.side_b) != 4", "or False",
+           ("tests/test_measures.py::test_bipartition_construction",)),
+    Mutant("detect takes any outcome", "src/ges4/circuit.py",
+           "if not isinstance(outcome, DetectionOutcome):", "if False:",
+           ("tests/test_povm.py::test_detect_names_the_four_outcomes_for_anything_else",)),
+    Mutant("_BITS reads q3's bit for q4", "src/ges4/circuit.py",
+           "np.arange(16)[:, None] >> np.arange(3, -1, -1)",
+           "np.arange(16)[:, None] >> np.array([3, 2, 1, 1])",
+           ("tests/test_symmetries.py::"
+            "test_permuting_the_angles_permutes_the_qubits_of_both_branches",)),
 )
 
 

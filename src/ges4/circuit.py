@@ -20,9 +20,9 @@ qubits in |0> and |1>), then the splitter block again. It takes a stack of
 (phi, theta) points and returns both output branches, chi' then chi'':
 `evolve` is its one-point case, and `sweep` and the oracle check pass all
 their points in one call; other modules read those rows through
-`_branch_rows`. The dense oracle builds the 64x64 unitary from the cavity
-generators, which are diagonal: the four cavities are exp(-i phi G), G
-their sum, with diagonal g taking the values 0..4, so with the splitter B
+`_branch_rows`. The dense oracle builds the 64x64 unitary from the summed
+cavity diagonal: the four cavities are exp(-i phi G), G one diagonal g read
+off the index bits and taking the values 0..4, so with the splitter B
 (extended by identity on the qubits) U(phi) = B diag(exp(-i phi g)) B, five
 exponentials a phase and no eigensolver. `_dense_circuits` stacks these
 circuits, one GEMM each; `_dense_apply` sends stacked input rows through
@@ -212,20 +212,11 @@ def beam_splitter() -> Operator:
     return Operator(PHOTONIC_SPACE, [[1, 0, 0, 0], [0, d, o, 0], [0, o, d, 0], [0, 0, 0, 1]])
 
 
-def _cavity_generator(qubit_index: int) -> np.ndarray:
-    """Diagonal of cavity i's generator n_U |0><0|_i + n_L |1><1|_i on the full
-    space, 64 integer weights read off the bits of each basis index in factor
-    order (U, L, q1..q4): the photon picks up phase phi in arm U with atom i
-    in |0>, or in arm L with it in |1>."""
-    if qubit_index not in (1, 2, 3, 4):
-        raise ValueError("qubit_index must be in 1..4")
-    k = np.arange(FULL_SPACE.dim)
-    return np.where((k >> (4 - qubit_index)) & 1, (k >> 4) & 1, (k >> 5) & 1)
-
-
-# Diagonal of the summed cavity generator G, one excitation number 0..4 per
-# full-space index, and the five levels it takes.
-_G = sum(_cavity_generator(i) for i in (1, 2, 3, 4))
+# Diagonal of the summed cavity generator G, read off the bits (U, L, q1..q4)
+# of each full-space index: cavity i counts the photon in arm U with atom i in
+# |0>, or in arm L with it in |1>. Its values are the five levels 0..4 below.
+_k = np.arange(FULL_SPACE.dim)
+_G = sum(np.where(_k >> (4 - i) & 1, _k >> 4 & 1, _k >> 5 & 1) for i in (1, 2, 3, 4))
 _G.setflags(write=False)
 _LEVELS = np.arange(5.0)
 
@@ -259,8 +250,8 @@ def _dense_apply(phis: np.ndarray, splitter: Operator, states: np.ndarray) -> np
 def mz_circuit(phi: float) -> Operator:
     """Full interferometer as a dense unitary: splitter, four cavities, splitter.
 
-    The slow oracle, built from the cavity generators; `evolve` does not use
-    it. The one-phase case of `_dense_circuits`.
+    The slow oracle, built from the summed cavity diagonal `_G`; `evolve`
+    does not use it. The one-phase case of `_dense_circuits`.
     """
     return Operator(FULL_SPACE, _dense_circuits([phi], beam_splitter())[0])
 
@@ -549,6 +540,8 @@ def detect(state: StateVector, outcome: DetectionOutcome, eta: float
     """
     if not (0.0 <= eta <= 1.0):
         raise ValueError("eta must lie in [0, 1]")
+    if not isinstance(outcome, DetectionOutcome):
+        raise ValueError(f"outcome must be one of {list(DetectionOutcome)}, got {outcome!r}")
     return _detect(*_branch_norms(state), outcome, eta)
 
 

@@ -147,7 +147,7 @@ def _freeze_matrix(owner: "Operator | DensityMatrix") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Dense square matrix over a labeled space."""
+    """Dense square matrix over a labeled space; `op @ state` applies it to a state."""
 
     space: HilbertSpace
     mat: np.ndarray
@@ -156,15 +156,11 @@ class Operator:
         _freeze_matrix(self)
 
     def __matmul__(self, other):
-        if isinstance(other, Operator):
-            if other.space != self.space:
-                raise ValueError("operator spaces differ")
-            return Operator(self.space, self.mat @ other.mat)
-        if isinstance(other, StateVector):
-            if other.space != self.space:
-                raise ValueError("operator and state spaces differ")
-            return StateVector(self.space, self.mat @ other.amp)
-        return NotImplemented
+        if not isinstance(other, StateVector):
+            return NotImplemented
+        if other.space != self.space:
+            raise ValueError("operator and state spaces differ")
+        return StateVector(self.space, self.mat @ other.amp)
 
 
 @dataclass(frozen=True, eq=False)

@@ -94,12 +94,17 @@ class Bipartition:
     side_b: tuple[str, ...]
 
     def __post_init__(self):
+        # Both sides cover the four qubits in four labels: none twice, none shared.
         a, b = set(self.side_a), set(self.side_b)
-        if not a or not b or (a | b) != set(QUBIT_LABELS) or (a & b):
+        if (not a or not b or (a | b) != set(QUBIT_LABELS)
+                or len(self.side_a) + len(self.side_b) != 4):
             raise ValueError(f"sides must partition {QUBIT_LABELS}: got {self.side_a} | {self.side_b}")
 
     @classmethod
     def of(cls, *side_a: str) -> "Bipartition":
+        for q in side_a:
+            if side_a.count(q) > 1:
+                raise ValueError(f"qubit label {q!r} is named twice in {side_a}")
         a = tuple(q for q in QUBIT_LABELS if q in side_a)
         if len(a) != len(side_a):
             raise ValueError(f"unknown qubit label in {side_a}")

@@ -187,15 +187,15 @@ def _unitarity(run: _Run) -> float:
     return float(np.max(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(FULL_SPACE.dim))))
 
 
-# Total photon number n_U + n_L on |00>, |01>, |10>, |11>. The photonic
-# factors come first in FULL_SPACE, so `embed` would give this same product.
-_N_PHOTON = np.kron(np.diag([0.0, 1.0, 1.0, 2.0]), np.eye(ATOMIC_SPACE.dim))
+# Diagonal of the total photon number n_U + n_L, 0, 1, 1, 2 on |00>, |01>,
+# |10>, |11>, each repeated over the qubits: the photonic factors come first.
+_N_PHOTON = np.repeat([0.0, 1.0, 1.0, 2.0], ATOMIC_SPACE.dim)
 
 
 def _photon_conservation(run: _Run) -> float:
     u = _dense_circuits(run.rng.uniform(0.0, 2.0 * np.pi, size=10), beam_splitter())
-    n = np.diag(_N_PHOTON)    # u @ N - N @ u elementwise: products by 0, 1, 2 are exact
-    return float(np.max(np.abs(u * n - n[:, None] * u)))
+    # u @ N - N @ u elementwise: products by 0, 1, 2 are exact
+    return float(np.max(np.abs(u * _N_PHOTON - _N_PHOTON[:, None] * u)))
 
 
 def _oracle_equivalence(run: _Run) -> float:

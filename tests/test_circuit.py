@@ -89,29 +89,6 @@ def test_beam_splitter_action():
                                    atol=1e-15)
 
 
-def test_cavity_generator_phase_table():
-    phi = 0.71
-    g = circuit._cavity_generator(2)
-    assert g.shape == (64,)
-    u = Operator(FULL_SPACE, np.diag(np.exp(-1j * phi * g)))
-    assert _is_unitary(u.mat)
-    # upper mode occupied, q2 in |0>: phase exp(-i phi)
-    psi = _ket(FULL_SPACE, "100000")
-    out = u @ psi
-    assert abs(inner(psi, out) - np.exp(-1j * phi)) < 1e-12
-    # upper mode occupied, q2 in |1>: no phase
-    psi = _ket(FULL_SPACE, "100100")
-    assert abs(inner(psi, u @ psi) - 1.0) < 1e-12
-    # lower mode occupied, q2 in |1>: phase exp(-i phi)
-    psi = _ket(FULL_SPACE, "010100")
-    assert abs(inner(psi, u @ psi) - np.exp(-1j * phi)) < 1e-12
-    # other qubits do not matter
-    psi = _ket(FULL_SPACE, "101011")
-    assert abs(inner(psi, u @ psi) - np.exp(-1j * phi)) < 1e-12
-    with pytest.raises(ValueError):
-        circuit._cavity_generator(5)
-
-
 def test_mz_circuit_unitary(rng):
     for _ in range(10):
         phi = float(rng.uniform(0, 2 * PI))

@@ -189,8 +189,8 @@ def test_embed_two_factors_any_order(rng):
     op_a = Operator(HilbertSpace(("a",)), a)
     op_c = Operator(HilbertSpace(("c",)), c)
     joint = embed(tensor(op_c, op_a), ["c", "a"], SPACE3)
-    split = embed(op_c, ["c"], SPACE3) @ embed(op_a, ["a"], SPACE3)
-    np.testing.assert_allclose(joint.mat, split.mat, atol=1e-13)
+    split = embed(op_c, ["c"], SPACE3).mat @ embed(op_a, ["a"], SPACE3).mat
+    np.testing.assert_allclose(joint.mat, split, atol=1e-13)
 
 
 def test_embed_dimension_mismatch():
@@ -212,12 +212,14 @@ def test_operator_properties():
 
 
 def test_operator_matmul_space_mismatch():
+    # an Operator applies to a state on its own space, and to nothing else
     a = Operator(SPACE2, np.eye(4, dtype=complex))
     b = Operator(SPACE3, np.eye(8, dtype=complex))
     with pytest.raises(ValueError):
-        a @ b
-    with pytest.raises(ValueError):
         a @ _ket(SPACE3, "000")
+    for left, right in ((a, b), (a, a)):
+        with pytest.raises(TypeError):
+            left @ right
 
 
 @pytest.mark.parametrize("mat", [np.full((2, 2), np.nan), np.diag([0.5, np.nan]),

@@ -88,6 +88,16 @@ def test_bipartition_construction():
         Bipartition.of("q5")
     with pytest.raises(ValueError):
         Bipartition(("q1",), ("q2", "q3"))  # not a partition of all four
+    # a side that names a qubit twice, covering all four labels or not
+    for side_a, side_b in ((("q1", "q1"), ("q2", "q3", "q4")),
+                           (("q1", "q2"), ("q3", "q4", "q4")),
+                           (("q1", "q1", "q2"), ("q3", "q4"))):
+        with pytest.raises(ValueError, match="must partition"):
+            Bipartition(side_a, side_b)
+    with pytest.raises(ValueError, match="'q1' is named twice"):
+        Bipartition.of("q1", "q1")
+    with pytest.raises(ValueError, match="'q3' is named twice"):
+        Bipartition.of("q3", "q2", "q3")
 
 
 def test_cut_catalogs():

@@ -128,3 +128,11 @@ def test_theta_edges_empty_one_branch_for_detect_and_the_closed_forms(thetas, et
         entropy_closed_form(thetas, branch)
     assert math.isfinite(concurrence_closed_form(thetas, live_branch))
     assert math.isfinite(entropy_closed_form(thetas, live_branch))
+
+
+@pytest.mark.parametrize("outcome", ["d1", None, 3, DetectionOutcome.NO_CLICK.value, [1]])
+def test_detect_names_the_four_outcomes_for_anything_else(outcome):
+    # a ValueError that lists the outcomes, not a KeyError from the branch table
+    psi = evolve(SchemeParams(math.pi / 2))
+    with pytest.raises(ValueError, match="D1_CLICK_D2_NULL.*D2_CLICK_D1_NULL.*NO_CLICK.*DOUBLE_CLICK"):
+        detect(psi, outcome, 1.0)

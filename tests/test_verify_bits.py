@@ -79,14 +79,15 @@ def test_elementwise_photon_commutator_equals_the_two_products(source):
         u = circuit._dense_circuits(rng.uniform(0.0, 2 * math.pi, size=10), beam_splitter())
     else:
         u = rng.normal(size=(4, 64, 64)) + 1j * rng.normal(size=(4, 64, 64))
-    n_photon = verify._N_PHOTON
-    n = np.diag(n_photon)
+    n = verify._N_PHOTON
+    n_photon = np.diag(n)
     assert _same_bits(u * n - n[:, None] * u, u @ n_photon - n_photon @ u)
 
 
 def _old_photon_check(rng):
     u = verify._dense_circuits(rng.uniform(0.0, 2.0 * np.pi, size=10), beam_splitter())
-    return float(np.max(np.abs(u @ verify._N_PHOTON - verify._N_PHOTON @ u)))
+    n_photon = np.diag(verify._N_PHOTON)
+    return float(np.max(np.abs(u @ n_photon - n_photon @ u)))
 
 
 @pytest.mark.parametrize("seed", range(8))
