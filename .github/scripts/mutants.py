@@ -51,6 +51,10 @@ MUTANTS = (
            "return tuple(parse_angle(p) for p in parts)",
            "return tuple(parse_angle(p) for p in reversed(parts))",
            ("tests/test_reference_oracle.py::test_simulate_json_equals_the_reference",)),
+    Mutant("parse_thetas swaps theta1 and theta2", "src/ges4/cli.py",
+           "return tuple(parse_angle(p) for p in parts)",
+           "return tuple(parse_angle(p) for p in [parts[1], parts[0], *parts[2:]])",
+           ("tests/test_reference_oracle.py::test_simulate_json_equals_the_reference",)),
     Mutant("prepare_ges applies the identity, not sigma^y", "src/ges4/circuit.py",
            "PAULIS[2].T", "PAULIS[0].T",
            ("tests/test_reference_oracle.py::test_simulate_json_equals_the_reference"
@@ -132,6 +136,9 @@ MUTANTS = (
            "np.arange(16)[:, None] >> np.array([3, 2, 1, 1])",
            ("tests/test_symmetries.py::"
             "test_permuting_the_angles_permutes_the_qubits_of_both_branches",)),
+    Mutant("decompose without the conjugate", "src/ges4/basis.py",
+           "c = amps @ basis.matrix().conj()", "c = amps @ basis.matrix()",
+           ("tests/test_reference_oracle.py::test_decompose_equals_the_reference_coefficients",)),
 )
 
 

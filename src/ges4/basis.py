@@ -56,11 +56,6 @@ class GesIndex:
             raise ValueError("family must be in 1..4")
         if self.component not in (0, 1, 2, 3):
             raise ValueError("component must be in 0..3")
-        # the generated hash, taken once: each coefficient dict hashes 16 keys
-        object.__setattr__(self, "_hash", hash((self.family, self.component)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def label(self) -> str:
@@ -138,15 +133,12 @@ D4_EXPANSION_VARIANT = {(2, 3): 2 * _SQ12, (4, 3): -_SQ12, (2, 0): _SQ12,
 class GesBasis:
     """Ordered collection of the sixteen basis states.
 
-    Orthonormality is enforced on construction for either provenance
-    ("explicit" amplitude tables or "generated" Pauli-string images). The
-    states are stacked into the basis matrix once, on construction, with its
-    complex conjugate beside it for `decompose`, and `states` becomes a
+    Orthonormality is enforced on construction. The states are stacked into
+    the read-only basis matrix once, on construction, and `states` becomes a
     read-only mapping.
     """
 
     states: dict
-    provenance: str
 
     def __post_init__(self):
         if set(self.states.keys()) != set(ALL_INDICES):
@@ -155,9 +147,6 @@ class GesBasis:
         m = np.column_stack([self.states[idx].amp for idx in ALL_INDICES])
         m.setflags(write=False)
         object.__setattr__(self, "_matrix", m)
-        conj = m.conj()
-        conj.setflags(write=False)
-        object.__setattr__(self, "_conj", conj)
         dev = self.orthonormality_deviation()
         if dev > STRUCT_TOL:
             raise ValueError(f"basis is not orthonormal (max Gram deviation {dev:.3e})")
@@ -181,7 +170,7 @@ class GesBasis:
 # The one explicit basis, over the tables as read-only amplitude vectors.
 _EXPLICIT_BASIS = GesBasis(
     {GesIndex(f, c): StateVector._wrap(ATOMIC_SPACE, _table_amplitudes(signs, _SQ8))
-     for (f, c), signs in _EXPLICIT_SIGNS.items()}, "explicit")
+     for (f, c), signs in _EXPLICIT_SIGNS.items()})
 
 
 def explicit_basis() -> GesBasis:
@@ -207,7 +196,7 @@ def generate_basis() -> GesBasis:
     """The sixteen Pauli strings applied to the prime branch target state, in one product."""
     amps = _PAULI_STRINGS @ ges_target_state(BRANCH_PRIME).amp
     return GesBasis({idx: StateVector._wrap(ATOMIC_SPACE, amp)
-                     for idx, amp in zip(ALL_INDICES, amps)}, "generated")
+                     for idx, amp in zip(ALL_INDICES, amps)})
 
 
 @dataclass(frozen=True)
@@ -243,14 +232,14 @@ def decompose(state: StateVector, basis: GesBasis) -> Decomposition:
     """Expand a normalized four-qubit state over the sixteen-state basis.
 
     The one-row case of `_expand`, with the same bits: the same two products,
-    the conjugate matrix taken from the basis, and the same norm of the
-    reconstruction's remainder. Its two checks, with `_expand`'s messages,
-    run on Python floats: InvariantError if the reconstruction or norm
-    identity fails.
+    by the basis matrix's conjugate and its transpose, and the same norm of
+    the reconstruction's remainder. Its two checks, with `_expand`'s
+    messages, run on Python floats: InvariantError if the reconstruction or
+    norm identity fails.
     """
     _check_four_qubit(state)
     amps = state.amp[None]
-    c = amps @ basis._conj
+    c = amps @ basis.matrix().conj()
     residual = float(np.linalg.norm(amps - c @ basis.matrix().T, axis=-1)[0])
     coefficients = c[0].tolist()
     total = sum([abs(z) ** 2 for z in coefficients]) + residual**2

@@ -51,7 +51,7 @@ PAULIS = (
 
 @dataclass(frozen=True)
 class HilbertSpace:
-    """An ordered, nonempty list of distinct qubit labels, stored as a tuple of strings."""
+    """An ordered, nonempty tuple of distinct qubit labels; `dim` is 2**len(labels)."""
 
     labels: tuple[str, ...]
 
@@ -63,12 +63,10 @@ class HilbertSpace:
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate qubit labels in {labels}")
         object.__setattr__(self, "labels", labels)
-        # Read on every state and operator construction; computed once here.
-        object.__setattr__(self, "_dim", 1 << len(labels))
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return 1 << len(self.labels)
 
     def axis(self, label: str) -> int:
         """Position of a labeled qubit in the ordered label list."""
@@ -78,8 +76,8 @@ class HilbertSpace:
 
     def basis_label(self, index: int) -> str:
         """The n-bit string of a basis index, first qubit most significant, e.g. 5 -> "0101"."""
-        if not 0 <= index < self._dim:
-            raise ValueError(f"basis index {index} is not in range({self._dim})")
+        if not 0 <= index < self.dim:
+            raise ValueError(f"basis index {index} is not in range({self.dim})")
         return format(index, f"0{len(self.labels)}b")
 
 

@@ -65,7 +65,9 @@ __all__ = ["Bipartition", "MeasureReport", "concurrence", "concurrence_closed_fo
 # vanishes while every bipartition is maximally entangled.
 GENUINE_CONCURRENCE_TOL = 1e-10
 GENUINE_ENTROPY_TOL = 1e-10
-# `calibrate_closed_forms` counts a candidate pair or cut within this as a match.
+# `calibrate_closed_forms` draws this many angle rows, and counts a candidate
+# pair or cut whose worst deviation over them is within the tolerance as a match.
+_CALIBRATION_SAMPLES = 40
 CALIBRATION_MATCH_TOL = 1e-11
 # A branch below this weight, ||chi||^2 or Gamma, has no state: all its cells are NaN.
 _EMPTY_WEIGHT = 1e-12
@@ -428,22 +430,23 @@ def measure_report(state: StateVector) -> MeasureReport:
     return _measure_reports([state])[0]
 
 
-def calibrate_closed_forms(n_samples: int = 40, seed: int = 20260823) -> dict:
+def calibrate_closed_forms(seed: int = 20260823) -> dict:
     """Identify which pair/cut the closed forms describe, by measurement.
 
-    Draws random theta away from degeneracies, builds both branch states at
+    Draws _CALIBRATION_SAMPLES rows of four theta in [0.1, 1.4] from
+    `default_rng(seed)`, away from degeneracies, builds both branch states at
     phi = pi/2, and records the worst deviation of every pair's concurrence
     from the closed-form lambda and of every two-two cut's entropy from the
     closed-form S(delta). A candidate "matches" when its worst deviation
     stays below CALIBRATION_MATCH_TOL.
     """
     rng = np.random.default_rng(seed)
-    thetas = rng.uniform(0.1, 1.4, size=(n_samples, 4))
-    amps = _closed_form_pairs(np.full(n_samples, math.pi / 2.0), thetas)
+    thetas = rng.uniform(0.1, 1.4, size=(_CALIBRATION_SAMPLES, 4))
+    amps = _closed_form_pairs(np.full(_CALIBRATION_SAMPLES, math.pi / 2.0), thetas)
     _, lam, s_closed = _closed_form_measures(thetas)
     conc, ent = _branch_measures(amps, PAIRS, _PAIR_CUT_SIDES[:3])
-    c_dev = np.abs(conc - lam[..., None]).max(axis=0, initial=0.0)
-    s_dev = np.abs(ent - s_closed[..., None]).max(axis=0, initial=0.0)
+    c_dev = np.abs(conc - lam[..., None]).max(axis=0)
+    s_dev = np.abs(ent - s_closed[..., None]).max(axis=0)
     pair_dev = {branch: dict(zip(map("".join, PAIRS), c_dev[j].tolist()))
                 for j, branch in enumerate(BRANCHES)}
     cut_dev = {branch: dict(zip(map(str, PAIR_CUTS), s_dev[j].tolist()))
@@ -453,12 +456,8 @@ def calibrate_closed_forms(n_samples: int = 40, seed: int = 20260823) -> dict:
         return {branch: [name for name, dev in by_name.items() if dev <= CALIBRATION_MATCH_TOL]
                 for branch, by_name in devs.items()}
     return {
-        "n_samples": n_samples,
-        "seed": seed,
         "pair_max_dev": pair_dev,
         "cut_max_dev": cut_dev,
         "matching_pairs": matching(pair_dev),
         "matching_cuts": matching(cut_dev),
-        "formula_pair": "".join(FORMULA_PAIR),
-        "formula_cut": str(FORMULA_CUT),
     }

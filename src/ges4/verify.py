@@ -271,7 +271,7 @@ def _genuineness(run: _Run) -> float:
 
 def _closed_forms(run: _Run) -> tuple:
     """The calibrated pair and cut, and the formulas' spot values at theta_i = pi/8."""
-    cal = calibrate_closed_forms(n_samples=40, seed=run.seed + 101)
+    cal = calibrate_closed_forms(run.seed + 101)
     run.log["closed_form_calibration"] = {
         "agrees": True,
         **{key: cal[key] for key in ("matching_pairs", "matching_cuts",

@@ -56,8 +56,21 @@ def test_ges_index_validation():
     assert GesIndex(np.int64(3), 1) == GesIndex(3, 1)
 
 
+def test_ges_index_hashes_sorts_and_looks_up_as_its_fields():
+    for idx in ALL_INDICES:
+        assert hash(idx) == hash((idx.family, idx.component))
+    # sorted by (family, component), the order of ALL_INDICES
+    assert sorted(reversed(ALL_INDICES)) == list(ALL_INDICES)
+    assert GesIndex(1, 3) < GesIndex(2, 0) < GesIndex(2, 1)
+    coefficients = decompose(canonical_state("ghz4"), explicit_basis()).coefficients
+    for f, c in [(1, 0), (2, 3), (4, 2)]:
+        for key in (GesIndex(f, c), GesIndex(np.int64(f), np.int8(c))):
+            assert hash(key) == hash((f, c))
+            assert coefficients[key] == coefficients[ALL_INDICES[4 * (f - 1) + c]]
+    assert {GesIndex(np.int64(2), 1): "x"}[GesIndex(2, 1)] == "x"
+
+
 def test_explicit_basis_is_orthonormal_and_complete(basis16):
-    assert basis16.provenance == "explicit"
     assert basis16.orthonormality_deviation() < 1e-12
     assert basis16.completeness_deviation() < 1e-12
     # every state has exactly eight amplitudes of magnitude 1/sqrt(8)
@@ -87,15 +100,13 @@ def test_corrupted_basis_is_rejected(basis16):
     amp[0] = -amp[0]
     states[GesIndex(1, 0)] = StateVector(ATOMIC_SPACE, amp)
     with pytest.raises(ValueError, match="orthonormal"):
-        GesBasis(states, "explicit")
+        GesBasis(states)
     with pytest.raises(ValueError):
-        GesBasis({k: v for k, v in basis16.states.items() if k.family != 4},
-                 "explicit")
+        GesBasis({k: v for k, v in basis16.states.items() if k.family != 4})
 
 
 def test_generate_basis_default_seed(basis16):
     gen = generate_basis()
-    assert gen.provenance == "generated"
     assert gen.orthonormality_deviation() < 1e-12
     assert gen.completeness_deviation() < 1e-12
     # the identity string returns the seed itself
@@ -365,7 +376,6 @@ class _RawBasis:
 
     def __init__(self, m):
         self._m = m
-        self._conj = m.conj()      # held beside the matrix, as GesBasis does
 
     def matrix(self):
         return self._m

@@ -1,5 +1,6 @@
 """Unit tests for concurrence, entropy, and the calibrated closed forms."""
 
+import inspect
 import math
 import os
 import subprocess
@@ -204,12 +205,32 @@ def test_measure_report_input_validation():
 
 
 def test_calibration_is_decisive():
-    cal = calibrate_closed_forms(n_samples=20, seed=99)
+    cal = calibrate_closed_forms(seed=99)
+    assert set(cal) == {"pair_max_dev", "cut_max_dev", "matching_pairs", "matching_cuts"}
     for branch in BRANCHES:
-        assert cal["matching_pairs"][branch] == ["q3q4"]
-        assert cal["matching_cuts"][branch] == ["q1q2|q3q4"]
-    assert cal["formula_pair"] == "q3q4"
-    assert cal["formula_cut"] == "q1q2|q3q4"
+        # the matches verify checks: exactly the frozen pair and cut
+        assert cal["matching_pairs"][branch] == ["".join(FORMULA_PAIR)] == ["q3q4"]
+        assert cal["matching_cuts"][branch] == [str(FORMULA_CUT)] == ["q1q2|q3q4"]
+
+
+def test_calibration_draws_a_fixed_number_of_rows(monkeypatch):
+    # no sample count can be asked for, so no empty draw can match every candidate
+    assert list(inspect.signature(calibrate_closed_forms).parameters) == ["seed"]
+    for kwargs in ({"n_samples": 0}, {"n_samples": 40, "seed": 1}):
+        with pytest.raises(TypeError):
+            calibrate_closed_forms(**kwargs)
+    with pytest.raises(TypeError):
+        calibrate_closed_forms(0, 1)
+    shapes = []
+    real = measures._closed_form_measures
+
+    def recording(thetas):
+        shapes.append(thetas.shape)
+        return real(thetas)
+
+    monkeypatch.setattr(measures, "_closed_form_measures", recording)
+    calibrate_closed_forms()
+    assert shapes == [(measures._CALIBRATION_SAMPLES, 4)] == [(40, 4)]
 
 
 def test_schmidt_symmetry_violation_raises(monkeypatch):

@@ -56,6 +56,8 @@ def test_removed_methods_are_gone():
         assert not hasattr(getattr(ges4, cls), name), (cls, name)
     # a dataclass field without a default is an instance attribute only
     assert not hasattr(ges4.circuit.ATOMIC_SPACE, "factors")
+    assert not hasattr(ges4.explicit_basis(), "provenance")
+    assert not hasattr(ges4.generate_basis(), "provenance")
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

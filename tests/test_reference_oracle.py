@@ -26,7 +26,13 @@ The command line is checked end to end: the `--json` output of every
 decimal `simulate` and `sweep` argv, has each of its numbers recomputed from
 the reference and numpy alone, with the inputs written out in the test
 rather than parsed by ges4. The sweep cells known to differ are named one
-by one in `_KNOWN_SWEEP_MISMATCHES`, and must differ exactly there.
+by one in `_KNOWN_SWEEP_MISMATCHES`, and must differ exactly there. The
+`verify` reports of seeds 0..4, plain and with the conjugate_bs fault, have
+their discrepancy log recomputed from the reference and the closed forms
+written out here: the calibration's deviations and matches on its own draws,
+the pi/8 entropy spot, the success scaling in eta, the pi/4 single cut, the
+generated basis's phases and the Dicke entry. Only the single-cut deviation
+of `one_vs_three_entropy`, drawn after every check, is not recomputed.
 """
 
 import cmath
@@ -44,7 +50,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ges4 import cli
+from ges4 import cli, measures, verify
 from ges4.basis import ALL_INDICES, GesIndex, decompose, explicit_basis, generate_basis
 from ges4.circuit import (_BS_BLOCK, _MIXED_MARGIN, ATOMIC_SPACE, FULL_SPACE, QUBIT_LABELS,
                           DetectionOutcome, _one_photon_output, detect)
@@ -763,3 +769,151 @@ def _sweep_argv(draw):
 @given(case=_sweep_argv())
 def test_sweep_json_of_decimal_argv_equals_the_reference(case):
     assert _sweep_mismatches(*case) == set()
+
+
+# ---------------------------------------------------------------------------
+# verify: every number of the discrepancy log, recomputed
+
+_EPS = np.finfo(float).eps
+_VERIFY_SEEDS = range(5)
+_CHECK_BOUNDS = {name: bound for name, bound, _, _ in verify.CHECKS}
+
+
+def _closed_forms(thetas) -> dict:
+    """The paper's closed forms at phi = pi/2, written out: per branch the
+    concurrence lambda = |c1 c2 s3 s4| / (1 +- prod c_i) and the entropy
+    S(delta), delta = (c3 c4 +- c1 c2) / (1 +- prod c_i), with c_i = cos 2theta_i
+    and s_i = sin 2theta_i; + for chi', - for chi''."""
+    c, s = np.cos(2.0 * np.asarray(thetas)), np.sin(2.0 * np.asarray(thetas))
+    c12, c34 = c[..., 0] * c[..., 1], c[..., 2] * c[..., 3]
+    out = {}
+    for branch, sign in (("prime", 1.0), ("double_prime", -1.0)):
+        den = 1.0 + sign * c.prod(axis=-1)
+        lam = np.abs(c12 * s[..., 2] * s[..., 3]) / den
+        out[branch] = lam, _binary_entropy((c34 + sign * c12) / den)
+    return out
+
+
+def _binary_entropy(delta):
+    """S = 1 - [(1+d) log2(1+d) + (1-d) log2(1-d)] / 2 at d = |delta| < 1."""
+    d = np.abs(delta)
+    return 1.0 - ((1.0 + d) * np.log2(1.0 + d) + (1.0 - d) * np.log2(1.0 - d)) / 2.0
+
+
+def _reference_branch(thetas, branch: str) -> np.ndarray:
+    """The reference's normalized branch state(s) at phi = pi/2."""
+    psi = ref.interferometer(math.pi / 2, thetas)[..., _BRANCH_ROW[branch], :]
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+
+
+@pytest.fixture(scope="module")
+def verify_reports():
+    return {(seed, fault): verify.run_all_checks(seed, fault)
+            for seed in _VERIFY_SEEDS for fault in (None, "conjugate_bs")}
+
+
+@pytest.mark.parametrize("seed", _VERIFY_SEEDS)
+def test_verify_calibration_deviations_equal_the_reference(verify_reports, seed):
+    # the calibration's draws, written out; its matches are the candidates
+    # whose reference deviation is within the match tolerance
+    thetas = np.random.default_rng(seed + 101).uniform(0.1, 1.4, (40, 4))
+    closed = _closed_forms(thetas)
+    cal = verify_reports[seed, None].discrepancy_log["closed_form_calibration"]
+    for branch, (lam, entropy) in closed.items():
+        psi = _reference_branch(thetas, branch)
+        for key, table, numeric, want in (
+                ("pair", _PAIR_KEYS, ref.concurrence, lam),
+                ("cut", _CUT_KEYS, ref.cut_entropy, entropy)):
+            devs = {name: float(np.max(np.abs(numeric(psi, sides) - want)))
+                    for name, sides in table.items()}
+            logged = cal[f"{key}_max_dev"][branch]
+            assert list(logged) == list(devs)
+            # measured over seeds 0..4: within 1.5 eps (pairs), 4.5 eps (cuts)
+            for name, dev in devs.items():
+                assert abs(logged[name] - dev) <= 8 * _EPS, (branch, name)
+            matches = [name for name, dev in devs.items() if dev <= measures.CALIBRATION_MATCH_TOL]
+            assert cal[f"matching_{key}s"][branch] == matches
+    assert cal["matching_pairs"] == dict.fromkeys(closed, ["q3q4"])
+    assert cal["matching_cuts"] == dict.fromkeys(closed, ["q1q2|q3q4"])
+
+
+@pytest.mark.parametrize("seed", _VERIFY_SEEDS)
+def test_verify_spot_values_equal_the_reference(verify_reports, seed):
+    log = verify_reports[seed, None].discrepancy_log
+
+    # the entropy of chi' across q1q2|q3q4 at theta = pi/8: delta = 0.8
+    spot = log["entropy_spot_theta_pi_8"]
+    numeric = ref.cut_entropy(_reference_branch([math.pi / 8] * 4, "prime"), (0, 1))
+    closed = _closed_forms([math.pi / 8] * 4)["prime"][1]
+    assert abs(closed - _binary_entropy(0.8)) <= 2 * _EPS
+    # measured over seeds 0..4: within 3.5 eps
+    for value in (spot["computed"], spot["numerical_check"]):
+        assert abs(value - numeric) <= 8 * _EPS and abs(value - closed) <= 8 * _EPS
+    # the circulated value is the entropy at delta = 0.4, to its four digits
+    assert abs(spot["circulated_value"] - _binary_entropy(0.4)) <= 5e-5
+
+    # one photon, one detector: success = eta times the one-photon weight
+    scaling = log["success_probability_scaling"]
+    weight = float(np.sum(np.abs(ref.interferometer(math.pi / 2, [math.pi / 4] * 4)) ** 2))
+    etas = {"0": 0.0, "0.25": 0.25, "0.5": 0.5, "0.8": 0.8, "1": 1.0}
+    assert list(scaling["computed_success_probability"]) == list(etas)
+    for key, eta in etas.items():
+        # measured: within 1.5 eps
+        assert abs(scaling["computed_success_probability"][key] - eta * weight) <= 4 * _EPS
+        assert scaling["linear_reference"][key] == eta
+        assert scaling["quadratic_reference"][key] == eta * eta
+
+    # a single cut of the pi/4 target carries one bit: measured within 1 eps
+    at_pi4 = log["one_vs_three_entropy"]["value_at_theta_pi_4"]
+    want = ref.cut_entropy(_reference_branch([math.pi / 4] * 4, "prime"), (0,))
+    assert abs(at_pi4 - want) <= 4 * _EPS and abs(want - 1.0) <= 4 * _EPS
+
+
+def test_verify_phases_and_dicke_entry_equal_the_paper_states(verify_reports):
+    # e_k = g_k / z_k: the paper's strings on the reference seed, carried onto
+    # the tables by the logged phases; the |0000> amplitude of chi' is +1/sqrt(8)
+    images = _paper_images()
+    images = images * (abs(images[0, 0]) / images[0, 0])
+    units = {"1": 1.0, "-1": -1.0, "1j": 1j, "-1j": -1j}
+    log = verify_reports[0, None].discrepancy_log
+    phases = log["generated_basis_phases"]["phases"]
+    assert list(phases) == [idx.label for idx in ALL_INDICES]
+    tables = {}
+    for idx, g in zip(ALL_INDICES, images):
+        e = explicit_basis().states[idx].amp
+        s = np.vdot(e, g)
+        assert abs(s / abs(s) - units[phases[idx.label]]) <= 1e-12, idx
+        tables[idx.label] = g / units[phases[idx.label]]
+
+    dicke = log["dicke_expansion"]
+    coefficients = {label: np.vdot(e, _D4) for label, e in tables.items()}
+    for label, c in coefficients.items():
+        assert abs(c - dicke["computed_coefficients"].get(label, 0.0)) <= 1e-12, label
+    variant = sum(c * tables[label] for label, c in dicke["variant_coefficients"].items())
+    flipped = _D4.copy()
+    flipped[0b1100] *= -1.0
+    assert abs(dicke["variant_norm"] - np.linalg.norm(variant)) <= 1e-12
+    assert abs(dicke["variant_overlap_with_dicke"] - abs(np.vdot(_D4, variant))) <= 1e-12
+    assert abs(dicke["variant_overlap_with_dicke"] - 2.0 / 3.0) <= 1e-12
+    assert abs(dicke["variant_deviation_from_flipped_1100"]
+               - np.max(np.abs(variant - flipped))) <= 1e-12
+    for seed in _VERIFY_SEEDS:
+        later = verify_reports[seed, None].discrepancy_log
+        assert later["generated_basis_phases"] == log["generated_basis_phases"]
+        assert later["dicke_expansion"] == dicke
+
+
+@pytest.mark.parametrize("seed", _VERIFY_SEEDS)
+def test_verify_checks_are_within_their_bounds_and_the_fault_fails_only_the_oracle(
+        verify_reports, seed):
+    plain, faulty = verify_reports[seed, None], verify_reports[seed, "conjugate_bs"]
+    assert [c.name for c in plain.checks] == list(_CHECK_BOUNDS)
+    for c in plain.checks:
+        assert c.passed and c.measured <= _CHECK_BOUNDS[c.name], c
+    for c, f in zip(plain.checks, faulty.checks):
+        if c.name == "oracle_equivalence":
+            assert not f.passed and f.measured > 0.1, f
+        else:
+            assert f == c
+    assert faulty.discrepancy_log == plain.discrepancy_log
+    assert verify.report_to_json(faulty) != verify.report_to_json(plain)

@@ -15,7 +15,8 @@ which is copied here and frozen:
   two entropy passes and the Wootters and symmetry steps in numpy, against
   one entropy pass over all ten sides and Python floats.
 - `decompose`: the stacked `_expand` on one row, against its own one-row path
-  with the conjugate matrix held by the basis.
+  with the conjugate matrix held by the basis; and that path, against the
+  one that conjugates the basis matrix on each call.
 
 Floats are compared as uint64 views, so a difference in the last bit fails.
 """
@@ -171,6 +172,14 @@ def _old_expand(amps, m):
     return c, residual
 
 
+def _old_decompose(amp, m, conj):
+    """`decompose`'s arithmetic as it was, by the conjugate matrix the basis held."""
+    amps = amp[None]
+    c = amps @ conj
+    residual = float(np.linalg.norm(amps - c @ m.T, axis=-1)[0])
+    return c[0], residual
+
+
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
@@ -318,6 +327,28 @@ def test_norm_and_canonical_phase_are_bit_identical_to_the_earlier_forms(amp):
         assert fixed[pivot].real > 0.0 and abs(fixed[pivot].imag) <= 2.0 ** -1072
     else:
         assert np.array_equal(fixed.view(np.uint64), old.view(np.uint64))
+
+
+def test_decompose_is_bit_identical_to_the_held_conjugate_form():
+    rng = np.random.default_rng(20261021)
+    raw = rng.normal(size=(10_000, 16)) + 1j * rng.normal(size=(10_000, 16))
+    raw[::7] = raw[::7].real          # real rows, as the explicit tables are
+    amps = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    for basis in (explicit_basis(), generate_basis()):
+        m = basis.matrix()
+        held = m.conj()
+        held.setflags(write=False)
+        coefficients, residuals, old_c, old_r = [], [], [], []
+        for amp in amps:
+            dec = decompose(StateVector(ATOMIC_SPACE, amp), basis)
+            coefficients.append(list(dec.coefficients.values()))
+            residuals.append(dec.residual)
+            c, r = _old_decompose(amp, m, held)
+            old_c.append(c)
+            old_r.append(r)
+        assert np.array_equal(_cbits(coefficients), _cbits(old_c))
+        assert np.array_equal(_bits(residuals), _bits(old_r))
+    assert not np.isreal(generate_basis().matrix()).all()
 
 
 @settings(max_examples=300, deadline=None)

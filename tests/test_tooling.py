@@ -114,7 +114,7 @@ def test_benchmark_sweep_check_passes_the_former_empty_branch_band(tmp_path, mon
 
 def test_every_mutant_row_names_a_text_that_occurs_once_and_existing_tests():
     rows = _load("mutants", MUTANTS).MUTANTS
-    assert len({m.name for m in rows}) == len(rows) == 22
+    assert len({m.name for m in rows}) == len(rows) == 24
     for m in rows:
         assert (ROOT / m.path).read_text().count(m.text) == 1, m.name
         assert m.replacement != m.text and m.nodes, m.name
